@@ -1,4 +1,12 @@
-"""End-to-end drivers: generate, persist, compute (active or passive), collect.
+"""End-to-end application runs: generate, persist, compute (active or passive), collect.
+
+Every application runs through one run loop, :meth:`_Run.run`. It registers the
+kernels, times the phases, persists the input blocks, tallies invocations,
+times the client-side kernels of passive runs, digests the result and builds
+the :class:`AppRunResult`. An application subclass contributes only its
+``generate`` step (input blocks, in persist order) and its ``compute`` step
+(from the persisted ids to the result); the two matrix applications share the
+grid layout and the assemble/digest ``collect`` phase.
 
 Active runs ship invocations; the object payloads never cross the client
 boundary. Passive runs emulate a non-active store on the same engine: whole
@@ -14,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +54,7 @@ from .kernels import (
     fma_values,
 )
 from .model import (
-    Histogram,
+    BlockPayload,
     ObjectId,
     Submatrix,
     encode_payload,
@@ -98,414 +108,262 @@ def _digest(chunks) -> str:
     return h.hexdigest()
 
 
-class _Phases:
-    def __init__(self):
-        self.wall: dict[str, int] = {}
-        self._t0 = 0
-        self._name = ""
+@dataclass
+class _Run:
+    """One application run: the run loop :meth:`run` plus the helpers the steps
+    use. ``compute`` returns what :meth:`finish` digests. Kernels are looked
+    up as module globals at call time, so they can be wrapped from outside
+    (the traced benchmark does)."""
 
-    def start(self, name: str) -> None:
-        self._name = name
-        self._t0 = time.perf_counter_ns()
+    app: ClassVar[str]
+    class_name: ClassVar[str]
 
-    def stop(self) -> None:
-        self.wall[self._name] = self.wall.get(self._name, 0) + (
-            time.perf_counter_ns() - self._t0
+    session: Session
+    engine: Engine | None
+    mode: str
+    tier: TierKind
+    seed: int
+    profile: dict
+    result: str = RESULT_VALUE
+    assemble: bool = True
+    reuse: int = dc_field(default=1, init=False)  # method reads per input without an engine
+    phases: dict[str, int] = dc_field(default_factory=dict, init=False)
+    invocations: int = dc_field(default=0, init=False)
+    passive_ns: int = dc_field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        """Per-application setup from ``profile``; runs before any phase."""
+
+    @property
+    def active(self) -> bool:
+        return self.mode == MODE_ACTIVE
+
+    @contextmanager
+    def phase(self, name: str):
+        t0 = time.perf_counter_ns()
+        yield
+        self.phases[name] = time.perf_counter_ns() - t0
+
+    def invoke(self, oid: ObjectId, method: str, args=(), placement=ResultPlacement.value()):
+        self.invocations += 1
+        return self.session.invoke(oid, method, list(args), placement)
+
+    def fetch(self, oid: ObjectId) -> BlockPayload:
+        """The passive path: the whole object over GET, never cached."""
+        return fetch_full(self.session, oid)
+
+    def client(self, kernel, *args, invocation: bool = True):
+        """Run ``kernel`` client-side, counting its time as method time; a
+        per-block kernel counts as one invocation, a final merge as none."""
+        t0 = time.perf_counter_ns()
+        out = kernel(*args)
+        self.passive_ns += time.perf_counter_ns() - t0
+        self.invocations += invocation
+        return out
+
+    def finish(self, final) -> tuple[object, str, int, list[ObjectId]]:
+        """(final, digest, output bytes, output ids) of a by-value result."""
+        return final, _digest([encode_payload(final)]), payload_size_bytes(final), []
+
+    def run(self) -> AppRunResult:
+        ensure_kernel_registration(self.session)
+        record_start = self.engine.record_count if self.engine else 0
+        with self.phase("generate"):
+            blocks = self.generate()
+        with self.phase("persist"):
+            ids = [self.session.make_persistent(self.class_name, b, self.tier) for b in blocks]
+            sizes = [payload_size_bytes(b) for b in blocks]
+            del blocks
+        with self.phase("compute"):
+            out = self.compute(ids)
+        final, digest, output_bytes, output_ids = self.finish(out)
+
+        dataset_bytes = sum(sizes)
+        method_input, method_ns = self.reuse * dataset_bytes, self.passive_ns
+        if self.engine is not None:
+            counts = self.engine.read_counts()
+            method_input = sum(counts.get(oid, 0) * size for oid, size in zip(ids, sizes))
+            method_ns += sum(
+                rec.method_ns for rec in self.engine.records(record_start) if rec.op == "invoke"
+            )
+        return AppRunResult(
+            app=self.app,
+            mode=self.mode,
+            tier=self.tier,
+            final=final,
+            output_digest=digest,
+            dataset_bytes=dataset_bytes,
+            output_bytes=output_bytes,
+            invocations=self.invocations,
+            method_input_bytes=method_input,
+            method_total_ns=method_ns,
+            input_ids=ids,
+            output_ids=output_ids,
+            phases=self.phases,
         )
 
 
-def _method_stats(engine: Engine | None, record_start: int, passive_ns: int):
-    """Server-side method time for active runs, from engine invoke records."""
-    if engine is None:
-        return passive_ns
-    total = passive_ns
-    for rec in engine.records(record_start):
-        if rec.op == "invoke":
-            total += rec.method_ns
-    return total
+class _Histogram(_Run):
+    app = "histogram"
+    class_name = HIST_CLASS
+
+    def generate(self):
+        p = self.profile
+        return gen_f_array(self.seed, p["n_elems"], block_elems=p["block_elems"])
+
+    def compute(self, ids):
+        if self.active:
+            return merge_histograms([self.invoke(oid, "histogram") for oid in ids])
+        spec = self.profile.get("hist_spec") or HistogramSpec()
+        partials = [self.client(histogram_block, self.fetch(oid), spec) for oid in ids]
+        return self.client(merge_histograms, partials, invocation=False)
 
 
-def _multiplicity_input_bytes(engine: Engine, input_ids: list[ObjectId], sizes: dict) -> int:
-    counts = engine.read_counts()
-    return sum(counts.get(oid, 0) * sizes[oid] for oid in input_ids)
+class _KMeans(_Run):
+    app = "kmeans"
+    class_name = POINTS_CLASS
 
+    def __post_init__(self):
+        self.spec = self.profile.get("kmeans_spec") or KMeansSpec()
+        self.reuse = self.spec.iterations
 
-def run_histogram(
-    session: Session,
-    *,
-    seed: int,
-    n_elems: int,
-    block_elems: int,
-    tier: TierKind,
-    mode: str,
-    engine: Engine | None = None,
-    spec: HistogramSpec | None = None,
-) -> AppRunResult:
-    spec = spec or HistogramSpec()
-    ensure_kernel_registration(session)
-    phases = _Phases()
-    record_start = engine.record_count if engine else 0
+    def generate(self):
+        spec, p = self.spec, self.profile
+        blocks = gen_points(self.seed, p["n_points"], spec.dims, p["block_rows"])
+        self.centroids = initial_centroids(blocks, spec.centers)
+        return blocks
 
-    phases.start("generate")
-    blocks = gen_f_array(seed, n_elems, block_elems=block_elems)
-    phases.stop()
-
-    phases.start("persist")
-    ids = [session.make_persistent(HIST_CLASS, b, tier) for b in blocks]
-    sizes = {oid: payload_size_bytes(b) for oid, b in zip(ids, blocks)}
-    del blocks
-    phases.stop()
-
-    passive_ns = 0
-    partials: list[Histogram] = []
-    phases.start("compute")
-    if mode == MODE_ACTIVE:
-        for oid in ids:
-            partials.append(session.invoke(oid, "histogram"))
-        final = merge_histograms(partials)
-    else:
-        for oid in ids:
-            payload = fetch_full(session, oid)
-            t0 = time.perf_counter_ns()
-            partials.append(histogram_block(payload, spec))
-            passive_ns += time.perf_counter_ns() - t0
-        t0 = time.perf_counter_ns()
-        final = merge_histograms(partials)
-        passive_ns += time.perf_counter_ns() - t0
-    phases.stop()
-
-    method_input = (
-        _multiplicity_input_bytes(engine, ids, sizes) if engine else sum(sizes.values())
-    )
-    return AppRunResult(
-        app="histogram",
-        mode=mode,
-        tier=tier,
-        final=final,
-        output_digest=_digest([encode_payload(final)]),
-        dataset_bytes=sum(sizes.values()),
-        output_bytes=payload_size_bytes(final),
-        invocations=len(ids),
-        method_input_bytes=method_input,
-        method_total_ns=_method_stats(engine, record_start, passive_ns),
-        input_ids=ids,
-        phases=phases.wall,
-    )
-
-
-def run_kmeans(
-    session: Session,
-    *,
-    seed: int,
-    n_points: int,
-    block_rows: int,
-    tier: TierKind,
-    mode: str,
-    engine: Engine | None = None,
-    spec: KMeansSpec | None = None,
-) -> AppRunResult:
-    spec = spec or KMeansSpec()
-    ensure_kernel_registration(session)
-    phases = _Phases()
-    record_start = engine.record_count if engine else 0
-
-    phases.start("generate")
-    blocks = gen_points(seed, n_points, spec.dims, block_rows)
-    centroids = initial_centroids(blocks, spec.centers)
-    phases.stop()
-
-    phases.start("persist")
-    ids = [session.make_persistent(POINTS_CLASS, b, tier) for b in blocks]
-    sizes = {oid: payload_size_bytes(b) for oid, b in zip(ids, blocks)}
-    del blocks
-    phases.stop()
-
-    passive_ns = 0
-    invocations = 0
-    phases.start("compute")
-    for _ in range(spec.iterations):
-        if mode == MODE_ACTIVE:
-            acc_id = session.make_persistent(
-                POINTS_CLASS, PartialSum.zeros(spec.centers, spec.dims).to_payload(), TierKind.DRAM
-            )
-            for oid in ids:
-                session.invoke(acc_id, "accumulate", [ByRef(oid), ByValue(centroids)])
-                invocations += 1
-            centroids = session.invoke(acc_id, "finish", [ByValue(centroids)])
-            invocations += 1
-            session.delete(acc_id)
-        else:
-            partials = []
-            for oid in ids:
-                payload = fetch_full(session, oid)
-                t0 = time.perf_counter_ns()
-                partials.append(kmeans_partial(payload, centroids))
-                passive_ns += time.perf_counter_ns() - t0
-                invocations += 1
-            t0 = time.perf_counter_ns()
-            centroids = kmeans_reduce(partials, centroids)
-            passive_ns += time.perf_counter_ns() - t0
-    phases.stop()
-
-    method_input = (
-        _multiplicity_input_bytes(engine, ids, sizes)
-        if engine
-        else spec.iterations * sum(sizes.values())
-    )
-    return AppRunResult(
-        app="kmeans",
-        mode=mode,
-        tier=tier,
-        final=centroids,
-        output_digest=_digest([encode_payload(centroids)]),
-        dataset_bytes=sum(sizes.values()),
-        output_bytes=payload_size_bytes(centroids),
-        invocations=invocations,
-        method_input_bytes=method_input,
-        method_total_ns=_method_stats(engine, record_start, passive_ns),
-        input_ids=ids,
-        phases=phases.wall,
-    )
-
-
-def _persist_grid(session: Session, blocks: dict, tier: TierKind) -> dict:
-    return {rc: session.make_persistent(MATRIX_CLASS, b, tier) for rc, b in blocks.items()}
-
-
-def run_matadd(
-    session: Session,
-    *,
-    seed: int,
-    desc: MatrixDescriptor,
-    tier: TierKind,
-    mode: str,
-    result: str = RESULT_VALUE,
-    engine: Engine | None = None,
-    assemble: bool = True,
-) -> AppRunResult:
-    if result == RESULT_INPLACE_FMA:
-        raise InvalidRequestError("in-place FMA applies to matrix multiplication only")
-    ensure_kernel_registration(session)
-    phases = _Phases()
-    record_start = engine.record_count if engine else 0
-
-    phases.start("generate")
-    a_blocks = gen_matrix(seed, desc, which=0)
-    b_blocks = gen_matrix(seed, desc, which=1)
-    phases.stop()
-
-    phases.start("persist")
-    a_ids = _persist_grid(session, a_blocks, tier)
-    b_ids = _persist_grid(session, b_blocks, tier)
-    sizes = {oid: desc.k * desc.k * 8 for oid in list(a_ids.values()) + list(b_ids.values())}
-    del a_blocks, b_blocks
-    phases.stop()
-
-    placement = _placement_for(result, tier)
-    passive_ns = 0
-    invocations = 0
-    out_values: dict[tuple[int, int], Submatrix] = {}
-    out_ids: dict[tuple[int, int], ObjectId] = {}
-
-    phases.start("compute")
-    for rc in sorted(a_ids):
-        if mode == MODE_ACTIVE:
-            got = session.invoke(a_ids[rc], "add", [ByRef(b_ids[rc])], placement)
-            invocations += 1
-            if isinstance(got, ObjectId):
-                out_ids[rc] = got
+    def compute(self, ids):
+        spec, centroids = self.spec, self.centroids
+        zeros = PartialSum.zeros(spec.centers, spec.dims).to_payload()
+        for _ in range(spec.iterations):
+            if self.active:
+                acc = self.session.make_persistent(POINTS_CLASS, zeros, TierKind.DRAM)
+                for oid in ids:
+                    self.invoke(acc, "accumulate", [ByRef(oid), ByValue(centroids)])
+                centroids = self.invoke(acc, "finish", [ByValue(centroids)])
+                self.session.delete(acc)
             else:
-                out_values[rc] = got
-        else:
-            pa = fetch_full(session, a_ids[rc])
-            pb = fetch_full(session, b_ids[rc])
-            t0 = time.perf_counter_ns()
-            block = matadd_block(pa, pb)
-            passive_ns += time.perf_counter_ns() - t0
-            invocations += 1
-            if result == RESULT_STORE:
-                out_ids[rc] = session.make_persistent(MATRIX_CLASS, block, tier)
-            out_values[rc] = block
-    phases.stop()
-
-    return _finish_matrix_run(
-        session,
-        engine,
-        record_start,
-        app="matadd",
-        mode=mode,
-        tier=tier,
-        desc=desc,
-        input_ids=list(a_ids.values()) + list(b_ids.values()),
-        sizes=sizes,
-        out_values=out_values,
-        out_ids=out_ids,
-        invocations=invocations,
-        passive_ns=passive_ns,
-        phases=phases,
-        assemble=assemble,
-    )
+                partials = [self.client(kmeans_partial, self.fetch(oid), centroids) for oid in ids]
+                centroids = self.client(kmeans_reduce, partials, centroids, invocation=False)
+        return centroids
 
 
-def run_matmul(
-    session: Session,
-    *,
-    seed: int,
-    desc: MatrixDescriptor,
-    tier: TierKind,
-    mode: str,
-    result: str = RESULT_VALUE,
-    engine: Engine | None = None,
-    assemble: bool = True,
-) -> AppRunResult:
-    ensure_kernel_registration(session)
-    if mode == MODE_PASSIVE and result == RESULT_INPLACE_FMA:
-        raise InvalidRequestError("in-place FMA is an active-store execution mode")
-    phases = _Phases()
-    record_start = engine.record_count if engine else 0
-    grid = desc.grid
+class _Matrix(_Run):
+    """Shared by matrix addition and multiplication: the A and B grids are
+    persisted block by block in row-major order, A first; ``compute`` returns
+    the result blocks as (by-value blocks, stored ids), keyed by grid cell."""
 
-    phases.start("generate")
-    a_blocks = gen_matrix(seed, desc, which=0)
-    b_blocks = gen_matrix(seed, desc, which=1)
-    phases.stop()
+    class_name = MATRIX_CLASS
 
-    phases.start("persist")
-    a_ids = _persist_grid(session, a_blocks, tier)
-    b_ids = _persist_grid(session, b_blocks, tier)
-    sizes = {oid: desc.k * desc.k * 8 for oid in list(a_ids.values()) + list(b_ids.values())}
-    del a_blocks, b_blocks
-    phases.stop()
+    def __post_init__(self):
+        self.desc: MatrixDescriptor = self.profile["matrix"]
+        g = self.desc.grid
+        self.cells = [(r, c) for r in range(g) for c in range(g)]
 
-    passive_ns = 0
-    invocations = 0
-    out_values: dict[tuple[int, int], Submatrix] = {}
-    out_ids: dict[tuple[int, int], ObjectId] = {}
-    zeros = Submatrix(np.zeros((desc.k, desc.k)))
+    def generate(self):
+        a, b = (gen_matrix(self.seed, self.desc, which) for which in (0, 1))
+        return [grid[rc] for grid in (a, b) for rc in self.cells]
 
-    phases.start("compute")
-    if mode == MODE_ACTIVE:
-        acc_tier = tier if result == RESULT_INPLACE_FMA else TierKind.DRAM
-        acc_ids = {
-            (i, j): session.make_persistent(MATRIX_CLASS, zeros, acc_tier)
-            for i in range(grid)
-            for j in range(grid)
+    def grids(self, ids: list[ObjectId]) -> tuple[dict, dict]:
+        n = len(self.cells)
+        return dict(zip(self.cells, ids[:n])), dict(zip(self.cells, ids[n:]))
+
+    def finish(self, out):
+        values, stored = out
+        final, chunks = None, []
+        with self.phase("collect"):
+            if self.assemble:
+                blocks = {
+                    rc: values[rc] if rc in values else self.session.get(stored[rc])
+                    for rc in self.cells
+                }
+                chunks = [blocks[rc].data_bytes() for rc in self.cells]
+                final = assemble_matrix(blocks, self.desc)
+        output_ids = [stored[rc] for rc in self.cells if rc in stored]
+        digest = _digest(chunks) if chunks else ""
+        return final, digest, self.desc.n * self.desc.n * 8, output_ids
+
+
+class _MatAdd(_Matrix):
+    app = "matadd"
+
+    def __post_init__(self):
+        super().__post_init__()
+        placements = {
+            RESULT_VALUE: ResultPlacement.value(),
+            RESULT_VOLATILE: ResultPlacement.volatile(),
+            RESULT_STORE: ResultPlacement.store_in(self.tier),
         }
-        for i in range(grid):
-            for j in range(grid):
-                for t in range(grid):
-                    session.invoke_fma_in_place(acc_ids[(i, j)], a_ids[(i, t)], b_ids[(t, j)])
-                    invocations += 1
-        if result == RESULT_STORE:
-            for rc, acc in sorted(acc_ids.items()):
-                out_ids[rc] = session.invoke(acc, "identity", [], ResultPlacement.store_in(tier))
-                invocations += 1
-                session.delete(acc)
-        elif result == RESULT_VALUE:
-            for rc, acc in sorted(acc_ids.items()):
-                out_values[rc] = session.get(acc)
-            for acc in acc_ids.values():
-                session.delete(acc)
-        else:  # volatile or inplace_fma: results stay where they were computed
-            out_ids = dict(acc_ids)
-    else:
+        if self.result not in placements:
+            raise InvalidRequestError(f"matrix addition has no result placement {self.result!r}")
+        self.placement = placements[self.result]
+
+    def compute(self, ids):
+        a, b = self.grids(ids)
+        values, stored = {}, {}
+        for rc in self.cells:
+            if self.active:
+                got = self.invoke(a[rc], "add", [ByRef(b[rc])], self.placement)
+                (stored if isinstance(got, ObjectId) else values)[rc] = got
+                continue
+            values[rc] = self.client(matadd_block, self.fetch(a[rc]), self.fetch(b[rc]))
+            if self.result == RESULT_STORE:
+                stored[rc] = self.session.make_persistent(MATRIX_CLASS, values[rc], self.tier)
+        return values, stored
+
+
+class _MatMul(_Matrix):
+    app = "matmul"
+
+    def __post_init__(self):
+        if self.result == RESULT_INPLACE_FMA and not self.active:
+            raise InvalidRequestError("in-place FMA is an active-store execution mode")
+        super().__post_init__()
+
+    def compute(self, ids):
+        a, b = self.grids(ids)
+        k, grid = self.desc.k, self.desc.grid
+        steps = [((i, j), a[(i, t)], b[(t, j)]) for i, j in self.cells for t in range(grid)]
+        if not self.active:
+            accs = {rc: np.zeros((k, k)) for rc in self.cells}
+            for rc, a_id, b_id in steps:
+                pa, pb = self.fetch(a_id), self.fetch(b_id)
+                accs[rc] = self.client(fma_values, accs[rc], pa.values, pb.values)
+            values = {rc: Submatrix(acc) for rc, acc in accs.items()}
+            stored = {}
+            if self.result == RESULT_STORE:
+                for rc in self.cells:
+                    stored[rc] = self.session.make_persistent(MATRIX_CLASS, values[rc], self.tier)
+            return values, stored
+
+        acc_tier = self.tier if self.result == RESULT_INPLACE_FMA else TierKind.DRAM
+        zeros = Submatrix(np.zeros((k, k)))
         accs = {
-            (i, j): np.zeros((desc.k, desc.k)) for i in range(grid) for j in range(grid)
+            rc: self.session.make_persistent(MATRIX_CLASS, zeros, acc_tier) for rc in self.cells
         }
-        for i in range(grid):
-            for j in range(grid):
-                for t in range(grid):
-                    pa = fetch_full(session, a_ids[(i, t)])
-                    pb = fetch_full(session, b_ids[(t, j)])
-                    t0 = time.perf_counter_ns()
-                    accs[(i, j)] = fma_values(accs[(i, j)], pa.values, pb.values)
-                    passive_ns += time.perf_counter_ns() - t0
-                    invocations += 1
-        out_values = {rc: Submatrix(arr) for rc, arr in accs.items()}
-        if result == RESULT_STORE:
-            for rc in sorted(out_values):
-                out_ids[rc] = session.make_persistent(MATRIX_CLASS, out_values[rc], tier)
-    phases.stop()
-
-    return _finish_matrix_run(
-        session,
-        engine,
-        record_start,
-        app="matmul",
-        mode=mode,
-        tier=tier,
-        desc=desc,
-        input_ids=list(a_ids.values()) + list(b_ids.values()),
-        sizes=sizes,
-        out_values=out_values,
-        out_ids=out_ids,
-        invocations=invocations,
-        passive_ns=passive_ns,
-        phases=phases,
-        assemble=assemble,
-    )
+        for rc, a_id, b_id in steps:
+            self.invoke(accs[rc], "fma", [ByRef(a_id), ByRef(b_id)])
+        if self.result == RESULT_STORE:
+            stored, placement = {}, ResultPlacement.store_in(self.tier)
+            for rc in self.cells:
+                stored[rc] = self.invoke(accs[rc], "identity", [], placement)
+                self.session.delete(accs[rc])
+            return {}, stored
+        if self.result == RESULT_VALUE:
+            values = {rc: self.session.get(acc) for rc, acc in accs.items()}
+            for acc in accs.values():
+                self.session.delete(acc)
+            return values, {}
+        return {}, accs  # volatile or inplace_fma: results stay where they were computed
 
 
-def _placement_for(result: str, tier: TierKind) -> ResultPlacement:
-    if result == RESULT_VALUE:
-        return ResultPlacement.value()
-    if result == RESULT_VOLATILE:
-        return ResultPlacement.volatile()
-    if result == RESULT_STORE:
-        return ResultPlacement.store_in(tier)
-    raise InvalidRequestError(f"unknown result placement {result!r}")
-
-
-def _finish_matrix_run(
-    session: Session,
-    engine: Engine | None,
-    record_start: int,
-    *,
-    app: str,
-    mode: str,
-    tier: TierKind,
-    desc: MatrixDescriptor,
-    input_ids: list[ObjectId],
-    sizes: dict,
-    out_values: dict,
-    out_ids: dict,
-    invocations: int,
-    passive_ns: int,
-    phases: _Phases,
-    assemble: bool,
-) -> AppRunResult:
-    phases.start("collect")
-    final = None
-    digest_src = []
-    if assemble:
-        blocks = dict(out_values)
-        for rc, oid in sorted(out_ids.items()):
-            if rc not in blocks:
-                blocks[rc] = session.get(oid)
-        for rc in sorted(blocks):
-            digest_src.append(blocks[rc].data_bytes())
-        final = assemble_matrix(blocks, desc)
-    phases.stop()
-
-    output_bytes = desc.n * desc.n * 8
-    method_input = (
-        _multiplicity_input_bytes(engine, input_ids, sizes) if engine else sum(sizes.values())
-    )
-    return AppRunResult(
-        app=app,
-        mode=mode,
-        tier=tier,
-        final=final,
-        output_digest=_digest(digest_src) if digest_src else "",
-        dataset_bytes=sum(sizes.values()),
-        output_bytes=output_bytes,
-        invocations=invocations,
-        method_input_bytes=method_input,
-        method_total_ns=_method_stats(engine, record_start, passive_ns),
-        input_ids=input_ids,
-        output_ids=[oid for _, oid in sorted(out_ids.items())],
-        phases=phases.wall,
-    )
+_APPS: dict[str, type[_Run]] = {
+    "histogram": _Histogram,
+    "kmeans": _KMeans,
+    "matadd": _MatAdd,
+    "matmul": _MatMul,
+}
 
 
 def run_app(
@@ -520,51 +378,73 @@ def run_app(
     engine: Engine | None = None,
     assemble: bool = True,
 ) -> AppRunResult:
-    """Dispatch one full application run; see the per-app drivers."""
+    """One full application run. ``profile`` holds the sizes: ``n_elems``,
+    ``block_elems`` and optional ``hist_spec`` (histogram); ``n_points``,
+    ``block_rows`` and optional ``kmeans_spec`` (k-means); ``matrix``, a
+    :class:`MatrixDescriptor` (matrix apps). ``result`` and ``assemble``
+    apply to the matrix apps only."""
     if mode not in (MODE_ACTIVE, MODE_PASSIVE):
         raise InvalidRequestError(f"unknown mode {mode!r}")
-    if app == "histogram":
-        return run_histogram(
-            session,
-            seed=seed,
-            n_elems=profile["n_elems"],
-            block_elems=profile["block_elems"],
-            tier=tier,
-            mode=mode,
-            engine=engine,
-            spec=profile.get("hist_spec"),
-        )
-    if app == "kmeans":
-        return run_kmeans(
-            session,
-            seed=seed,
-            n_points=profile["n_points"],
-            block_rows=profile["block_rows"],
-            tier=tier,
-            mode=mode,
-            engine=engine,
-            spec=profile.get("kmeans_spec"),
-        )
-    if app == "matadd":
-        return run_matadd(
-            session,
-            seed=seed,
-            desc=profile["matrix"],
-            tier=tier,
-            mode=mode,
-            result=result,
-            engine=engine,
-            assemble=assemble,
-        )
-    if app == "matmul":
-        return run_matmul(
-            session,
-            seed=seed,
-            desc=profile["matrix"],
-            tier=tier,
-            mode=mode,
-            result=result,
-            engine=engine,
-            assemble=assemble,
-        )
-    raise InvalidRequestError(f"unknown app {app!r}")
+    if app not in _APPS:
+        raise InvalidRequestError(f"unknown app {app!r}")
+    return _APPS[app](session, engine, mode, tier, seed, profile, result, assemble).run()
+
+
+def run_histogram(
+    session: Session,
+    *,
+    seed: int,
+    n_elems: int,
+    block_elems: int,
+    tier: TierKind,
+    mode: str,
+    engine: Engine | None = None,
+    spec: HistogramSpec | None = None,
+) -> AppRunResult:
+    profile = {"n_elems": n_elems, "block_elems": block_elems, "hist_spec": spec}
+    return run_app("histogram", mode, session, seed=seed, tier=tier, profile=profile, engine=engine)
+
+
+def run_kmeans(
+    session: Session,
+    *,
+    seed: int,
+    n_points: int,
+    block_rows: int,
+    tier: TierKind,
+    mode: str,
+    engine: Engine | None = None,
+    spec: KMeansSpec | None = None,
+) -> AppRunResult:
+    profile = {"n_points": n_points, "block_rows": block_rows, "kmeans_spec": spec}
+    return run_app("kmeans", mode, session, seed=seed, tier=tier, profile=profile, engine=engine)
+
+
+def run_matadd(
+    session: Session,
+    *,
+    seed: int,
+    desc: MatrixDescriptor,
+    tier: TierKind,
+    mode: str,
+    result: str = RESULT_VALUE,
+    engine: Engine | None = None,
+    assemble: bool = True,
+) -> AppRunResult:
+    return run_app("matadd", mode, session, seed=seed, tier=tier, profile={"matrix": desc},
+                   result=result, engine=engine, assemble=assemble)
+
+
+def run_matmul(
+    session: Session,
+    *,
+    seed: int,
+    desc: MatrixDescriptor,
+    tier: TierKind,
+    mode: str,
+    result: str = RESULT_VALUE,
+    engine: Engine | None = None,
+    assemble: bool = True,
+) -> AppRunResult:
+    return run_app("matmul", mode, session, seed=seed, tier=tier, profile={"matrix": desc},
+                   result=result, engine=engine, assemble=assemble)

@@ -18,10 +18,11 @@ model; wall-clock fields are reported but never part of any acceptance check.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,15 +73,9 @@ ENV_COST_KEYS = {
     "AOSTORE_PER_OP_NS": "per_op_latency_ns",
 }
 
+CSV_CONFIG_COLUMNS = ("app", "mode", "tier", "objects", "dataset", "result", "seed", "transport")
 CSV_COLUMNS = [
-    "app",
-    "mode",
-    "tier",
-    "objects",
-    "dataset",
-    "result",
-    "seed",
-    "transport",
+    *CSV_CONFIG_COLUMNS,
     "status",
     "error",
     "wall_total_ns",
@@ -216,6 +211,12 @@ def compute_metrics(
     }
 
 
+def _metrics_of(raw: dict) -> dict[str, Fraction]:
+    """The derived metrics of a report's raw section."""
+    names = ("total_ns", "dataset_bytes", "method_total_ns", "method_input_bytes", "output_bytes")
+    return compute_metrics(**{name: raw[name] for name in names})
+
+
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -226,15 +227,9 @@ def parse_fraction(s: str) -> Fraction:
 
 
 def _counters_dict(c: TierCounters) -> dict:
-    return {
-        "bytes_read": c.bytes_read,
-        "bytes_written": c.bytes_written,
-        "cache_hits": c.cache_hits,
-        "cache_misses": c.cache_misses,
-        "read_ops": c.read_ops,
-        "write_ops": c.write_ops,
-        "modeled_time_ns": _fraction_str(c.modeled_time_ns),
-    }
+    out = asdict(c)
+    out["modeled_time_ns"] = _fraction_str(c.modeled_time_ns)
+    return out
 
 
 @dataclass
@@ -267,31 +262,24 @@ def _tier_layout(config: BenchmarkConfig, cost: CostModel) -> dict[TierKind, obj
         )
     }
     kind = TIER_KINDS[config.tier]
-    if kind == TierKind.NVM_DIRECT:
-        path = arena_dir / "bench-nvm.arena"
-        path.unlink(missing_ok=True)  # benchmark runs start from an empty store
-        tiers[kind] = open_tier(
-            kind, ArenaConfig(path=path, capacity_bytes=arena_capacity, cost_model=cost)
-        )
-    elif kind == TierKind.MEMORY_MODE:
-        path = arena_dir / "bench-mm.arena"
-        path.unlink(missing_ok=True)
+    if kind == TierKind.DRAM:
+        return tiers
+    path = arena_dir / f"bench-{config.tier}.arena"
+    path.unlink(missing_ok=True)  # benchmark runs start from an empty store
+    cache = 0
+    if kind == TierKind.MEMORY_MODE:
         cache = config.mm_cache_bytes
         if cache <= 0:
-            cache = (
-                MM_CACHE_BIG_DATASET
-                if config.dataset == "big"
-                else sizes["dataset_bytes"] * 2
-            )
-        tiers[kind] = open_tier(
-            kind,
-            ArenaConfig(
-                path=path,
-                capacity_bytes=max(arena_capacity, cache + 1),
-                cache_capacity_bytes=cache,
-                cost_model=cost,
-            ),
-        )
+            cache = MM_CACHE_BIG_DATASET if config.dataset == "big" else sizes["dataset_bytes"] * 2
+    tiers[kind] = open_tier(
+        kind,
+        ArenaConfig(
+            path=path,
+            capacity_bytes=max(arena_capacity, cache + 1),
+            cache_capacity_bytes=cache,
+            cost_model=cost,
+        ),
+    )
     return tiers
 
 
@@ -309,10 +297,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         if config.transport == "tcp":
             server = TcpServer(engine)
             session = Session.connect_tcp(server.host, server.port, catalog)
-            core = server.core
         else:
-            core = ServerCore(engine)
-            session = Session.connect_loopback(core, catalog)
+            session = Session.connect_loopback(ServerCore(engine), catalog)
 
         record_start = engine.record_count
         run = apps.run_app(
@@ -329,63 +315,47 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         total_ns = time.perf_counter_ns() - t_total
 
         counts = engine.read_counts()
-        histogram: dict[int, int] = {}
-        for oid in run.input_ids:
-            histogram[counts[oid]] = histogram.get(counts[oid], 0) + 1
+        histogram = Counter(counts[oid] for oid in run.input_ids)
 
         method_deltas = _sum_invoke_deltas(engine, record_start)
         client = session.counters()
         server_stats = session.stats()
 
-        metrics = compute_metrics(
-            total_ns=total_ns,
-            dataset_bytes=run.dataset_bytes,
-            method_total_ns=run.method_total_ns,
-            method_input_bytes=run.method_input_bytes,
-            output_bytes=run.output_bytes,
-        )
-        tier_section = {
-            kind.name.lower(): {
-                medium: _counters_dict(c) for medium, c in handle.media_counters().items()
-            }
-            for kind, handle in tiers.items()
+        raw = {
+            "total_ns": total_ns,
+            "dataset_bytes": run.dataset_bytes,
+            "output_bytes": run.output_bytes,
+            "method_total_ns": run.method_total_ns,
+            "method_input_bytes": run.method_input_bytes,
+            "invocations": run.invocations,
+            "input_objects": len(run.input_ids),
+            "result_digest": run.output_digest,
         }
-        total_model = Fraction(0)
-        for handle in tiers.values():
-            for medium, c in handle.media_counters().items():
-                total_model += c.modeled_time_ns
+        metrics = _metrics_of(raw)
+        media = {kind: handle.media_counters() for kind, handle in tiers.items()}
+        tier_section = {
+            kind.name.lower(): {medium: _counters_dict(c) for medium, c in counters.items()}
+            for kind, counters in media.items()
+        }
+        total_model = sum(
+            (c.modeled_time_ns for counters in media.values() for c in counters.values()),
+            Fraction(0),
+        )
 
+        report_config = {
+            k: v for k, v in asdict(config).items() if k not in ("arena_path", "cost_overrides")
+        }
+        report_config["cost_model"] = {
+            f.name: _fraction_str(getattr(cost, f.name)) for f in fields(CostModel)
+        }
+        wire_client = asdict(client)
+        wire_client["per_type"] = {str(k): v for k, v in sorted(client.per_type.items())}
         report = BenchmarkReport(
-            config={
-                "app": config.app,
-                "mode": config.mode,
-                "tier": config.tier,
-                "objects": config.objects,
-                "dataset": config.dataset,
-                "result": config.result,
-                "seed": config.seed,
-                "transport": config.transport,
-                "dram_capacity_bytes": config.dram_capacity_bytes,
-                "mm_cache_bytes": config.mm_cache_bytes,
-                "cost_model": {
-                    "dram_read_ns_per_byte": _fraction_str(cost.dram_read_ns_per_byte),
-                    "dram_write_ns_per_byte": _fraction_str(cost.dram_write_ns_per_byte),
-                    "nvm_read_ns_per_byte": _fraction_str(cost.nvm_read_ns_per_byte),
-                    "nvm_write_ns_per_byte": _fraction_str(cost.nvm_write_ns_per_byte),
-                    "per_op_latency_ns": _fraction_str(cost.per_op_latency_ns),
-                },
-            },
+            config=report_config,
             status="ok",
             error="",
             wall_ns={"total": total_ns, "phases": dict(run.phases)},
-            wire_client={
-                "bytes_sent": client.bytes_sent,
-                "bytes_received": client.bytes_received,
-                "per_type": {str(k): v for k, v in sorted(client.per_type.items())},
-                "gets": client.gets,
-                "puts": client.puts,
-                "invokes": client.invokes,
-            },
+            wire_client=wire_client,
             wire_server={
                 "bytes_sent": server_stats.wire.bytes_sent,
                 "bytes_received": server_stats.wire.bytes_received,
@@ -394,25 +364,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
             tiers=tier_section,
             read_count_histogram={str(k): v for k, v in sorted(histogram.items())},
             method_traffic=method_deltas,
-            raw={
-                "total_ns": total_ns,
-                "dataset_bytes": run.dataset_bytes,
-                "output_bytes": run.output_bytes,
-                "method_total_ns": run.method_total_ns,
-                "method_input_bytes": run.method_input_bytes,
-                "invocations": run.invocations,
-                "input_objects": len(run.input_ids),
-                "result_digest": run.output_digest,
-            },
+            raw=raw,
             metrics={
-                "computation_to_data_ratio_ms_per_mb": float(
-                    metrics["computation_to_data_ratio_ms_per_mb"]
-                ),
-                "method_computation_index_ms_per_mb": float(
-                    metrics["method_computation_index_ms_per_mb"]
-                ),
-                "output_size_ratio": float(metrics["output_size_ratio"]),
-                "reuse_factor": float(metrics["reuse_factor"]),
+                **{name: float(value) for name, value in metrics.items()},
                 "modeled_time_ns_total": float(total_model),
                 "modeled_time_ns_total_exact": _fraction_str(total_model),
             },
@@ -434,23 +388,14 @@ def _sum_invoke_deltas(engine: Engine, record_start: int) -> dict:
         if rec.op != "invoke":
             continue
         for key, delta in rec.tier_deltas.items():
-            acc = sums.setdefault(key, [0] * 6)
-            for i, d in enumerate(delta):
-                acc[i] += d
+            sums[key] = [a + d for a, d in zip(sums.get(key, [0] * 6), delta)]
     out: dict = {}
     for (kind, medium), vals in sorted(sums.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        handle = engine.tiers[kind]
         counters = TierCounters(*vals)
-        model = modeled_time_ns(counters, medium, handle.cost_model)
-        out.setdefault(kind.name.lower(), {})[medium] = {
-            "bytes_read": vals[0],
-            "bytes_written": vals[1],
-            "cache_hits": vals[2],
-            "cache_misses": vals[3],
-            "read_ops": vals[4],
-            "write_ops": vals[5],
-            "modeled_time_ns": _fraction_str(model),
-        }
+        model = modeled_time_ns(counters, medium, engine.tiers[kind].cost_model)
+        out.setdefault(kind.name.lower(), {})[medium] = _counters_dict(
+            replace(counters, modeled_time_ns=model)
+        )
     return out
 
 
@@ -461,36 +406,15 @@ def verify_report_metrics(report: dict) -> None:
     must equal float(exact fraction), exact fields must match the recomputed
     fractions).
     """
-    raw = report["raw"]
-    recomputed = compute_metrics(
-        total_ns=raw["total_ns"],
-        dataset_bytes=raw["dataset_bytes"],
-        method_total_ns=raw["method_total_ns"],
-        method_input_bytes=raw["method_input_bytes"],
-        output_bytes=raw["output_bytes"],
-    )
     metrics = report["metrics"]
-    for name, frac in recomputed.items():
+    for name, frac in _metrics_of(report["raw"]).items():
         assert metrics[name] == float(frac), f"{name}: {metrics[name]} != {float(frac)}"
     cost = report["config"]["cost_model"]
-    model = CostModel(
-        dram_read_ns_per_byte=parse_fraction(cost["dram_read_ns_per_byte"]),
-        dram_write_ns_per_byte=parse_fraction(cost["dram_write_ns_per_byte"]),
-        nvm_read_ns_per_byte=parse_fraction(cost["nvm_read_ns_per_byte"]),
-        nvm_write_ns_per_byte=parse_fraction(cost["nvm_write_ns_per_byte"]),
-        per_op_latency_ns=parse_fraction(cost["per_op_latency_ns"]),
-    )
+    model = CostModel(**{f.name: parse_fraction(cost[f.name]) for f in fields(CostModel)})
     total = Fraction(0)
     for tier_name, media in report["tiers"].items():
         for medium, c in media.items():
-            counters = TierCounters(
-                c["bytes_read"],
-                c["bytes_written"],
-                c["cache_hits"],
-                c["cache_misses"],
-                c["read_ops"],
-                c["write_ops"],
-            )
+            counters = TierCounters(**{k: v for k, v in c.items() if k != "modeled_time_ns"})
             recomputed_model = modeled_time_ns(counters, medium, model)
             assert parse_fraction(c["modeled_time_ns"]) == recomputed_model, (
                 f"tier {tier_name}/{medium} modeled time mismatch"
@@ -514,8 +438,7 @@ def emit_report(report: BenchmarkReport, fmt: str, path: str | Path) -> None:
 def _csv_row(report: BenchmarkReport) -> dict:
     d = report.to_dict()
     row = {c: "" for c in CSV_COLUMNS}
-    row.update({k: d["config"].get(k, "") for k in (
-        "app", "mode", "tier", "objects", "dataset", "result", "seed", "transport")})
+    row.update({k: d["config"].get(k, "") for k in CSV_CONFIG_COLUMNS})
     row["status"] = d["status"]
     row["error"] = d["error"]
     if d["status"] != "ok":
@@ -591,12 +514,8 @@ def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
         except (ConfigError, StoreError, OSError) as exc:
             failures += 1
             row = {c: "" for c in CSV_COLUMNS}
-            row.update(
-                app=config.app, mode=config.mode, tier=config.tier,
-                objects=config.objects, dataset=config.dataset, result=config.result,
-                seed=config.seed, transport=config.transport,
-                status="error", error=str(exc),
-            )
+            row.update({k: getattr(config, k) for k in CSV_CONFIG_COLUMNS})
+            row.update(status="error", error=str(exc))
             _append_csv_row(out_csv, row)
         rows += 1
     summary: dict = {"runs": rows, "failures": failures, "passive_over_active": {}}

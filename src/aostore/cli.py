@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .bench import (
     APPS,
@@ -43,10 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", default="desk", choices=DATASETS)
     run.add_argument("--result", default="value", choices=RESULTS)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--arena", default="bench-arenas", help="directory for arena files")
+    run.add_argument("--arena", dest="arena_path", default="bench-arenas",
+                     help="directory for arena files")
     run.add_argument("--transport", default="loopback", choices=TRANSPORTS)
-    run.add_argument("--dram-capacity", type=int, default=1 << 30)
-    run.add_argument("--mm-cache", type=int, default=0,
+    run.add_argument("--dram-capacity", dest="dram_capacity_bytes", type=int, default=1 << 30)
+    run.add_argument("--mm-cache", dest="mm_cache_bytes", type=int, default=0,
                      help="Memory-Mode cache bytes (0 = derive from dataset)")
     run.add_argument("--out", default=None, help="report path (default: stdout)")
     run.add_argument("--format", default="json", choices=("json", "csv"))
@@ -59,18 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    # every option of `run` but the output ones is named after its config field
     config = BenchmarkConfig(
-        app=args.app,
-        mode=args.mode,
-        tier=args.tier,
-        objects=args.objects,
-        dataset=args.dataset,
-        result=args.result,
-        seed=args.seed,
-        arena_path=args.arena,
-        transport=args.transport,
-        dram_capacity_bytes=args.dram_capacity,
-        mm_cache_bytes=args.mm_cache,
+        **{f.name: getattr(args, f.name) for f in fields(BenchmarkConfig) if hasattr(args, f.name)}
     )
     config.validate()
     for _ in range(max(1, args.repeat)):

@@ -9,7 +9,7 @@ only and performs no client-side caching, so every fetch hits the wire.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .engine import ByRef, ByValue, ResultPlacement, RoutineCatalog
 from .errors import InvalidRequestError, NotFoundError
@@ -93,13 +93,6 @@ class Session:
         self._tallies.invokes += 1
         return wire.decode_invoke_reply(body)
 
-    def invoke_fma_in_place(
-        self, acc: ObjectId, a: ObjectId, b: ObjectId, method_name: str = "fma"
-    ) -> None:
-        if acc == a or acc == b:
-            raise InvalidRequestError("accumulator must be distinct from both inputs")
-        self.invoke(acc, method_name, [ByRef(a), ByRef(b)])
-
     def delete(self, oid: ObjectId) -> None:
         self._conn.request(wire.MSG_DELETE, oid.raw)
 
@@ -112,14 +105,13 @@ class Session:
         return wire.decode_stats(body)
 
     def counters(self) -> SessionCounters:
+        """Wire counters of the connection plus this session's tallies."""
         c = self._conn.counters
-        return SessionCounters(
+        return replace(
+            self._tallies,
             bytes_sent=c.bytes_sent,
             bytes_received=c.bytes_received,
             per_type=dict(c.per_type),
-            gets=self._tallies.gets,
-            puts=self._tallies.puts,
-            invokes=self._tallies.invokes,
         )
 
     def method_descriptor(self, class_name: str, method_name: str) -> MethodDescriptor:

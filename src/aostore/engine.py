@@ -31,7 +31,7 @@ from .model import (
     MethodDescriptor,
     ObjectId,
     ObjectIdFactory,
-    StoredObject,
+    TAG_SUBMATRIX,
     payload_from_region,
     payload_size_bytes,
     encoded_size,
@@ -96,22 +96,16 @@ class RoutineCatalog:
 
     def __init__(self, routines: list[Routine] | None = None):
         self._routines: dict[str, Routine] = {}
-        for r in routines or []:
-            self.register(r)
-
-    def register(self, routine: Routine) -> None:
-        if routine.key in self._routines:
-            raise DuplicateError(f"routine {routine.key!r} already in catalog")
-        self._routines[routine.key] = routine
+        for routine in routines or []:
+            if routine.key in self._routines:
+                raise DuplicateError(f"routine {routine.key!r} already in catalog")
+            self._routines[routine.key] = routine
 
     def get(self, key: str) -> Routine:
         try:
             return self._routines[key]
         except KeyError:
             raise UnknownNameError(f"unknown routine {key!r}") from None
-
-    def has(self, key: str) -> bool:
-        return key in self._routines
 
     def keys(self) -> list[str]:
         return sorted(self._routines)
@@ -125,28 +119,23 @@ class _RWLock:
         self._readers = 0
         self._writer = False
 
-    def acquire_shared(self) -> None:
+    def acquire(self, exclusive: bool) -> None:
         with self._cond:
-            while self._writer:
+            while self._writer or (exclusive and self._readers):
                 self._cond.wait()
-            self._readers += 1
+            if exclusive:
+                self._writer = True
+            else:
+                self._readers += 1
 
-    def release_shared(self) -> None:
+    def release(self, exclusive: bool) -> None:
         with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
+            if exclusive:
+                self._writer = False
+            else:
+                self._readers -= 1
+            if not self._readers:
                 self._cond.notify_all()
-
-    def acquire_exclusive(self) -> None:
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-
-    def release_exclusive(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
 
 
 @dataclass
@@ -156,7 +145,6 @@ class _ObjectMeta:
     variant: Optional[int]
     shape: Optional[tuple[int, ...]]
     read_count: int = 0
-    write_count: int = 0
     lock: _RWLock = field(default_factory=_RWLock)
 
 
@@ -172,13 +160,13 @@ class OpRecord:
 
     op: str
     object_id: Optional[ObjectId]
-    method_name: str
-    args_bytes: int
-    result_bytes: int
-    input_bytes: int
-    method_ns: int
-    wall_ns: int
-    tier_deltas: dict
+    method_name: str = ""
+    args_bytes: int = 0
+    result_bytes: int = 0
+    input_bytes: int = 0
+    method_ns: int = 0
+    wall_ns: int = 0
+    tier_deltas: dict = field(default_factory=dict)
 
 
 class Engine:
@@ -250,11 +238,11 @@ class Engine:
     # -- record keeping --------------------------------------------------------
 
     def _counter_snapshot(self) -> dict:
-        snap = {}
-        for kind, handle in self._tiers.items():
-            for medium, counters in handle.media_counters().items():
-                snap[(kind, medium)] = counters.raw()
-        return snap
+        return {
+            (kind, medium): raw
+            for kind, handle in self._tiers.items()
+            for medium, raw in handle.raw_counters().items()
+        }
 
     @staticmethod
     def _delta(before: dict, after: dict) -> dict:
@@ -266,7 +254,13 @@ class Engine:
                 out[key] = d
         return out
 
-    def _record(self, rec: OpRecord) -> None:
+    def _record(self, op: str, oid: Optional[ObjectId], t0: int, before: dict, **fields) -> None:
+        """Append the record of an operation that started at ``t0`` with tier
+        counters ``before``; ``fields`` set its other :class:`OpRecord`
+        fields. Its wall time and tier deltas end now."""
+        wall_ns = time.perf_counter_ns() - t0
+        deltas = self._delta(before, self._counter_snapshot())
+        rec = OpRecord(op, oid, wall_ns=wall_ns, tier_deltas=deltas, **fields)
         with self._lock:
             self._records.append(rec)
 
@@ -295,19 +289,7 @@ class Engine:
         meta = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
         with self._lock:
             self._objects[oid] = meta
-        self._record(
-            OpRecord(
-                op="__persist__",
-                object_id=oid,
-                method_name="",
-                args_bytes=payload_size_bytes(payload),
-                result_bytes=0,
-                input_bytes=0,
-                method_ns=0,
-                wall_ns=time.perf_counter_ns() - t0,
-                tier_deltas=self._delta(before, self._counter_snapshot()),
-            )
-        )
+        self._record("__persist__", oid, t0, before, args_bytes=payload_size_bytes(payload))
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -327,34 +309,23 @@ class Engine:
 
     def get_object(self, oid: ObjectId) -> BlockPayload:
         meta = self._meta(oid)
-        meta.lock.acquire_shared()
+        meta.lock.acquire(exclusive=False)
         t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         try:
             src = self._payload_view(meta, oid)
-            payload = _copy_payload(src)
+            payload = type(src)(src.values.copy())
             with self._lock:
                 meta.read_count += 1
         finally:
-            meta.lock.release_shared()
-        self._record(
-            OpRecord(
-                op="__get__",
-                object_id=oid,
-                method_name="",
-                args_bytes=0,
-                result_bytes=payload_size_bytes(payload),
-                input_bytes=payload_size_bytes(payload),
-                method_ns=0,
-                wall_ns=time.perf_counter_ns() - t0,
-                tier_deltas=self._delta(before, self._counter_snapshot()),
-            )
-        )
+            meta.lock.release(exclusive=False)
+        size = payload_size_bytes(payload)
+        self._record("__get__", oid, t0, before, result_bytes=size, input_bytes=size)
         return payload
 
     def delete_object(self, oid: ObjectId) -> None:
         meta = self._meta(oid)
-        meta.lock.acquire_exclusive()
+        meta.lock.acquire(exclusive=True)
         t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         try:
@@ -362,20 +333,8 @@ class Engine:
             with self._lock:
                 del self._objects[oid]
         finally:
-            meta.lock.release_exclusive()
-        self._record(
-            OpRecord(
-                op="__delete__",
-                object_id=oid,
-                method_name="",
-                args_bytes=0,
-                result_bytes=0,
-                input_bytes=0,
-                method_ns=0,
-                wall_ns=time.perf_counter_ns() - t0,
-                tier_deltas=self._delta(before, self._counter_snapshot()),
-            )
-        )
+            meta.lock.release(exclusive=True)
+        self._record("__delete__", oid, t0, before)
 
     def flush(self, tier: TierKind | None = None) -> None:
         t0 = time.perf_counter_ns()
@@ -383,19 +342,7 @@ class Engine:
         kinds = [tier] if tier is not None else list(self._tiers)
         for kind in kinds:
             self.tier(kind).flush()
-        self._record(
-            OpRecord(
-                op="__flush__",
-                object_id=None,
-                method_name="",
-                args_bytes=0,
-                result_bytes=0,
-                input_bytes=0,
-                method_ns=0,
-                wall_ns=time.perf_counter_ns() - t0,
-                tier_deltas=self._delta(before, self._counter_snapshot()),
-            )
-        )
+        self._record("__flush__", None, t0, before)
 
     # -- invocation --------------------------------------------------------------
 
@@ -444,10 +391,7 @@ class Engine:
         before = self._counter_snapshot()
         try:
             for _, m, exclusive in plan:
-                if exclusive:
-                    m.lock.acquire_exclusive()
-                else:
-                    m.lock.acquire_shared()
+                m.lock.acquire(exclusive)
                 acquired.append((m, exclusive))
 
             target = self._payload_view(meta, oid)
@@ -484,29 +428,22 @@ class Engine:
                     )
                 update = np.ascontiguousarray(out.target_update)
                 self.tier(meta.tier).write_in_place(oid, 0, update.tobytes())
-                with self._lock:
-                    meta.write_count += 1
 
             result_value, result_bytes = self._place_result(out.result, meta, placement)
         finally:
             for m, exclusive in reversed(acquired):
-                if exclusive:
-                    m.lock.release_exclusive()
-                else:
-                    m.lock.release_shared()
+                m.lock.release(exclusive)
 
         self._record(
-            OpRecord(
-                op="invoke",
-                object_id=oid,
-                method_name=method_name,
-                args_bytes=args_bytes,
-                result_bytes=result_bytes,
-                input_bytes=input_bytes,
-                method_ns=method_ns,
-                wall_ns=time.perf_counter_ns() - t_start,
-                tier_deltas=self._delta(before, self._counter_snapshot()),
-            )
+            "invoke",
+            oid,
+            t_start,
+            before,
+            method_name=method_name,
+            args_bytes=args_bytes,
+            result_bytes=result_bytes,
+            input_bytes=input_bytes,
+            method_ns=method_ns,
         )
         return result_value
 
@@ -522,7 +459,7 @@ class Engine:
             raise InvalidRequestError("accumulator must be distinct from both inputs")
         for oid in (acc_id, a_id, b_id):
             meta = self._meta(oid)
-            if meta.variant is not None and meta.variant != 3:  # TAG_SUBMATRIX
+            if meta.variant is not None and meta.variant != TAG_SUBMATRIX:
                 raise ShapeMismatchError(
                     f"object {oid.hex()} is not a submatrix; in-place FMA needs k x k blocks"
                 )
@@ -565,18 +502,6 @@ class Engine:
 
     # -- introspection -------------------------------------------------------------
 
-    def describe_object(self, oid: ObjectId) -> StoredObject:
-        meta = self._meta(oid)
-        payload = self.get_object(oid)
-        return StoredObject(
-            id=oid,
-            class_name=meta.class_name,
-            payload=payload,
-            tier=meta.tier,
-            read_count=meta.read_count,
-            write_count=meta.write_count,
-        )
-
     def read_counts(self) -> dict[ObjectId, int]:
         with self._lock:
             return {oid: m.read_count for oid, m in self._objects.items()}
@@ -589,10 +514,12 @@ class Engine:
         return self._meta(oid).tier
 
     def close(self) -> None:
+        """Close every tier, even when one fails; then re-raise the first error."""
+        first: BaseException | None = None
         for handle in self._tiers.values():
-            handle.close()
-
-
-def _copy_payload(p: BlockPayload) -> BlockPayload:
-    cls = type(p)
-    return cls(np.array(p.values, dtype=p.values.dtype, copy=True))
+            try:
+                handle.close()
+            except Exception as exc:
+                first = first or exc
+        if first is not None:
+            raise first

@@ -68,16 +68,12 @@ class ArenaError(StoreError):
     code = ERR_INVALID
 
 
+# the class a client raises for each code; a PayloadError arrives as a
+# FrameError and an ArenaError as an InvalidRequestError, whose codes they share
 _CODE_TO_CLASS = {
-    ERR_UNKNOWN_MSG_TYPE: UnknownMsgTypeError,
-    ERR_MALFORMED: FrameError,
-    ERR_NOT_FOUND: NotFoundError,
-    ERR_DUPLICATE: DuplicateError,
-    ERR_UNKNOWN_NAME: UnknownNameError,
-    ERR_CAPACITY: CapacityError,
-    ERR_SHAPE_MISMATCH: ShapeMismatchError,
-    ERR_INVALID: InvalidRequestError,
-    ERR_INTERNAL: StoreError,
+    cls.code: cls
+    for cls in (UnknownMsgTypeError, FrameError, NotFoundError, DuplicateError, UnknownNameError,
+                CapacityError, ShapeMismatchError, InvalidRequestError, StoreError)
 }
 
 

@@ -15,11 +15,12 @@ payload.
 
 from __future__ import annotations
 
+import math
 import random
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +74,6 @@ class ObjectIdFactory:
         return ObjectId(secrets.token_bytes(16))
 
 
-def new_object_id(factory: ObjectIdFactory | None = None) -> ObjectId:
-    return (factory or ObjectIdFactory()).new_object_id()
-
-
 @dataclass(frozen=True)
 class ClassDescriptor:
     """Schema of a registered class: named typed attributes plus method names."""
@@ -108,17 +105,27 @@ class MethodDescriptor:
 
 
 class BlockPayload:
-    """Base for the block payload variants; value semantics, bit-exact equality."""
+    """Base for the block payload variants; value semantics, bit-exact equality.
+
+    Subclasses validate and keep their array in ``_values``; their encoded
+    shape fields are the array's shape unless they say otherwise.
+    """
 
     tag: int = 0
     semantic: str = ""
+    _values: np.ndarray
 
     @property
-    def values(self) -> np.ndarray:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def values(self) -> np.ndarray:
+        return self._values
 
-    def shape_fields(self) -> tuple[int, ...]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def shape_fields(self) -> tuple[int, ...]:
+        return self._values.shape
+
+    @classmethod
+    def array_shape(cls, shape_fields: tuple[int, ...]) -> tuple[int, ...]:
+        """Shape of the values array that ``shape_fields`` describe."""
+        return tuple(shape_fields)
 
     @property
     def element_count(self) -> int:
@@ -151,13 +158,6 @@ class FloatArray(BlockPayload):
             raise PayloadError(f"float array must be 1-d, got shape {arr.shape}")
         self._values = arr
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def shape_fields(self) -> tuple[int, ...]:
-        return (self._values.shape[0],)
-
     def __repr__(self) -> str:
         return f"FloatArray(n={self._values.shape[0]})"
 
@@ -178,19 +178,12 @@ class _Matrix2D(BlockPayload):
         self._values = arr
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
     def rows(self) -> int:
         return int(self._values.shape[0])
 
     @property
     def dims(self) -> int:
         return int(self._values.shape[1])
-
-    def shape_fields(self) -> tuple[int, ...]:
-        return (self.rows, self.dims)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.rows}x{self.dims})"
@@ -223,15 +216,15 @@ class Submatrix(BlockPayload):
         self._values = arr
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
     def k(self) -> int:
         return int(self._values.shape[0])
 
     def shape_fields(self) -> tuple[int, ...]:
         return (self.k,)
+
+    @classmethod
+    def array_shape(cls, shape_fields: tuple[int, ...]) -> tuple[int, ...]:
+        return (shape_fields[0], shape_fields[0])
 
     def __repr__(self) -> str:
         return f"Submatrix(k={self.k})"
@@ -245,51 +238,48 @@ class Histogram(BlockPayload):
         arr = np.asarray(counts, dtype=U64)
         if arr.ndim != 1:
             raise PayloadError(f"histogram counts must be 1-d, got shape {arr.shape}")
-        self._counts = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._counts
+        self._values = arr
 
     @property
     def counts(self) -> np.ndarray:
-        return self._counts
-
-    def shape_fields(self) -> tuple[int, ...]:
-        return (self._counts.shape[0],)
+        return self._values
 
     def __repr__(self) -> str:
-        return f"Histogram(bins={self._counts.shape[0]})"
+        return f"Histogram(bins={self._values.shape[0]})"
 
 
-_VARIANTS: dict[int, type[BlockPayload]] = {
-    TAG_FLOAT_ARRAY: FloatArray,
-    TAG_POINTS: PointsBlock,
-    TAG_SUBMATRIX: Submatrix,
-    TAG_HISTOGRAM: Histogram,
-    TAG_CENTROIDS: Centroids,
+class _Variant(NamedTuple):
+    """One row of the payload layout: class, u64 shape fields after the tag,
+    and the element type of the data section."""
+
+    cls: type[BlockPayload]
+    shape_count: int
+    dtype: np.dtype
+
+
+_VARIANTS: dict[int, _Variant] = {
+    TAG_FLOAT_ARRAY: _Variant(FloatArray, 1, F64),
+    TAG_POINTS: _Variant(PointsBlock, 2, F64),
+    TAG_SUBMATRIX: _Variant(Submatrix, 1, F64),
+    TAG_HISTOGRAM: _Variant(Histogram, 1, U64),
+    TAG_CENTROIDS: _Variant(Centroids, 2, F64),
 }
 
-_SHAPE_FIELD_COUNT = {
-    TAG_FLOAT_ARRAY: 1,
-    TAG_POINTS: 2,
-    TAG_SUBMATRIX: 1,
-    TAG_HISTOGRAM: 1,
-    TAG_CENTROIDS: 2,
-}
+
+def _variant(tag: int, where: str = "") -> _Variant:
+    try:
+        return _VARIANTS[tag]
+    except KeyError:
+        raise PayloadError(f"unknown variant tag 0x{tag:02x}{where}") from None
 
 
-def _dtype_for_tag(tag: int) -> np.dtype:
-    return U64 if tag == TAG_HISTOGRAM else F64
+def _data_length(variant: _Variant, shape: tuple[int, ...]) -> int:
+    return 8 * math.prod(variant.cls.array_shape(shape))
 
 
-def _element_count(tag: int, shape: tuple[int, ...]) -> int:
-    if tag == TAG_SUBMATRIX:
-        return shape[0] * shape[0]
-    count = 1
-    for s in shape:
-        count *= s
-    return count
+def _build_payload(variant: _Variant, shape: tuple[int, ...], data) -> BlockPayload:
+    arr = np.frombuffer(data, dtype=variant.dtype)
+    return variant.cls(arr.reshape(variant.cls.array_shape(shape)))
 
 
 def payload_size_bytes(p: BlockPayload) -> int:
@@ -303,54 +293,40 @@ def encoded_size(p: BlockPayload) -> int:
 
 def encode_payload(p: BlockPayload) -> bytes:
     """Self-describing little-endian encoding: tag, shape as u64, raw data."""
-    header = struct.pack("<B", p.tag) + b"".join(
-        struct.pack("<Q", s) for s in p.shape_fields()
-    )
-    return header + p.data_bytes()
+    shape = p.shape_fields()
+    return struct.pack(f"<B{len(shape)}Q", p.tag, *shape) + p.data_bytes()
 
 
-def _build_payload(tag: int, shape: tuple[int, ...], arr: np.ndarray) -> BlockPayload:
-    if tag == TAG_FLOAT_ARRAY:
-        return FloatArray(arr)
-    if tag == TAG_POINTS:
-        return PointsBlock(arr.reshape(shape))
-    if tag == TAG_CENTROIDS:
-        return Centroids(arr.reshape(shape))
-    if tag == TAG_SUBMATRIX:
-        return Submatrix(arr.reshape(shape[0], shape[0]))
-    if tag == TAG_HISTOGRAM:
-        return Histogram(arr)
-    raise PayloadError(f"unknown variant tag 0x{tag:02x}")
+def encoded_length(data: bytes | memoryview) -> int:
+    """Length of the encoded payload at the start of ``data``, read from its
+    tag and shape; ``data`` may continue past it."""
+    variant, shape, offset = _decode_header(data)
+    return offset + _data_length(variant, shape)
 
 
 def decode_payload(data: bytes | memoryview) -> BlockPayload:
     """Inverse of :func:`encode_payload`; always copies out of ``data``."""
-    tag, shape, offset = _decode_header(data)
-    expected = _element_count(tag, shape) * 8
+    variant, shape, offset = _decode_header(data)
+    expected = _data_length(variant, shape)
     got = len(data) - offset
     if got != expected:
         raise PayloadError(
-            f"length mismatch: variant tag {tag} with shape {shape} expects "
+            f"length mismatch: variant tag {data[0]} with shape {shape} expects "
             f"{expected} data bytes at offset {offset}, got {got}"
         )
-    arr = np.frombuffer(bytes(data[offset:]), dtype=_dtype_for_tag(tag))
-    return _build_payload(tag, shape, arr)
+    return _build_payload(variant, shape, bytes(data[offset:]))
 
 
-def _decode_header(data: bytes | memoryview) -> tuple[int, tuple[int, ...], int]:
+def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...], int]:
     if len(data) < 1:
         raise PayloadError("truncated payload: missing variant tag at offset 0")
-    tag = data[0]
-    if tag not in _VARIANTS:
-        raise PayloadError(f"unknown variant tag 0x{tag:02x} at offset 0")
-    nshape = _SHAPE_FIELD_COUNT[tag]
-    need = 1 + 8 * nshape
+    variant = _variant(data[0], " at offset 0")
+    need = 1 + 8 * variant.shape_count
     if len(data) < need:
         raise PayloadError(
             f"truncated payload: need {need} header bytes at offset 1, have {len(data)}"
         )
-    shape = struct.unpack_from(f"<{nshape}Q", bytes(data[1:need]))
-    return tag, tuple(int(s) for s in shape), need
+    return variant, struct.unpack_from(f"<{variant.shape_count}Q", data, 1), need
 
 
 def payload_from_region(tag: int, shape: tuple[int, ...], region: memoryview) -> BlockPayload:
@@ -359,22 +335,10 @@ def payload_from_region(tag: int, shape: tuple[int, ...], region: memoryview) ->
     The resulting arrays alias ``region``: mutations through the buffer are
     visible and, on a writable region, mutating the array writes through.
     """
-    expected = _element_count(tag, shape) * 8
+    variant = _variant(tag)
+    expected = _data_length(variant, shape)
     if len(region) != expected:
         raise PayloadError(
             f"length mismatch: region holds {len(region)} bytes, variant needs {expected}"
         )
-    arr = np.frombuffer(region, dtype=_dtype_for_tag(tag))
-    return _build_payload(tag, shape, arr)
-
-
-@dataclass
-class StoredObject:
-    """Snapshot of one stored object: identity, schema, payload and counters."""
-
-    id: ObjectId
-    class_name: Optional[str]
-    payload: BlockPayload
-    tier: "object"
-    read_count: int = 0
-    write_count: int = 0
+    return _build_payload(variant, shape, region)

@@ -25,12 +25,13 @@ integer traffic counters with the configured :class:`CostModel`.
 from __future__ import annotations
 
 import enum
-import os
 import mmap
+import operator
+import os
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,13 +55,6 @@ MEDIA_DRAM = "dram"
 MEDIA_NVM = "nvm"
 
 
-def _as_fraction(value) -> Fraction:
-    # Fraction(str(float)) keeps "0.01" exactly 1/100 instead of the binary double.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Per-byte and per-operation costs, exact rationals (ns units).
@@ -77,21 +71,17 @@ class CostModel:
 
     @classmethod
     def create(cls, **overrides) -> "CostModel":
-        base = {
-            "dram_read_ns_per_byte": Fraction(1, 100),
-            "dram_write_ns_per_byte": Fraction(1, 100),
-            "nvm_read_ns_per_byte": Fraction(3, 100),
-            "nvm_write_ns_per_byte": Fraction(1, 10),
-            "per_op_latency_ns": Fraction(1000),
-        }
+        """The defaults with ``overrides`` applied, each made an exact rational."""
+        names = {f.name for f in fields(cls)}
+        exact = {}
         for key, value in overrides.items():
-            if key not in base:
+            if key not in names:
                 raise InvalidRequestError(f"unknown cost model field {key!r}")
-            frac = _as_fraction(value)
-            if frac < 0:
+            # Fraction(str(float)) keeps 0.01 exactly 1/100 instead of the binary double
+            exact[key] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+            if exact[key] < 0:
                 raise InvalidRequestError(f"cost model field {key!r} must be non-negative")
-            base[key] = frac
-        return cls(**base)
+        return replace(cls(), **exact)
 
     def rates_for(self, medium: str) -> tuple[Fraction, Fraction]:
         if medium == MEDIA_DRAM:
@@ -101,7 +91,9 @@ class CostModel:
         raise InvalidRequestError(f"unknown medium {medium!r}")
 
 
-DEFAULT_COST_MODEL = CostModel()
+# the integer counters of a medium, in the order of ``TierCounters.raw()``
+_RAW_FIELDS = ("bytes_read", "bytes_written", "cache_hits", "cache_misses", "read_ops", "write_ops")
+_raw_of = operator.attrgetter(*_RAW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -117,14 +109,7 @@ class TierCounters:
     modeled_time_ns: Fraction = Fraction(0)
 
     def raw(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.bytes_read,
-            self.bytes_written,
-            self.cache_hits,
-            self.cache_misses,
-            self.read_ops,
-            self.write_ops,
-        )
+        return _raw_of(self)
 
 
 def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fraction:
@@ -141,33 +126,24 @@ def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fra
 
 
 class _MediumCounters:
-    __slots__ = ("bytes_read", "bytes_written", "cache_hits", "cache_misses", "read_ops", "write_ops")
+    """Mutable integer counters of one medium."""
+
+    __slots__ = _RAW_FIELDS
 
     def __init__(self):
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.read_ops = 0
-        self.write_ops = 0
+        for name in _RAW_FIELDS:
+            setattr(self, name, 0)
 
-    def snapshot(self, medium: str, cost: CostModel) -> TierCounters:
-        plain = TierCounters(
-            self.bytes_read,
-            self.bytes_written,
-            self.cache_hits,
-            self.cache_misses,
-            self.read_ops,
-            self.write_ops,
-        )
-        return TierCounters(*plain.raw(), modeled_time_ns=modeled_time_ns(plain, medium, cost))
+    def read(self, n: int) -> None:
+        self.bytes_read += n
+        self.read_ops += 1
 
+    def write(self, n: int) -> None:
+        self.bytes_written += n
+        self.write_ops += 1
 
-@dataclass(frozen=True)
-class RegionRef:
-    tier: TierKind
-    offset: int
-    length: int
+    def raw(self) -> tuple[int, int, int, int, int, int]:
+        return _raw_of(self)
 
 
 @dataclass(frozen=True)
@@ -185,15 +161,21 @@ class ArenaConfig:
 
 
 class TierHandle:
-    """Common surface of the three tier implementations."""
+    """Common surface of the three tier implementations.
+
+    Each handle keeps one :class:`_MediumCounters` per medium it touches, in
+    ``_media``; snapshots with modeled times are built from them on demand.
+    """
 
     kind: TierKind
+    media: tuple[str, ...]
 
     def __init__(self, config: ArenaConfig):
         self._config = config
         self._cost = config.cost_model
         self._lock = threading.Lock()
         self._dir: dict[ObjectId, tuple[int, int]] = {}
+        self._media = {medium: _MediumCounters() for medium in self.media}
 
     # -- directory ---------------------------------------------------------
 
@@ -205,10 +187,6 @@ class TierHandle:
         with self._lock:
             return list(self._dir)
 
-    def size_of(self, oid: ObjectId) -> int:
-        with self._lock:
-            return self._entry(oid)[1]
-
     def _entry(self, oid: ObjectId) -> tuple[int, int]:
         try:
             return self._dir[oid]
@@ -217,7 +195,7 @@ class TierHandle:
 
     # -- operations (implemented by subclasses) -----------------------------
 
-    def store(self, oid: ObjectId, data: bytes) -> RegionRef:
+    def store(self, oid: ObjectId, data: bytes) -> None:
         raise NotImplementedError
 
     def read_view(self, oid: ObjectId) -> memoryview:
@@ -230,16 +208,28 @@ class TierHandle:
         raise NotImplementedError
 
     def flush(self) -> None:
-        raise NotImplementedError
+        """Make the stored objects durable; nothing to do for a volatile tier."""
 
     def close(self) -> None:
         raise NotImplementedError
 
-    def counters(self) -> TierCounters:
-        raise NotImplementedError
+    def raw_counters(self) -> dict[str, tuple[int, ...]]:
+        """Integer counters per medium, without modeled times; cheap enough
+        to snapshot around every engine operation."""
+        with self._lock:
+            return {medium: c.raw() for medium, c in self._media.items()}
 
     def media_counters(self) -> dict[str, TierCounters]:
-        raise NotImplementedError
+        out = {}
+        for medium, raw in self.raw_counters().items():
+            plain = TierCounters(*raw)
+            out[medium] = replace(plain, modeled_time_ns=modeled_time_ns(plain, medium, self._cost))
+        return out
+
+    def counters(self) -> TierCounters:
+        """Traffic of the tier's single medium."""
+        (only,) = self.media_counters().values()
+        return only
 
     @property
     def capacity_bytes(self) -> int:
@@ -271,15 +261,15 @@ class DramTier(TierHandle):
     """Process-memory tier; regions are plain bytearrays."""
 
     kind = TierKind.DRAM
+    media = (MEDIA_DRAM,)
 
     def __init__(self, config: ArenaConfig):
         super().__init__(config)
         self._bufs: dict[ObjectId, bytearray] = {}
-        self._counters = _MediumCounters()
-        self._next_offset = 0
+        self._counters = self._media[MEDIA_DRAM]
         self._used = 0
 
-    def store(self, oid: ObjectId, data: bytes) -> RegionRef:
+    def store(self, oid: ObjectId, data: bytes) -> None:
         with self._lock:
             if oid in self._dir:
                 raise InvalidRequestError(f"object {oid.hex()} already stored")
@@ -287,28 +277,22 @@ class DramTier(TierHandle):
                 raise CapacityError(
                     f"DRAM tier out of space: need {len(data)}, free {self.capacity_bytes - self._used}"
                 )
-            offset = self._next_offset
-            self._next_offset += len(data)
             self._used += len(data)
             self._bufs[oid] = bytearray(data)
-            self._dir[oid] = (offset, len(data))
-            self._counters.bytes_written += len(data)
-            self._counters.write_ops += 1
-            return RegionRef(self.kind, offset, len(data))
+            self._dir[oid] = (0, len(data))  # each region is its own buffer
+            self._counters.write(len(data))
 
     def read_view(self, oid: ObjectId) -> memoryview:
         with self._lock:
             _, size = self._entry(oid)
-            self._counters.bytes_read += size
-            self._counters.read_ops += 1
+            self._counters.read(size)
             return memoryview(self._bufs[oid])
 
     def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
         with self._lock:
             self._check_range(oid, offset, len(data))
             self._bufs[oid][offset : offset + len(data)] = data
-            self._counters.bytes_written += len(data)
-            self._counters.write_ops += 1
+            self._counters.write(len(data))
 
     def free(self, oid: ObjectId) -> None:
         with self._lock:
@@ -316,9 +300,6 @@ class DramTier(TierHandle):
             del self._dir[oid]
             del self._bufs[oid]
             self._used -= size
-
-    def flush(self) -> None:
-        pass
 
     def close(self) -> None:
         with self._lock:
@@ -329,13 +310,6 @@ class DramTier(TierHandle):
     def used_bytes(self) -> int:
         with self._lock:
             return self._used
-
-    def counters(self) -> TierCounters:
-        with self._lock:
-            return self._counters.snapshot(MEDIA_DRAM, self._cost)
-
-    def media_counters(self) -> dict[str, TierCounters]:
-        return {MEDIA_DRAM: self.counters()}
 
 
 class _ArenaFile:
@@ -365,30 +339,30 @@ class _ArenaFile:
 
     def _open_existing(self, requested_capacity: int) -> None:
         self._fd = os.open(self.path, os.O_RDWR)
-        header = os.pread(self._fd, _HEADER.size, 0)
-        if len(header) < _HEADER.size:
+        try:
+            header = os.pread(self._fd, _HEADER.size, 0)
+            if len(header) < _HEADER.size:
+                raise ArenaError(f"arena {self.path}: truncated header")
+            magic, version, capacity, dir_offset = _HEADER.unpack(header)
+            if magic != ARENA_MAGIC:
+                raise ArenaError(f"arena {self.path}: bad magic {magic!r}")
+            if version != ARENA_VERSION:
+                raise ArenaError(f"arena {self.path}: unsupported version {version}")
+            self.capacity = capacity
+            self.dir_offset = dir_offset
+            self.entries = self._read_directory()
+            high_water = max((off + length for off, length in self.entries.values()), default=0)
+            if requested_capacity < high_water:
+                raise ArenaError(
+                    f"arena {self.path}: configured capacity {requested_capacity} smaller "
+                    f"than existing directory extent {high_water}"
+                )
+            if os.fstat(self._fd).st_size < _HEADER.size + capacity:
+                os.ftruncate(self._fd, _HEADER.size + capacity)
+            self.mm = mmap.mmap(self._fd, _HEADER.size + capacity)
+        except BaseException:
             os.close(self._fd)
-            raise ArenaError(f"arena {self.path}: truncated header")
-        magic, version, capacity, dir_offset = _HEADER.unpack(header)
-        if magic != ARENA_MAGIC:
-            os.close(self._fd)
-            raise ArenaError(f"arena {self.path}: bad magic {magic!r}")
-        if version != ARENA_VERSION:
-            os.close(self._fd)
-            raise ArenaError(f"arena {self.path}: unsupported version {version}")
-        self.capacity = capacity
-        self.dir_offset = dir_offset
-        self.entries = self._read_directory()
-        high_water = max((off + length for off, length in self.entries.values()), default=0)
-        if requested_capacity < high_water:
-            os.close(self._fd)
-            raise ArenaError(
-                f"arena {self.path}: configured capacity {requested_capacity} smaller than "
-                f"existing directory extent {high_water}"
-            )
-        if os.fstat(self._fd).st_size < _HEADER.size + capacity:
-            os.ftruncate(self._fd, _HEADER.size + capacity)
-        self.mm = mmap.mmap(self._fd, _HEADER.size + capacity)
+            raise
 
     def _read_directory(self) -> dict[ObjectId, tuple[int, int]]:
         raw_count = os.pread(self._fd, _DIR_COUNT.size, self.dir_offset)
@@ -486,75 +460,82 @@ class _Allocator:
         self.holes = merged
 
 
-class NvmDirectTier(TierHandle):
-    """App-Direct analogue: zero-copy views over a persistent mapped arena."""
+class _ArenaTier(TierHandle):
+    """Shared by the two arena-backed tiers: first-fit allocation and the
+    object directory over an :class:`_ArenaFile`, whose traffic is NVM traffic.
+    Each tier class still defines its own data path (store, read_view,
+    write_in_place), the calls the traced benchmark wraps per class."""
 
-    kind = TierKind.NVM_DIRECT
+    recover: bool  # adopt the objects an existing arena file holds
 
     def __init__(self, config: ArenaConfig):
         if config.path is None:
-            raise InvalidRequestError("NVM_DIRECT tier requires an arena path")
+            raise InvalidRequestError(f"{self.kind.name} tier requires an arena path")
         super().__init__(config)
-        self._arena = _ArenaFile(config.path, config.capacity_bytes, recover=True)
-        self._config = ArenaConfig(
-            path=config.path,
-            capacity_bytes=self._arena.capacity,
-            cache_capacity_bytes=config.cache_capacity_bytes,
-            cost_model=config.cost_model,
-        )
+        self._arena = _ArenaFile(config.path, config.capacity_bytes, self.recover)
+        self._config = replace(config, capacity_bytes=self._arena.capacity)
         self._dir = dict(self._arena.entries)
         self._alloc = _Allocator(self._arena.capacity)
         self._alloc.seed(list(self._dir.values()))
-        self._counters = _MediumCounters()
+        self._nvm = self._media[MEDIA_NVM]
         self._closed = False
 
-    def store(self, oid: ObjectId, data: bytes) -> RegionRef:
+    def _store_in_arena(self, oid: ObjectId, data: bytes) -> None:
         with self._lock:
             if oid in self._dir:
                 raise InvalidRequestError(f"object {oid.hex()} already stored")
             offset = self._alloc.allocate(len(data))
             self._arena.write(offset, data)
             self._dir[oid] = (offset, len(data))
-            self._counters.bytes_written += len(data)
-            self._counters.write_ops += 1
-            return RegionRef(self.kind, offset, len(data))
-
-    def read_view(self, oid: ObjectId) -> memoryview:
-        with self._lock:
-            offset, size = self._entry(oid)
-            self._counters.bytes_read += size
-            self._counters.read_ops += 1
-            return self._arena.read(offset, size)
-
-    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
-        with self._lock:
-            base, _ = self._check_range(oid, offset, len(data))
-            self._arena.write(base + offset, data)
-            self._counters.bytes_written += len(data)
-            self._counters.write_ops += 1
+            self._nvm.write(len(data))
 
     def free(self, oid: ObjectId) -> None:
         with self._lock:
             offset, size = self._entry(oid)
             del self._dir[oid]
             self._alloc.release(offset, size)
+            self._forget(oid)
+
+    def _forget(self, oid: ObjectId) -> None:
+        """Drop what the tier keeps of a freed object besides its region."""
+
+    def _sync(self) -> None:
+        """Bring the arena up to date before a flush or close."""
 
     def flush(self) -> None:
         with self._lock:
+            self._sync()
             self._arena.flush(self._dir)
 
     def close(self) -> None:
         with self._lock:
             if not self._closed:
+                self._sync()
                 self._arena.close(self._dir)
                 self._closed = True
 
-    def counters(self) -> TierCounters:
-        with self._lock:
-            return self._counters.snapshot(MEDIA_NVM, self._cost)
 
-    def media_counters(self) -> dict[str, TierCounters]:
-        return {MEDIA_NVM: self.counters()}
+class NvmDirectTier(_ArenaTier):
+    """App-Direct analogue: zero-copy views over a persistent mapped arena."""
+
+    kind = TierKind.NVM_DIRECT
+    media = (MEDIA_NVM,)
+    recover = True
+
+    def store(self, oid: ObjectId, data: bytes) -> None:
+        self._store_in_arena(oid, data)
+
+    def read_view(self, oid: ObjectId) -> memoryview:
+        with self._lock:
+            offset, size = self._entry(oid)
+            self._nvm.read(size)
+            return self._arena.read(offset, size)
+
+    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
+        with self._lock:
+            base, _ = self._check_range(oid, offset, len(data))
+            self._arena.write(base + offset, data)
+            self._nvm.write(len(data))
 
 
 class _CacheEntry:
@@ -565,7 +546,7 @@ class _CacheEntry:
         self.dirty = dirty
 
 
-class MemoryModeTier(TierHandle):
+class MemoryModeTier(_ArenaTier):
     """NVM presented as volatile system memory with a DRAM LRU cache in front.
 
     Reads are served from the cache; a miss copies the region from the arena
@@ -576,133 +557,96 @@ class MemoryModeTier(TierHandle):
     """
 
     kind = TierKind.MEMORY_MODE
+    media = (MEDIA_DRAM, MEDIA_NVM)
+    recover = False
 
     def __init__(self, config: ArenaConfig):
-        if config.path is None:
-            raise InvalidRequestError("MEMORY_MODE tier requires an arena path")
         if not 0 < config.cache_capacity_bytes < config.capacity_bytes:
             raise InvalidRequestError(
                 "MEMORY_MODE needs 0 < cache_capacity_bytes < capacity_bytes"
             )
         super().__init__(config)
-        self._arena = _ArenaFile(config.path, config.capacity_bytes, recover=False)
-        self._alloc = _Allocator(config.capacity_bytes)
         self._cache: OrderedDict[ObjectId, _CacheEntry] = OrderedDict()
         self._cache_used = 0
-        self._nvm = _MediumCounters()
-        self._dram = _MediumCounters()
-        self._closed = False
+        self._dram = self._media[MEDIA_DRAM]
 
     # -- cache plumbing ------------------------------------------------------
+
+    def _write_back(self, entries) -> None:
+        """Write the dirty ones of the (oid, entry) pairs back to the arena."""
+        for oid, entry in entries:
+            if entry.dirty:
+                offset, _ = self._dir[oid]
+                self._arena.write(offset, bytes(entry.buf))
+                self._nvm.write(len(entry.buf))
+                entry.dirty = False
 
     def _evict_for(self, incoming: int) -> None:
         while self._cache and self._cache_used + incoming > self._config.cache_capacity_bytes:
             oid, entry = self._cache.popitem(last=False)
             self._cache_used -= len(entry.buf)
-            if entry.dirty:
-                offset, _ = self._dir[oid]
-                self._arena.write(offset, bytes(entry.buf))
-                self._nvm.bytes_written += len(entry.buf)
-                self._nvm.write_ops += 1
+            self._write_back([(oid, entry)])
 
     def _fill(self, oid: ObjectId) -> _CacheEntry:
         """Miss path: arena -> cache copy, with eviction; returns the entry."""
         offset, size = self._entry(oid)
-        self._nvm.bytes_read += size
-        self._nvm.read_ops += 1
-        self._dram.bytes_written += size
-        self._dram.write_ops += 1
+        self._nvm.read(size)
+        self._dram.write(size)
         self._dram.cache_misses += 1
-        buf = bytearray(self._arena.read(offset, size))
-        entry = _CacheEntry(buf)
+        entry = _CacheEntry(bytearray(self._arena.read(offset, size)))
         if size <= self._config.cache_capacity_bytes:
             self._evict_for(size)
             self._cache[oid] = entry
             self._cache_used += size
         return entry
 
+    def _cached(self, oid: ObjectId) -> _CacheEntry:
+        entry = self._cache.get(oid)
+        if entry is None:
+            return self._fill(oid)
+        self._cache.move_to_end(oid)
+        self._dram.cache_hits += 1
+        return entry
+
     # -- tier operations -----------------------------------------------------
 
-    def store(self, oid: ObjectId, data: bytes) -> RegionRef:
-        with self._lock:
-            if oid in self._dir:
-                raise InvalidRequestError(f"object {oid.hex()} already stored")
-            offset = self._alloc.allocate(len(data))
-            self._arena.write(offset, data)
-            self._dir[oid] = (offset, len(data))
-            self._nvm.bytes_written += len(data)
-            self._nvm.write_ops += 1
-            return RegionRef(self.kind, offset, len(data))
+    def store(self, oid: ObjectId, data: bytes) -> None:
+        self._store_in_arena(oid, data)
 
     def read_view(self, oid: ObjectId) -> memoryview:
         with self._lock:
             _, size = self._entry(oid)
-            entry = self._cache.get(oid)
-            if entry is not None:
-                self._cache.move_to_end(oid)
-                self._dram.cache_hits += 1
-            else:
-                entry = self._fill(oid)
-            self._dram.bytes_read += size
-            self._dram.read_ops += 1
+            entry = self._cached(oid)
+            self._dram.read(size)
             return memoryview(entry.buf)
 
     def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
         with self._lock:
             self._check_range(oid, offset, len(data))
-            entry = self._cache.get(oid)
-            if entry is not None:
-                self._cache.move_to_end(oid)
-                self._dram.cache_hits += 1
-            else:
-                entry = self._fill(oid)
+            entry = self._cached(oid)
             entry.buf[offset : offset + len(data)] = data
             entry.dirty = True
-            self._dram.bytes_written += len(data)
-            self._dram.write_ops += 1
+            self._dram.write(len(data))
             if oid not in self._cache:
                 # object larger than the whole cache: write straight through
                 base, _ = self._dir[oid]
                 self._arena.write(base + offset, data)
-                self._nvm.bytes_written += len(data)
-                self._nvm.write_ops += 1
+                self._nvm.write(len(data))
                 entry.dirty = False
 
-    def free(self, oid: ObjectId) -> None:
-        with self._lock:
-            offset, size = self._entry(oid)
-            entry = self._cache.pop(oid, None)
-            if entry is not None:
-                self._cache_used -= len(entry.buf)
-            del self._dir[oid]
-            self._alloc.release(offset, size)
+    def _forget(self, oid: ObjectId) -> None:
+        entry = self._cache.pop(oid, None)
+        if entry is not None:
+            self._cache_used -= len(entry.buf)
 
-    def flush(self) -> None:
-        with self._lock:
-            for oid, entry in self._cache.items():
-                if entry.dirty:
-                    offset, _ = self._dir[oid]
-                    self._arena.write(offset, bytes(entry.buf))
-                    self._nvm.bytes_written += len(entry.buf)
-                    self._nvm.write_ops += 1
-                    entry.dirty = False
-            self._arena.flush(self._dir)
+    def _sync(self) -> None:
+        self._write_back(self._cache.items())
 
     def close(self) -> None:
+        super().close()
         with self._lock:
-            if self._closed:
-                return
-            for oid, entry in self._cache.items():
-                if entry.dirty:
-                    offset, _ = self._dir[oid]
-                    self._arena.write(offset, bytes(entry.buf))
-                    self._nvm.bytes_written += len(entry.buf)
-                    self._nvm.write_ops += 1
-                    entry.dirty = False
             self._cache.clear()
             self._cache_used = 0
-            self._arena.close(self._dir)
-            self._closed = True
 
     @property
     def cache_used_bytes(self) -> int:
@@ -711,36 +655,21 @@ class MemoryModeTier(TierHandle):
 
     def counters(self) -> TierCounters:
         """Backing-medium (NVM) traffic plus cache hit/miss statistics."""
-        with self._lock:
-            total_model = modeled_time_ns(
-                self._nvm.snapshot(MEDIA_NVM, self._cost), MEDIA_NVM, self._cost
-            ) + modeled_time_ns(
-                self._dram.snapshot(MEDIA_DRAM, self._cost), MEDIA_DRAM, self._cost
-            )
-            return TierCounters(
-                bytes_read=self._nvm.bytes_read,
-                bytes_written=self._nvm.bytes_written,
-                cache_hits=self._dram.cache_hits,
-                cache_misses=self._dram.cache_misses,
-                read_ops=self._nvm.read_ops,
-                write_ops=self._nvm.write_ops,
-                modeled_time_ns=total_model,
-            )
+        media = self.media_counters()
+        dram, nvm = media[MEDIA_DRAM], media[MEDIA_NVM]
+        return replace(
+            nvm,
+            cache_hits=dram.cache_hits,
+            cache_misses=dram.cache_misses,
+            modeled_time_ns=nvm.modeled_time_ns + dram.modeled_time_ns,
+        )
 
-    def media_counters(self) -> dict[str, TierCounters]:
-        with self._lock:
-            return {
-                MEDIA_DRAM: self._dram.snapshot(MEDIA_DRAM, self._cost),
-                MEDIA_NVM: self._nvm.snapshot(MEDIA_NVM, self._cost),
-            }
+
+_TIER_CLASSES = {cls.kind: cls for cls in (DramTier, NvmDirectTier, MemoryModeTier)}
 
 
 def open_tier(kind: TierKind, config: ArenaConfig) -> TierHandle:
     """Open a tier handle; arena kinds require a writable path."""
-    if kind == TierKind.DRAM:
-        return DramTier(config)
-    if kind == TierKind.NVM_DIRECT:
-        return NvmDirectTier(config)
-    if kind == TierKind.MEMORY_MODE:
-        return MemoryModeTier(config)
-    raise InvalidRequestError(f"unknown tier kind {kind!r}")
+    if kind not in _TIER_CLASSES:
+        raise InvalidRequestError(f"unknown tier kind {kind!r}")
+    return _TIER_CLASSES[kind](config)

@@ -53,6 +53,7 @@ from .model import (
     ObjectId,
     decode_payload,
     encode_payload,
+    encoded_length,
 )
 from .tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 
@@ -92,10 +93,6 @@ class Frame:
     msg_type: int
     request_id: int
     body: bytes
-
-    @property
-    def wire_length(self) -> int:
-        return _HEAD.size + len(self.body)
 
 
 def encode_frame(frame: Frame, max_frame: int = MAX_FRAME) -> bytes:
@@ -167,9 +164,6 @@ class _Reader:
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
@@ -180,13 +174,14 @@ class _Reader:
     def object_id(self) -> ObjectId:
         return ObjectId(self._take(16))
 
+    def payload(self) -> BlockPayload:
+        """A payload that is followed by more fields; it encodes its own length."""
+        return decode_payload(self._take(encoded_length(memoryview(self.data)[self.pos :])))
+
     def rest(self) -> bytes:
         out = self.data[self.pos :]
         self.pos = len(self.data)
         return out
-
-    def take(self, n: int) -> bytes:
-        return self._take(n)
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -306,25 +301,13 @@ def decode_invoke(body: bytes) -> tuple[ObjectId, str, list, ResultPlacement]:
     for _ in range(r.u8()):
         arg_kind = r.u8()
         if arg_kind == 1:
-            # payload encodes its own length: peek header to know how much to take
-            payload, consumed = _decode_payload_prefix(r)
-            args.append(ByValue(payload))
+            args.append(ByValue(r.payload()))
         elif arg_kind == 2:
             args.append(ByRef(r.object_id()))
         else:
             raise FrameError(f"unknown INVOKE arg kind {arg_kind} at offset {r.pos - 1}")
     r.done()
     return oid, method, args, ResultPlacement(kind, tier)
-
-
-def _decode_payload_prefix(r: _Reader) -> tuple[BlockPayload, int]:
-    from .model import _decode_header, _element_count  # shared layout logic
-
-    remaining = r.data[r.pos :]
-    tag, shape, header_len = _decode_header(remaining)
-    total = header_len + _element_count(tag, shape) * 8
-    raw = r.take(total)
-    return decode_payload(raw), total
 
 
 def encode_invoke_reply(result) -> bytes:
@@ -388,8 +371,7 @@ def decode_stats(body: bytes) -> ServerStats:
             mtag = r.u8()
             if mtag not in _MEDIA_FROM_TAG:
                 raise FrameError(f"unknown media tag {mtag}")
-            vals = struct.unpack("<6Q", r.take(48))
-            media[_MEDIA_FROM_TAG[mtag]] = TierCounters(*vals)
+            media[_MEDIA_FROM_TAG[mtag]] = TierCounters(*(r.u64() for _ in range(6)))
         tiers[kind] = media
     r.done()
     return ServerStats(WireCounters(sent, received, per_type), tiers)
@@ -558,17 +540,23 @@ class TcpConnection(Connection):
 
     def _roundtrip(self, raw: bytes) -> bytes:
         self._sock.sendall(raw)
-        head = _recv_exact(self._sock, 4)
-        (length,) = _LEN.unpack(head)
-        if length > self.max_frame:
-            raise FrameError(f"oversize reply frame of {length} bytes")
-        return head + _recv_exact(self._sock, length)
+        return _recv_frame(self._sock, self.max_frame)
 
     def close(self) -> None:
         try:
             self._sock.close()
         except OSError:
             pass
+
+
+def _recv_frame(sock: socket.socket, max_frame: int) -> bytes:
+    """One whole frame; FrameError when the peer closes first or claims an
+    oversize frame, after which the stream cannot be resynchronized."""
+    head = _recv_exact(sock, 4)
+    (length,) = _LEN.unpack(head)
+    if length > max_frame:
+        raise FrameError(f"oversize frame of {length} bytes")
+    return head + _recv_exact(sock, length)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -585,7 +573,8 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 class TcpServer:
     """Threaded TCP front-end over a ServerCore; one thread per connection,
-    per-connection requests processed strictly in order."""
+    per-connection requests processed strictly in order. ``stop`` closes the
+    listener and every live connection and joins all the server's threads."""
 
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0,
                  max_frame: int = MAX_FRAME):
@@ -595,45 +584,56 @@ class TcpServer:
         self._listener.bind((host, port))
         self._listener.listen(16)
         self.host, self.port = self._listener.getsockname()
-        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._threads: list[threading.Thread] = []  # live connection threads
+        self._conns: set[socket.socket] = set()
         self._running = True
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
-                return
+                return  # listener shut down by stop()
             t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
+            with self._lock:
+                if not self._running:
+                    conn.close()
+                    return
+                self._threads = [x for x in self._threads if x.is_alive()]
+                self._threads.append(t)
+                self._conns.add(conn)
             t.start()
-            self._threads.append(t)
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
             while True:
-                try:
-                    head = _recv_exact(conn, 4)
-                except FrameError:
-                    return  # peer closed between frames
-                (length,) = _LEN.unpack(head)
-                if length > self.core.max_frame:
-                    # cannot resync after an oversize claim; drop the connection
-                    return
-                raw = head + _recv_exact(conn, length)
+                raw = _recv_frame(conn, self.core.max_frame)
                 conn.sendall(self.core.handle_frame_bytes(raw))
         except (OSError, FrameError):
-            pass
+            pass  # peer closed, or sent a frame the stream cannot recover from
         finally:
+            with self._lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
                 pass
 
     def stop(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        with self._lock:
+            self._running = False
+            conns, threads = list(self._conns), self._threads
+            self._threads = []
+        # shutdown, unlike close, wakes a thread blocked in accept or recv
+        for sock in (self._listener, *conns):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._listener.close()
+        self._accept_thread.join()
+        for t in threads:
+            t.join()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
+from aostore import apps
 from aostore.apps import (
     run_app,
     run_histogram,
@@ -190,3 +193,28 @@ class TestDispatcher:
         result = run_histogram(session, seed=1, n_elems=1024, block_elems=256,
                                tier=TierKind.DRAM, mode="active", engine=engine)
         assert set(result.phases) >= {"generate", "persist", "compute"}
+
+
+class TestClientKernelLookup:
+    def test_passive_runs_call_the_kernels_bound_in_apps(self, engine, session, monkeypatch):
+        """Passive runs look their client-side kernels up as ``aostore.apps``
+        globals at call time, so a wrapper set there (the traced benchmark
+        sets one) sees every call."""
+        calls = collections.Counter()
+        for name in ("fma_values", "matadd_block", "kmeans_partial", "kmeans_reduce"):
+
+            def counted(*args, _name=name, _kernel=getattr(apps, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(apps, name, counted)
+        matrix = {"matrix": MatrixDescriptor(16, 8)}  # grid 2
+        run_app("matadd", "passive", session, seed=1, tier=TierKind.DRAM, profile=matrix,
+                engine=engine)
+        run_app("matmul", "passive", session, seed=1, tier=TierKind.DRAM, profile=matrix,
+                engine=engine)
+        run_app("kmeans", "passive", session, seed=1, tier=TierKind.DRAM,
+                profile={"n_points": 128, "block_rows": 32,
+                         "kmeans_spec": KMeansSpec(centers=3, iterations=2, dims=4)},
+                engine=engine)
+        assert calls == {"matadd_block": 4, "fma_values": 8, "kmeans_partial": 8, "kmeans_reduce": 2}

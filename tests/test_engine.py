@@ -22,6 +22,7 @@ from aostore.model import (
     Submatrix,
 )
 from aostore.tiers import ArenaConfig, TierKind, open_tier
+from aostore.tiers import MEDIA_NVM
 
 from .conftest import make_tiers
 from .oracles import matmul_oracle
@@ -376,3 +377,23 @@ class TestRecovery:
         with pytest.raises((InvalidRequestError, UnknownNameError)):
             engine2.get_object(oid)
         engine2.close()
+
+
+class TestClose:
+    def test_close_reaches_every_tier_when_one_fails(self, arena_dir):
+        engine = fresh_engine(arena_dir)
+        engine.register_class(BLOCK)
+        in_nvm = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
+        in_mm = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.MEMORY_MODE)
+        mm = engine.tier(TierKind.MEMORY_MODE)
+        mm.write_in_place(in_mm, 0, np.zeros(8).tobytes())  # now cached and dirty
+        write_backs = mm.media_counters()[MEDIA_NVM].write_ops
+        view = engine.tier(TierKind.NVM_DIRECT).read_view(in_nvm)  # pins the NVM mapping
+        with pytest.raises(BufferError):
+            engine.close()
+        # the Memory-Mode tier, opened after the failing NVM tier, was closed
+        # anyway: its dirty object was written back and its cache emptied
+        assert mm.media_counters()[MEDIA_NVM].write_ops == write_backs + 1
+        assert mm.cache_used_bytes == 0
+        view.release()
+        engine.close()

@@ -182,6 +182,20 @@ class TestTcpTransport:
         assert st1.wire.bytes_received == st2.wire.bytes_received
         assert st1.tiers == st2.tiers
 
+    def test_stop_joins_its_threads_while_sessions_stay_open(self, arena_dir):
+        engine, _ = _loopback(arena_dir)
+        before = set(threading.enumerate())
+        sessions = []
+        for _ in range(5):
+            server = TcpServer(engine)
+            sessions.append(Session.connect_tcp(server.host, server.port))
+            sessions[-1].stats()  # the connection is being served
+            server.stop()
+        assert set(threading.enumerate()) == before
+        for session in sessions:
+            session.close()
+        engine.close()
+
     def test_concurrent_clients_disjoint_invokes(self, arena_dir):
         engine, _ = _loopback(arena_dir)
         server = TcpServer(engine)
