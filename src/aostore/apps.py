@@ -33,7 +33,6 @@ from .engine import ByRef, ByValue, Engine, ResultPlacement
 from .errors import DuplicateError, InvalidRequestError
 from .kernels import (
     HIST_CLASS,
-    HistogramSpec,
     KMeansSpec,
     MATRIX_CLASS,
     MatrixDescriptor,
@@ -44,6 +43,7 @@ from .kernels import (
     gen_matrix,
     gen_points,
     histogram_block,
+    histogram_spec,
     initial_centroids,
     kernel_classes,
     kernel_methods,
@@ -167,7 +167,7 @@ class _Run:
 
     def run(self) -> AppRunResult:
         ensure_kernel_registration(self.session)
-        record_start = self.engine.record_count if self.engine else 0
+        start = self.engine.op_totals()["invoke"] if self.engine else None
         with self.phase("generate"):
             blocks = self.generate()
         with self.phase("persist"):
@@ -183,9 +183,7 @@ class _Run:
         if self.engine is not None:
             counts = self.engine.read_counts()
             method_input = sum(counts.get(oid, 0) * size for oid, size in zip(ids, sizes))
-            method_ns += sum(
-                rec.method_ns for rec in self.engine.records(record_start) if rec.op == "invoke"
-            )
+            method_ns += self.engine.op_totals()["invoke"].since(start).method_ns
         return AppRunResult(
             app=self.app,
             mode=self.mode,
@@ -214,7 +212,7 @@ class _Histogram(_Run):
     def compute(self, ids):
         if self.active:
             return merge_histograms([self.invoke(oid, "histogram") for oid in ids])
-        spec = self.profile.get("hist_spec") or HistogramSpec()
+        spec = histogram_spec()
         partials = [self.client(histogram_block, self.fetch(oid), spec) for oid in ids]
         return self.client(merge_histograms, partials, invocation=False)
 
@@ -320,6 +318,7 @@ class _MatMul(_Matrix):
         if self.result == RESULT_INPLACE_FMA and not self.active:
             raise InvalidRequestError("in-place FMA is an active-store execution mode")
         super().__post_init__()
+        self.reuse = self.desc.grid
 
     def compute(self, ids):
         a, b = self.grids(ids)
@@ -378,11 +377,15 @@ def run_app(
     engine: Engine | None = None,
     assemble: bool = True,
 ) -> AppRunResult:
-    """One full application run. ``profile`` holds the sizes: ``n_elems``,
-    ``block_elems`` and optional ``hist_spec`` (histogram); ``n_points``,
-    ``block_rows`` and optional ``kmeans_spec`` (k-means); ``matrix``, a
-    :class:`MatrixDescriptor` (matrix apps). ``result`` and ``assemble``
-    apply to the matrix apps only."""
+    """One full application run. ``profile`` holds the sizes: ``n_elems`` and
+    ``block_elems`` (histogram); ``n_points``, ``block_rows`` and optional
+    ``kmeans_spec`` (k-means); ``matrix``, a :class:`MatrixDescriptor`
+    (matrix apps). ``result`` and ``assemble`` apply to the matrix apps only.
+
+    With ``engine``, method input bytes come from its per-object read counts
+    and method time adds its invoke method time over the run (the difference
+    of two :meth:`Engine.op_totals` snapshots); without it, method input is
+    the reuse factor times the dataset and method time is client-side only."""
     if mode not in (MODE_ACTIVE, MODE_PASSIVE):
         raise InvalidRequestError(f"unknown mode {mode!r}")
     if app not in _APPS:
@@ -399,9 +402,8 @@ def run_histogram(
     tier: TierKind,
     mode: str,
     engine: Engine | None = None,
-    spec: HistogramSpec | None = None,
 ) -> AppRunResult:
-    profile = {"n_elems": n_elems, "block_elems": block_elems, "hist_spec": spec}
+    profile = {"n_elems": n_elems, "block_elems": block_elems}
     return run_app("histogram", mode, session, seed=seed, tier=tier, profile=profile, engine=engine)
 
 

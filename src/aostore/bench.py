@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import apps
 from .client import Session
-from .engine import Engine
+from .engine import Engine, OpTotals
 from .errors import StoreError
 from .kernels import KMeansSpec, MatrixDescriptor, build_catalog
 from .model import ObjectIdFactory
@@ -300,7 +300,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         else:
             session = Session.connect_loopback(ServerCore(engine), catalog)
 
-        record_start = engine.record_count
+        invoke_start = engine.op_totals()["invoke"]
         run = apps.run_app(
             config.app,
             config.mode,
@@ -317,7 +317,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         counts = engine.read_counts()
         histogram = Counter(counts[oid] for oid in run.input_ids)
 
-        method_deltas = _sum_invoke_deltas(engine, record_start)
+        method_deltas = _method_traffic(engine, invoke_start)
         client = session.counters()
         server_stats = session.stats()
 
@@ -380,17 +380,12 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         engine.close()
 
 
-def _sum_invoke_deltas(engine: Engine, record_start: int) -> dict:
-    """Aggregate tier traffic caused by method invocations alone, with its
-    exact modeled cost under each tier's cost model."""
-    sums: dict[tuple, list[int]] = {}
-    for rec in engine.records(record_start):
-        if rec.op != "invoke":
-            continue
-        for key, delta in rec.tier_deltas.items():
-            sums[key] = [a + d for a, d in zip(sums.get(key, [0] * 6), delta)]
+def _method_traffic(engine: Engine, start: OpTotals) -> dict:
+    """Tier traffic caused by method invocations alone since the invoke
+    totals ``start``, with its exact modeled cost under each tier's cost model."""
+    sums = engine.op_totals()["invoke"].since(start).tier_deltas
     out: dict = {}
-    for (kind, medium), vals in sorted(sums.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (kind, medium), vals in sorted(sums.items()):
         counters = TierCounters(*vals)
         model = modeled_time_ns(counters, medium, engine.tiers[kind].cost_model)
         out.setdefault(kind.name.lower(), {})[medium] = _counters_dict(

@@ -141,10 +141,6 @@ class Stub:
         self._oid: ObjectId | None = None
 
     @property
-    def is_remote(self) -> bool:
-        return self._oid is not None
-
-    @property
     def object_id(self) -> ObjectId:
         if self._oid is None:
             raise InvalidRequestError("stub is local; persist it first")

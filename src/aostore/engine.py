@@ -6,6 +6,10 @@ NVM-direct objects the routine sees numpy arrays aliasing the stored region
 Results are delivered by value, stored volatile in DRAM, or stored into a
 named tier. Mutating routines update their target through the tier's
 write-in-place path under an exclusive per-object lock.
+
+Every operation adds the tier traffic it caused, and an invocation its method
+time, to running totals kept per operation name (:class:`OpTotals`), so the
+engine's bookkeeping stays the same size however many operations run.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .model import (
     ObjectIdFactory,
     TAG_SUBMATRIX,
     payload_from_region,
-    payload_size_bytes,
     encoded_size,
 )
 from .tiers import TierHandle, TierKind
@@ -148,25 +151,34 @@ class _ObjectMeta:
     lock: _RWLock = field(default_factory=_RWLock)
 
 
-@dataclass(slots=True)
-class OpRecord:
-    """One engine operation and the tier traffic it caused.
+OPS = ("invoke", "__persist__", "__get__", "__delete__", "__flush__")
+_ZERO = (0,) * 6
 
-    ``op`` is "invoke" for method execution and a double-underscore name for
-    the plumbing operations (__persist__, __get__, __delete__, __flush__), so
-    the conservation law (sum of record deltas == tier counter totals) can be
-    checked over every byte moved.
+
+@dataclass
+class OpTotals:
+    """Running totals of one engine operation: how many ran, their summed
+    method time, and the summed tier traffic they caused as six integers per
+    (TierKind, medium).
+
+    The op names (:data:`OPS`) are "invoke" for method execution and
+    double-underscore names for the plumbing operations, so the conservation
+    law (sum of every op's deltas == tier counter totals) can be checked over
+    every byte moved. Totals only grow; "since a start" is
+    ``later.since(earlier)``.
     """
 
-    op: str
-    object_id: Optional[ObjectId]
-    method_name: str = ""
-    args_bytes: int = 0
-    result_bytes: int = 0
-    input_bytes: int = 0
+    count: int = 0
     method_ns: int = 0
-    wall_ns: int = 0
     tier_deltas: dict = field(default_factory=dict)
+
+    def since(self, earlier: "OpTotals") -> "OpTotals":
+        deltas = {}
+        for key, post in self.tier_deltas.items():
+            d = tuple(p - q for p, q in zip(post, earlier.tier_deltas.get(key, _ZERO)))
+            if any(d):
+                deltas[key] = d
+        return OpTotals(self.count - earlier.count, self.method_ns - earlier.method_ns, deltas)
 
 
 class Engine:
@@ -186,7 +198,7 @@ class Engine:
         self._classes: dict[str, ClassDescriptor] = {}
         self._methods: dict[tuple[str, str], MethodDescriptor] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
-        self._records: list[OpRecord] = []
+        self._totals = {op: OpTotals() for op in OPS}
         self._lock = threading.Lock()
         # Adopt objects recovered from persistent arenas; their schema was not
         # persisted, so they are readable at the byte level only.
@@ -235,7 +247,7 @@ class Engine:
     def tiers(self) -> dict[TierKind, TierHandle]:
         return dict(self._tiers)
 
-    # -- record keeping --------------------------------------------------------
+    # -- running totals --------------------------------------------------------
 
     def _counter_snapshot(self) -> dict:
         return {
@@ -244,34 +256,34 @@ class Engine:
             for medium, raw in handle.raw_counters().items()
         }
 
-    @staticmethod
-    def _delta(before: dict, after: dict) -> dict:
-        out = {}
-        for key, post in after.items():
-            pre = before.get(key, (0,) * 6)
-            d = tuple(p - q for p, q in zip(post, pre))
-            if any(d):
-                out[key] = d
-        return out
-
-    def _record(self, op: str, oid: Optional[ObjectId], t0: int, before: dict, **fields) -> None:
-        """Append the record of an operation that started at ``t0`` with tier
-        counters ``before``; ``fields`` set its other :class:`OpRecord`
-        fields. Its wall time and tier deltas end now."""
-        wall_ns = time.perf_counter_ns() - t0
-        deltas = self._delta(before, self._counter_snapshot())
-        rec = OpRecord(op, oid, wall_ns=wall_ns, tier_deltas=deltas, **fields)
+    def _record(self, op: str, before: dict, method_ns: int = 0) -> None:
+        """Add one ``op`` to its totals: ``method_ns`` and the tier traffic
+        since the counters ``before``."""
+        after = self._counter_snapshot()
         with self._lock:
-            self._records.append(rec)
+            totals = self._totals[op]
+            totals.count += 1
+            totals.method_ns += method_ns
+            sums = totals.tier_deltas
+            for key, post in after.items():
+                pre = before.get(key, _ZERO)
+                if post != pre:
+                    old = sums.get(key, _ZERO)
+                    sums[key] = tuple(a + p - q for a, p, q in zip(old, post, pre))
 
     @property
     def record_count(self) -> int:
+        """The number of operations so far."""
         with self._lock:
-            return len(self._records)
+            return sum(t.count for t in self._totals.values())
 
-    def records(self, start: int = 0) -> list[OpRecord]:
+    def op_totals(self) -> dict[str, OpTotals]:
+        """A copy of the running totals, keyed by op name (every name in :data:`OPS`)."""
         with self._lock:
-            return self._records[start:]
+            return {
+                op: OpTotals(t.count, t.method_ns, dict(t.tier_deltas))
+                for op, t in self._totals.items()
+            }
 
     # -- object lifecycle ------------------------------------------------------
 
@@ -283,13 +295,12 @@ class Engine:
                 raise UnknownNameError(f"unknown class {class_name!r}")
         handle = self.tier(tier)
         oid = self._ids.new_object_id()
-        t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         handle.store(oid, payload.data_bytes())
         meta = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
         with self._lock:
             self._objects[oid] = meta
-        self._record("__persist__", oid, t0, before, args_bytes=payload_size_bytes(payload))
+        self._record("__persist__", before)
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -310,7 +321,6 @@ class Engine:
     def get_object(self, oid: ObjectId) -> BlockPayload:
         meta = self._meta(oid)
         meta.lock.acquire(exclusive=False)
-        t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         try:
             src = self._payload_view(meta, oid)
@@ -319,14 +329,12 @@ class Engine:
                 meta.read_count += 1
         finally:
             meta.lock.release(exclusive=False)
-        size = payload_size_bytes(payload)
-        self._record("__get__", oid, t0, before, result_bytes=size, input_bytes=size)
+        self._record("__get__", before)
         return payload
 
     def delete_object(self, oid: ObjectId) -> None:
         meta = self._meta(oid)
         meta.lock.acquire(exclusive=True)
-        t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         try:
             self.tier(meta.tier).free(oid)
@@ -334,15 +342,14 @@ class Engine:
                 del self._objects[oid]
         finally:
             meta.lock.release(exclusive=True)
-        self._record("__delete__", oid, t0, before)
+        self._record("__delete__", before)
 
     def flush(self, tier: TierKind | None = None) -> None:
-        t0 = time.perf_counter_ns()
         before = self._counter_snapshot()
         kinds = [tier] if tier is not None else list(self._tiers)
         for kind in kinds:
             self.tier(kind).flush()
-        self._record("__flush__", None, t0, before)
+        self._record("__flush__", before)
 
     # -- invocation --------------------------------------------------------------
 
@@ -359,7 +366,6 @@ class Engine:
         (VOLATILE_DRAM / STORE_IN_TIER), or None for mutating routines that
         produce no result.
         """
-        t_start = time.perf_counter_ns()
         meta = self._meta(oid)
         if meta.class_name is None:
             raise UnknownNameError(f"object {oid.hex()} has no registered class")
@@ -396,21 +402,16 @@ class Engine:
 
             target = self._payload_view(meta, oid)
             resolved: list[BlockPayload] = []
-            input_bytes = 0 if routine.mutates else payload_size_bytes(target)
-            args_bytes = 0
             ref_iter = iter(ref_metas)
             for arg, schema in zip(args, desc.arg_schema):
                 if isinstance(arg, ByValue):
                     self._check_schema(arg.payload, schema, method_name)
                     resolved.append(arg.payload)
-                    args_bytes += encoded_size(arg.payload)
                 else:
                     ref_id, ref_meta = next(ref_iter)
                     view = self._payload_view(ref_meta, ref_id)
                     self._check_schema(view, schema, method_name)
                     resolved.append(view)
-                    input_bytes += payload_size_bytes(view)
-                    args_bytes += 16
                     with self._lock:
                         ref_meta.read_count += 1
             if not routine.mutates:
@@ -429,22 +430,12 @@ class Engine:
                 update = np.ascontiguousarray(out.target_update)
                 self.tier(meta.tier).write_in_place(oid, 0, update.tobytes())
 
-            result_value, result_bytes = self._place_result(out.result, meta, placement)
+            result_value = self._place_result(out.result, meta, placement)
         finally:
             for m, exclusive in reversed(acquired):
                 m.lock.release(exclusive)
 
-        self._record(
-            "invoke",
-            oid,
-            t_start,
-            before,
-            method_name=method_name,
-            args_bytes=args_bytes,
-            result_bytes=result_bytes,
-            input_bytes=input_bytes,
-            method_ns=method_ns,
-        )
+        self._record("invoke", before, method_ns)
         return result_value
 
     def invoke_fma_in_place(
@@ -479,7 +470,7 @@ class Engine:
         placement: ResultPlacement,
     ):
         if result is None:
-            return None, 0
+            return None
         size = encoded_size(result)
         if placement.kind == PlacementKind.RETURN_BY_VALUE:
             if size > self._small_result_limit:
@@ -487,7 +478,7 @@ class Engine:
                     f"result of {size} bytes exceeds the {self._small_result_limit}-byte "
                     f"return-by-value limit; use a stored placement"
                 )
-            return result, size
+            return result
         tier = TierKind.DRAM if placement.kind == PlacementKind.VOLATILE_DRAM else placement.tier
         if tier is None:
             raise InvalidRequestError("STORE_IN_TIER placement needs a tier")
@@ -498,7 +489,7 @@ class Engine:
             self._objects[new_id] = _ObjectMeta(
                 target_meta.class_name, tier, result.tag, result.shape_fields()
             )
-        return new_id, 16
+        return new_id
 
     # -- introspection -------------------------------------------------------------
 

@@ -13,6 +13,7 @@ Dataset generators are pure functions of (seed, shape); no external files.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,12 @@ def initial_centroids(blocks: list[PointsBlock], centers: int) -> Centroids:
 # -- block operations ----------------------------------------------------------
 
 
+@functools.cache
+def histogram_spec() -> HistogramSpec:
+    """The one histogram spec: the server catalog and the passive path share it."""
+    return HistogramSpec()
+
+
 def histogram_block(block: FloatArray, spec: HistogramSpec) -> Histogram:
     values = block.values
     nan_mask = np.isnan(values)
@@ -295,91 +302,61 @@ def matmul_block(acc: Submatrix, a: Submatrix, b: Submatrix) -> Submatrix:
 # -- routine catalog -------------------------------------------------------------
 
 
-def build_catalog(
-    hist_spec: HistogramSpec | None = None, kmeans_spec: KMeansSpec | None = None
-) -> RoutineCatalog:
-    hspec = hist_spec or HistogramSpec()
+def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
+    block, centroids = args
+    partial = kmeans_partial(block, centroids)
+    acc = PartialSum.from_payload(target)
+    if acc.sums.shape != partial.sums.shape:
+        raise ShapeMismatchError(
+            f"accumulator shape {acc.sums.shape} does not match partial {partial.sums.shape}"
+        )
+    merged = PartialSum(acc.sums + partial.sums, acc.counts + partial.counts)
+    return RoutineOutput(target_update=merged.to_payload().values)
 
-    def r_mean(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        return RoutineOutput(result=FloatArray([float(np.mean(target.values))]))
 
-    def r_hist(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        return RoutineOutput(result=histogram_block(target, hspec))
+def _result(fn):
+    """A routine whose ``fn(target, args)`` is its result payload."""
+    return lambda target, args: RoutineOutput(result=fn(target, args))
 
-    def r_partial(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        return RoutineOutput(result=kmeans_partial(target, args[0]).to_payload())
 
-    def r_accumulate(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        block, centroids = args
-        partial = kmeans_partial(block, centroids)
-        acc = PartialSum.from_payload(target)
-        if acc.sums.shape != partial.sums.shape:
-            raise ShapeMismatchError(
-                f"accumulator shape {acc.sums.shape} does not match partial {partial.sums.shape}"
-            )
-        merged = PartialSum(acc.sums + partial.sums, acc.counts + partial.counts)
-        return RoutineOutput(target_update=merged.to_payload().values)
+# Each kernel method once, in registration order: (class, method, routine key,
+# arg schema, result schema, mutates target, routine).
+_METHODS = (
+    (HIST_CLASS, "histogram", "hist.block", (), SEM_HISTOGRAM, False,
+     _result(lambda t, a: histogram_block(t, histogram_spec()))),
+    (HIST_CLASS, "mean", "stat.mean", (), SEM_SCALAR, False,
+     _result(lambda t, a: FloatArray([float(np.mean(t.values))]))),
+    (POINTS_CLASS, "partial", "kmeans.partial", (SEM_CENTROIDS,), SEM_POINTS, False,
+     _result(lambda t, a: kmeans_partial(t, a[0]).to_payload())),
+    (POINTS_CLASS, "accumulate", "kmeans.accumulate", (SEM_POINTS, SEM_CENTROIDS), SEM_NONE, True,
+     _accumulate),
+    (POINTS_CLASS, "finish", "kmeans.finish", (SEM_CENTROIDS,), SEM_CENTROIDS, False,
+     _result(lambda t, a: kmeans_reduce([PartialSum.from_payload(t)], a[0]))),
+    (MATRIX_CLASS, "add", "mat.add", (SEM_SUBMATRIX,), SEM_SUBMATRIX, False,
+     _result(lambda t, a: matadd_block(t, a[0]))),
+    (MATRIX_CLASS, "fma", "mat.fma", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True,
+     lambda t, a: RoutineOutput(target_update=fma_values(t.values, a[0].values, a[1].values))),
+    (MATRIX_CLASS, "identity", "mat.identity", (), SEM_SUBMATRIX, False,
+     _result(lambda t, a: Submatrix(np.array(t.values, copy=True)))),
+)
+# (class, semantic of its one data field), in registration order
+_CLASSES = (
+    (HIST_CLASS, SEM_FLOAT_ARRAY),
+    (POINTS_CLASS, SEM_POINTS),
+    (MATRIX_CLASS, SEM_SUBMATRIX),
+)
 
-    def r_finish(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        acc = PartialSum.from_payload(target)
-        return RoutineOutput(result=kmeans_reduce([acc], args[0]))
 
-    def r_add(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        return RoutineOutput(result=matadd_block(target, args[0]))
-
-    def r_fma(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        a, b = args
-        return RoutineOutput(target_update=fma_values(target.values, a.values, b.values))
-
-    def r_identity(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
-        return RoutineOutput(result=Submatrix(np.array(target.values, copy=True)))
-
-    return RoutineCatalog(
-        [
-            Routine("stat.mean", r_mean),
-            Routine("hist.block", r_hist),
-            Routine("kmeans.partial", r_partial),
-            Routine("kmeans.accumulate", r_accumulate, mutates=True),
-            Routine("kmeans.finish", r_finish),
-            Routine("mat.add", r_add),
-            Routine("mat.fma", r_fma, mutates=True),
-            Routine("mat.identity", r_identity),
-        ]
-    )
+def build_catalog() -> RoutineCatalog:
+    return RoutineCatalog([Routine(key, fn, mutates) for _, _, key, _, _, mutates, fn in _METHODS])
 
 
 def kernel_classes() -> list[ClassDescriptor]:
     return [
-        ClassDescriptor(HIST_CLASS, (("data", SEM_FLOAT_ARRAY),), ("histogram", "mean")),
-        ClassDescriptor(
-            POINTS_CLASS, (("data", SEM_POINTS),), ("partial", "accumulate", "finish")
-        ),
-        ClassDescriptor(MATRIX_CLASS, (("data", SEM_SUBMATRIX),), ("add", "fma", "identity")),
+        ClassDescriptor(cls, (("data", data),), tuple(m for c, m, *_ in _METHODS if c == cls))
+        for cls, data in _CLASSES
     ]
 
 
 def kernel_methods() -> list[MethodDescriptor]:
-    return [
-        MethodDescriptor(HIST_CLASS, "histogram", "hist.block", (), SEM_HISTOGRAM),
-        MethodDescriptor(HIST_CLASS, "mean", "stat.mean", (), SEM_SCALAR),
-        MethodDescriptor(POINTS_CLASS, "partial", "kmeans.partial", (SEM_CENTROIDS,), SEM_POINTS),
-        MethodDescriptor(
-            POINTS_CLASS,
-            "accumulate",
-            "kmeans.accumulate",
-            (SEM_POINTS, SEM_CENTROIDS),
-            SEM_NONE,
-            mutates_target=True,
-        ),
-        MethodDescriptor(POINTS_CLASS, "finish", "kmeans.finish", (SEM_CENTROIDS,), SEM_CENTROIDS),
-        MethodDescriptor(MATRIX_CLASS, "add", "mat.add", (SEM_SUBMATRIX,), SEM_SUBMATRIX),
-        MethodDescriptor(
-            MATRIX_CLASS,
-            "fma",
-            "mat.fma",
-            (SEM_SUBMATRIX, SEM_SUBMATRIX),
-            SEM_NONE,
-            mutates_target=True,
-        ),
-        MethodDescriptor(MATRIX_CLASS, "identity", "mat.identity", (), SEM_SUBMATRIX),
-    ]
+    return [MethodDescriptor(*row[:6]) for row in _METHODS]

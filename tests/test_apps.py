@@ -169,6 +169,16 @@ class TestMatMulDriver:
                             mode="passive", result="value", engine=engine)
         assert reads_of(engine, result) == [3]
 
+    @pytest.mark.parametrize("mode", ["active", "passive"])
+    def test_method_input_bytes_same_without_engine(self, engine, session, mode):
+        desc = MatrixDescriptor(24, 8)  # grid 3
+        with_engine, without = (
+            run_matmul(session, seed=15, desc=desc, tier=TierKind.DRAM, mode=mode, engine=e)
+            for e in (engine, None)
+        )
+        assert with_engine.method_input_bytes == 3 * with_engine.dataset_bytes
+        assert without.method_input_bytes == with_engine.method_input_bytes
+
 
 class TestDispatcher:
     def test_run_app_routes_each_kernel(self, engine, session):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,8 +295,8 @@ class TestRecords:
         engine.flush()
 
         totals: dict = {}
-        for rec in engine.records():
-            for key, delta in rec.tier_deltas.items():
+        for op_totals in engine.op_totals().values():
+            for key, delta in op_totals.tier_deltas.items():
                 acc = totals.setdefault(key, [0] * 6)
                 for i, d in enumerate(delta):
                     acc[i] += d
@@ -308,13 +309,35 @@ class TestRecords:
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
         n0 = engine.record_count
+        start = engine.op_totals()
         oid = engine.make_persistent("Block", FloatArray([1.0, 2.0]), TierKind.DRAM)
         engine.invoke(oid, "mean")
         engine.get_object(oid)
         engine.delete_object(oid)
         engine.flush()
-        ops = [r.op for r in engine.records(n0)]
-        assert ops == ["__persist__", "invoke", "__get__", "__delete__", "__flush__"]
+        counts = {op: t.since(start[op]).count for op, t in engine.op_totals().items()}
+        ops = ["__persist__", "invoke", "__get__", "__delete__", "__flush__"]
+        assert counts == dict.fromkeys(ops, 1)
+        assert engine.record_count == n0 + 5
+
+    def test_totals_stay_bounded_over_many_invokes(self, engine):
+        engine.register_class(BLOCK)
+        engine.register_method(BLOCK_MEAN)
+        oid = engine.make_persistent("Block", FloatArray(np.arange(64.0)), TierKind.DRAM)
+        # The warm-up also fills CPython's tuple free lists (at most 2,000 per
+        # size), which tracemalloc counts as allocated memory.
+        for _ in range(3000):
+            engine.invoke(oid, "mean")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(2000):
+                engine.invoke(oid, "mean")
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert growth < 64 * 1024
 
 
 class TestConcurrency:
