@@ -1,12 +1,14 @@
 """The four kernel applications as routine-catalog entries plus generators.
 
 histogram     -- 140 fixed bins over [0, inf) on F-distributed arrays
-k-means       -- Lloyd iterations with per-block partial sums, 20 centers
+k-means       -- Lloyd iterations with per-block partial sums, 20 centers;
+                 each center's sums accumulate in row order
 matrix add    -- elementwise sum of k x k submatrix blocks, bit exact
-matrix mul    -- blocked multiply-accumulate with a fixed summation order:
-                 for each output element the k products are accumulated in
-                 ascending inner index, so server-side, client-side and
-                 in-place executions agree bit for bit.
+matrix mul    -- blocked multiply-accumulate, one BLAS product per block:
+                 active, in-place and passive executions call the same
+                 deterministic kernel, so with a fixed BLAS thread count they
+                 agree bit for bit; against the ascending-index oracle the
+                 product holds within a relative error of 1e-9.
 
 Dataset generators are pure functions of (seed, shape); no external files.
 """
@@ -244,13 +246,21 @@ def kmeans_partial(block: PointsBlock, centroids: Centroids) -> PartialSum:
         + np.sum(cents * cents, axis=1)
     )
     assign = np.argmin(d2, axis=1)
-    k = cents.shape[0]
-    counts = np.bincount(assign, minlength=k).astype(np.uint64)
-    sums = np.empty((k, pts.shape[1]))
-    for dim in range(pts.shape[1]):
-        # bincount accumulates weights sequentially in input order
-        sums[:, dim] = np.bincount(assign, weights=pts[:, dim], minlength=k)
-    return PartialSum(sums, counts)
+    k, dims = cents.shape
+    counts = np.bincount(assign, minlength=k)
+    order = np.argsort(assign, kind="stable")
+    # Sum each center's rows in row order: numpy reduces a 2-d array over its
+    # rows by adding one row after another to 0.0. A single column it would
+    # sum pairwise, in another order, so the rows are copied into a buffer one
+    # zero column wider.
+    sums = np.empty((k, dims + 1))
+    start = 0
+    for j, end in enumerate(np.cumsum(counts)):
+        rows = np.zeros((end - start, dims + 1))
+        rows[:, :dims] = pts[order[start:end]]
+        np.add.reduce(rows, axis=0, out=sums[j])
+        start = end
+    return PartialSum(sums[:, :dims], counts.astype(np.uint64))
 
 
 def kmeans_reduce(partials: list[PartialSum], previous: Centroids) -> Centroids:
@@ -282,16 +292,17 @@ def matadd_block(a: Submatrix, b: Submatrix) -> Submatrix:
 
 
 def fma_values(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """acc + a @ b with per-element accumulation in ascending inner index."""
+    """acc + a @ b in a new array: one BLAS product, then one add.
+
+    The inputs are never written, so an in-place FMA reaches its object only
+    through the engine's counted write path.
+    """
     if a.shape != b.shape or a.shape != acc.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(
             f"FMA needs equal square blocks, got {acc.shape}, {a.shape}, {b.shape}"
         )
-    out = np.array(acc, dtype=np.float64, copy=True)
-    tmp = np.empty_like(out)
-    for t in range(a.shape[0]):
-        np.outer(a[:, t], b[t, :], out=tmp)
-        out += tmp
+    out = a @ b
+    out += acc
     return out
 
 

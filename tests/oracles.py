@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: scalar loops,
 bisect-based binning, naive distance evaluation, and a pure-Python triple-loop
-matrix product.
+matrix product. The one exception is :func:`kmeans_partial_oracle`, a former
+implementation kept as the reference that the k-means partial sums must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +46,27 @@ def lloyd_oracle(points: np.ndarray, centers: int, iterations: int) -> np.ndarra
             if counts[j] > 0:
                 centroids[j] = sums[j] / counts[j]
     return centroids
+
+
+def kmeans_partial_oracle(points: np.ndarray, centroids: np.ndarray):
+    """(sums, counts) of one k-means block, one weighted bincount per dimension.
+
+    The assignment is the kernel's own (expanded squared distances, ties to the
+    lowest index); bincount then adds each center's coordinates one point at a
+    time in row order, starting from 0.0.
+    """
+    d2 = (
+        np.sum(points * points, axis=1, keepdims=True)
+        - 2.0 * (points @ centroids.T)
+        + np.sum(centroids * centroids, axis=1)
+    )
+    assign = np.argmin(d2, axis=1)
+    k = centroids.shape[0]
+    counts = np.bincount(assign, minlength=k).astype(np.uint64)
+    sums = np.empty((k, points.shape[1]))
+    for dim in range(points.shape[1]):
+        sums[:, dim] = np.bincount(assign, weights=points[:, dim], minlength=k)
+    return sums, counts
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

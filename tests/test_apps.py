@@ -156,6 +156,24 @@ class TestMatMulDriver:
         rel = np.abs(dense - a @ b) / np.maximum(np.abs(a @ b), 1e-300)
         assert rel.max() < 1e-9
 
+    def test_active_and_passive_results_are_bit_identical(self, engine, session):
+        """Every execution calls the one BLAS kernel, on arena views at any
+        offset and on heap arrays alike, so all four agree bit for bit."""
+        desc = MatrixDescriptor(192, 96)  # grid 2 of the paper's block side
+        runs = [
+            run_matmul(session, seed=16, desc=desc, tier=tier, mode=mode,
+                       result=result_kind, engine=engine)
+            for mode, result_kind, tier in [
+                ("active", "volatile", TierKind.NVM_DIRECT),
+                ("active", "inplace_fma", TierKind.NVM_DIRECT),
+                ("active", "inplace_fma", TierKind.MEMORY_MODE),
+                ("passive", "value", TierKind.NVM_DIRECT),
+            ]
+        ]
+        assert len({run.output_digest for run in runs}) == 1
+        for run in runs[1:]:
+            assert np.array_equal(run.final, runs[0].final)
+
     def test_inplace_outputs_live_in_the_compute_tier(self, engine, session):
         desc = MatrixDescriptor(16, 8)
         result = run_matmul(session, seed=13, desc=desc, tier=TierKind.NVM_DIRECT,

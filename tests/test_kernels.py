@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aostore.errors import InvalidRequestError, ShapeMismatchError
 from aostore.kernels import (
@@ -24,7 +24,7 @@ from aostore.kernels import (
 )
 from aostore.model import Centroids, FloatArray, Histogram, PointsBlock, Submatrix
 
-from .oracles import histogram_oracle, lloyd_oracle, matmul_oracle
+from .oracles import histogram_oracle, kmeans_partial_oracle, lloyd_oracle, matmul_oracle
 
 
 class TestGenerators:
@@ -252,6 +252,20 @@ class TestMatrixOps:
         out = matmul_block(Submatrix(np.zeros((6, 6))), Submatrix(np.eye(6)), Submatrix(b))
         assert np.array_equal(out.values, b)
 
+    def test_fma_returns_a_new_array_and_leaves_inputs_alone(self):
+        # The engine writes an in-place FMA back through the tier's counted
+        # write path; a kernel that wrote into a tier view would move bytes
+        # that no counter sees. Read-only inputs make any such write raise.
+        rng = np.random.default_rng(5)
+        acc, a, b = (rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(3))
+        before = [x.copy() for x in (acc, a, b)]
+        for x in (acc, a, b):
+            x.flags.writeable = False
+        out = fma_values(acc, a, b)
+        for x, x0 in zip((acc, a, b), before):
+            assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
+            assert not np.shares_memory(out, x)
+
     def test_blocked_product_matches_naive_oracle(self):
         desc = MatrixDescriptor(24, 8)
         a_blocks = gen_matrix(6, desc, 0)
@@ -290,3 +304,29 @@ def test_merge_decomposition_property(seed):
     merged = merge_histograms([histogram_block(b, spec) for b in blocks])
     whole = FloatArray(np.concatenate([b.values for b in blocks]))
     assert merged == histogram_block(whole, spec)
+
+
+@given(
+    rows=st.integers(1, 300),
+    dims=st.integers(1, 40),
+    centers=st.integers(1, 25),
+    far_center=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=300, dims=1, centers=1, far_center=False, seed=1)  # one column, one center
+@example(rows=300, dims=1, centers=20, far_center=False, seed=2)
+@example(rows=3, dims=6, centers=25, far_center=False, seed=3)  # fewer rows than centers
+@example(rows=200, dims=40, centers=25, far_center=True, seed=4)  # an empty center
+def test_partial_sums_bit_identical_to_bincount_reference(rows, dims, centers, far_center, seed):
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes make a change of summation order show in the last bits
+    pts = rng.normal(size=(rows, dims)) * 10.0 ** rng.integers(-3, 4, size=(rows, dims))
+    pts[rng.random((rows, dims)) < 0.05] = -0.0
+    cents = rng.normal(size=(centers, dims))
+    if far_center and centers > 1:
+        cents[-1] = 1e9  # nearest to no point
+    got = kmeans_partial(PointsBlock(pts), Centroids(cents))
+    sums, counts = kmeans_partial_oracle(pts, cents)
+    assert np.array_equal(got.counts, counts)
+    # compared as bit patterns, so the sign of a zero sum counts too
+    assert np.array_equal(got.sums.view(np.uint64), sums.view(np.uint64))
