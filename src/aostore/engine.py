@@ -35,7 +35,6 @@ from .model import (
     MethodDescriptor,
     ObjectId,
     ObjectIdFactory,
-    TAG_SUBMATRIX,
     payload_from_region,
     encoded_size,
 )
@@ -437,24 +436,6 @@ class Engine:
 
         self._record("invoke", before, method_ns)
         return result_value
-
-    def invoke_fma_in_place(
-        self,
-        acc_id: ObjectId,
-        a_id: ObjectId,
-        b_id: ObjectId,
-        method_name: str = "fma",
-    ) -> None:
-        """acc <- acc + a @ b, written through acc's tier region in place."""
-        if acc_id == a_id or acc_id == b_id:
-            raise InvalidRequestError("accumulator must be distinct from both inputs")
-        for oid in (acc_id, a_id, b_id):
-            meta = self._meta(oid)
-            if meta.variant is not None and meta.variant != TAG_SUBMATRIX:
-                raise ShapeMismatchError(
-                    f"object {oid.hex()} is not a submatrix; in-place FMA needs k x k blocks"
-                )
-        self.invoke(acc_id, method_name, [ByRef(a_id), ByRef(b_id)])
 
     @staticmethod
     def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:

@@ -292,9 +292,11 @@ def encoded_size(p: BlockPayload) -> int:
 
 
 def encode_payload(p: BlockPayload) -> bytes:
-    """Self-describing little-endian encoding: tag, shape as u64, raw data."""
+    """Self-describing little-endian encoding: tag, shape as u64, raw data.
+    The data is copied once, straight from the array into the result."""
     shape = p.shape_fields()
-    return struct.pack(f"<B{len(shape)}Q", p.tag, *shape) + p.data_bytes()
+    header = struct.pack(f"<B{len(shape)}Q", p.tag, *shape)
+    return b"".join((header, np.ascontiguousarray(p.values)))
 
 
 def encoded_length(data: bytes | memoryview) -> int:

@@ -7,25 +7,10 @@ Frame layout (little-endian):
     request_id u64
     body
 
-Message bodies (str16 = u16 length + UTF-8 bytes, id = 16 raw bytes,
-payload = core codec encoding):
-
-    REGISTER_CLASS   str16 class, u16 nfields (str16 name, str16 type)...,
-                     u16 nmethods, str16 method...        -> empty
-    REGISTER_METHOD  str16 class, str16 method, str16 routine_key,
-                     u8 nargs, str16 tag..., str16 result_tag, u8 mutates
-                                                          -> empty
-    MAKE_PERSISTENT  str16 class, u8 tier, payload        -> id
-    GET              id                                    -> payload
-    INVOKE           id, str16 method, u8 placement[, u8 tier],
-                     u8 nargs, (u8 kind: 1 payload | 2 id)...
-                                                          -> u8 kind (0 none,
-                                                             1 payload, 2 id), body
-    DELETE           id                                    -> empty
-    STATS            empty                                 -> wire counters +
-                                                             per-tier counters
-    FLUSH            u8 tier (0xFF = all)                  -> empty
-    ERROR reply      u16 code, UTF-8 message
+Each message body is declared once, as a row of ``MESSAGES``: the fields of
+the request and of the reply, written in order by ``encode_body`` and read
+back by ``decode_body``. A str16 is a u16 length and UTF-8 bytes, an object id
+16 raw bytes, a payload the core codec encoding of ``aostore.model``.
 
 Every reply echoes the request_id. The same ``ServerCore`` byte path backs
 both the in-process loopback transport and the TCP transport, so identical
@@ -34,18 +19,15 @@ workloads produce identical counters on either.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import ByRef, ByValue, Engine, PlacementKind, ResultPlacement
-from .errors import (
-    FrameError,
-    StoreError,
-    UnknownMsgTypeError,
-    error_for_code,
-)
+from .errors import FrameError, StoreError, UnknownMsgTypeError, error_for_code
 from .model import (
     BlockPayload,
     ClassDescriptor,
@@ -70,22 +52,8 @@ MSG_STATS = 7
 MSG_FLUSH = 8
 MSG_ERROR = 127
 
-REQUEST_TYPES = {
-    MSG_REGISTER_CLASS,
-    MSG_REGISTER_METHOD,
-    MSG_MAKE_PERSISTENT,
-    MSG_GET,
-    MSG_INVOKE,
-    MSG_DELETE,
-    MSG_STATS,
-    MSG_FLUSH,
-}
-
 _LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
-
-_MEDIA_TAG = {MEDIA_DRAM: 1, MEDIA_NVM: 2}
-_MEDIA_FROM_TAG = {1: MEDIA_DRAM, 2: MEDIA_NVM}
 
 
 @dataclass(frozen=True)
@@ -102,8 +70,8 @@ def encode_frame(frame: Frame, max_frame: int = MAX_FRAME) -> bytes:
     return _HEAD.pack(length, frame.msg_type, frame.request_id) + frame.body
 
 
-def decode_frame(data: bytes, offset: int = 0, max_frame: int = MAX_FRAME) -> tuple[Frame, int]:
-    """Decode one frame starting at ``offset``; returns (frame, next offset)."""
+def _frame_head(data, offset: int, max_frame: int) -> tuple[int, int, int]:
+    """(msg_type, request_id, end offset) of the frame starting at ``offset``."""
     if len(data) - offset < _LEN.size:
         raise FrameError(f"truncated frame: missing length field at offset {offset}")
     (length,) = _LEN.unpack_from(data, offset)
@@ -116,10 +84,14 @@ def decode_frame(data: bytes, offset: int = 0, max_frame: int = MAX_FRAME) -> tu
         raise FrameError(
             f"truncated frame at offset {offset}: need {length} bytes after length field"
         )
-    msg_type = data[offset + 4]
-    (request_id,) = struct.unpack_from("<Q", data, offset + 5)
-    base = msg_type & ~REPLY_BIT
-    if base not in REQUEST_TYPES and base != MSG_ERROR:
+    _, msg_type, request_id = _HEAD.unpack_from(data, offset)
+    return msg_type, request_id, end
+
+
+def decode_frame(data: bytes, offset: int = 0, max_frame: int = MAX_FRAME) -> tuple[Frame, int]:
+    """Decode one frame starting at ``offset``; returns (frame, next offset)."""
+    msg_type, request_id, end = _frame_head(data, offset, max_frame)
+    if msg_type & ~REPLY_BIT not in MESSAGES:
         raise UnknownMsgTypeError(f"unknown msg_type {msg_type} at offset {offset + 4}")
     return Frame(msg_type, request_id, bytes(data[offset + 13 : end])), end
 
@@ -139,242 +111,304 @@ class WireCounters:
         return WireCounters(self.bytes_sent, self.bytes_received, dict(self.per_type))
 
 
-# -- body readers/writers ------------------------------------------------------
-
-
-class _Reader:
-    def __init__(self, data: bytes, what: str = "body"):
-        self.data = data
-        self.pos = 0
-        self.what = what
-
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FrameError(
-                f"truncated {self.what}: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def str16(self) -> str:
-        n = self.u16()
-        return self._take(n).decode("utf-8")
-
-    def object_id(self) -> ObjectId:
-        return ObjectId(self._take(16))
-
-    def payload(self) -> BlockPayload:
-        """A payload that is followed by more fields; it encodes its own length."""
-        return decode_payload(self._take(encoded_length(memoryview(self.data)[self.pos :])))
-
-    def rest(self) -> bytes:
-        out = self.data[self.pos :]
-        self.pos = len(self.data)
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise FrameError(
-                f"trailing garbage in {self.what}: {len(self.data) - self.pos} bytes "
-                f"at offset {self.pos}"
-            )
-
-
-def _str16(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise FrameError(f"string of {len(raw)} bytes exceeds str16 limit")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def encode_register_class(desc: ClassDescriptor) -> bytes:
-    out = [_str16(desc.class_name), struct.pack("<H", len(desc.fields))]
-    for name, type_tag in desc.fields:
-        out.append(_str16(name))
-        out.append(_str16(type_tag))
-    out.append(struct.pack("<H", len(desc.methods)))
-    for m in desc.methods:
-        out.append(_str16(m))
-    return b"".join(out)
-
-
-def decode_register_class(body: bytes) -> ClassDescriptor:
-    r = _Reader(body, "REGISTER_CLASS body")
-    class_name = r.str16()
-    fields = tuple((r.str16(), r.str16()) for _ in range(r.u16()))
-    methods = tuple(r.str16() for _ in range(r.u16()))
-    r.done()
-    return ClassDescriptor(class_name, fields, methods)
-
-
-def encode_register_method(desc: MethodDescriptor) -> bytes:
-    out = [
-        _str16(desc.class_name),
-        _str16(desc.method_name),
-        _str16(desc.routine_key),
-        struct.pack("<B", len(desc.arg_schema)),
-    ]
-    for tag in desc.arg_schema:
-        out.append(_str16(tag))
-    out.append(_str16(desc.result_schema))
-    out.append(struct.pack("<B", 1 if desc.mutates_target else 0))
-    return b"".join(out)
-
-
-def decode_register_method(body: bytes) -> MethodDescriptor:
-    r = _Reader(body, "REGISTER_METHOD body")
-    class_name = r.str16()
-    method_name = r.str16()
-    routine_key = r.str16()
-    arg_schema = tuple(r.str16() for _ in range(r.u8()))
-    result_schema = r.str16()
-    mutates = r.u8() != 0
-    r.done()
-    return MethodDescriptor(
-        class_name, method_name, routine_key, arg_schema, result_schema, mutates
-    )
-
-
-def encode_make_persistent(class_name: str, tier: TierKind, payload: BlockPayload) -> bytes:
-    return _str16(class_name) + struct.pack("<B", int(tier)) + encode_payload(payload)
-
-
-def decode_make_persistent(body: bytes) -> tuple[str, TierKind, BlockPayload]:
-    r = _Reader(body, "MAKE_PERSISTENT body")
-    class_name = r.str16()
-    tier = _tier_from_byte(r.u8())
-    payload = decode_payload(r.rest())
-    return class_name, tier, payload
-
-
-def _tier_from_byte(b: int) -> TierKind:
-    try:
-        return TierKind(b)
-    except ValueError:
-        raise FrameError(f"unknown tier code {b}") from None
-
-
-def encode_invoke(
-    oid: ObjectId,
-    method_name: str,
-    args: list[ByValue | ByRef],
-    placement: ResultPlacement,
-) -> bytes:
-    out = [oid.raw, _str16(method_name), struct.pack("<B", int(placement.kind))]
-    if placement.kind == PlacementKind.STORE_IN_TIER:
-        if placement.tier is None:
-            raise FrameError("STORE_IN_TIER placement needs a tier")
-        out.append(struct.pack("<B", int(placement.tier)))
-    out.append(struct.pack("<B", len(args)))
-    for arg in args:
-        if isinstance(arg, ByValue):
-            out.append(b"\x01")
-            out.append(encode_payload(arg.payload))
-        else:
-            out.append(b"\x02")
-            out.append(arg.object_id.raw)
-    return b"".join(out)
-
-
-def decode_invoke(body: bytes) -> tuple[ObjectId, str, list, ResultPlacement]:
-    r = _Reader(body, "INVOKE body")
-    oid = r.object_id()
-    method = r.str16()
-    placement_code = r.u8()
-    try:
-        kind = PlacementKind(placement_code)
-    except ValueError:
-        raise FrameError(f"unknown placement code {placement_code}") from None
-    tier = _tier_from_byte(r.u8()) if kind == PlacementKind.STORE_IN_TIER else None
-    args: list[ByValue | ByRef] = []
-    for _ in range(r.u8()):
-        arg_kind = r.u8()
-        if arg_kind == 1:
-            args.append(ByValue(r.payload()))
-        elif arg_kind == 2:
-            args.append(ByRef(r.object_id()))
-        else:
-            raise FrameError(f"unknown INVOKE arg kind {arg_kind} at offset {r.pos - 1}")
-    r.done()
-    return oid, method, args, ResultPlacement(kind, tier)
-
-
-def encode_invoke_reply(result) -> bytes:
-    if result is None:
-        return b"\x00"
-    if isinstance(result, ObjectId):
-        return b"\x02" + result.raw
-    return b"\x01" + encode_payload(result)
-
-
-def decode_invoke_reply(body: bytes):
-    r = _Reader(body, "INVOKE reply")
-    kind = r.u8()
-    if kind == 0:
-        r.done()
-        return None
-    if kind == 1:
-        return decode_payload(r.rest())
-    if kind == 2:
-        oid = r.object_id()
-        r.done()
-        return oid
-    raise FrameError(f"unknown INVOKE result kind {kind}")
-
-
 @dataclass(frozen=True)
 class ServerStats:
     wire: WireCounters
     tiers: dict[TierKind, dict[str, TierCounters]]
 
 
-def encode_stats(wire: WireCounters, tiers: dict[TierKind, dict[str, TierCounters]]) -> bytes:
-    out = [struct.pack("<QQ", wire.bytes_sent, wire.bytes_received)]
-    types = sorted(wire.per_type)
-    out.append(struct.pack("<B", len(types)))
-    for t in types:
-        out.append(struct.pack("<BQ", t, wire.per_type[t]))
-    out.append(struct.pack("<B", len(tiers)))
-    for kind in sorted(tiers):
-        media = tiers[kind]
-        out.append(struct.pack("<BB", int(kind), len(media)))
-        for medium in sorted(media):
-            c = media[medium]
-            out.append(struct.pack("<B", _MEDIA_TAG[medium]))
-            out.append(struct.pack("<6Q", *c.raw()))
+# -- field kinds ------------------------------------------------------------------
+#
+# A field kind appends the bytes of one value to a list (``put``) and reads
+# one value from a memoryview of the body at a position, returning the value
+# and the position after it (``take``). Reads past the end raise struct.error
+# or IndexError, which ``decode_body`` reports as a truncated body.
+
+
+class _Int:
+    def __init__(self, fmt: str):
+        self._struct = struct.Struct("<" + fmt)
+
+    def put(self, out: list, value) -> None:
+        try:
+            out.append(self._struct.pack(value))
+        except struct.error:
+            raise FrameError(f"{value!r} does not fit a '{self._struct.format}' field") from None
+
+    def take(self, buf: memoryview, pos: int):
+        return self._struct.unpack_from(buf, pos)[0], pos + self._struct.size
+
+
+class _Str16:
+    _len = struct.Struct("<H")
+
+    def put(self, out: list, value: str) -> None:
+        raw = value.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise FrameError(f"string of {len(raw)} bytes exceeds str16 limit")
+        out.append(self._len.pack(len(raw)))
+        out.append(raw)
+
+    def take(self, buf: memoryview, pos: int):
+        end = pos + 2 + self._len.unpack_from(buf, pos)[0]
+        if end > len(buf):
+            raise IndexError(end)
+        try:
+            return str(buf[pos + 2 : end], "utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"string at offset {pos} is not UTF-8: {exc.reason}") from None
+
+
+class _Text:
+    """UTF-8 up to the end of the body; bytes that do not decode become U+FFFD."""
+
+    def put(self, out: list, value: str) -> None:
+        out.append(value.encode("utf-8", "replace"))
+
+    def take(self, buf: memoryview, pos: int):
+        return str(buf[pos:], "utf-8", "replace"), len(buf)
+
+
+class _ObjectId:
+    _struct = struct.Struct("16s")
+
+    def put(self, out: list, value: ObjectId) -> None:
+        out.append(value.raw)
+
+    def take(self, buf: memoryview, pos: int):
+        return ObjectId(self._struct.unpack_from(buf, pos)[0]), pos + 16
+
+
+class _Payload:
+    """The payload codec of ``aostore.model``, looked up at each call; an
+    encoded payload carries its own length."""
+
+    def put(self, out: list, value: BlockPayload) -> None:
+        out.append(encode_payload(value))
+
+    def take(self, buf: memoryview, pos: int):
+        end = pos + encoded_length(buf[pos:])
+        return decode_payload(buf[pos:end]), end
+
+
+class _Code:
+    """A u8 code standing for one of a fixed set of values."""
+
+    def __init__(self, what: str, codes: dict):
+        self._what = what
+        self._byte = {value: bytes((code,)) for value, code in codes.items()}
+        self._value = {code: value for value, code in codes.items()}
+
+    def put(self, out: list, value) -> None:
+        try:
+            out.append(self._byte[value])
+        except KeyError:
+            raise FrameError(f"no {self._what} code for {value!r}") from None
+
+    def take(self, buf: memoryview, pos: int):
+        try:
+            return self._value[buf[pos]], pos + 1
+        except KeyError:
+            raise FrameError(f"unknown {self._what} code {buf[pos]} at offset {pos}") from None
+
+
+class _Fields:
+    """Fields one after another; the value is the tuple of their values."""
+
+    def __init__(self, *fields, what: str = "body"):
+        self.fields = fields
+        self.what = what
+
+    def put(self, out: list, values) -> None:
+        for kind, value in zip(self.fields, values):
+            kind.put(out, value)
+
+    def take(self, buf: memoryview, pos: int):
+        values = []
+        for kind in self.fields:
+            value, pos = kind.take(buf, pos)
+            values.append(value)
+        return tuple(values), pos
+
+
+class _Record(_Fields):
+    """The leading fields of dataclass ``cls``, in declaration order."""
+
+    def __init__(self, cls, *fields):
+        super().__init__(*fields)
+        self._cls = cls
+        self._names = [f.name for f in dataclasses.fields(cls)[: len(fields)]]
+
+    def put(self, out: list, value) -> None:
+        for kind, name in zip(self.fields, self._names):
+            kind.put(out, getattr(value, name))
+
+    def take(self, buf: memoryview, pos: int):
+        values, pos = super().take(buf, pos)
+        return self._cls(*values), pos
+
+
+class _Wrapper(_Record):
+    """A one-field dataclass carried as that field; shorter paths for INVOKE args."""
+
+    def put(self, out: list, value) -> None:
+        self.fields[0].put(out, getattr(value, self._names[0]))
+
+    def take(self, buf: memoryview, pos: int):
+        value, pos = self.fields[0].take(buf, pos)
+        return self._cls(value), pos
+
+
+class _List:
+    """A count, then that many items; an item of several fields is a tuple."""
+
+    def __init__(self, count: _Int, *item):
+        self._count = count
+        self._item = item[0] if len(item) == 1 else _Fields(*item)
+
+    def put(self, out: list, values) -> None:
+        self._count.put(out, len(values))
+        for value in values:
+            self._item.put(out, value)
+
+    def take(self, buf: memoryview, pos: int):
+        n, pos = self._count.take(buf, pos)
+        items = []
+        for _ in range(n):
+            item, pos = self._item.take(buf, pos)
+            items.append(item)
+        return tuple(items), pos
+
+
+class _Map(_List):
+    """A counted list of (key, value) pairs in key order; a dict in Python."""
+
+    def put(self, out: list, mapping: dict) -> None:
+        super().put(out, sorted(mapping.items()))
+
+    def take(self, buf: memoryview, pos: int):
+        pairs, pos = super().take(buf, pos)
+        return dict(pairs), pos
+
+
+class _Union:
+    """A u8 tag, then that arm's field; ``arms`` maps a tag to the Python type
+    it carries (subclasses too) and its field kind, None for no bytes."""
+
+    def __init__(self, what: str, arms: dict):
+        self._what = what
+        self._by_tag = {tag: kind for tag, (_, kind) in arms.items()}
+        self._by_type = {sub: (bytes((tag,)), kind)
+                         for tag, (cls, kind) in arms.items() for sub in _family(cls)}
+
+    def put(self, out: list, value) -> None:
+        try:
+            tag, kind = self._by_type[type(value)]
+        except KeyError:
+            raise FrameError(f"{self._what} cannot carry {type(value).__name__}") from None
+        out.append(tag)
+        if kind is not None:
+            kind.put(out, value)
+
+    def take(self, buf: memoryview, pos: int):
+        if buf[pos] not in self._by_tag:
+            raise FrameError(f"unknown {self._what} tag {buf[pos]} at offset {pos}")
+        kind = self._by_tag[buf[pos]]
+        return (None, pos + 1) if kind is None else kind.take(buf, pos + 1)
+
+
+def _family(cls: type) -> list[type]:
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _family(child)]
+
+
+_STORE_IN_TIER = PlacementKind.STORE_IN_TIER
+
+
+class _Placement:
+    """u8 placement kind, then a u8 tier only for STORE_IN_TIER."""
+
+    _kind = _Code("placement", {k: k.value for k in PlacementKind})
+    _plain = {k: ResultPlacement(k) for k in PlacementKind if k is not _STORE_IN_TIER}
+
+    def put(self, out: list, value: ResultPlacement) -> None:
+        self._kind.put(out, value.kind)
+        if value.kind is _STORE_IN_TIER:
+            TIER.put(out, value.tier)
+
+    def take(self, buf: memoryview, pos: int):
+        kind, pos = self._kind.take(buf, pos)
+        if kind is not _STORE_IN_TIER:
+            return self._plain[kind], pos
+        tier, pos = TIER.take(buf, pos)
+        return ResultPlacement(kind, tier), pos
+
+
+U8, U16, U64 = _Int("B"), _Int("H"), _Int("Q")
+BOOL = _Code("bool", {False: 0, True: 1})
+STR16 = _Str16()
+OBJECT_ID = _ObjectId()
+PAYLOAD = _Payload()
+_TIER_CODES = {t: t.value for t in TierKind}
+TIER = _Code("tier", _TIER_CODES)
+TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
+CLASS = _Record(ClassDescriptor, STR16, _List(U16, STR16, STR16), _List(U16, STR16))
+METHOD = _Record(MethodDescriptor, STR16, STR16, STR16, _List(U8, STR16), STR16, BOOL)
+ARG = _Union("INVOKE arg", {1: (ByValue, _Wrapper(ByValue, PAYLOAD)),
+                            2: (ByRef, _Wrapper(ByRef, OBJECT_ID))})
+RESULT = _Union("INVOKE result", {0: (type(None), None), 1: (BlockPayload, PAYLOAD),
+                                  2: (ObjectId, OBJECT_ID)})
+MEDIUM = _Code("medium", {MEDIA_DRAM: 1, MEDIA_NVM: 2})
+COUNTERS = _Record(TierCounters, *[U64] * 6)  # the modeled time is derived, not sent
+STATS = _Record(ServerStats, _Record(WireCounters, U64, U64, _Map(U8, U8, U64)),
+                _Map(U8, TIER, _Map(U8, MEDIUM, COUNTERS)))  # per tier, per medium
+
+
+# -- messages ---------------------------------------------------------------------
+
+
+class Message(NamedTuple):
+    name: str
+    request: _Fields
+    reply: _Fields
+
+
+def _message(name: str, request: list, reply: list) -> Message:
+    return Message(
+        name, _Fields(*request, what=f"{name} request"), _Fields(*reply, what=f"{name} reply")
+    )
+
+
+MESSAGES: dict[int, Message] = {
+    MSG_REGISTER_CLASS: _message("REGISTER_CLASS", [CLASS], []),
+    MSG_REGISTER_METHOD: _message("REGISTER_METHOD", [METHOD], []),
+    MSG_MAKE_PERSISTENT: _message("MAKE_PERSISTENT", [STR16, TIER, PAYLOAD], [OBJECT_ID]),
+    MSG_GET: _message("GET", [OBJECT_ID], [PAYLOAD]),
+    MSG_INVOKE: _message("INVOKE", [OBJECT_ID, STR16, _Placement(), _List(U8, ARG)], [RESULT]),
+    MSG_DELETE: _message("DELETE", [OBJECT_ID], []),
+    MSG_STATS: _message("STATS", [], [STATS]),
+    MSG_FLUSH: _message("FLUSH", [TIER_OR_ALL], []),
+    MSG_ERROR: _message("ERROR", [], [U16, _Text()]),
+}
+
+REQUEST_TYPES = {t for t in MESSAGES if t != MSG_ERROR}
+
+
+def encode_body(layout: _Fields, values) -> bytes:
+    out: list[bytes] = []
+    layout.put(out, values)
     return b"".join(out)
 
 
-def decode_stats(body: bytes) -> ServerStats:
-    r = _Reader(body, "STATS reply")
-    sent, received = r.u64(), r.u64()
-    per_type = {}
-    for _ in range(r.u8()):
-        t = r.u8()
-        per_type[t] = r.u64()
-    tiers: dict[TierKind, dict[str, TierCounters]] = {}
-    for _ in range(r.u8()):
-        kind = _tier_from_byte(r.u8())
-        media: dict[str, TierCounters] = {}
-        for _ in range(r.u8()):
-            mtag = r.u8()
-            if mtag not in _MEDIA_FROM_TAG:
-                raise FrameError(f"unknown media tag {mtag}")
-            media[_MEDIA_FROM_TAG[mtag]] = TierCounters(*(r.u64() for _ in range(6)))
-        tiers[kind] = media
-    r.done()
-    return ServerStats(WireCounters(sent, received, per_type), tiers)
+def decode_body(layout: _Fields, body) -> tuple:
+    """The values of ``layout`` read from ``body``, which they must fill."""
+    buf = memoryview(body)
+    try:
+        values, pos = layout.take(buf, 0)
+    except (struct.error, IndexError):
+        raise FrameError(f"truncated {layout.what} of {len(buf)} bytes") from None
+    if pos != len(buf):
+        raise FrameError(f"trailing garbage in {layout.what}: {len(buf) - pos} bytes at {pos}")
+    return values
 
 
 # -- server ---------------------------------------------------------------------
@@ -386,6 +420,22 @@ class ServerCore:
     Thread safe; shared by every connection of a server so wire counters are
     global to the endpoint, matching what one process would observe.
     """
+
+    # msg type -> engine call on the request's values; returns the reply's
+    # one value, if its row has one
+    _HANDLERS = {
+        MSG_REGISTER_CLASS: lambda core, desc: core.engine.register_class(desc),
+        MSG_REGISTER_METHOD: lambda core, desc: core.engine.register_method(desc),
+        MSG_MAKE_PERSISTENT: lambda core, cls, tier, p: core.engine.make_persistent(cls, p, tier),
+        MSG_GET: lambda core, oid: core.engine.get_object(oid),
+        MSG_INVOKE: lambda core, oid, name, place, args: core.engine.invoke(oid, name, args, place),
+        MSG_DELETE: lambda core, oid: core.engine.delete_object(oid),
+        MSG_STATS: lambda core: ServerStats(
+            core.wire_counters(),
+            {kind: handle.media_counters() for kind, handle in core.engine.tiers.items()},
+        ),
+        MSG_FLUSH: lambda core, tier: core.engine.flush(tier),
+    }
 
     def __init__(self, engine: Engine, max_frame: int = MAX_FRAME):
         self.engine = engine
@@ -408,25 +458,17 @@ class ServerCore:
     def _dispatch(self, data: bytes) -> bytes:
         request_id = 0
         try:
-            if len(data) < 13:
-                raise FrameError(f"truncated frame: {len(data)} bytes, need 13 minimum")
-            (length,) = _LEN.unpack_from(data, 0)
-            if length != len(data) - 4:
-                raise FrameError(
-                    f"frame length field {length} disagrees with {len(data) - 4} bytes on the wire"
-                )
-            if length > self.max_frame:
-                raise FrameError(f"oversize frame of {length} bytes")
-            msg_type = data[4]
-            (request_id,) = struct.unpack_from("<Q", data, 5)
-            body = data[13:]
+            msg_type, request_id, end = _frame_head(data, 0, self.max_frame)
+            if end != len(data):
+                raise FrameError(f"frame length {end - 4} disagrees with {len(data) - 4} bytes")
             if msg_type not in REQUEST_TYPES:
                 raise UnknownMsgTypeError(f"unknown msg_type {msg_type}")
             with self._lock:
                 self._counters.count(msg_type)
-            reply_body = self._handle(msg_type, body)
-            reply = Frame(msg_type | REPLY_BIT, request_id, reply_body)
-            return encode_frame(reply, self.max_frame)
+            _, request, reply = MESSAGES[msg_type]
+            result = self._HANDLERS[msg_type](self, *decode_body(request, memoryview(data)[13:]))
+            body = encode_body(reply, (result,)[: len(reply.fields)])
+            return encode_frame(Frame(msg_type | REPLY_BIT, request_id, body), self.max_frame)
         except StoreError as exc:
             return self._error_reply(request_id, exc)
         except Exception as exc:  # engine bugs must not kill the connection
@@ -434,50 +476,8 @@ class ServerCore:
             return self._error_reply(request_id, err)
 
     def _error_reply(self, request_id: int, exc: StoreError) -> bytes:
-        body = struct.pack("<H", exc.code) + str(exc).encode("utf-8", "replace")
+        body = encode_body(MESSAGES[MSG_ERROR].reply, (exc.code, str(exc)))
         return encode_frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), self.max_frame)
-
-    def _handle(self, msg_type: int, body: bytes) -> bytes:
-        engine = self.engine
-        if msg_type == MSG_REGISTER_CLASS:
-            engine.register_class(decode_register_class(body))
-            return b""
-        if msg_type == MSG_REGISTER_METHOD:
-            engine.register_method(decode_register_method(body))
-            return b""
-        if msg_type == MSG_MAKE_PERSISTENT:
-            class_name, tier, payload = decode_make_persistent(body)
-            oid = engine.make_persistent(class_name, payload, tier)
-            return oid.raw
-        if msg_type == MSG_GET:
-            r = _Reader(body, "GET body")
-            oid = r.object_id()
-            r.done()
-            return encode_payload(engine.get_object(oid))
-        if msg_type == MSG_INVOKE:
-            oid, method, args, placement = decode_invoke(body)
-            result = engine.invoke(oid, method, args, placement)
-            return encode_invoke_reply(result)
-        if msg_type == MSG_DELETE:
-            r = _Reader(body, "DELETE body")
-            oid = r.object_id()
-            r.done()
-            engine.delete_object(oid)
-            return b""
-        if msg_type == MSG_STATS:
-            if body:
-                raise FrameError("STATS takes no body")
-            tiers = {
-                kind: handle.media_counters() for kind, handle in engine.tiers.items()
-            }
-            return encode_stats(self.wire_counters(), tiers)
-        if msg_type == MSG_FLUSH:
-            r = _Reader(body, "FLUSH body")
-            code = r.u8()
-            r.done()
-            engine.flush(None if code == 0xFF else _tier_from_byte(code))
-            return b""
-        raise UnknownMsgTypeError(f"unknown msg_type {msg_type}")
 
 
 # -- transports -------------------------------------------------------------------
@@ -491,29 +491,31 @@ class Connection:
         self.counters = WireCounters()
         self._next_request = 1
 
-    def request(self, msg_type: int, body: bytes) -> tuple[int, bytes]:
+    def call(self, msg_type: int, *values) -> tuple:
+        """Send the request of ``msg_type`` carrying ``values``; returns the
+        values of its reply."""
+        _, request, reply = MESSAGES[msg_type]
+        return decode_body(reply, self.request(msg_type, encode_body(request, values)))
+
+    def request(self, msg_type: int, body: bytes) -> memoryview:
+        """One request frame out; returns the body of its reply, or raises
+        the typed error of an ERROR reply."""
         request_id = self._next_request
         self._next_request += 1
         raw = encode_frame(Frame(msg_type, request_id, body), self.max_frame)
         self.counters.bytes_sent += len(raw)
         self.counters.count(msg_type)
-        reply_raw = self._roundtrip(raw)
-        self.counters.bytes_received += len(reply_raw)
-        frame, _ = decode_frame(reply_raw, max_frame=self.max_frame)
-        if frame.request_id != request_id:
-            raise FrameError(
-                f"reply for request {frame.request_id}, expected {request_id}"
-            )
-        if frame.msg_type == (MSG_ERROR | REPLY_BIT):
-            r = _Reader(frame.body, "ERROR reply")
-            code = r.u16()
-            message = r.rest().decode("utf-8", "replace")
-            raise error_for_code(code, message)
-        if frame.msg_type != (msg_type | REPLY_BIT):
-            raise FrameError(
-                f"reply type {frame.msg_type} does not match request type {msg_type}"
-            )
-        return frame.msg_type, frame.body
+        reply = self._roundtrip(raw)
+        self.counters.bytes_received += len(reply)
+        reply_type, reply_id, end = _frame_head(reply, 0, self.max_frame)
+        if reply_id != request_id:
+            raise FrameError(f"reply for request {reply_id}, expected {request_id}")
+        reply_body = memoryview(reply)[13:end]
+        if reply_type == MSG_ERROR | REPLY_BIT:
+            raise error_for_code(*decode_body(MESSAGES[MSG_ERROR].reply, reply_body))
+        if reply_type != msg_type | REPLY_BIT:
+            raise FrameError(f"reply type {reply_type} does not match request type {msg_type}")
+        return reply_body
 
     def _roundtrip(self, raw: bytes) -> bytes:
         raise NotImplementedError

@@ -219,7 +219,7 @@ class TestFmaInPlace:
         a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(3)), TierKind.NVM_DIRECT)
         m = np.arange(9.0).reshape(3, 3)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(m), TierKind.NVM_DIRECT)
-        engine.invoke_fma_in_place(acc, a, b)
+        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         assert np.array_equal(engine.get_object(acc).values, m)
 
     def test_zero_annihilator(self, engine):
@@ -228,7 +228,7 @@ class TestFmaInPlace:
         acc = engine.make_persistent(MATRIX_CLASS, Submatrix(c0), TierKind.DRAM)
         z = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
-        engine.invoke_fma_in_place(acc, z, b)
+        engine.invoke(acc, "fma", [ByRef(z), ByRef(b)])
         assert np.array_equal(engine.get_object(acc).values, c0)
 
     def test_random_k8_matches_triple_loop(self, engine):
@@ -238,7 +238,7 @@ class TestFmaInPlace:
         acc = engine.make_persistent(MATRIX_CLASS, Submatrix(c_v), TierKind.NVM_DIRECT)
         a = engine.make_persistent(MATRIX_CLASS, Submatrix(a_v), TierKind.NVM_DIRECT)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(b_v), TierKind.NVM_DIRECT)
-        engine.invoke_fma_in_place(acc, a, b)
+        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         expected = c_v + matmul_oracle(a_v, b_v)
         got = engine.get_object(acc).values
         assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)) < 1e-12
@@ -248,7 +248,7 @@ class TestFmaInPlace:
         acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(InvalidRequestError, match="distinct"):
-            engine.invoke_fma_in_place(acc, acc, b)
+            engine.invoke(acc, "fma", [ByRef(acc), ByRef(b)])
 
     def test_shape_mismatch_rejected(self, engine):
         _register_matrix(engine)
@@ -256,14 +256,14 @@ class TestFmaInPlace:
         a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((3, 3))), TierKind.DRAM)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError):
-            engine.invoke_fma_in_place(acc, a, b)
+            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
 
     def test_inputs_read_counts_increment(self, engine):
         _register_matrix(engine)
         acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
-        engine.invoke_fma_in_place(acc, a, b)
+        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         counts = engine.read_counts()
         assert counts[a] == 1 and counts[b] == 1
         assert counts[acc] == 0  # mutation target is written, not counted as a read
@@ -274,7 +274,7 @@ class TestFmaInPlace:
         a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
         b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.full((2, 2), 2.0)), TierKind.NVM_DIRECT)
         view = engine.tier(TierKind.NVM_DIRECT).read_view(acc)
-        engine.invoke_fma_in_place(acc, a, b)
+        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         assert np.frombuffer(bytes(view), dtype="<f8")[0] == 2.0
 
 
@@ -354,7 +354,7 @@ class TestConcurrency:
             inputs.append((a, b))
 
         def worker(pair):
-            engine.invoke_fma_in_place(acc, pair[0], pair[1])
+            engine.invoke(acc, "fma", [ByRef(pair[0]), ByRef(pair[1])])
 
         threads = [threading.Thread(target=worker, args=(p,)) for p in inputs]
         for t in threads:
