@@ -5,19 +5,27 @@ NVM-direct objects the routine sees numpy arrays aliasing the stored region
 (no payload-sized copy); for Memory-Mode objects it sees the cached copy.
 Results are delivered by value, stored volatile in DRAM, or stored into a
 named tier. Mutating routines update their target through the tier's
-write-in-place path under an exclusive per-object lock.
+write-in-place path under an exclusive claim on it.
 
-Every operation adds the tier traffic it caused, and an invocation its method
-time, to running totals kept per operation name (:class:`OpTotals`), so the
-engine's bookkeeping stays the same size however many operations run.
+An operation claims all its objects at once under one engine-wide condition
+(the target exclusive if the routine mutates it, every other object shared),
+or waits; holding no claim while it waits, it needs no lock order.
+
+The tiers charge each counter bump to the operation open on the calling
+thread (:func:`~aostore.tiers.open_charges`). Every operation adds that
+traffic, and an invocation its method time, to running totals per operation
+name (:class:`OpTotals`), which stay the same size however many operations
+run. A failed operation that moved bytes is counted too.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +43,10 @@ from .model import (
     MethodDescriptor,
     ObjectId,
     ObjectIdFactory,
-    payload_from_region,
+    region_reader,
     encoded_size,
 )
-from .tiers import TierHandle, TierKind
+from .tiers import TierHandle, TierKind, close_charges, open_charges
 
 SMALL_RESULT_LIMIT = 1 << 20  # return-by-value ceiling, 1 MiB
 
@@ -113,33 +121,6 @@ class RoutineCatalog:
         return sorted(self._routines)
 
 
-class _RWLock:
-    """Shared/exclusive lock; writers wait for readers, readers for a writer."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire(self, exclusive: bool) -> None:
-        with self._cond:
-            while self._writer or (exclusive and self._readers):
-                self._cond.wait()
-            if exclusive:
-                self._writer = True
-            else:
-                self._readers += 1
-
-    def release(self, exclusive: bool) -> None:
-        with self._cond:
-            if exclusive:
-                self._writer = False
-            else:
-                self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-
-
 @dataclass
 class _ObjectMeta:
     class_name: Optional[str]
@@ -147,7 +128,11 @@ class _ObjectMeta:
     variant: Optional[int]
     shape: Optional[tuple[int, ...]]
     read_count: int = 0
-    lock: _RWLock = field(default_factory=_RWLock)
+    held: int = 0  # claims held: -1 for an exclusive one, else the shared ones
+
+    @cached_property
+    def reader(self) -> Callable[[memoryview], BlockPayload]:
+        return region_reader(self.variant, self.shape)
 
 
 OPS = ("invoke", "__persist__", "__get__", "__delete__", "__flush__")
@@ -180,6 +165,23 @@ class OpTotals:
         return OpTotals(self.count - earlier.count, self.method_ns - earlier.method_ns, deltas)
 
 
+class _Operation:
+    """One engine operation, as a context: inside it the tiers charge this
+    thread's traffic to it; leaving it ends it with :meth:`Engine._finish`."""
+
+    def __init__(self, engine: "Engine", name: str, claims=()):
+        self.engine, self.name, self.claims = engine, name, claims
+        self.reads: list[_ObjectMeta] = []  # objects read, one count each
+        self.method_ns = 0
+
+    def __enter__(self) -> "_Operation":
+        open_charges()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.engine._finish(self, exc_type is None)
+
+
 class Engine:
     """Single-node active object store engine over a set of open tiers."""
 
@@ -198,7 +200,8 @@ class Engine:
         self._methods: dict[tuple[str, str], MethodDescriptor] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
         self._totals = {op: OpTotals() for op in OPS}
-        self._lock = threading.Lock()
+        # guards the registries and the totals; claims wait on it
+        self._lock = threading.Condition(threading.Lock())
         # Adopt objects recovered from persistent arenas; their schema was not
         # persisted, so they are readable at the byte level only.
         for kind, handle in self._tiers.items():
@@ -246,29 +249,35 @@ class Engine:
     def tiers(self) -> dict[TierKind, TierHandle]:
         return dict(self._tiers)
 
-    # -- running totals --------------------------------------------------------
+    # -- claims and running totals ----------------------------------------------
 
-    def _counter_snapshot(self) -> dict:
-        return {
-            (kind, medium): raw
-            for kind, handle in self._tiers.items()
-            for medium, raw in handle.raw_counters().items()
-        }
+    def _claim(self, claims: list[tuple[_ObjectMeta, bool]]) -> None:
+        """Take every (object, exclusive) claim at once, waiting while any of
+        them conflicts with a claim held; the caller holds ``_lock``."""
+        while any(m.held < 0 or (exclusive and m.held) for m, exclusive in claims):
+            self._lock.wait()
+        for m, exclusive in claims:
+            m.held = -1 if exclusive else m.held + 1
 
-    def _record(self, op: str, before: dict, method_ns: int = 0) -> None:
-        """Add one ``op`` to its totals: ``method_ns`` and the tier traffic
-        since the counters ``before``."""
-        after = self._counter_snapshot()
+    def _finish(self, op: "_Operation", ok: bool) -> None:
+        """Stop charging this thread, release the operation's claims, count
+        its reads, and add it to its totals if it succeeded or moved bytes."""
+        charges = close_charges()
         with self._lock:
-            totals = self._totals[op]
+            for m, exclusive in op.claims:
+                m.held = 0 if exclusive else m.held - 1
+            if op.claims:
+                self._lock.notify_all()
+            for m in op.reads:
+                m.read_count += 1
+            if not (ok or charges):
+                return
+            totals = self._totals[op.name]
             totals.count += 1
-            totals.method_ns += method_ns
+            totals.method_ns += op.method_ns
             sums = totals.tier_deltas
-            for key, post in after.items():
-                pre = before.get(key, _ZERO)
-                if post != pre:
-                    old = sums.get(key, _ZERO)
-                    sums[key] = tuple(a + p - q for a, p, q in zip(old, post, pre))
+            for key, raw in charges.items():
+                sums[key] = tuple(map(operator.add, sums.get(key, _ZERO), raw))
 
     @property
     def record_count(self) -> int:
@@ -294,61 +303,52 @@ class Engine:
                 raise UnknownNameError(f"unknown class {class_name!r}")
         handle = self.tier(tier)
         oid = self._ids.new_object_id()
-        before = self._counter_snapshot()
-        handle.store(oid, payload.data_bytes())
-        meta = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
-        with self._lock:
-            self._objects[oid] = meta
-        self._record("__persist__", before)
+        with _Operation(self, "__persist__"):
+            handle.store(oid, payload.data_view())
+            meta = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
+            with self._lock:
+                self._objects[oid] = meta
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
-        with self._lock:
-            try:
-                return self._objects[oid]
-            except KeyError:
-                raise NotFoundError(f"unknown object {oid.hex()}") from None
+        """The object's metadata; the caller holds ``_lock``."""
+        try:
+            return self._objects[oid]
+        except KeyError:
+            raise NotFoundError(f"unknown object {oid.hex()}") from None
 
     def _payload_view(self, meta: _ObjectMeta, oid: ObjectId) -> BlockPayload:
         if meta.variant is None or meta.shape is None:
             raise InvalidRequestError(
                 f"object {oid.hex()} was recovered without schema; only raw reads apply"
             )
-        view = self.tier(meta.tier).read_view(oid)
-        return payload_from_region(meta.variant, meta.shape, view)
+        return meta.reader(self.tier(meta.tier).read_view(oid))
 
     def get_object(self, oid: ObjectId) -> BlockPayload:
-        meta = self._meta(oid)
-        meta.lock.acquire(exclusive=False)
-        before = self._counter_snapshot()
-        try:
+        with self._lock:
+            meta = self._meta(oid)
+            claims = [(meta, False)]
+            self._claim(claims)
+        with _Operation(self, "__get__", claims) as op:
             src = self._payload_view(meta, oid)
             payload = type(src)(src.values.copy())
-            with self._lock:
-                meta.read_count += 1
-        finally:
-            meta.lock.release(exclusive=False)
-        self._record("__get__", before)
+            op.reads.append(meta)
         return payload
 
     def delete_object(self, oid: ObjectId) -> None:
-        meta = self._meta(oid)
-        meta.lock.acquire(exclusive=True)
-        before = self._counter_snapshot()
-        try:
+        with self._lock:
+            meta = self._meta(oid)
+            claims = [(meta, True)]
+            self._claim(claims)
+        with _Operation(self, "__delete__", claims):
             self.tier(meta.tier).free(oid)
             with self._lock:
                 del self._objects[oid]
-        finally:
-            meta.lock.release(exclusive=True)
-        self._record("__delete__", before)
 
     def flush(self, tier: TierKind | None = None) -> None:
-        before = self._counter_snapshot()
-        kinds = [tier] if tier is not None else list(self._tiers)
-        for kind in kinds:
-            self.tier(kind).flush()
-        self._record("__flush__", before)
+        with _Operation(self, "__flush__"):
+            for kind in [tier] if tier is not None else list(self._tiers):
+                self.tier(kind).flush()
 
     # -- invocation --------------------------------------------------------------
 
@@ -365,40 +365,32 @@ class Engine:
         (VOLATILE_DRAM / STORE_IN_TIER), or None for mutating routines that
         produce no result.
         """
-        meta = self._meta(oid)
-        if meta.class_name is None:
-            raise UnknownNameError(f"object {oid.hex()} has no registered class")
         with self._lock:
+            meta = self._meta(oid)
+            if meta.class_name is None:
+                raise UnknownNameError(f"object {oid.hex()} has no registered class")
             desc = self._methods.get((meta.class_name, method_name))
-        if desc is None:
-            raise UnknownNameError(
-                f"method {method_name!r} not registered for class {meta.class_name!r}"
-            )
-        routine = self._catalog.get(desc.routine_key)
-        if len(args) != len(desc.arg_schema):
-            raise ShapeMismatchError(
-                f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
-            )
+            if desc is None:
+                raise UnknownNameError(
+                    f"method {method_name!r} not registered for class {meta.class_name!r}"
+                )
+            routine = self._catalog.get(desc.routine_key)
+            if len(args) != len(desc.arg_schema):
+                raise ShapeMismatchError(
+                    f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
+                )
+            ref_metas: list[tuple[ObjectId, _ObjectMeta]] = []
+            for arg in args:
+                if isinstance(arg, ByRef):
+                    if routine.mutates and arg.object_id == oid:
+                        raise InvalidRequestError(
+                            "argument aliases the mutation target; pass distinct objects"
+                        )
+                    ref_metas.append((arg.object_id, self._meta(arg.object_id)))
+            claims = [(meta, routine.mutates)] + [(m, False) for _, m in ref_metas]
+            self._claim(claims)
 
-        ref_metas: list[tuple[ObjectId, _ObjectMeta]] = []
-        for arg in args:
-            if isinstance(arg, ByRef):
-                if routine.mutates and arg.object_id == oid:
-                    raise InvalidRequestError(
-                        "argument aliases the mutation target; pass distinct objects"
-                    )
-                ref_metas.append((arg.object_id, self._meta(arg.object_id)))
-
-        # Deadlock-free ordering: all locks acquired sorted by object id.
-        plan = [(oid, meta, routine.mutates)] + [(i, m, False) for i, m in ref_metas]
-        plan.sort(key=lambda item: item[0].raw)
-        acquired: list[tuple[_ObjectMeta, bool]] = []
-        before = self._counter_snapshot()
-        try:
-            for _, m, exclusive in plan:
-                m.lock.acquire(exclusive)
-                acquired.append((m, exclusive))
-
+        with _Operation(self, "invoke", claims) as op:
             target = self._payload_view(meta, oid)
             resolved: list[BlockPayload] = []
             ref_iter = iter(ref_metas)
@@ -411,15 +403,13 @@ class Engine:
                     view = self._payload_view(ref_meta, ref_id)
                     self._check_schema(view, schema, method_name)
                     resolved.append(view)
-                    with self._lock:
-                        ref_meta.read_count += 1
+                    op.reads.append(ref_meta)
             if not routine.mutates:
-                with self._lock:
-                    meta.read_count += 1
+                op.reads.append(meta)
 
             t0 = time.perf_counter_ns()
             out = routine.fn(target, resolved)
-            method_ns = time.perf_counter_ns() - t0
+            op.method_ns = time.perf_counter_ns() - t0
 
             if routine.mutates:
                 if out.target_update is None:
@@ -427,15 +417,9 @@ class Engine:
                         f"mutating routine {routine.key!r} returned no target update"
                     )
                 update = np.ascontiguousarray(out.target_update)
-                self.tier(meta.tier).write_in_place(oid, 0, update.tobytes())
+                self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
 
-            result_value = self._place_result(out.result, meta, placement)
-        finally:
-            for m, exclusive in reversed(acquired):
-                m.lock.release(exclusive)
-
-        self._record("invoke", before, method_ns)
-        return result_value
+            return self._place_result(out.result, meta, placement)
 
     @staticmethod
     def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:
@@ -465,7 +449,7 @@ class Engine:
             raise InvalidRequestError("STORE_IN_TIER placement needs a tier")
         handle = self.tier(tier)
         new_id = self._ids.new_object_id()
-        handle.store(new_id, result.data_bytes())
+        handle.store(new_id, result.data_view())
         with self._lock:
             self._objects[new_id] = _ObjectMeta(
                 target_meta.class_name, tier, result.tag, result.shape_fields()
@@ -483,7 +467,8 @@ class Engine:
             return list(self._objects)
 
     def object_tier(self, oid: ObjectId) -> TierKind:
-        return self._meta(oid).tier
+        with self._lock:
+            return self._meta(oid).tier
 
     def close(self) -> None:
         """Close every tier, even when one fails; then re-raise the first error."""

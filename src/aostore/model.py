@@ -135,6 +135,11 @@ class BlockPayload:
         """Raw data section, exactly what a tier region holds."""
         return np.ascontiguousarray(self.values).tobytes()
 
+    def data_view(self) -> memoryview:
+        """The raw data section as a flat byte view, without a copy when the
+        array is contiguous; what a tier stores."""
+        return memoryview(np.ascontiguousarray(self.values)).cast("B")
+
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):
             return NotImplemented
@@ -277,11 +282,6 @@ def _data_length(variant: _Variant, shape: tuple[int, ...]) -> int:
     return 8 * math.prod(variant.cls.array_shape(shape))
 
 
-def _build_payload(variant: _Variant, shape: tuple[int, ...], data) -> BlockPayload:
-    arr = np.frombuffer(data, dtype=variant.dtype)
-    return variant.cls(arr.reshape(variant.cls.array_shape(shape)))
-
-
 def payload_size_bytes(p: BlockPayload) -> int:
     """Exact data size in bytes, excluding the tag/shape framing."""
     return 8 * p.element_count
@@ -316,7 +316,7 @@ def decode_payload(data: bytes | memoryview) -> BlockPayload:
             f"length mismatch: variant tag {data[0]} with shape {shape} expects "
             f"{expected} data bytes at offset {offset}, got {got}"
         )
-    return _build_payload(variant, shape, bytes(data[offset:]))
+    return region_reader(data[0], shape)(bytes(data[offset:]))
 
 
 def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...], int]:
@@ -331,16 +331,27 @@ def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...],
     return variant, struct.unpack_from(f"<{variant.shape_count}Q", data, 1), need
 
 
+def region_reader(tag: int, shape: tuple[int, ...]):
+    """The function ``region -> payload`` of :func:`payload_from_region` for
+    one (variant, shape), with the class, dtype and array shape resolved once."""
+    variant = _variant(tag)
+    expected = _data_length(variant, shape)
+    array_shape = variant.cls.array_shape(shape)
+
+    def read(region: memoryview) -> BlockPayload:
+        if len(region) != expected:
+            raise PayloadError(
+                f"length mismatch: region holds {len(region)} bytes, variant needs {expected}"
+            )
+        return variant.cls(np.frombuffer(region, dtype=variant.dtype).reshape(array_shape))
+
+    return read
+
+
 def payload_from_region(tag: int, shape: tuple[int, ...], region: memoryview) -> BlockPayload:
     """Zero-copy payload over a tier region holding the raw data section.
 
     The resulting arrays alias ``region``: mutations through the buffer are
     visible and, on a writable region, mutating the array writes through.
     """
-    variant = _variant(tag)
-    expected = _data_length(variant, shape)
-    if len(region) != expected:
-        raise PayloadError(
-            f"length mismatch: region holds {len(region)} bytes, variant needs {expected}"
-        )
-    return _build_payload(variant, shape, region)
+    return region_reader(tag, shape)(region)

@@ -9,17 +9,19 @@ Three tier kinds:
   cache; the arena is reinitialized empty on every open, so the tier is
   volatile across restarts.
 
-Arena file format (little-endian):
+Arena file format, version 2 (little-endian):
 
-    magic "AOSA" (4) | version u16 | capacity u64 | dir_offset u64
-    <data region of `capacity` bytes>
+    magic "AOSA" (4) | version u16 | capacity u64 | dir_offset u64 | zeros
+    <data region of `capacity` bytes, from byte 64>
     directory at dir_offset: count u32, then per entry
         object id 16 bytes | offset u64 | length u64
 
-Region offsets are relative to the start of the data region. The directory is
-rewritten on flush/close. Timing is never simulated by sleeping; instead every
-handle derives a ``modeled_time_ns`` as the exact rational dot product of its
-integer traffic counters with the configured :class:`CostModel`.
+Region offsets are relative to the start of the data region. Payload regions
+are multiples of 8 bytes long, so each starts 8-byte aligned and numpy sees
+aligned arrays over it; a version-1 file (22-byte header) is refused. The
+directory is rewritten on flush/close. Timing is never simulated by sleeping;
+instead every handle derives a ``modeled_time_ns`` as the exact rational dot
+product of its integer traffic counters with the configured :class:`CostModel`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import struct
 import threading
 from collections import OrderedDict
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -39,8 +42,9 @@ from .errors import ArenaError, CapacityError, InvalidRequestError, NotFoundErro
 from .model import ObjectId
 
 ARENA_MAGIC = b"AOSA"
-ARENA_VERSION = 1
+ARENA_VERSION = 2
 _HEADER = struct.Struct("<4sHQQ")
+_DATA_START = 64  # the header, padded so the data region is 64-byte aligned
 _DIR_COUNT = struct.Struct("<I")
 _DIR_ENTRY = struct.Struct("<16sQQ")
 
@@ -125,25 +129,61 @@ def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fra
     )
 
 
+# the raw counts per medium charged to the operation open on this thread, if any
+_charges: ContextVar[dict | None] = ContextVar("charges", default=None)
+
+
+def open_charges() -> None:
+    """Charge this thread's tier traffic to a new accumulator as well."""
+    _charges.set({})
+
+
+def close_charges() -> dict[tuple[TierKind, str], list[int]]:
+    """Stop charging this thread; the traffic charged since
+    :func:`open_charges`, as raw counters per (TierKind, medium)."""
+    acc = _charges.get()
+    _charges.set(None)
+    return {counters.key: raw for counters, raw in (acc or {}).items()}
+
+
 class _MediumCounters:
-    """Mutable integer counters of one medium."""
+    """Mutable integer counters of one medium, in ``_RAW_FIELDS`` order; each
+    bump is also charged to the operation open on the calling thread."""
 
-    __slots__ = _RAW_FIELDS
+    __slots__ = ("key", "_raw")
 
-    def __init__(self):
-        for name in _RAW_FIELDS:
-            setattr(self, name, 0)
+    def __init__(self, key: tuple[TierKind, str]):
+        self.key = key
+        self._raw = [0] * 6
+
+    def _bump(self, i: int, n: int, ops: int | None = None) -> None:
+        """Add ``n`` to counter ``i`` and, if given, 1 to counter ``ops``,
+        here and in the open operation's charges."""
+        raw = self._raw
+        raw[i] += n
+        if ops is not None:
+            raw[ops] += 1
+        acc = _charges.get()
+        if acc is not None:
+            mine = acc.get(self) or acc.setdefault(self, [0] * 6)
+            mine[i] += n
+            if ops is not None:
+                mine[ops] += 1
 
     def read(self, n: int) -> None:
-        self.bytes_read += n
-        self.read_ops += 1
+        self._bump(0, n, 4)
 
     def write(self, n: int) -> None:
-        self.bytes_written += n
-        self.write_ops += 1
+        self._bump(1, n, 5)
+
+    def hit(self) -> None:
+        self._bump(2, 1)
+
+    def miss(self) -> None:
+        self._bump(3, 1)
 
     def raw(self) -> tuple[int, int, int, int, int, int]:
-        return _raw_of(self)
+        return tuple(self._raw)
 
 
 @dataclass(frozen=True)
@@ -175,7 +215,7 @@ class TierHandle:
         self._cost = config.cost_model
         self._lock = threading.Lock()
         self._dir: dict[ObjectId, tuple[int, int]] = {}
-        self._media = {medium: _MediumCounters() for medium in self.media}
+        self._media = {medium: _MediumCounters((self.kind, medium)) for medium in self.media}
 
     # -- directory ---------------------------------------------------------
 
@@ -214,8 +254,9 @@ class TierHandle:
         raise NotImplementedError
 
     def raw_counters(self) -> dict[str, tuple[int, ...]]:
-        """Integer counters per medium, without modeled times; cheap enough
-        to snapshot around every engine operation."""
+        """Integer counters per medium, without modeled times. Engine
+        operations do not snapshot them: each bump is charged to the
+        operation open on the calling thread (:func:`open_charges`)."""
         with self._lock:
             return {medium: c.raw() for medium, c in self._media.items()}
 
@@ -291,7 +332,7 @@ class DramTier(TierHandle):
     def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
         with self._lock:
             self._check_range(oid, offset, len(data))
-            self._bufs[oid][offset : offset + len(data)] = data
+            memoryview(self._bufs[oid])[offset : offset + len(data)] = data
             self._counters.write(len(data))
 
     def free(self, oid: ObjectId) -> None:
@@ -325,15 +366,15 @@ class _ArenaFile:
 
     def _create(self, capacity: int) -> None:
         self.capacity = capacity
-        self.dir_offset = _HEADER.size + capacity
+        self.dir_offset = _DATA_START + capacity
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
-        os.ftruncate(self._fd, _HEADER.size + capacity)
+        os.ftruncate(self._fd, _DATA_START + capacity)
         os.pwrite(
             self._fd,
             _HEADER.pack(ARENA_MAGIC, ARENA_VERSION, capacity, self.dir_offset),
             0,
         )
-        self.mm = mmap.mmap(self._fd, _HEADER.size + capacity)
+        self.mm = mmap.mmap(self._fd, _DATA_START + capacity)
         self.entries: dict[ObjectId, tuple[int, int]] = {}
         self._write_directory({})
 
@@ -357,9 +398,9 @@ class _ArenaFile:
                     f"arena {self.path}: configured capacity {requested_capacity} smaller "
                     f"than existing directory extent {high_water}"
                 )
-            if os.fstat(self._fd).st_size < _HEADER.size + capacity:
-                os.ftruncate(self._fd, _HEADER.size + capacity)
-            self.mm = mmap.mmap(self._fd, _HEADER.size + capacity)
+            if os.fstat(self._fd).st_size < _DATA_START + capacity:
+                os.ftruncate(self._fd, _DATA_START + capacity)
+            self.mm = mmap.mmap(self._fd, _DATA_START + capacity)
         except BaseException:
             os.close(self._fd)
             raise
@@ -391,11 +432,11 @@ class _ArenaFile:
         os.ftruncate(self._fd, self.dir_offset + len(blob))
 
     def read(self, offset: int, length: int) -> memoryview:
-        base = _HEADER.size + offset
+        base = _DATA_START + offset
         return memoryview(self.mm)[base : base + length]
 
     def write(self, offset: int, data: bytes) -> None:
-        base = _HEADER.size + offset
+        base = _DATA_START + offset
         self.mm[base : base + len(data)] = data
 
     def flush(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
@@ -577,7 +618,7 @@ class MemoryModeTier(_ArenaTier):
         for oid, entry in entries:
             if entry.dirty:
                 offset, _ = self._dir[oid]
-                self._arena.write(offset, bytes(entry.buf))
+                self._arena.write(offset, entry.buf)
                 self._nvm.write(len(entry.buf))
                 entry.dirty = False
 
@@ -592,7 +633,7 @@ class MemoryModeTier(_ArenaTier):
         offset, size = self._entry(oid)
         self._nvm.read(size)
         self._dram.write(size)
-        self._dram.cache_misses += 1
+        self._dram.miss()
         entry = _CacheEntry(bytearray(self._arena.read(offset, size)))
         if size <= self._config.cache_capacity_bytes:
             self._evict_for(size)
@@ -605,7 +646,7 @@ class MemoryModeTier(_ArenaTier):
         if entry is None:
             return self._fill(oid)
         self._cache.move_to_end(oid)
-        self._dram.cache_hits += 1
+        self._dram.hit()
         return entry
 
     # -- tier operations -----------------------------------------------------
@@ -624,7 +665,7 @@ class MemoryModeTier(_ArenaTier):
         with self._lock:
             self._check_range(oid, offset, len(data))
             entry = self._cached(oid)
-            entry.buf[offset : offset + len(data)] = data
+            memoryview(entry.buf)[offset : offset + len(data)] = data
             entry.dirty = True
             self._dram.write(len(data))
             if oid not in self._cache:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import tracemalloc
 
@@ -14,12 +15,13 @@ from aostore.errors import (
     ShapeMismatchError,
     UnknownNameError,
 )
-from aostore.kernels import MATRIX_CLASS, build_catalog
+from aostore.kernels import MATRIX_CLASS, POINTS_CLASS, build_catalog
 from aostore.model import (
     ClassDescriptor,
     FloatArray,
     MethodDescriptor,
     ObjectIdFactory,
+    PointsBlock,
     Submatrix,
 )
 from aostore.tiers import ArenaConfig, TierKind, open_tier
@@ -305,6 +307,29 @@ class TestRecords:
                 expected = list(counters.raw())
                 assert totals.get((kind, medium), [0] * 6) == expected
 
+    def test_failed_operation_keeps_its_traffic(self, engine):
+        _register_matrix(engine)
+        oid = engine.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 3))), TierKind.DRAM)
+        dram = engine.tier(TierKind.DRAM)
+        before_tier = dram.counters().raw()
+        before = engine.op_totals()["invoke"]
+        # the centroids argument is checked after the target was read
+        with pytest.raises(ShapeMismatchError):
+            engine.invoke(oid, "partial", [ByValue(FloatArray([1.0]))])
+        moved = tuple(a - b for a, b in zip(dram.counters().raw(), before_tier))
+        assert moved == (96, 0, 0, 0, 1, 0)
+        failed = engine.op_totals()["invoke"].since(before)
+        assert failed.count == 1
+        assert failed.tier_deltas == {(TierKind.DRAM, "dram"): moved}
+
+    def test_failed_operation_without_traffic_is_not_counted(self, engine):
+        engine.register_class(BLOCK)
+        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        n0 = engine.record_count
+        with pytest.raises(UnknownNameError):
+            engine.invoke(oid, "mean")
+        assert engine.record_count == n0
+
     def test_every_operation_appends_one_record(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
@@ -380,6 +405,62 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert results == [1.0] * 8
+
+    def test_threaded_deltas_sum_to_tier_counters(self, engine):
+        engine.register_class(BLOCK)
+        engine.register_method(BLOCK_MEAN)
+        oid = engine.make_persistent("Block", FloatArray(np.arange(12.0)), TierKind.DRAM)
+        start = engine.op_totals()
+
+        def reader():
+            for _ in range(200):
+                engine.invoke(oid, "mean")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        invokes = engine.op_totals()["invoke"].since(start["invoke"])
+        assert invokes.count == 1600
+        summed = [0] * 6
+        for totals in engine.op_totals().values():
+            for d in totals.tier_deltas.values():
+                summed = [a + b for a, b in zip(summed, d)]
+        (counters,) = engine.tier(TierKind.DRAM).media_counters().values()
+        assert summed == list(counters.raw())
+        assert invokes.tier_deltas[(TierKind.DRAM, "dram")][4] == 1600  # read ops
+
+    def test_crossed_mutations_both_finish(self, engine):
+        # each thread mutates the object the other one reads: with per-object
+        # locks taken in the wrong order this pair could deadlock
+        _register_matrix(engine)
+        x, y, c = (
+            engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((4, 4))), TierKind.DRAM)
+            for _ in range(3)
+        )
+        before = engine.op_totals()["invoke"].count
+
+        def worker(target, other):
+            for _ in range(200):
+                engine.invoke(target, "fma", [ByRef(other), ByRef(c)])
+
+        threads = [
+            threading.Thread(target=worker, args=(x, y), daemon=True),
+            threading.Thread(target=worker, args=(y, x), daemon=True),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert engine.op_totals()["invoke"].count == before + 400
 
 
 class TestRecovery:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aostore.errors import ArenaError, CapacityError, NotFoundError, InvalidRequestError
-from aostore.model import ObjectIdFactory
+from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, payload_from_region
 from aostore.tiers import (
     ArenaConfig,
     CostModel,
@@ -133,6 +135,24 @@ class TestNvmDirect:
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ArenaError, match="magic"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+
+    def test_version_1_arena_rejected(self, tmp_path):
+        # the version-1 layout: a 22-byte header, data right after it, and an
+        # empty directory at the end
+        path = tmp_path / "v1.arena"
+        capacity = 4096
+        header = struct.pack("<4sHQQ", b"AOSA", 1, capacity, 22 + capacity)
+        path.write_bytes(header + bytes(capacity) + struct.pack("<I", 0))
+        with pytest.raises(ArenaError, match="unsupported version 1"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=capacity))
+
+    def test_payload_views_are_aligned(self, nvm):
+        for k in (3, 8, 96):
+            key = oid()
+            nvm.store(key, Submatrix(np.ones((k, k))).data_bytes())
+            payload = payload_from_region(TAG_SUBMATRIX, (k,), nvm.read_view(key))
+            assert payload.values.flags.aligned
+            del payload
 
     def test_capacity_below_directory_rejected(self, tmp_path):
         path = tmp_path / "cap.arena"
