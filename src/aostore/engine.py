@@ -135,6 +135,15 @@ class _ObjectMeta:
         return region_reader(self.variant, self.shape)
 
 
+def _aligned(payload: BlockPayload) -> BlockPayload:
+    """``payload``, or an aligned copy of it when its array is unaligned (a
+    by-value argument decoded in place from a frame): numpy runs unaligned
+    operands through slower loops and keeps them out of BLAS."""
+    if payload.values.flags.aligned:
+        return payload
+    return type(payload)(payload.values.copy())
+
+
 OPS = ("invoke", "__persist__", "__get__", "__delete__", "__flush__")
 _ZERO = (0,) * 6
 
@@ -324,16 +333,21 @@ class Engine:
             )
         return meta.reader(self.tier(meta.tier).read_view(oid))
 
-    def get_object(self, oid: ObjectId) -> BlockPayload:
+    def get_object(self, oid: ObjectId, read: Callable[[BlockPayload], object] | None = None):
+        """The object's payload as a copy the caller owns; or, with ``read``,
+        what ``read`` returns for a payload aliasing the tier region. ``read``
+        runs while the shared claim is held, so the region cannot change under
+        it; the view must not outlive the call."""
         with self._lock:
             meta = self._meta(oid)
             claims = [(meta, False)]
             self._claim(claims)
         with _Operation(self, "__get__", claims) as op:
-            src = self._payload_view(meta, oid)
-            payload = type(src)(src.values.copy())
+            view = self._payload_view(meta, oid)
             op.reads.append(meta)
-        return payload
+            if read is None:
+                return type(view)(view.values.copy())
+            return read(view)
 
     def delete_object(self, oid: ObjectId) -> None:
         with self._lock:
@@ -397,7 +411,7 @@ class Engine:
             for arg, schema in zip(args, desc.arg_schema):
                 if isinstance(arg, ByValue):
                     self._check_schema(arg.payload, schema, method_name)
-                    resolved.append(arg.payload)
+                    resolved.append(_aligned(arg.payload))
                 else:
                     ref_id, ref_meta = next(ref_iter)
                     view = self._payload_view(ref_meta, ref_id)

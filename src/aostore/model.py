@@ -45,21 +45,26 @@ SEM_SCALAR = "scalar"
 SEM_NONE = "none"
 
 
-@dataclass(frozen=True)
-class ObjectId:
-    """128-bit opaque object identity."""
+class ObjectId(bytes):
+    """128-bit opaque object identity: its 16 raw bytes, so it hashes and
+    compares as those bytes do, in C (it equals the bytes it was made from),
+    and is immutable like them."""
 
-    raw: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.raw) != 16:
-            raise InvalidRequestError(f"object id must be 16 bytes, got {len(self.raw)}")
+    def __new__(cls, raw) -> "ObjectId":
+        if len(raw) != 16:
+            raise InvalidRequestError(f"object id must be 16 bytes, got {len(raw)}")
+        return bytes.__new__(cls, raw)
 
-    def hex(self) -> str:
-        return self.raw.hex()
+    @property
+    def raw(self) -> bytes:
+        return bytes(self)
 
     def __repr__(self) -> str:
-        return f"ObjectId({self.raw.hex()})"
+        return f"ObjectId({self.hex()})"
+
+    __str__ = __repr__
 
 
 class ObjectIdFactory:
@@ -138,7 +143,7 @@ class BlockPayload:
     def data_view(self) -> memoryview:
         """The raw data section as a flat byte view, without a copy when the
         array is contiguous; what a tier stores."""
-        return memoryview(np.ascontiguousarray(self.values)).cast("B")
+        return memoryview(np.ascontiguousarray(self.values).reshape(-1)).cast("B")
 
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):
@@ -291,12 +296,17 @@ def encoded_size(p: BlockPayload) -> int:
     return 1 + 8 * len(p.shape_fields()) + payload_size_bytes(p)
 
 
-def encode_payload(p: BlockPayload) -> bytes:
+def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:
     """Self-describing little-endian encoding: tag, shape as u64, raw data.
-    The data is copied once, straight from the array into the result."""
+    The data is copied once, straight from the array into the result. With
+    ``out``, the header and a flat byte view of the data section are
+    appended to that list instead, and nothing is copied."""
     shape = p.shape_fields()
     header = struct.pack(f"<B{len(shape)}Q", p.tag, *shape)
-    return b"".join((header, np.ascontiguousarray(p.values)))
+    if out is None:
+        return b"".join((header, np.ascontiguousarray(p.values)))
+    out += (header, p.data_view())
+    return None
 
 
 def encoded_length(data: bytes | memoryview) -> int:
@@ -306,8 +316,12 @@ def encoded_length(data: bytes | memoryview) -> int:
     return offset + _data_length(variant, shape)
 
 
-def decode_payload(data: bytes | memoryview) -> BlockPayload:
-    """Inverse of :func:`encode_payload`; always copies out of ``data``."""
+def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
+    """Inverse of :func:`encode_payload`. The payload's array is a fresh,
+    aligned copy of the data section, which the caller owns. With
+    ``copy=False`` it is a view of ``data`` instead, copying nothing: it sees
+    later changes to ``data``, and it is unaligned when the data section
+    does not start at an address that is a multiple of 8."""
     variant, shape, offset = _decode_header(data)
     expected = _data_length(variant, shape)
     got = len(data) - offset
@@ -316,7 +330,9 @@ def decode_payload(data: bytes | memoryview) -> BlockPayload:
             f"length mismatch: variant tag {data[0]} with shape {shape} expects "
             f"{expected} data bytes at offset {offset}, got {got}"
         )
-    return region_reader(data[0], shape)(bytes(data[offset:]))
+    array_shape = variant.cls.array_shape(shape)
+    values = np.frombuffer(data, variant.dtype, offset=offset).reshape(array_shape)
+    return variant.cls(values.copy() if copy else values)
 
 
 def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...], int]:

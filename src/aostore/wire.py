@@ -15,6 +15,30 @@ back by ``decode_body``. A str16 is a u16 length and UTF-8 bytes, an object id
 Every reply echoes the request_id. The same ``ServerCore`` byte path backs
 both the in-process loopback transport and the TCP transport, so identical
 workloads produce identical counters on either.
+
+Over TCP a large payload crosses user space at most once on each side. Each
+connection receives frames with ``recv_into`` into one reused buffer, and
+sends a frame with ``sendmsg`` over a few parts: the head and the small
+fields joined, each large payload's data section a view of its array. The
+copies left, per operation:
+
+- persist: the client sends the payload's own array. The server decodes the
+  payload as a view of its receive buffer, and the tier store copies it in.
+- get: while ``Engine.get_object`` holds the shared claim, the server encodes
+  the reply from the tier region straight into the connection's reused send
+  buffer (one copy). The client copies the payload out of its receive buffer
+  into a fresh array (one copy).
+- invoke by value: the argument travels as a persisted payload does, and the
+  routine sees it as a view of the receive buffer, copied first only if it is
+  unaligned. A by-value result is encoded from the routine's array into the
+  send buffer, and the client copies it out as for a get.
+
+Ownership: a value returned to a client caller owns its memory. A value the
+server decodes from a request may alias the receive buffer, which the next
+request overwrites; it is used only until its reply is sent, and the tier
+stores copy it. A reply frame returned by ``handle_frame_bytes`` into a
+connection's send buffer is valid until that buffer's next reply. The
+loopback transport passes each frame as one bytes object.
 """
 
 from __future__ import annotations
@@ -56,18 +80,80 @@ _LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 
 
-@dataclass(frozen=True)
-class Frame:
+# parts shorter than this are joined to their neighbours before a send, so a
+# frame goes out as at most a few iovecs; longer ones are sent in place
+GATHER_LIMIT = 1 << 14
+
+
+class Frame(NamedTuple):
     msg_type: int
     request_id: int
-    body: bytes
+    body: bytes  # or a list of bytes-like parts, as encode_body returns
 
 
-def encode_frame(frame: Frame, max_frame: int = MAX_FRAME) -> bytes:
-    length = 9 + len(frame.body)
+class FrameBuffer:
+    """A reusable byte buffer that frames are received into or written into.
+
+    It grows to the largest frame asked of it and never shrinks until
+    ``release``. Growing replaces the array rather than resizing it, so a view
+    handed out earlier stays valid, over the old bytes."""
+
+    __slots__ = ("_whole",)
+
+    def __init__(self):
+        self._whole = memoryview(bytearray())
+
+    @property
+    def capacity(self) -> int:
+        return len(self._whole)
+
+    def view(self, size: int) -> memoryview:
+        """A writable view of the first ``size`` bytes."""
+        if size > len(self._whole):
+            self._whole = memoryview(bytearray(size))
+        return self._whole[:size]
+
+    def release(self) -> None:
+        self._whole = memoryview(bytearray())
+
+
+def encode_frame(frame: Frame, max_frame: int = MAX_FRAME, into: FrameBuffer | None = None):
+    """The frame with its head. A bytes body gives one bytes object.
+
+    A list of parts, as ``encode_body`` returns, gives a list of parts ready
+    for ``sendmsg``. A frame shorter than ``GATHER_LIMIT`` is one bytes object.
+    A longer one is the head and the small parts joined, with each part of at
+    least ``GATHER_LIMIT`` bytes left as it is; with ``into``, it is copied
+    into that buffer instead, and the list holds one view of it.
+    """
+    body = frame.body
+    whole = type(body) is not list
+    length = 9 + (len(body) if whole else sum(map(len, body)))
     if length > max_frame:
         raise FrameError(f"frame of {length} bytes exceeds max_frame {max_frame}")
-    return _HEAD.pack(length, frame.msg_type, frame.request_id) + frame.body
+    head = _HEAD.pack(length, frame.msg_type, frame.request_id)
+    if whole:
+        return head + body
+    if length < GATHER_LIMIT:
+        return [b"".join((head, *body))]
+    if into is not None:
+        view = into.view(_LEN.size + length)
+        view[: _HEAD.size] = head
+        pos = _HEAD.size
+        for part in body:
+            view[pos : pos + len(part)] = part
+            pos += len(part)
+        return [view]
+    out, small = [], [head]
+    for part in body:
+        if len(part) < GATHER_LIMIT:
+            small.append(part)
+            continue
+        out += (b"".join(small), part)
+        small = []
+    if small:
+        out.append(b"".join(small))
+    return out
 
 
 def _frame_head(data, offset: int, max_frame: int) -> tuple[int, int, int]:
@@ -173,7 +259,7 @@ class _ObjectId:
     _struct = struct.Struct("16s")
 
     def put(self, out: list, value: ObjectId) -> None:
-        out.append(value.raw)
+        out.append(value)  # an ObjectId is its 16 bytes
 
     def take(self, buf: memoryview, pos: int):
         return ObjectId(self._struct.unpack_from(buf, pos)[0]), pos + 16
@@ -181,14 +267,19 @@ class _ObjectId:
 
 class _Payload:
     """The payload codec of ``aostore.model``, looked up at each call; an
-    encoded payload carries its own length."""
+    encoded payload carries its own length. The data section goes out as a
+    view of the array. It is read back as a copy the caller owns, or with
+    ``copy=False`` as a view of the frame."""
+
+    def __init__(self, copy: bool):
+        self._copy = copy
 
     def put(self, out: list, value: BlockPayload) -> None:
-        out.append(encode_payload(value))
+        encode_payload(value, out)
 
     def take(self, buf: memoryview, pos: int):
         end = pos + encoded_length(buf[pos:])
-        return decode_payload(buf[pos:end]), end
+        return decode_payload(buf[pos:end], self._copy), end
 
 
 class _Code:
@@ -347,13 +438,14 @@ U8, U16, U64 = _Int("B"), _Int("H"), _Int("Q")
 BOOL = _Code("bool", {False: 0, True: 1})
 STR16 = _Str16()
 OBJECT_ID = _ObjectId()
-PAYLOAD = _Payload()
+PAYLOAD = _Payload(copy=True)  # in replies: the client keeps what it decodes
+PAYLOAD_VIEW = _Payload(copy=False)  # in requests: the server stores or reads it, then drops it
 _TIER_CODES = {t: t.value for t in TierKind}
 TIER = _Code("tier", _TIER_CODES)
 TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
 CLASS = _Record(ClassDescriptor, STR16, _List(U16, STR16, STR16), _List(U16, STR16))
 METHOD = _Record(MethodDescriptor, STR16, STR16, STR16, _List(U8, STR16), STR16, BOOL)
-ARG = _Union("INVOKE arg", {1: (ByValue, _Wrapper(ByValue, PAYLOAD)),
+ARG = _Union("INVOKE arg", {1: (ByValue, _Wrapper(ByValue, PAYLOAD_VIEW)),
                             2: (ByRef, _Wrapper(ByRef, OBJECT_ID))})
 RESULT = _Union("INVOKE result", {0: (type(None), None), 1: (BlockPayload, PAYLOAD),
                                   2: (ObjectId, OBJECT_ID)})
@@ -381,7 +473,7 @@ def _message(name: str, request: list, reply: list) -> Message:
 MESSAGES: dict[int, Message] = {
     MSG_REGISTER_CLASS: _message("REGISTER_CLASS", [CLASS], []),
     MSG_REGISTER_METHOD: _message("REGISTER_METHOD", [METHOD], []),
-    MSG_MAKE_PERSISTENT: _message("MAKE_PERSISTENT", [STR16, TIER, PAYLOAD], [OBJECT_ID]),
+    MSG_MAKE_PERSISTENT: _message("MAKE_PERSISTENT", [STR16, TIER, PAYLOAD_VIEW], [OBJECT_ID]),
     MSG_GET: _message("GET", [OBJECT_ID], [PAYLOAD]),
     MSG_INVOKE: _message("INVOKE", [OBJECT_ID, STR16, _Placement(), _List(U8, ARG)], [RESULT]),
     MSG_DELETE: _message("DELETE", [OBJECT_ID], []),
@@ -393,10 +485,12 @@ MESSAGES: dict[int, Message] = {
 REQUEST_TYPES = {t for t in MESSAGES if t != MSG_ERROR}
 
 
-def encode_body(layout: _Fields, values) -> bytes:
-    out: list[bytes] = []
+def encode_body(layout: _Fields, values) -> list:
+    """The body's parts: small bytes objects, and a flat byte view of each
+    payload's data section; ``encode_frame`` joins the small ones."""
+    out: list = []
     layout.put(out, values)
-    return b"".join(out)
+    return out
 
 
 def decode_body(layout: _Fields, body) -> tuple:
@@ -421,20 +515,25 @@ class ServerCore:
     global to the endpoint, matching what one process would observe.
     """
 
-    # msg type -> engine call on the request's values; returns the reply's
-    # one value, if its row has one
+    # msg type -> engine call on the request's values, handing the reply's
+    # one value (if its row has one) to ``reply``; a GET hands ``reply`` to
+    # the engine, which calls it on a view of the object under its claim
     _HANDLERS = {
-        MSG_REGISTER_CLASS: lambda core, desc: core.engine.register_class(desc),
-        MSG_REGISTER_METHOD: lambda core, desc: core.engine.register_method(desc),
-        MSG_MAKE_PERSISTENT: lambda core, cls, tier, p: core.engine.make_persistent(cls, p, tier),
-        MSG_GET: lambda core, oid: core.engine.get_object(oid),
-        MSG_INVOKE: lambda core, oid, name, place, args: core.engine.invoke(oid, name, args, place),
-        MSG_DELETE: lambda core, oid: core.engine.delete_object(oid),
-        MSG_STATS: lambda core: ServerStats(
+        MSG_REGISTER_CLASS: lambda core, reply, desc: reply(core.engine.register_class(desc)),
+        MSG_REGISTER_METHOD: lambda core, reply, desc: reply(core.engine.register_method(desc)),
+        MSG_MAKE_PERSISTENT: lambda core, reply, cls, tier, p: reply(
+            core.engine.make_persistent(cls, p, tier)
+        ),
+        MSG_GET: lambda core, reply, oid: core.engine.get_object(oid, reply),
+        MSG_INVOKE: lambda core, reply, oid, name, place, args: reply(
+            core.engine.invoke(oid, name, args, place)
+        ),
+        MSG_DELETE: lambda core, reply, oid: reply(core.engine.delete_object(oid)),
+        MSG_STATS: lambda core, reply: reply(ServerStats(
             core.wire_counters(),
             {kind: handle.media_counters() for kind, handle in core.engine.tiers.items()},
-        ),
-        MSG_FLUSH: lambda core, tier: core.engine.flush(tier),
+        )),
+        MSG_FLUSH: lambda core, reply, tier: reply(core.engine.flush(tier)),
     }
 
     def __init__(self, engine: Engine, max_frame: int = MAX_FRAME):
@@ -447,15 +546,18 @@ class ServerCore:
         with self._lock:
             return self._counters.snapshot()
 
-    def handle_frame_bytes(self, data: bytes) -> bytes:
+    def handle_frame_bytes(self, data, out: FrameBuffer | None = None):
+        """The reply frame to the request frame ``data``, as bytes; with
+        ``out``, a reply of at least ``GATHER_LIMIT`` bytes is written into
+        that buffer and returned as a view of it, valid until its next use."""
         with self._lock:
             self._counters.bytes_received += len(data)
-        reply = self._dispatch(data)
+        reply = self._dispatch(data, out)
         with self._lock:
             self._counters.bytes_sent += len(reply)
         return reply
 
-    def _dispatch(self, data: bytes) -> bytes:
+    def _dispatch(self, data, out: FrameBuffer | None):
         request_id = 0
         try:
             msg_type, request_id, end = _frame_head(data, 0, self.max_frame)
@@ -465,26 +567,40 @@ class ServerCore:
                 raise UnknownMsgTypeError(f"unknown msg_type {msg_type}")
             with self._lock:
                 self._counters.count(msg_type)
-            _, request, reply = MESSAGES[msg_type]
-            result = self._HANDLERS[msg_type](self, *decode_body(request, memoryview(data)[13:]))
-            body = encode_body(reply, (result,)[: len(reply.fields)])
-            return encode_frame(Frame(msg_type | REPLY_BIT, request_id, body), self.max_frame)
+            _, request, reply_layout = MESSAGES[msg_type]
+
+            def reply(result):
+                body = encode_body(reply_layout, (result,)[: len(reply_layout.fields)])
+                return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), out)
+
+            values = decode_body(request, memoryview(data)[13:])
+            return self._HANDLERS[msg_type](self, reply, *values)
         except StoreError as exc:
-            return self._error_reply(request_id, exc)
+            return self._error_reply(request_id, exc, out)
         except Exception as exc:  # engine bugs must not kill the connection
             err = StoreError(f"internal: {exc}")
-            return self._error_reply(request_id, err)
+            return self._error_reply(request_id, err, out)
 
-    def _error_reply(self, request_id: int, exc: StoreError) -> bytes:
+    def _error_reply(self, request_id: int, exc: StoreError, out: FrameBuffer | None):
         body = encode_body(MESSAGES[MSG_ERROR].reply, (exc.code, str(exc)))
-        return encode_frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), self.max_frame)
+        return self._frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), out)
+
+    def _frame(self, frame: Frame, out: FrameBuffer | None):
+        parts = encode_frame(frame, self.max_frame, out)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 # -- transports -------------------------------------------------------------------
 
 
 class Connection:
-    """Client side of the protocol: framing, request ids, byte counters."""
+    """Client side of the protocol: framing, request ids, byte counters.
+
+    ``_roundtrip`` sends one request frame and returns the reply frame. A
+    transport with ``_scatter`` set takes the frame as a list of parts for
+    ``sendmsg``; the others take it as one bytes object."""
+
+    _scatter = False
 
     def __init__(self, max_frame: int = MAX_FRAME):
         self.max_frame = max_frame
@@ -495,15 +611,16 @@ class Connection:
         """Send the request of ``msg_type`` carrying ``values``; returns the
         values of its reply."""
         _, request, reply = MESSAGES[msg_type]
-        return decode_body(reply, self.request(msg_type, encode_body(request, values)))
+        body = encode_body(request, values)
+        return decode_body(reply, self.request(msg_type, body if self._scatter else b"".join(body)))
 
-    def request(self, msg_type: int, body: bytes) -> memoryview:
-        """One request frame out; returns the body of its reply, or raises
-        the typed error of an ERROR reply."""
+    def request(self, msg_type: int, body) -> memoryview:
+        """One request frame out; returns the body of its reply, valid until
+        the next request, or raises the typed error of an ERROR reply."""
         request_id = self._next_request
         self._next_request += 1
         raw = encode_frame(Frame(msg_type, request_id, body), self.max_frame)
-        self.counters.bytes_sent += len(raw)
+        self.counters.bytes_sent += sum(map(len, raw)) if type(raw) is list else len(raw)
         self.counters.count(msg_type)
         reply = self._roundtrip(raw)
         self.counters.bytes_received += len(reply)
@@ -517,7 +634,7 @@ class Connection:
             raise FrameError(f"reply type {reply_type} does not match request type {msg_type}")
         return reply_body
 
-    def _roundtrip(self, raw: bytes) -> bytes:
+    def _roundtrip(self, raw):
         raise NotImplementedError
 
     def close(self) -> None:
@@ -536,41 +653,62 @@ class LoopbackConnection(Connection):
 
 
 class TcpConnection(Connection):
+    _scatter = True
+
     def __init__(self, host: str, port: int, max_frame: int = MAX_FRAME, timeout: float = 30.0):
         super().__init__(max_frame)
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._received = FrameBuffer()
 
-    def _roundtrip(self, raw: bytes) -> bytes:
-        self._sock.sendall(raw)
-        return _recv_frame(self._sock, self.max_frame)
+    def _roundtrip(self, raw) -> memoryview:
+        _send_parts(self._sock, raw if type(raw) is list else [raw])
+        return _recv_frame(self._sock, self._received, self.max_frame)
 
     def close(self) -> None:
+        self._received.release()
         try:
             self._sock.close()
         except OSError:
             pass
 
 
-def _recv_frame(sock: socket.socket, max_frame: int) -> bytes:
-    """One whole frame; FrameError when the peer closes first or claims an
-    oversize frame, after which the stream cannot be resynchronized."""
-    head = _recv_exact(sock, 4)
+def _recv_frame(sock: socket.socket, buf: FrameBuffer, max_frame: int) -> memoryview:
+    """One whole frame, received into ``buf`` and returned as a view of it;
+    FrameError when the peer closes first or claims an oversize frame (before
+    ``buf`` grows), after which the stream cannot be resynchronized."""
+    head = buf.view(_LEN.size)
+    _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
     if length > max_frame:
         raise FrameError(f"oversize frame of {length} bytes")
-    return head + _recv_exact(sock, length)
+    frame = buf.view(_LEN.size + length)
+    _LEN.pack_into(frame, 0, length)  # growing the buffer replaced its array
+    _recv_into(sock, frame[_LEN.size :])
+    return frame
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise FrameError(f"connection closed mid-frame: {remaining} bytes missing")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    n = sock.recv_into(view)
+    while n < len(view):
+        if not n:
+            raise FrameError(f"connection closed mid-frame: {len(view)} bytes missing")
+        view = view[n:]
+        n = sock.recv_into(view)
+
+
+def _send_parts(sock: socket.socket, parts: list) -> None:
+    """Send every byte of ``parts`` (bytes-like, one byte per item) with
+    ``sendmsg``, resuming after a partial send."""
+    left = sum(map(len, parts))
+    while True:
+        sent = sock.sendmsg(parts)
+        left -= sent
+        if not left:
+            return
+        while sent >= len(parts[0]):  # drop the parts that went out whole
+            sent -= len(parts[0])
+            parts = parts[1:]
+        parts = [memoryview(parts[0])[sent:], *parts[1:]]
 
 
 class TcpServer:
@@ -588,7 +726,8 @@ class TcpServer:
         self.host, self.port = self._listener.getsockname()
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []  # live connection threads
-        self._conns: set[socket.socket] = set()
+        # live connections -> their (receive, send) buffers
+        self._conns: dict[socket.socket, tuple[FrameBuffer, FrameBuffer]] = {}
         self._running = True
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
@@ -606,23 +745,32 @@ class TcpServer:
                     return
                 self._threads = [x for x in self._threads if x.is_alive()]
                 self._threads.append(t)
-                self._conns.add(conn)
+                self._conns[conn] = (FrameBuffer(), FrameBuffer())
             t.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        with self._lock:
+            received, replies = self._conns[conn]
         try:
             while True:
-                raw = _recv_frame(conn, self.core.max_frame)
-                conn.sendall(self.core.handle_frame_bytes(raw))
+                frame = _recv_frame(conn, received, self.core.max_frame)
+                _send_parts(conn, [self.core.handle_frame_bytes(frame, replies)])
         except (OSError, FrameError):
             pass  # peer closed, or sent a frame the stream cannot recover from
         finally:
+            received.release()
+            replies.release()
             with self._lock:
-                self._conns.discard(conn)
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:
                 pass
+
+    def buffer_capacities(self) -> list[tuple[int, int]]:
+        """(receive, send) buffer capacity in bytes of each live connection."""
+        with self._lock:
+            return [(r.capacity, s.capacity) for r, s in self._conns.values()]
 
     def stop(self) -> None:
         with self._lock:

@@ -41,6 +41,23 @@ class TestObjectIds:
         with pytest.raises(Exception):
             ObjectId(b"short")
 
+    def test_hashes_and_compares_as_its_raw_bytes(self):
+        raw = bytes(range(16))
+        oid = ObjectId(bytearray(raw))
+        assert oid == ObjectId(raw) and oid != ObjectId(bytes(16))
+        assert hash(oid) == hash(raw)
+        assert oid.raw == raw and type(oid.raw) is bytes
+        assert oid.hex() == raw.hex()
+        assert repr(oid) == str(oid) == f"ObjectId({raw.hex()})"
+        assert {oid: 1}[ObjectId(raw)] == 1
+
+    def test_immutable(self):
+        oid = ObjectId(bytes(16))
+        with pytest.raises(AttributeError):
+            oid.raw = bytes(range(16))
+        with pytest.raises(AttributeError):
+            oid.extra = 1
+
 
 def _floats(n):
     return st.lists(
@@ -132,6 +149,41 @@ class TestZeroCopyView:
     def test_region_length_checked(self):
         with pytest.raises(PayloadError, match="length mismatch"):
             payload_from_region(3, (3,), memoryview(bytearray(32)))
+
+
+class TestDecodeOwnership:
+    @pytest.mark.parametrize("lead", range(8))
+    def test_copy_is_owned_and_aligned_at_any_offset(self, lead):
+        payload = Submatrix(np.arange(16.0).reshape(4, 4))
+        buf = bytearray(lead) + bytearray(encode_payload(payload))
+        decoded = decode_payload(memoryview(buf)[lead:])
+        buf[lead + 9 :] = bytes(len(buf) - lead - 9)
+        assert decoded == payload
+        assert decoded.values.flags.owndata and decoded.values.flags.aligned
+        assert not np.shares_memory(decoded.values, np.frombuffer(buf, np.uint8))
+
+    def test_view_aliases_its_frame(self):
+        payload = FloatArray([1.0, 2.0])
+        buf = bytearray(b"\x00" + encode_payload(payload))
+        decoded = decode_payload(memoryview(buf)[1:], copy=False)
+        assert decoded == payload
+        assert not decoded.values.flags.aligned  # the data starts at offset 10
+        buf[10:18] = np.float64(9.5).tobytes()
+        assert decoded.values[0] == 9.5
+
+    def test_encoding_into_a_list_copies_nothing(self):
+        payload = PointsBlock(np.ones((3, 2)))
+        parts = []
+        assert encode_payload(payload, parts) is None
+        header, data = parts
+        assert header + bytes(data) == encode_payload(payload)
+        assert np.shares_memory(np.frombuffer(data, np.uint8), payload.values)
+
+    def test_empty_2d_payload_has_an_empty_data_view(self):
+        assert len(PointsBlock(np.zeros((0, 3))).data_view()) == 0
+        assert decode_payload(encode_payload(Submatrix(np.zeros((0, 0))))) == Submatrix(
+            np.zeros((0, 0))
+        )
 
 
 class TestDescriptors:

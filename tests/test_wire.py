@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import collections
+import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,15 @@ from hypothesis import given, strategies as st
 from aostore import wire
 from aostore.apps import ensure_kernel_registration
 from aostore.client import Session
-from aostore.engine import ByRef, ByValue, Engine, ResultPlacement
+from aostore.engine import (
+    ByRef,
+    ByValue,
+    Engine,
+    ResultPlacement,
+    Routine,
+    RoutineCatalog,
+    RoutineOutput,
+)
 from aostore.errors import (
     ERR_MALFORMED,
     FrameError,
@@ -39,7 +49,9 @@ from aostore.model import (
 )
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 from aostore.wire import (
+    MAX_FRAME,
     Frame,
+    FrameBuffer,
     LoopbackConnection,
     MSG_ERROR,
     MSG_GET,
@@ -282,8 +294,9 @@ class _ScriptedEngine:
     def make_persistent(self, class_name, payload, tier):
         return self._answer("make_persistent", class_name, payload, tier)
 
-    def get_object(self, oid):
-        return self._answer("get_object", oid)
+    def get_object(self, oid, read=None):
+        payload = self._answer("get_object", oid)
+        return payload if read is None else read(payload)
 
     def invoke(self, oid, method_name, args, placement):
         return self._answer("invoke", oid, method_name, list(args), placement)
@@ -625,3 +638,155 @@ class TestCodecLookup:
         # three requests and three replies carrying four payloads: the
         # persisted block, the GET reply, the argument and the result
         assert calls == {"encode_frame": 6, "encode_payload": 4, "decode_payload": 4}
+
+
+# -- partial I/O and buffer ownership -----------------------------------------------
+
+
+class _CountingSocket(socket.socket):
+    """A socket that records what each recv_into and sendmsg call returned."""
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(fileno=sock.detach())
+        self.returns = []
+
+    def recv_into(self, *args):
+        self.returns.append(super().recv_into(*args))
+        return self.returns[-1]
+
+    def sendmsg(self, *args):
+        self.returns.append(super().sendmsg(*args))
+        return self.returns[-1]
+
+
+class TestPartialIO:
+    def test_frame_sent_a_byte_at_a_time_is_read_whole(self):
+        frames = [encode_frame(Frame(MSG_GET, 1, bytes(range(16)))),
+                  encode_frame(Frame(MSG_STATS, 2, b""))]
+        a, b = socket.socketpair()
+        reader = _CountingSocket(b)
+
+        def drip():
+            for raw in frames:
+                for i in range(len(raw)):
+                    a.sendall(raw[i : i + 1])
+                    time.sleep(0.0005)
+
+        sender = threading.Thread(target=drip)
+        sender.start()
+        buf = FrameBuffer()
+        got = [bytes(wire._recv_frame(reader, buf, MAX_FRAME)) for _ in frames]
+        sender.join()
+        a.close()
+        reader.close()
+        assert got == frames
+        assert len(reader.returns) > 2 * len(frames)  # more than one read per field
+
+    def test_partial_sendmsg_delivers_identical_bytes(self):
+        a, b = socket.socketpair()
+        a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sender = _CountingSocket(a)
+        sender.settimeout(10.0)
+        data = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+        parts = [b"head", memoryview(data).cast("B"), b"", b"tail"]
+        expected = b"".join(parts)
+        received = bytearray()
+
+        def drain():
+            while len(received) < len(expected):
+                chunk = b.recv(1 << 16)
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        wire._send_parts(sender, parts)
+        reader.join()
+        sender.close()
+        b.close()
+        assert bytes(received) == expected
+        assert len(sender.returns) > 1 and sum(sender.returns) == len(expected)
+
+    def test_oversize_length_fails_before_the_buffer_grows(self):
+        a, b = socket.socketpair()
+        a.sendall(struct.pack("<I", 1025) + bytes(64))
+        buf = FrameBuffer()
+        with pytest.raises(FrameError, match="oversize"):
+            wire._recv_frame(b, buf, 1024)
+        assert buf.capacity == 4
+        a.close()
+        b.close()
+
+
+@pytest.fixture
+def tcp(arena_dir):
+    engine, _ = _loopback(arena_dir)
+    server = TcpServer(engine)
+    session = Session.connect_tcp(server.host, server.port)
+    yield server, session
+    session.close()
+    server.stop()
+    engine.close()
+
+
+class TestBufferOwnership:
+    def test_a_get_owns_its_payload(self, tcp):
+        _, session = tcp
+        a, b = (
+            session.make_persistent(MATRIX_CLASS, Submatrix(np.full((64, 64), x)), tier)
+            for x, tier in ((1.0, TierKind.NVM_DIRECT), (2.0, TierKind.DRAM))
+        )
+        first = session.get(a)
+        second = session.get(b)
+        assert np.all(first.values == 1.0) and np.all(second.values == 2.0)
+        assert not np.shares_memory(first.values, second.values)
+        for payload in (first, second):
+            flags = payload.values.flags
+            assert flags.owndata and flags.aligned and flags.writeable
+
+    def test_every_array_a_routine_sees_is_aligned(self, arena_dir):
+        seen = []
+
+        def probe(target, args):
+            seen.append([target.values.flags.aligned] + [a.values.flags.aligned for a in args])
+            return RoutineOutput()
+
+        engine = Engine(make_tiers(arena_dir), RoutineCatalog([Routine("test.probe", probe)]))
+        server = TcpServer(engine)
+        session = Session.connect_tcp(server.host, server.port)
+        session.register_class(ClassDescriptor("Probe"))
+        # method names of 1 to 8 bytes shift the by-value argument through
+        # every offset mod 8 in the request frame
+        names = ["p" * n for n in range(1, 9)]
+        for name in names:
+            session.register_method(MethodDescriptor("Probe", name, "test.probe", ("", "")))
+        block = Submatrix(np.ones((4, 4)))
+        for tier in TierKind:
+            target = session.make_persistent("Probe", block, tier)
+            ref = session.make_persistent("Probe", block, tier)
+            for name in names:
+                session.invoke(target, name, [ByRef(ref), ByValue(Centroids(np.ones((3, 5))))])
+            assert session.get(target).values.flags.aligned
+        session.close()
+        server.stop()
+        engine.close()
+        assert seen == [[True, True, True]] * len(names) * len(TierKind)
+
+    def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, tcp):
+        server, session = tcp
+        start = session.counters()
+        oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((100, 100))), TierKind.DRAM)
+        persisted = session.counters()
+        session.get(oid)
+        got = session.counters()
+        session.stats()  # smaller frames leave the buffers as they are
+        largest_request = persisted.bytes_sent - start.bytes_sent
+        largest_reply = got.bytes_received - persisted.bytes_received
+        assert server.buffer_capacities() == [(largest_request, largest_reply)]
+        session.close()
+        assert session._conn._received.capacity == 0
+        deadline = time.monotonic() + 10
+        while server.buffer_capacities() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.buffer_capacities() == []
