@@ -135,13 +135,20 @@ class _ObjectMeta:
         return region_reader(self.variant, self.shape)
 
 
-def _aligned(payload: BlockPayload) -> BlockPayload:
-    """``payload``, or an aligned copy of it when its array is unaligned (a
-    by-value argument decoded in place from a frame): numpy runs unaligned
-    operands through slower loops and keeps them out of BLAS."""
-    if payload.values.flags.aligned:
+def _by_value(payload: BlockPayload) -> BlockPayload:
+    """A by-value argument as a routine sees it: aligned and read-only.
+
+    Decoded in place from a request frame, its array is a view of the frame
+    that may be unaligned, and writable or not depending on the transport; an
+    unaligned one is copied, since numpy runs unaligned operands through slower
+    loops and keeps them out of BLAS. Read-only on every transport, a routine
+    cannot write into a receive buffer or into the caller's array."""
+    values = payload.values
+    if values.flags.aligned and not values.flags.writeable:
         return payload
-    return type(payload)(payload.values.copy())
+    values = values.view() if values.flags.aligned else values.copy()
+    values.flags.writeable = False
+    return type(payload)(values)
 
 
 OPS = ("invoke", "__persist__", "__get__", "__delete__", "__flush__")
@@ -411,7 +418,7 @@ class Engine:
             for arg, schema in zip(args, desc.arg_schema):
                 if isinstance(arg, ByValue):
                     self._check_schema(arg.payload, schema, method_name)
-                    resolved.append(_aligned(arg.payload))
+                    resolved.append(_by_value(arg.payload))
                 else:
                     ref_id, ref_meta = next(ref_iter)
                     view = self._payload_view(ref_meta, ref_id)

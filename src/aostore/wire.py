@@ -17,10 +17,10 @@ both the in-process loopback transport and the TCP transport, so identical
 workloads produce identical counters on either.
 
 Over TCP a large payload crosses user space at most once on each side. Each
-connection receives frames with ``recv_into`` into one reused buffer, and
-sends a frame with ``sendmsg`` over a few parts: the head and the small
-fields joined, each large payload's data section a view of its array. The
-copies left, per operation:
+connection receives frames with ``recv_into`` into one reused buffer, grown
+only as a frame's bytes arrive, and sends a frame with ``sendmsg`` over a few
+parts: the head and the small fields joined, each large payload's data
+section a view of its array. The copies left, per operation:
 
 - persist: the client sends the payload's own array. The server decodes the
   payload as a view of its receive buffer, and the tier store copies it in.
@@ -29,16 +29,16 @@ copies left, per operation:
   buffer (one copy). The client copies the payload out of its receive buffer
   into a fresh array (one copy).
 - invoke by value: the argument travels as a persisted payload does, and the
-  routine sees it as a view of the receive buffer, copied first only if it is
-  unaligned. A by-value result is encoded from the routine's array into the
-  send buffer, and the client copies it out as for a get.
+  routine sees it as a read-only view of the receive buffer, copied first
+  only if it is unaligned. A by-value result is encoded from the routine's
+  array into the send buffer, and the client copies it out as for a get.
 
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the receive buffer, which the next
 request overwrites; it is used only until its reply is sent, and the tier
 stores copy it. A reply frame returned by ``handle_frame_bytes`` into a
 connection's send buffer is valid until that buffer's next reply. The
-loopback transport passes each frame as one bytes object.
+loopback transport joins each request's parts into one bytes object.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # parts shorter than this are joined to their neighbours before a send, so a
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
+# a receive buffer grows by at most this much, or by what the frame has
+# already delivered if that is more, ahead of the bytes that have arrived
+RECV_STEP = 1 << 20
 
 
 class Frame(NamedTuple):
@@ -107,10 +110,13 @@ class FrameBuffer:
     def capacity(self) -> int:
         return len(self._whole)
 
-    def view(self, size: int) -> memoryview:
-        """A writable view of the first ``size`` bytes."""
+    def view(self, size: int, keep: int = 0) -> memoryview:
+        """A writable view of the first ``size`` bytes; when the buffer grows,
+        the first ``keep`` bytes move over to the new array."""
         if size > len(self._whole):
-            self._whole = memoryview(bytearray(size))
+            whole = memoryview(bytearray(size))
+            whole[:keep] = self._whole[:keep]
+            self._whole = whole
         return self._whole[:size]
 
     def release(self) -> None:
@@ -596,11 +602,8 @@ class ServerCore:
 class Connection:
     """Client side of the protocol: framing, request ids, byte counters.
 
-    ``_roundtrip`` sends one request frame and returns the reply frame. A
-    transport with ``_scatter`` set takes the frame as a list of parts for
-    ``sendmsg``; the others take it as one bytes object."""
-
-    _scatter = False
+    ``_roundtrip`` sends one request frame, given as the list of parts that
+    ``encode_frame`` returns, and returns the reply frame."""
 
     def __init__(self, max_frame: int = MAX_FRAME):
         self.max_frame = max_frame
@@ -612,15 +615,16 @@ class Connection:
         values of its reply."""
         _, request, reply = MESSAGES[msg_type]
         body = encode_body(request, values)
-        return decode_body(reply, self.request(msg_type, body if self._scatter else b"".join(body)))
+        return decode_body(reply, self.request(msg_type, body))
 
-    def request(self, msg_type: int, body) -> memoryview:
-        """One request frame out; returns the body of its reply, valid until
-        the next request, or raises the typed error of an ERROR reply."""
+    def request(self, msg_type: int, body: list) -> memoryview:
+        """One request frame out, its body the parts ``encode_body`` returns;
+        returns the body of its reply, valid until the next request, or raises
+        the typed error of an ERROR reply."""
         request_id = self._next_request
         self._next_request += 1
         raw = encode_frame(Frame(msg_type, request_id, body), self.max_frame)
-        self.counters.bytes_sent += sum(map(len, raw)) if type(raw) is list else len(raw)
+        self.counters.bytes_sent += sum(map(len, raw))
         self.counters.count(msg_type)
         reply = self._roundtrip(raw)
         self.counters.bytes_received += len(reply)
@@ -648,20 +652,18 @@ class LoopbackConnection(Connection):
         super().__init__(core.max_frame)
         self._core = core
 
-    def _roundtrip(self, raw: bytes) -> bytes:
-        return self._core.handle_frame_bytes(raw)
+    def _roundtrip(self, raw: list) -> bytes:
+        return self._core.handle_frame_bytes(b"".join(raw))
 
 
 class TcpConnection(Connection):
-    _scatter = True
-
     def __init__(self, host: str, port: int, max_frame: int = MAX_FRAME, timeout: float = 30.0):
         super().__init__(max_frame)
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._received = FrameBuffer()
 
-    def _roundtrip(self, raw) -> memoryview:
-        _send_parts(self._sock, raw if type(raw) is list else [raw])
+    def _roundtrip(self, raw: list) -> memoryview:
+        _send_parts(self._sock, raw)
         return _recv_frame(self._sock, self._received, self.max_frame)
 
     def close(self) -> None:
@@ -675,19 +677,29 @@ class TcpConnection(Connection):
 def _recv_frame(sock: socket.socket, buf: FrameBuffer, max_frame: int) -> memoryview:
     """One whole frame, received into ``buf`` and returned as a view of it;
     FrameError when the peer closes first or claims an oversize frame (before
-    ``buf`` grows), after which the stream cannot be resynchronized."""
+    ``buf`` grows), after which the stream cannot be resynchronized.
+
+    A frame larger than ``buf`` grows it in steps as its bytes arrive (see
+    ``RECV_STEP``), so a peer that announces a large frame and stalls makes
+    the buffer no larger than twice what it has sent plus ``RECV_STEP``."""
     head = buf.view(_LEN.size)
     _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
     if length > max_frame:
         raise FrameError(f"oversize frame of {length} bytes")
-    frame = buf.view(_LEN.size + length)
-    _LEN.pack_into(frame, 0, length)  # growing the buffer replaced its array
-    _recv_into(sock, frame[_LEN.size :])
+    size, got = _LEN.size + length, _LEN.size
+    while size > buf.capacity:
+        step = buf.view(min(size, got + max(got, RECV_STEP)), keep=got)
+        _recv_into(sock, step[got:])
+        got = len(step)
+    frame = buf.view(size)
+    _recv_into(sock, frame[got:])
     return frame
 
 
 def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    if not view:
+        return  # a socket with a timeout would wait for data even to read nothing
     n = sock.recv_into(view)
     while n < len(view):
         if not n:
@@ -698,7 +710,11 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
 
 def _send_parts(sock: socket.socket, parts: list) -> None:
     """Send every byte of ``parts`` (bytes-like, one byte per item) with
-    ``sendmsg``, resuming after a partial send."""
+    ``sendmsg``, resuming after a partial send. A single part, which every
+    small frame is, goes out with ``sendall``, which costs less per call."""
+    if len(parts) == 1:
+        sock.sendall(parts[0])
+        return
     left = sum(map(len, parts))
     while True:
         sent = sock.sendmsg(parts)
@@ -726,8 +742,7 @@ class TcpServer:
         self.host, self.port = self._listener.getsockname()
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []  # live connection threads
-        # live connections -> their (receive, send) buffers
-        self._conns: dict[socket.socket, tuple[FrameBuffer, FrameBuffer]] = {}
+        self._conns: set[socket.socket] = set()
         self._running = True
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
@@ -745,12 +760,11 @@ class TcpServer:
                     return
                 self._threads = [x for x in self._threads if x.is_alive()]
                 self._threads.append(t)
-                self._conns[conn] = (FrameBuffer(), FrameBuffer())
+                self._conns.add(conn)
             t.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        with self._lock:
-            received, replies = self._conns[conn]
+        received, replies = FrameBuffer(), FrameBuffer()
         try:
             while True:
                 frame = _recv_frame(conn, received, self.core.max_frame)
@@ -761,16 +775,11 @@ class TcpServer:
             received.release()
             replies.release()
             with self._lock:
-                self._conns.pop(conn, None)
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
                 pass
-
-    def buffer_capacities(self) -> list[tuple[int, int]]:
-        """(receive, send) buffer capacity in bytes of each live connection."""
-        with self._lock:
-            return [(r.capacity, s.capacity) for r, s in self._conns.values()]
 
     def stop(self) -> None:
         with self._lock:

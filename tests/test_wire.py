@@ -325,7 +325,7 @@ class _Recording(LoopbackConnection):
 
     def _roundtrip(self, raw):
         reply = super()._roundtrip(raw)
-        self.frames.append((raw, reply))
+        self.frames.append((b"".join(raw), reply))
         return reply
 
 
@@ -708,6 +708,35 @@ class TestPartialIO:
         assert bytes(received) == expected
         assert len(sender.returns) > 1 and sum(sender.returns) == len(expected)
 
+    def test_stalled_large_frame_grows_the_buffer_only_by_what_arrived(self):
+        a, b = socket.socketpair()
+
+        def announce_and_stall():
+            a.sendall(struct.pack("<I", 64 << 20) + bytes(3 << 20))
+            a.shutdown(socket.SHUT_WR)
+
+        sender = threading.Thread(target=announce_and_stall)
+        sender.start()
+        buf = FrameBuffer()
+        with pytest.raises(FrameError, match="closed mid-frame"):
+            wire._recv_frame(b, buf, MAX_FRAME)
+        sender.join()
+        assert buf.capacity <= 2 * (4 + (3 << 20)) + wire.RECV_STEP
+        a.close()
+        b.close()
+
+    def test_frame_larger_than_a_step_is_read_whole(self):
+        raw = encode_frame(Frame(MSG_GET, 3, np.random.default_rng(0).bytes(5 * wire.RECV_STEP + 7)))
+        a, b = socket.socketpair()
+        sender = threading.Thread(target=a.sendall, args=(raw,))
+        sender.start()
+        buf = FrameBuffer()
+        got = bytes(wire._recv_frame(b, buf, MAX_FRAME))
+        sender.join()
+        a.close()
+        b.close()
+        assert got == raw and buf.capacity == len(raw)
+
     def test_oversize_length_fails_before_the_buffer_grows(self):
         a, b = socket.socketpair()
         a.sendall(struct.pack("<I", 1025) + bytes(64))
@@ -773,8 +802,46 @@ class TestBufferOwnership:
         engine.close()
         assert seen == [[True, True, True]] * len(names) * len(TierKind)
 
-    def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, tcp):
-        server, session = tcp
+    @pytest.mark.parametrize("transport", ["engine", "loopback", "tcp"])
+    def test_by_value_arguments_are_read_only(self, arena_dir, transport):
+        writable = []
+
+        def probe(target, args):
+            writable.extend(a.values.flags.writeable for a in args)
+            return RoutineOutput()
+
+        engine = Engine(make_tiers(arena_dir), RoutineCatalog([Routine("test.probe", probe)]))
+        server = TcpServer(engine) if transport == "tcp" else None
+        client = {"engine": lambda: engine,
+                  "loopback": lambda: Session.connect_loopback(ServerCore(engine)),
+                  "tcp": lambda: Session.connect_tcp(server.host, server.port)}[transport]()
+        client.register_class(ClassDescriptor("Probe"))
+        names = ["p" * n for n in range(1, 9)]  # aligned and unaligned arguments
+        for name in names:
+            client.register_method(MethodDescriptor("Probe", name, "test.probe", ("",)))
+        target = client.make_persistent("Probe", Submatrix(np.ones((4, 4))), TierKind.DRAM)
+        mine = Centroids(np.ones((3, 5)))
+        for name in names:
+            client.invoke(target, name, [ByValue(mine)])
+        if server:
+            client.close()
+            server.stop()
+        engine.close()
+        assert writable == [False] * len(names)
+        assert mine.values.flags.writeable  # the caller's array is left as it was
+
+    def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, arena_dir, monkeypatch):
+        made = []
+
+        class Recorded(FrameBuffer):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(wire, "FrameBuffer", Recorded)
+        engine, _ = _loopback(arena_dir)
+        server = TcpServer(engine)
+        session = Session.connect_tcp(server.host, server.port)
         start = session.counters()
         oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((100, 100))), TierKind.DRAM)
         persisted = session.counters()
@@ -783,10 +850,15 @@ class TestBufferOwnership:
         session.stats()  # smaller frames leave the buffers as they are
         largest_request = persisted.bytes_sent - start.bytes_sent
         largest_reply = got.bytes_received - persisted.bytes_received
-        assert server.buffer_capacities() == [(largest_request, largest_reply)]
+        client = session._conn._received
+        served = [b for b in made if b is not client]
+        assert client.capacity == largest_reply
+        assert sorted(b.capacity for b in served) == sorted([largest_request, largest_reply])
         session.close()
-        assert session._conn._received.capacity == 0
+        assert client.capacity == 0
         deadline = time.monotonic() + 10
-        while server.buffer_capacities() and time.monotonic() < deadline:
+        while any(b.capacity for b in served) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert server.buffer_capacities() == []
+        server.stop()
+        engine.close()
+        assert [b.capacity for b in served] == [0, 0]
