@@ -9,9 +9,13 @@ the :class:`AppRunResult`. An application subclass contributes only its
 grid layout and the assemble/digest ``collect`` phase.
 
 Active runs ship invocations; the object payloads never cross the client
-boundary. Passive runs emulate a non-active store on the same engine: whole
-objects are fetched with GET on every use (no client caching) and the same
-kernel functions run client-side, so both modes produce bit-identical results.
+boundary. State that lives across iterations stays in the store too: the
+active k-means run persists its centroids once into DRAM, passes them to
+every ``accumulate`` and ``finish`` by reference, has ``finish`` store the
+next centroids volatile, and fetches only the final ones. Passive runs
+emulate a non-active store on the same engine: whole objects are fetched with
+GET on every use (no client caching) and the same kernel functions run
+client-side, so both modes produce bit-identical results.
 
 Invocations are issued sequentially; per-object read counts afterwards equal
 each kernel's reuse factor (histogram and matrix addition 1, k-means its
@@ -29,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .client import Session, fetch_full
-from .engine import ByRef, ByValue, Engine, ResultPlacement
+from .engine import ByRef, Engine, ResultPlacement
 from .errors import DuplicateError, InvalidRequestError
 from .kernels import (
     HIST_CLASS,
@@ -233,17 +237,25 @@ class _KMeans(_Run):
 
     def compute(self, ids):
         spec, centroids = self.spec, self.centroids
-        zeros = PartialSum.zeros(spec.centers, spec.dims).to_payload()
-        for _ in range(spec.iterations):
-            if self.active:
-                acc = self.session.make_persistent(POINTS_CLASS, zeros, TierKind.DRAM)
-                for oid in ids:
-                    self.invoke(acc, "accumulate", [ByRef(oid), ByValue(centroids)])
-                centroids = self.invoke(acc, "finish", [ByValue(centroids)])
-                self.session.delete(acc)
-            else:
+        if not self.active:
+            for _ in range(spec.iterations):
                 partials = [self.client(kmeans_partial, self.fetch(oid), centroids) for oid in ids]
                 centroids = self.client(kmeans_reduce, partials, centroids, invocation=False)
+            return centroids
+        # the centroids stay in a DRAM object from one iteration to the next,
+        # so each accumulate names them instead of carrying them
+        zeros = PartialSum.zeros(spec.centers, spec.dims).to_payload()
+        cid = self.session.make_persistent(POINTS_CLASS, centroids, TierKind.DRAM)
+        for _ in range(spec.iterations):
+            acc = self.session.make_persistent(POINTS_CLASS, zeros, TierKind.DRAM)
+            for oid in ids:
+                self.invoke(acc, "accumulate", [ByRef(oid), ByRef(cid)])
+            new_cid = self.invoke(acc, "finish", [ByRef(cid)], ResultPlacement.volatile())
+            self.session.delete(acc)
+            self.session.delete(cid)
+            cid = new_cid
+        centroids = self.session.get(cid)
+        self.session.delete(cid)
         return centroids
 
 

@@ -247,14 +247,6 @@ class Engine:
                 )
             self._methods[key] = desc
 
-    def list_classes(self) -> list[str]:
-        with self._lock:
-            return sorted(self._classes)
-
-    def has_method(self, class_name: str, method_name: str) -> bool:
-        with self._lock:
-            return (class_name, method_name) in self._methods
-
     def tier(self, kind: TierKind) -> TierHandle:
         try:
             return self._tiers[kind]

@@ -2,7 +2,10 @@
 
 histogram     -- 140 fixed bins over [0, inf) on F-distributed arrays
 k-means       -- Lloyd iterations with per-block partial sums, 20 centers;
-                 each center's sums accumulate in row order
+                 each center's sums accumulate in row order. ``accumulate``
+                 adds a block's packed partial onto a stored accumulator;
+                 the active run names its centroids, kept in a DRAM object,
+                 by reference
 matrix add    -- elementwise sum of k x k submatrix blocks, bit exact
 matrix mul    -- blocked multiply-accumulate, one BLAS product per block:
                  active, in-place and passive executions call the same
@@ -238,27 +241,32 @@ def kmeans_partial(block: PointsBlock, centroids: Centroids) -> PartialSum:
         raise ShapeMismatchError(
             f"dims mismatch: points have {pts.shape[1]}, centroids {cents.shape[1]}"
         )
-    if np.isnan(pts).any() or np.isnan(cents).any():
+    # A squared norm is NaN exactly when its row holds a NaN: NaN squared is
+    # NaN, and a sum of non-negative terms and +inf never is. So the norms the
+    # distances need anyway stand in for a separate pass looking for NaN.
+    pt_norms = np.sum(pts * pts, axis=1, keepdims=True)
+    cent_norms = np.sum(cents * cents, axis=1)
+    if np.isnan(pt_norms).any() or np.isnan(cent_norms).any():
         raise InvalidRequestError("k-means input contains NaN")
-    d2 = (
-        np.sum(pts * pts, axis=1, keepdims=True)
-        - 2.0 * (pts @ cents.T)
-        + np.sum(cents * cents, axis=1)
-    )
+    d2 = pt_norms - 2.0 * (pts @ cents.T) + cent_norms
     assign = np.argmin(d2, axis=1)
     k, dims = cents.shape
     counts = np.bincount(assign, minlength=k)
     order = np.argsort(assign, kind="stable")
     # Sum each center's rows in row order: numpy reduces a 2-d array over its
-    # rows by adding one row after another to 0.0. A single column it would
-    # sum pairwise, in another order, so the rows are copied into a buffer one
-    # zero column wider.
-    sums = np.empty((k, dims + 1))
+    # rows by adding one row after another to 0.0, so the rows are gathered
+    # once, grouped by center, and each group reduced in place. A single
+    # column numpy would sum pairwise, in another order, so that one case is
+    # gathered into a buffer one zero column wider.
+    if dims == 1:
+        grouped = np.zeros((len(order), 2))
+        grouped[:, 0] = pts[order, 0]
+    else:
+        grouped = pts.take(order, axis=0)
+    sums = np.empty((k, grouped.shape[1]))
     start = 0
-    for j, end in enumerate(np.cumsum(counts)):
-        rows = np.zeros((end - start, dims + 1))
-        rows[:, :dims] = pts[order[start:end]]
-        np.add.reduce(rows, axis=0, out=sums[j])
+    for j, end in enumerate(np.cumsum(counts).tolist()):
+        np.add.reduce(grouped[start:end], axis=0, out=sums[j])
         start = end
     return PartialSum(sums[:, :dims], counts.astype(np.uint64))
 
@@ -314,15 +322,17 @@ def matmul_block(acc: Submatrix, a: Submatrix, b: Submatrix) -> Submatrix:
 
 
 def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
+    """Add the block's packed partial (sums, then counts as a last column)
+    onto the packed accumulator: the same float adds a merge of unpacked sums
+    makes, and counts below 2**53 add exactly as float64."""
     block, centroids = args
-    partial = kmeans_partial(block, centroids)
-    acc = PartialSum.from_payload(target)
-    if acc.sums.shape != partial.sums.shape:
+    partial = kmeans_partial(block, centroids).to_payload().values
+    if target.values.shape != partial.shape:
         raise ShapeMismatchError(
-            f"accumulator shape {acc.sums.shape} does not match partial {partial.sums.shape}"
+            f"accumulator shape {target.values.shape} does not match partial {partial.shape}"
         )
-    merged = PartialSum(acc.sums + partial.sums, acc.counts + partial.counts)
-    return RoutineOutput(target_update=merged.to_payload().values)
+    partial += target.values
+    return RoutineOutput(target_update=partial)
 
 
 def _result(fn):

@@ -34,6 +34,7 @@ from aostore.engine import Engine
 from aostore.errors import StoreError
 from aostore.kernels import (
     HIST_CLASS,
+    POINTS_CLASS,
     HistogramSpec,
     KMeansSpec,
     MatrixDescriptor,
@@ -41,6 +42,8 @@ from aostore.kernels import (
     gen_f_array,
     gen_matrix,
     assemble_matrix,
+    kernel_classes,
+    kernel_methods,
 )
 from aostore.model import (
     Centroids,
@@ -377,6 +380,77 @@ def test_criterion_05_locality_law(tmp_path):
         assert active_km <= 0.002 * passive_km
 
 
+def _str16(text: str) -> int:
+    return 2 + len(text.encode("utf-8"))
+
+
+def _registration_request_bytes() -> int:
+    # REGISTER_CLASS: name, u16-counted (field, semantic) pairs, u16-counted
+    # method names; REGISTER_METHOD: class, method, routine key, u8-counted arg
+    # schema, result schema, mutates flag
+    classes = sum(
+        FRAME_OVERHEAD + _str16(c.class_name)
+        + 2 + sum(_str16(n) + _str16(sem) for n, sem in c.fields)
+        + 2 + sum(map(_str16, c.methods))
+        for c in kernel_classes()
+    )
+    methods = sum(
+        FRAME_OVERHEAD + _str16(m.class_name) + _str16(m.method_name) + _str16(m.routine_key)
+        + 1 + sum(map(_str16, m.arg_schema)) + _str16(m.result_schema) + 1
+        for m in kernel_methods()
+    )
+    return classes + methods
+
+
+def _persist_frame(payload) -> int:
+    return FRAME_OVERHEAD + _str16(POINTS_CLASS) + 1 + encoded_size(payload)  # class, tier, payload
+
+
+def _invoke_frame(method: str, refs: int) -> int:
+    # target id, method name, placement kind, u8 arg count, (tag, id) per ByRef
+    return FRAME_OVERHEAD + 16 + _str16(method) + 1 + 1 + refs * (1 + 16)
+
+
+def test_active_kmeans_sent_bytes_exact(tmp_path):
+    """Client-sent bytes of an active k-means run, exactly, from the frame layout.
+
+    The centroids cross the wire once, in their first persist; every
+    accumulate and finish names them by reference, so no term of the total
+    scales with blocks x centroid bytes, only with blocks x a fixed invoke.
+    """
+    spec = KMeansSpec()
+    block_rows, dims = 64, spec.dims
+    id_frame = FRAME_OVERHEAD + 16  # GET or DELETE: one object id
+    centroids = Centroids(np.zeros((spec.centers, dims)))
+    accumulator = PointsBlock(np.zeros((spec.centers, dims + 1)))
+    per_iteration_fixed = (
+        _persist_frame(accumulator)
+        + _invoke_frame("finish", refs=1)
+        + 2 * id_frame  # delete the accumulator and the old centroids
+    )
+    per_block = _persist_frame(PointsBlock(np.zeros((block_rows, dims))))
+    per_block_iteration = _invoke_frame("accumulate", refs=2)
+    assert per_block_iteration < 100  # a fixed-size frame, no centroid payload in it
+
+    sent = {}
+    for blocks in (4, 8):
+        engine, session = fresh_stack(tmp_path, f"k-sent-{blocks}", capacity=1 << 27)
+        sent0 = session.counters().bytes_sent
+        run_kmeans(session, seed=5003, n_points=blocks * block_rows, block_rows=block_rows,
+                   tier=TierKind.DRAM, mode="active", engine=engine, spec=spec)
+        sent[blocks] = session.counters().bytes_sent - sent0
+        engine.close()
+        assert sent[blocks] == (
+            _registration_request_bytes()
+            + blocks * per_block
+            + _persist_frame(centroids)  # the initial centroids, the one by-value copy
+            + spec.iterations * (per_iteration_fixed + blocks * per_block_iteration)
+            + 2 * id_frame  # GET the final centroids, then delete them
+        )
+    # four more blocks add their persists and their accumulate invokes only
+    assert sent[8] - sent[4] == 4 * (per_block + spec.iterations * per_block_iteration)
+
+
 # -- 6. persistence semantics -------------------------------------------------------
 
 
@@ -386,8 +460,6 @@ def test_criterion_06_persistence_semantics(tmp_path):
         arena.mkdir()
         tiers = make_tiers(arena, capacity=1 << 20, cache=1 << 18)
         engine = Engine(tiers, build_catalog(), id_factory=ObjectIdFactory(6))
-        from aostore.kernels import kernel_classes
-
         for c in kernel_classes():
             engine.register_class(c)
         payload = FloatArray(np.arange(512.0))

@@ -45,8 +45,11 @@ class TestRegistration:
     def test_register_block_class_and_method(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        assert "Block" in engine.list_classes()
-        assert engine.has_method("Block", "mean")
+        # both are registered: registering either again is a duplicate
+        with pytest.raises(DuplicateError):
+            engine.register_class(BLOCK)
+        with pytest.raises(DuplicateError):
+            engine.register_method(BLOCK_MEAN)
 
     def test_duplicate_class_rejected(self, engine):
         engine.register_class(BLOCK)

@@ -330,3 +330,38 @@ def test_partial_sums_bit_identical_to_bincount_reference(rows, dims, centers, f
     assert np.array_equal(got.counts, counts)
     # compared as bit patterns, so the sign of a zero sum counts too
     assert np.array_equal(got.sums.view(np.uint64), sums.view(np.uint64))
+
+
+@given(
+    rows=st.integers(1, 40),
+    dims=st.integers(1, 12),
+    centers=st.integers(1, 8),
+    in_points=st.booleans(),
+    nan=st.booleans(),
+    infs=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, dims=1, centers=1, in_points=True, nan=True, infs=0, seed=0)
+@example(rows=5, dims=3, centers=2, in_points=False, nan=True, infs=0, seed=1)
+@example(rows=4, dims=3, centers=2, in_points=True, nan=False, infs=6, seed=2)
+def test_nan_in_any_input_is_rejected_and_infinities_are_not(
+    rows, dims, centers, in_points, nan, infs, seed
+):
+    # the kernel finds NaN through the row norms it computes anyway: a norm is
+    # NaN exactly when its row holds a NaN, whatever infinities sit beside it
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(rows, dims))
+    cents = rng.normal(size=(centers, dims))
+    for _ in range(infs):
+        where = pts if rng.random() < 0.5 else cents
+        where[tuple(rng.integers(0, n) for n in where.shape)] = rng.choice([np.inf, -np.inf])
+    if nan:
+        where = pts if in_points else cents
+        where[tuple(rng.integers(0, n) for n in where.shape)] = np.nan
+    with np.errstate(all="ignore"):  # infinities make inf - inf in the distances
+        if nan:
+            with pytest.raises(InvalidRequestError, match="NaN"):
+                kmeans_partial(PointsBlock(pts), Centroids(cents))
+        else:
+            got = kmeans_partial(PointsBlock(pts), Centroids(cents))
+            assert int(got.counts.sum()) == rows
