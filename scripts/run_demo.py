@@ -12,8 +12,7 @@ import tempfile
 from pathlib import Path
 
 from aostore import ClassDescriptor, Engine, MethodDescriptor, Session, Stub
-from aostore.apps import run_histogram
-from aostore.client import fetch_full
+from aostore.apps import run_app
 from aostore.kernels import build_catalog
 from aostore.model import FloatArray, ObjectIdFactory
 from aostore.tiers import ArenaConfig, TierKind, open_tier
@@ -44,20 +43,13 @@ def main() -> None:
     oid = block.persist(TierKind.NVM_DIRECT)
     print("persisted  :", oid.hex())
     print("remote mean:", block.call("mean"))
-    print("fetched    :", fetch_full(session, oid).values.tolist())
+    print("fetched    :", session.get(oid).values.tolist())
 
     # the locality story in one picture: same dataset, both execution modes
     for mode in ("active", "passive"):
         before = session.counters().bytes_received
-        run = run_histogram(
-            session,
-            seed=7,
-            n_elems=1 << 20,
-            block_elems=1 << 17,
-            tier=TierKind.NVM_DIRECT,
-            mode=mode,
-            engine=engine,
-        )
+        run = run_app("histogram", mode, session, seed=7, tier=TierKind.NVM_DIRECT,
+                      profile={"n_elems": 1 << 20, "block_elems": 1 << 17}, engine=engine)
         client_bound = session.counters().bytes_received - before
         print(
             f"{mode:7s} histogram: dataset {run.dataset_bytes/1e6:7.1f} MB, "

@@ -7,7 +7,7 @@ tiers make data-movement behaviour measurable and deterministic.
 """
 
 from .engine import ByRef, ByValue, Engine, ResultPlacement, RoutineCatalog
-from .client import Session, Stub, fetch_full
+from .client import Session, Stub
 from .model import (
     BlockPayload,
     Centroids,
@@ -56,7 +56,6 @@ __all__ = [
     "TierKind",
     "decode_payload",
     "encode_payload",
-    "fetch_full",
     "open_tier",
     "payload_size_bytes",
 ]

@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .client import Session, fetch_full
+from .client import Session
 from .engine import ByRef, Engine, ResultPlacement
 from .errors import DuplicateError, InvalidRequestError
 from .kernels import (
@@ -47,7 +47,6 @@ from .kernels import (
     gen_matrix,
     gen_points,
     histogram_block,
-    histogram_spec,
     initial_centroids,
     kernel_classes,
     kernel_methods,
@@ -58,7 +57,6 @@ from .kernels import (
     fma_values,
 )
 from .model import (
-    BlockPayload,
     ObjectId,
     Submatrix,
     encode_payload,
@@ -152,10 +150,6 @@ class _Run:
         self.invocations += 1
         return self.session.invoke(oid, method, list(args), placement)
 
-    def fetch(self, oid: ObjectId) -> BlockPayload:
-        """The passive path: the whole object over GET, never cached."""
-        return fetch_full(self.session, oid)
-
     def client(self, kernel, *args, invocation: bool = True):
         """Run ``kernel`` client-side, counting its time as method time; a
         per-block kernel counts as one invocation, a final merge as none."""
@@ -216,8 +210,7 @@ class _Histogram(_Run):
     def compute(self, ids):
         if self.active:
             return merge_histograms([self.invoke(oid, "histogram") for oid in ids])
-        spec = histogram_spec()
-        partials = [self.client(histogram_block, self.fetch(oid), spec) for oid in ids]
+        partials = [self.client(histogram_block, self.session.get(oid)) for oid in ids]
         return self.client(merge_histograms, partials, invocation=False)
 
 
@@ -239,7 +232,9 @@ class _KMeans(_Run):
         spec, centroids = self.spec, self.centroids
         if not self.active:
             for _ in range(spec.iterations):
-                partials = [self.client(kmeans_partial, self.fetch(oid), centroids) for oid in ids]
+                partials = [
+                    self.client(kmeans_partial, self.session.get(oid), centroids) for oid in ids
+                ]
                 centroids = self.client(kmeans_reduce, partials, centroids, invocation=False)
             return centroids
         # the centroids stay in a DRAM object from one iteration to the next,
@@ -288,7 +283,7 @@ class _Matrix(_Run):
                     rc: values[rc] if rc in values else self.session.get(stored[rc])
                     for rc in self.cells
                 }
-                chunks = [blocks[rc].data_bytes() for rc in self.cells]
+                chunks = [blocks[rc].data_view() for rc in self.cells]
                 final = assemble_matrix(blocks, self.desc)
         output_ids = [stored[rc] for rc in self.cells if rc in stored]
         digest = _digest(chunks) if chunks else ""
@@ -317,7 +312,9 @@ class _MatAdd(_Matrix):
                 got = self.invoke(a[rc], "add", [ByRef(b[rc])], self.placement)
                 (stored if isinstance(got, ObjectId) else values)[rc] = got
                 continue
-            values[rc] = self.client(matadd_block, self.fetch(a[rc]), self.fetch(b[rc]))
+            values[rc] = self.client(
+                matadd_block, self.session.get(a[rc]), self.session.get(b[rc])
+            )
             if self.result == RESULT_STORE:
                 stored[rc] = self.session.make_persistent(MATRIX_CLASS, values[rc], self.tier)
         return values, stored
@@ -339,7 +336,7 @@ class _MatMul(_Matrix):
         if not self.active:
             accs = {rc: np.zeros((k, k)) for rc in self.cells}
             for rc, a_id, b_id in steps:
-                pa, pb = self.fetch(a_id), self.fetch(b_id)
+                pa, pb = self.session.get(a_id), self.session.get(b_id)
                 accs[rc] = self.client(fma_values, accs[rc], pa.values, pb.values)
             values = {rc: Submatrix(acc) for rc, acc in accs.items()}
             stored = {}
@@ -404,61 +401,3 @@ def run_app(
         raise InvalidRequestError(f"unknown app {app!r}")
     return _APPS[app](session, engine, mode, tier, seed, profile, result, assemble).run()
 
-
-def run_histogram(
-    session: Session,
-    *,
-    seed: int,
-    n_elems: int,
-    block_elems: int,
-    tier: TierKind,
-    mode: str,
-    engine: Engine | None = None,
-) -> AppRunResult:
-    profile = {"n_elems": n_elems, "block_elems": block_elems}
-    return run_app("histogram", mode, session, seed=seed, tier=tier, profile=profile, engine=engine)
-
-
-def run_kmeans(
-    session: Session,
-    *,
-    seed: int,
-    n_points: int,
-    block_rows: int,
-    tier: TierKind,
-    mode: str,
-    engine: Engine | None = None,
-    spec: KMeansSpec | None = None,
-) -> AppRunResult:
-    profile = {"n_points": n_points, "block_rows": block_rows, "kmeans_spec": spec}
-    return run_app("kmeans", mode, session, seed=seed, tier=tier, profile=profile, engine=engine)
-
-
-def run_matadd(
-    session: Session,
-    *,
-    seed: int,
-    desc: MatrixDescriptor,
-    tier: TierKind,
-    mode: str,
-    result: str = RESULT_VALUE,
-    engine: Engine | None = None,
-    assemble: bool = True,
-) -> AppRunResult:
-    return run_app("matadd", mode, session, seed=seed, tier=tier, profile={"matrix": desc},
-                   result=result, engine=engine, assemble=assemble)
-
-
-def run_matmul(
-    session: Session,
-    *,
-    seed: int,
-    desc: MatrixDescriptor,
-    tier: TierKind,
-    mode: str,
-    result: str = RESULT_VALUE,
-    engine: Engine | None = None,
-    assemble: bool = True,
-) -> AppRunResult:
-    return run_app("matmul", mode, session, seed=seed, tier=tier, profile={"matrix": desc},
-                   result=result, engine=engine, assemble=assemble)

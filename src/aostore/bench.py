@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import apps
 from .client import Session
-from .engine import Engine, OpTotals
+from .engine import SMALL_RESULT_LIMIT, Engine, OpTotals
 from .errors import StoreError
 from .kernels import KMeansSpec, MatrixDescriptor, build_catalog
 from .model import ObjectIdFactory
@@ -148,10 +148,10 @@ class BenchmarkConfig:
             )
         if self.app in ("matadd", "matmul") and self.result == "value":
             block_encoded = sizes["matrix"].k ** 2 * 8 + 9
-            if block_encoded > (1 << 20):
+            if block_encoded > SMALL_RESULT_LIMIT:
                 raise ConfigError(
-                    f"matrix blocks of {block_encoded} encoded bytes exceed the 1 MiB "
-                    f"return-by-value limit; use result=volatile or result=store"
+                    f"matrix blocks of {block_encoded} encoded bytes exceed the return-by-value "
+                    f"limit of {SMALL_RESULT_LIMIT} bytes; use result=volatile or result=store"
                 )
 
 

@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Memory-Mode cache bytes (0 = derive from dataset)")
     run.add_argument("--out", default=None, help="report path (default: stdout)")
     run.add_argument("--format", default="json", choices=("json", "csv"))
-    run.add_argument("--repeat", type=int, default=1)
 
     sw = sub.add_parser("sweep", help="run a configuration matrix from a plan file")
     sw.add_argument("--plan", required=True, help="JSON plan file")
@@ -66,14 +65,13 @@ def _cmd_run(args) -> int:
         **{f.name: getattr(args, f.name) for f in fields(BenchmarkConfig) if hasattr(args, f.name)}
     )
     config.validate()
-    for _ in range(max(1, args.repeat)):
-        report = run_benchmark(config)
-        verify_report_metrics(report.to_dict())
-        if args.out is None:
-            json.dump(report.to_dict(), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            emit_report(report, args.format, args.out)
+    report = run_benchmark(config)
+    verify_report_metrics(report.to_dict())
+    if args.out is None:
+        json.dump(report.to_dict(), sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        emit_report(report, args.format, args.out)
     return 0
 
 

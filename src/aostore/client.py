@@ -1,8 +1,8 @@
-"""Application-facing SDK: sessions, stub objects and the passive get path.
+"""Application-facing SDK: sessions and stub objects.
 
 A stub behaves as a plain local object until it is persisted; from then on
 every method call is a transparent INVOKE round-trip. The passive baseline
-(`fetch_full` + client-side compute) uses the same server with GET traffic
+(`Session.get` + client-side compute) uses the same server with GET traffic
 only and performs no client-side caching, so every fetch hits the wire.
 """
 
@@ -119,11 +119,6 @@ class Session:
         self._conn.close()
 
 
-def fetch_full(session: Session, oid: ObjectId) -> BlockPayload:
-    """Passive path: transfer the whole payload to the client."""
-    return session.get(oid)
-
-
 class Stub:
     """Local object until persisted; transparent RPC proxy afterwards."""
 
@@ -172,9 +167,10 @@ class Stub:
                 raise InvalidRequestError("local stub calls cannot take object references")
             resolved.append(arg.payload)
         out = routine.fn(self._payload, resolved)
-        if routine.mutates and out.target_update is not None:
-            self._payload = type(self._payload)(out.target_update)
-        return _unwrap(out.result, desc)
+        if routine.mutates:
+            self._payload = type(self._payload)(out)
+            return None
+        return _unwrap(out, desc)
 
 
 def _unwrap(result, desc: MethodDescriptor):

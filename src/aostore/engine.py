@@ -85,19 +85,14 @@ class ByRef:
     object_id: ObjectId
 
 
-@dataclass
-class RoutineOutput:
-    """What a routine produced: an optional result payload and, for mutating
-    routines, the full replacement values for the target."""
-
-    result: Optional[BlockPayload] = None
-    target_update: Optional[np.ndarray] = None
-
-
 @dataclass(frozen=True)
 class Routine:
+    """A catalog entry: ``fn(target, args)`` returns its result payload, or
+    None for no result; a routine that ``mutates`` returns the target's new
+    values instead, which the engine writes in place."""
+
     key: str
-    fn: Callable[[BlockPayload, list[BlockPayload]], RoutineOutput]
+    fn: Callable[[BlockPayload, list[BlockPayload]], "BlockPayload | np.ndarray | None"]
     mutates: bool = False
 
 
@@ -206,12 +201,10 @@ class Engine:
         tiers: dict[TierKind, TierHandle],
         catalog: RoutineCatalog,
         id_factory: ObjectIdFactory | None = None,
-        small_result_limit: int = SMALL_RESULT_LIMIT,
     ):
         self._tiers = dict(tiers)
         self._catalog = catalog
         self._ids = id_factory or ObjectIdFactory()
-        self._small_result_limit = small_result_limit
         self._classes: dict[str, ClassDescriptor] = {}
         self._methods: dict[tuple[str, str], MethodDescriptor] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
@@ -424,15 +417,11 @@ class Engine:
             out = routine.fn(target, resolved)
             op.method_ns = time.perf_counter_ns() - t0
 
-            if routine.mutates:
-                if out.target_update is None:
-                    raise InvalidRequestError(
-                        f"mutating routine {routine.key!r} returned no target update"
-                    )
-                update = np.ascontiguousarray(out.target_update)
-                self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
-
-            return self._place_result(out.result, meta, placement)
+            if not routine.mutates:
+                return self._place_result(out, meta, placement)
+            update = np.ascontiguousarray(out)
+            self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
+            return None
 
     @staticmethod
     def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:
@@ -451,9 +440,9 @@ class Engine:
             return None
         size = encoded_size(result)
         if placement.kind == PlacementKind.RETURN_BY_VALUE:
-            if size > self._small_result_limit:
+            if size > SMALL_RESULT_LIMIT:
                 raise InvalidRequestError(
-                    f"result of {size} bytes exceeds the {self._small_result_limit}-byte "
+                    f"result of {size} bytes exceeds the {SMALL_RESULT_LIMIT}-byte "
                     f"return-by-value limit; use a stored placement"
                 )
             return result

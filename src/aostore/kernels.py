@@ -19,11 +19,11 @@ Dataset generators are pure functions of (seed, shape); no external files.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Routine, RoutineCatalog, RoutineOutput
+from .engine import Routine, RoutineCatalog
 from .errors import InvalidRequestError, ShapeMismatchError
 from .model import (
     BlockPayload,
@@ -49,29 +49,6 @@ MATRIX_CLASS = "MatBlock"
 
 F_D1 = 10.0
 F_D2 = 50.0
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """140 bins spanning [0, inf): [0, e1), [e1, e2), ..., [e139, inf)."""
-
-    edges: np.ndarray = field(
-        default_factory=lambda: np.geomspace(2.0**-7, 2.0**6, num=139)
-    )
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.edges, dtype=np.float64)
-        if e.ndim != 1:
-            raise InvalidRequestError("histogram edges must be a 1-d array")
-        if not np.all(np.isfinite(e)) or not np.all(e > 0):
-            raise InvalidRequestError("histogram edges must be finite and positive")
-        if not np.all(np.diff(e) > 0):
-            raise InvalidRequestError("histogram edges must be strictly increasing")
-        object.__setattr__(self, "edges", e)
-
-    @property
-    def bin_count(self) -> int:
-        return len(self.edges) + 1
 
 
 @dataclass(frozen=True)
@@ -202,19 +179,24 @@ def initial_centroids(blocks: list[PointsBlock], centers: int) -> Centroids:
 
 
 @functools.cache
-def histogram_spec() -> HistogramSpec:
-    """The one histogram spec: the server catalog and the passive path share it."""
-    return HistogramSpec()
+def histogram_edges() -> np.ndarray:
+    """The 139 inner edges of the 140 bins spanning [0, inf): [0, e1),
+    [e1, e2), ..., [e139, inf). Built on first use rather than at import,
+    and read-only, since every caller shares the one array."""
+    edges = np.geomspace(2.0**-7, 2.0**6, num=139)
+    edges.flags.writeable = False
+    return edges
 
 
-def histogram_block(block: FloatArray, spec: HistogramSpec) -> Histogram:
+def histogram_block(block: FloatArray) -> Histogram:
     values = block.values
     nan_mask = np.isnan(values)
     if nan_mask.any():
         idx = int(np.argmax(nan_mask))
         raise InvalidRequestError(f"histogram input contains NaN at index {idx}")
-    bins = np.searchsorted(spec.edges, values, side="right")
-    counts = np.bincount(bins, minlength=spec.bin_count).astype(np.uint64)
+    edges = histogram_edges()
+    bins = np.searchsorted(edges, values, side="right")
+    counts = np.bincount(bins, minlength=len(edges) + 1).astype(np.uint64)
     return Histogram(counts)
 
 
@@ -314,14 +296,10 @@ def fma_values(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul_block(acc: Submatrix, a: Submatrix, b: Submatrix) -> Submatrix:
-    return Submatrix(fma_values(acc.values, a.values, b.values))
-
-
 # -- routine catalog -------------------------------------------------------------
 
 
-def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput:
+def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> np.ndarray:
     """Add the block's packed partial (sums, then counts as a last column)
     onto the packed accumulator: the same float adds a merge of unpacked sums
     makes, and counts below 2**53 add exactly as float64."""
@@ -332,33 +310,28 @@ def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> RoutineOutput
             f"accumulator shape {target.values.shape} does not match partial {partial.shape}"
         )
     partial += target.values
-    return RoutineOutput(target_update=partial)
-
-
-def _result(fn):
-    """A routine whose ``fn(target, args)`` is its result payload."""
-    return lambda target, args: RoutineOutput(result=fn(target, args))
+    return partial
 
 
 # Each kernel method once, in registration order: (class, method, routine key,
 # arg schema, result schema, mutates target, routine).
 _METHODS = (
     (HIST_CLASS, "histogram", "hist.block", (), SEM_HISTOGRAM, False,
-     _result(lambda t, a: histogram_block(t, histogram_spec()))),
+     lambda t, a: histogram_block(t)),
     (HIST_CLASS, "mean", "stat.mean", (), SEM_SCALAR, False,
-     _result(lambda t, a: FloatArray([float(np.mean(t.values))]))),
+     lambda t, a: FloatArray([float(np.mean(t.values))])),
     (POINTS_CLASS, "partial", "kmeans.partial", (SEM_CENTROIDS,), SEM_POINTS, False,
-     _result(lambda t, a: kmeans_partial(t, a[0]).to_payload())),
+     lambda t, a: kmeans_partial(t, a[0]).to_payload()),
     (POINTS_CLASS, "accumulate", "kmeans.accumulate", (SEM_POINTS, SEM_CENTROIDS), SEM_NONE, True,
      _accumulate),
     (POINTS_CLASS, "finish", "kmeans.finish", (SEM_CENTROIDS,), SEM_CENTROIDS, False,
-     _result(lambda t, a: kmeans_reduce([PartialSum.from_payload(t)], a[0]))),
+     lambda t, a: kmeans_reduce([PartialSum.from_payload(t)], a[0])),
     (MATRIX_CLASS, "add", "mat.add", (SEM_SUBMATRIX,), SEM_SUBMATRIX, False,
-     _result(lambda t, a: matadd_block(t, a[0]))),
+     lambda t, a: matadd_block(t, a[0])),
     (MATRIX_CLASS, "fma", "mat.fma", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True,
-     lambda t, a: RoutineOutput(target_update=fma_values(t.values, a[0].values, a[1].values))),
+     lambda t, a: fma_values(t.values, a[0].values, a[1].values)),
     (MATRIX_CLASS, "identity", "mat.identity", (), SEM_SUBMATRIX, False,
-     _result(lambda t, a: Submatrix(np.array(t.values, copy=True)))),
+     lambda t, a: Submatrix(np.array(t.values, copy=True))),
 )
 # (class, semantic of its one data field), in registration order
 _CLASSES = (

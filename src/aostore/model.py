@@ -136,10 +136,6 @@ class BlockPayload:
     def element_count(self) -> int:
         return int(self.values.size)
 
-    def data_bytes(self) -> bytes:
-        """Raw data section, exactly what a tier region holds."""
-        return np.ascontiguousarray(self.values).tobytes()
-
     def data_view(self) -> memoryview:
         """The raw data section as a flat byte view, without a copy when the
         array is contiguous; what a tier stores."""
@@ -151,7 +147,7 @@ class BlockPayload:
         assert isinstance(other, BlockPayload)
         return (
             self.shape_fields() == other.shape_fields()
-            and self.data_bytes() == other.data_bytes()
+            and self.data_view() == other.data_view()
         )
 
     def __hash__(self) -> int:  # payloads are not meant to be dict keys
@@ -348,8 +344,11 @@ def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...],
 
 
 def region_reader(tag: int, shape: tuple[int, ...]):
-    """The function ``region -> payload`` of :func:`payload_from_region` for
-    one (variant, shape), with the class, dtype and array shape resolved once."""
+    """The function ``region -> payload`` for one (variant, shape), with the
+    class, dtype and array shape resolved once. The payload reads the tier
+    region holding the raw data section without a copy: its array aliases
+    ``region``, so changes to the region show through it and, on a writable
+    region, writing the array writes the region."""
     variant = _variant(tag)
     expected = _data_length(variant, shape)
     array_shape = variant.cls.array_shape(shape)
@@ -363,11 +362,3 @@ def region_reader(tag: int, shape: tuple[int, ...]):
 
     return read
 
-
-def payload_from_region(tag: int, shape: tuple[int, ...], region: memoryview) -> BlockPayload:
-    """Zero-copy payload over a tier region holding the raw data section.
-
-    The resulting arrays alias ``region``: mutations through the buffer are
-    visible and, on a writable region, mutating the array writes through.
-    """
-    return region_reader(tag, shape)(region)

@@ -253,16 +253,12 @@ class TierHandle:
     def close(self) -> None:
         raise NotImplementedError
 
-    def raw_counters(self) -> dict[str, tuple[int, ...]]:
-        """Integer counters per medium, without modeled times. Engine
-        operations do not snapshot them: each bump is charged to the
-        operation open on the calling thread (:func:`open_charges`)."""
-        with self._lock:
-            return {medium: c.raw() for medium, c in self._media.items()}
-
     def media_counters(self) -> dict[str, TierCounters]:
+        """The counters of each medium with their modeled time."""
+        with self._lock:
+            raws = {medium: c.raw() for medium, c in self._media.items()}
         out = {}
-        for medium, raw in self.raw_counters().items():
+        for medium, raw in raws.items():
             plain = TierCounters(*raw)
             out[medium] = replace(plain, modeled_time_ns=modeled_time_ns(plain, medium, self._cost))
         return out
@@ -410,9 +406,11 @@ class _ArenaFile:
         if len(raw_count) < _DIR_COUNT.size:
             raise ArenaError(f"arena {self.path}: truncated directory header")
         (count,) = _DIR_COUNT.unpack(raw_count)
-        raw = os.pread(self._fd, _DIR_ENTRY.size * count, self.dir_offset + _DIR_COUNT.size)
-        if len(raw) < _DIR_ENTRY.size * count:
+        # bound a corrupt count by the file size before pread allocates for it
+        room = os.fstat(self._fd).st_size - self.dir_offset - _DIR_COUNT.size
+        if _DIR_ENTRY.size * count > room:
             raise ArenaError(f"arena {self.path}: truncated directory entries")
+        raw = os.pread(self._fd, _DIR_ENTRY.size * count, self.dir_offset + _DIR_COUNT.size)
         entries: dict[ObjectId, tuple[int, int]] = {}
         for i in range(count):
             raw_id, offset, length = _DIR_ENTRY.unpack_from(raw, i * _DIR_ENTRY.size)

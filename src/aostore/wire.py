@@ -123,7 +123,7 @@ class FrameBuffer:
         self._whole = memoryview(bytearray())
 
 
-def encode_frame(frame: Frame, max_frame: int = MAX_FRAME, into: FrameBuffer | None = None):
+def encode_frame(frame: Frame, into: FrameBuffer | None = None):
     """The frame with its head. A bytes body gives one bytes object.
 
     A list of parts, as ``encode_body`` returns, gives a list of parts ready
@@ -135,8 +135,8 @@ def encode_frame(frame: Frame, max_frame: int = MAX_FRAME, into: FrameBuffer | N
     body = frame.body
     whole = type(body) is not list
     length = 9 + (len(body) if whole else sum(map(len, body)))
-    if length > max_frame:
-        raise FrameError(f"frame of {length} bytes exceeds max_frame {max_frame}")
+    if length > MAX_FRAME:
+        raise FrameError(f"frame of {length} bytes exceeds MAX_FRAME {MAX_FRAME}")
     head = _HEAD.pack(length, frame.msg_type, frame.request_id)
     if whole:
         return head + body
@@ -162,12 +162,12 @@ def encode_frame(frame: Frame, max_frame: int = MAX_FRAME, into: FrameBuffer | N
     return out
 
 
-def _frame_head(data, offset: int, max_frame: int) -> tuple[int, int, int]:
+def _frame_head(data, offset: int) -> tuple[int, int, int]:
     """(msg_type, request_id, end offset) of the frame starting at ``offset``."""
     if len(data) - offset < _LEN.size:
         raise FrameError(f"truncated frame: missing length field at offset {offset}")
     (length,) = _LEN.unpack_from(data, offset)
-    if length > max_frame:
+    if length > MAX_FRAME:
         raise FrameError(f"oversize frame of {length} bytes at offset {offset}")
     if length < 9:
         raise FrameError(f"frame length {length} below minimum 9 at offset {offset}")
@@ -180,9 +180,9 @@ def _frame_head(data, offset: int, max_frame: int) -> tuple[int, int, int]:
     return msg_type, request_id, end
 
 
-def decode_frame(data: bytes, offset: int = 0, max_frame: int = MAX_FRAME) -> tuple[Frame, int]:
+def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
     """Decode one frame starting at ``offset``; returns (frame, next offset)."""
-    msg_type, request_id, end = _frame_head(data, offset, max_frame)
+    msg_type, request_id, end = _frame_head(data, offset)
     if msg_type & ~REPLY_BIT not in MESSAGES:
         raise UnknownMsgTypeError(f"unknown msg_type {msg_type} at offset {offset + 4}")
     return Frame(msg_type, request_id, bytes(data[offset + 13 : end])), end
@@ -542,9 +542,8 @@ class ServerCore:
         MSG_FLUSH: lambda core, reply, tier: reply(core.engine.flush(tier)),
     }
 
-    def __init__(self, engine: Engine, max_frame: int = MAX_FRAME):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.max_frame = max_frame
         self._counters = WireCounters()
         self._lock = threading.Lock()
 
@@ -566,7 +565,7 @@ class ServerCore:
     def _dispatch(self, data, out: FrameBuffer | None):
         request_id = 0
         try:
-            msg_type, request_id, end = _frame_head(data, 0, self.max_frame)
+            msg_type, request_id, end = _frame_head(data, 0)
             if end != len(data):
                 raise FrameError(f"frame length {end - 4} disagrees with {len(data) - 4} bytes")
             if msg_type not in REQUEST_TYPES:
@@ -592,7 +591,7 @@ class ServerCore:
         return self._frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), out)
 
     def _frame(self, frame: Frame, out: FrameBuffer | None):
-        parts = encode_frame(frame, self.max_frame, out)
+        parts = encode_frame(frame, out)
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
@@ -605,8 +604,7 @@ class Connection:
     ``_roundtrip`` sends one request frame, given as the list of parts that
     ``encode_frame`` returns, and returns the reply frame."""
 
-    def __init__(self, max_frame: int = MAX_FRAME):
-        self.max_frame = max_frame
+    def __init__(self):
         self.counters = WireCounters()
         self._next_request = 1
 
@@ -623,12 +621,12 @@ class Connection:
         the typed error of an ERROR reply."""
         request_id = self._next_request
         self._next_request += 1
-        raw = encode_frame(Frame(msg_type, request_id, body), self.max_frame)
+        raw = encode_frame(Frame(msg_type, request_id, body))
         self.counters.bytes_sent += sum(map(len, raw))
         self.counters.count(msg_type)
         reply = self._roundtrip(raw)
         self.counters.bytes_received += len(reply)
-        reply_type, reply_id, end = _frame_head(reply, 0, self.max_frame)
+        reply_type, reply_id, end = _frame_head(reply, 0)
         if reply_id != request_id:
             raise FrameError(f"reply for request {reply_id}, expected {request_id}")
         reply_body = memoryview(reply)[13:end]
@@ -649,7 +647,7 @@ class LoopbackConnection(Connection):
     """In-process transport running the same frame bytes through ServerCore."""
 
     def __init__(self, core: ServerCore):
-        super().__init__(core.max_frame)
+        super().__init__()
         self._core = core
 
     def _roundtrip(self, raw: list) -> bytes:
@@ -657,14 +655,14 @@ class LoopbackConnection(Connection):
 
 
 class TcpConnection(Connection):
-    def __init__(self, host: str, port: int, max_frame: int = MAX_FRAME, timeout: float = 30.0):
-        super().__init__(max_frame)
+    def __init__(self, host: str, port: int, timeout: float = 30.0):
+        super().__init__()
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._received = FrameBuffer()
 
     def _roundtrip(self, raw: list) -> memoryview:
         _send_parts(self._sock, raw)
-        return _recv_frame(self._sock, self._received, self.max_frame)
+        return _recv_frame(self._sock, self._received)
 
     def close(self) -> None:
         self._received.release()
@@ -674,7 +672,7 @@ class TcpConnection(Connection):
             pass
 
 
-def _recv_frame(sock: socket.socket, buf: FrameBuffer, max_frame: int) -> memoryview:
+def _recv_frame(sock: socket.socket, buf: FrameBuffer) -> memoryview:
     """One whole frame, received into ``buf`` and returned as a view of it;
     FrameError when the peer closes first or claims an oversize frame (before
     ``buf`` grows), after which the stream cannot be resynchronized.
@@ -685,7 +683,7 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, max_frame: int) -> memory
     head = buf.view(_LEN.size)
     _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
-    if length > max_frame:
+    if length > MAX_FRAME:
         raise FrameError(f"oversize frame of {length} bytes")
     size, got = _LEN.size + length, _LEN.size
     while size > buf.capacity:
@@ -732,9 +730,8 @@ class TcpServer:
     per-connection requests processed strictly in order. ``stop`` closes the
     listener and every live connection and joins all the server's threads."""
 
-    def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0,
-                 max_frame: int = MAX_FRAME):
-        self.core = ServerCore(engine, max_frame)
+    def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0):
+        self.core = ServerCore(engine)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -767,7 +764,7 @@ class TcpServer:
         received, replies = FrameBuffer(), FrameBuffer()
         try:
             while True:
-                frame = _recv_frame(conn, received, self.core.max_frame)
+                frame = _recv_frame(conn, received)
                 _send_parts(conn, [self.core.handle_frame_bytes(frame, replies)])
         except (OSError, FrameError):
             pass  # peer closed, or sent a frame the stream cannot recover from

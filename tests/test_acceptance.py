@@ -15,13 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aostore.apps import (
-    ensure_kernel_registration,
-    run_histogram,
-    run_kmeans,
-    run_matadd,
-    run_matmul,
-)
+from aostore.apps import ensure_kernel_registration, run_app
 from aostore.bench import (
     BenchmarkConfig,
     emit_report,
@@ -35,13 +29,13 @@ from aostore.errors import StoreError
 from aostore.kernels import (
     HIST_CLASS,
     POINTS_CLASS,
-    HistogramSpec,
     KMeansSpec,
     MatrixDescriptor,
     build_catalog,
     gen_f_array,
     gen_matrix,
     assemble_matrix,
+    histogram_edges,
     kernel_classes,
     kernel_methods,
 )
@@ -98,15 +92,12 @@ def test_criterion_01_kernel_correctness(tmp_path):
     with criterion(1, "kernel correctness vs oracles"):
         # histogram: 10^6 F-distributed values, blocked+merged == linear scan
         engine, session = fresh_stack(tmp_path, "hist")
-        spec = HistogramSpec()
-        run = run_histogram(
-            session, seed=1001, n_elems=10**6, block_elems=1 << 17,
-            tier=TierKind.NVM_DIRECT, mode="active", engine=engine,
-        )
+        run = run_app("histogram", "active", session, seed=1001, tier=TierKind.NVM_DIRECT,
+                      profile={"n_elems": 10**6, "block_elems": 1 << 17}, engine=engine)
         values = np.concatenate(
             [b.values for b in gen_f_array(1001, 10**6, block_elems=1 << 17)]
         )
-        oracle_counts = histogram_oracle(values.tolist(), spec.edges.tolist())
+        oracle_counts = histogram_oracle(values.tolist(), histogram_edges().tolist())
         assert run.final.counts.tolist() == oracle_counts
         assert int(run.final.counts.sum()) == 10**6
         engine.close()
@@ -114,10 +105,9 @@ def test_criterion_01_kernel_correctness(tmp_path):
         # k-means: 10 iterations, 20 centers, 500 dims, 1e4 points vs Lloyd oracle
         engine, session = fresh_stack(tmp_path, "km")
         kspec = KMeansSpec(centers=20, iterations=10, dims=500)
-        run = run_kmeans(
-            session, seed=1002, n_points=10**4, block_rows=1024,
-            tier=TierKind.DRAM, mode="active", engine=engine, spec=kspec,
-        )
+        run = run_app("kmeans", "active", session, seed=1002, tier=TierKind.DRAM,
+                      profile={"n_points": 10**4, "block_rows": 1024, "kmeans_spec": kspec},
+                      engine=engine)
         from aostore.kernels import gen_points
 
         dense = np.vstack([b.values for b in gen_points(1002, 10**4, 500, 1024)])
@@ -129,10 +119,8 @@ def test_criterion_01_kernel_correctness(tmp_path):
         for k in (336, 48):
             engine, session = fresh_stack(tmp_path, f"add{k}")
             desc = MatrixDescriptor(2016, k)
-            run = run_matadd(
-                session, seed=1003, desc=desc, tier=TierKind.DRAM,
-                mode="active", result="value", engine=engine,
-            )
+            run = run_app("matadd", "active", session, seed=1003, tier=TierKind.DRAM,
+                          profile={"matrix": desc}, result="value", engine=engine)
             dense_a = assemble_matrix(gen_matrix(1003, desc, 0), desc)
             dense_b = assemble_matrix(gen_matrix(1003, desc, 1), desc)
             assert run.final.tobytes() == (dense_a + dense_b).tobytes()
@@ -142,14 +130,10 @@ def test_criterion_01_kernel_correctness(tmp_path):
         # in-place FMA on NVM equals the return-by-value run within 1e-12
         desc = MatrixDescriptor(96, 32)
         engine, session = fresh_stack(tmp_path, "mul")
-        by_value = run_matmul(
-            session, seed=1004, desc=desc, tier=TierKind.DRAM,
-            mode="active", result="value", engine=engine,
-        )
-        in_place = run_matmul(
-            session, seed=1004, desc=desc, tier=TierKind.NVM_DIRECT,
-            mode="active", result="inplace_fma", engine=engine,
-        )
+        by_value = run_app("matmul", "active", session, seed=1004, tier=TierKind.DRAM,
+                           profile={"matrix": desc}, result="value", engine=engine)
+        in_place = run_app("matmul", "active", session, seed=1004, tier=TierKind.NVM_DIRECT,
+                           profile={"matrix": desc}, result="inplace_fma", engine=engine)
         dense_a = assemble_matrix(gen_matrix(1004, desc, 0), desc)
         dense_b = assemble_matrix(gen_matrix(1004, desc, 1), desc)
         oracle = matmul_oracle(dense_a, dense_b)
@@ -163,10 +147,10 @@ def test_criterion_01_kernel_correctness(tmp_path):
 
 def test_criterion_02_active_passive_equivalence(tmp_path):
     profiles = {
-        "histogram": dict(n_elems=1 << 17, block_elems=1 << 14),
-        "kmeans": dict(n_points=1 << 10, block_rows=256),
-        "matadd": dict(desc=MatrixDescriptor(672, 112)),
-        "matmul": dict(desc=MatrixDescriptor(96, 32)),
+        "histogram": {"n_elems": 1 << 17, "block_elems": 1 << 14},
+        "kmeans": {"n_points": 1 << 10, "block_rows": 256},
+        "matadd": {"matrix": MatrixDescriptor(672, 112)},
+        "matmul": {"matrix": MatrixDescriptor(96, 32)},
     }
     with criterion(2, "active == passive on dram, nvm, mm"):
         for app, profile in profiles.items():
@@ -174,26 +158,8 @@ def test_criterion_02_active_passive_equivalence(tmp_path):
                 engine, session = fresh_stack(tmp_path, f"eq-{app}-{tier.name}")
                 runs = {}
                 for mode in ("active", "passive"):
-                    if app == "histogram":
-                        runs[mode] = run_histogram(
-                            session, seed=2000, tier=tier, mode=mode, engine=engine,
-                            **profile,
-                        )
-                    elif app == "kmeans":
-                        runs[mode] = run_kmeans(
-                            session, seed=2000, tier=tier, mode=mode, engine=engine,
-                            **profile,
-                        )
-                    elif app == "matadd":
-                        runs[mode] = run_matadd(
-                            session, seed=2000, tier=tier, mode=mode, engine=engine,
-                            result="value", **profile,
-                        )
-                    else:
-                        runs[mode] = run_matmul(
-                            session, seed=2000, tier=tier, mode=mode, engine=engine,
-                            result="value", **profile,
-                        )
+                    runs[mode] = run_app(app, mode, session, seed=2000, tier=tier,
+                                         profile=profile, result="value", engine=engine)
                 a, p = runs["active"], runs["passive"]
                 if app == "histogram":
                     assert a.final.counts.tolist() == p.final.counts.tolist()
@@ -214,53 +180,53 @@ def desk_runs(tmp_path_factory):
 
     engine, session = fresh_stack(tmp, "hist", capacity=1 << 28)
     runs["histogram"] = (
-        run_histogram(session, seed=3001, n_elems=1 << 22, block_elems=1 << 20,
-                      tier=TierKind.NVM_DIRECT, mode="active", engine=engine),
+        run_app("histogram", "active", session, seed=3001, tier=TierKind.NVM_DIRECT,
+                profile={"n_elems": 1 << 22, "block_elems": 1 << 20}, engine=engine),
         engine.read_counts(),
     )
     runs["histogram_small"] = (
-        run_histogram(session, seed=3001, n_elems=1 << 20, block_elems=1 << 17,
-                      tier=TierKind.NVM_DIRECT, mode="active", engine=engine),
+        run_app("histogram", "active", session, seed=3001, tier=TierKind.NVM_DIRECT,
+                profile={"n_elems": 1 << 20, "block_elems": 1 << 17}, engine=engine),
         None,
     )
     engine.close()
 
     engine, session = fresh_stack(tmp, "km", capacity=1 << 28)
     runs["kmeans"] = (
-        run_kmeans(session, seed=3002, n_points=1 << 13, block_rows=2048,
-                   tier=TierKind.NVM_DIRECT, mode="active", engine=engine),
+        run_app("kmeans", "active", session, seed=3002, tier=TierKind.NVM_DIRECT,
+                profile={"n_points": 1 << 13, "block_rows": 2048}, engine=engine),
         engine.read_counts(),
     )
     runs["kmeans_small"] = (
-        run_kmeans(session, seed=3002, n_points=1 << 12, block_rows=512,
-                   tier=TierKind.NVM_DIRECT, mode="active", engine=engine),
+        run_app("kmeans", "active", session, seed=3002, tier=TierKind.NVM_DIRECT,
+                profile={"n_points": 1 << 12, "block_rows": 512}, engine=engine),
         None,
     )
     engine.close()
 
     engine, session = fresh_stack(tmp, "add", capacity=1 << 28)
     runs["matadd"] = (
-        run_matadd(session, seed=3003, desc=MatrixDescriptor(2016, 336),
-                   tier=TierKind.NVM_DIRECT, mode="active", result="volatile",
-                   engine=engine),
+        run_app("matadd", "active", session, seed=3003, tier=TierKind.NVM_DIRECT,
+                profile={"matrix": MatrixDescriptor(2016, 336)}, result="volatile",
+                engine=engine),
         engine.read_counts(),
     )
     engine.close()
 
     engine, session = fresh_stack(tmp, "mul6", capacity=1 << 28)
     runs["matmul_grid6"] = (
-        run_matmul(session, seed=3004, desc=MatrixDescriptor(2016, 336),
-                   tier=TierKind.DRAM, mode="active", result="volatile",
-                   engine=engine, assemble=False),
+        run_app("matmul", "active", session, seed=3004, tier=TierKind.DRAM,
+                profile={"matrix": MatrixDescriptor(2016, 336)}, result="volatile",
+                engine=engine, assemble=False),
         engine.read_counts(),
     )
     engine.close()
 
     engine, session = fresh_stack(tmp, "mul42", capacity=1 << 28)
     runs["matmul_grid42"] = (
-        run_matmul(session, seed=3005, desc=MatrixDescriptor(2016, 48),
-                   tier=TierKind.DRAM, mode="active", result="volatile",
-                   engine=engine, assemble=False),
+        run_app("matmul", "active", session, seed=3005, tier=TierKind.DRAM,
+                profile={"matrix": MatrixDescriptor(2016, 48)}, result="volatile",
+                engine=engine, assemble=False),
         engine.read_counts(),
     )
     engine.close()
@@ -319,16 +285,16 @@ def test_criterion_05_locality_law(tmp_path):
 
         engine, session = fresh_stack(tmp_path, "h-passive", capacity=1 << 30)
         recv0 = session.counters().bytes_received
-        run_histogram(session, seed=5001, n_elems=n_elems, block_elems=block_elems,
-                      tier=TierKind.DRAM, mode="passive", engine=engine)
+        run_app("histogram", "passive", session, seed=5001, tier=TierKind.DRAM,
+                profile={"n_elems": n_elems, "block_elems": block_elems}, engine=engine)
         passive_hist = session.counters().bytes_received - recv0
         engine.close()
         assert passive_hist >= 256_000_000
 
         engine, session = fresh_stack(tmp_path, "h-active", capacity=1 << 30)
         recv0 = session.counters().bytes_received
-        run_histogram(session, seed=5001, n_elems=n_elems, block_elems=block_elems,
-                      tier=TierKind.DRAM, mode="active", engine=engine)
+        run_app("histogram", "active", session, seed=5001, tier=TierKind.DRAM,
+                profile={"n_elems": n_elems, "block_elems": block_elems}, engine=engine)
         active_hist = session.counters().bytes_received - recv0
         engine.close()
 
@@ -348,16 +314,18 @@ def test_criterion_05_locality_law(tmp_path):
         km_dataset = n_points * spec.dims * 8
         engine, session = fresh_stack(tmp_path, "k-passive", capacity=1 << 30)
         recv0 = session.counters().bytes_received
-        run_kmeans(session, seed=5002, n_points=n_points, block_rows=block_rows,
-                   tier=TierKind.DRAM, mode="passive", engine=engine, spec=spec)
+        run_app("kmeans", "passive", session, seed=5002, tier=TierKind.DRAM,
+                profile={"n_points": n_points, "block_rows": block_rows, "kmeans_spec": spec},
+                engine=engine)
         passive_km = session.counters().bytes_received - recv0
         engine.close()
         assert passive_km >= 10 * 256_000_000
 
         engine, session = fresh_stack(tmp_path, "k-active", capacity=1 << 30)
         recv0 = session.counters().bytes_received
-        run_kmeans(session, seed=5002, n_points=n_points, block_rows=block_rows,
-                   tier=TierKind.DRAM, mode="active", engine=engine, spec=spec)
+        run_app("kmeans", "active", session, seed=5002, tier=TierKind.DRAM,
+                profile={"n_points": n_points, "block_rows": block_rows, "kmeans_spec": spec},
+                engine=engine)
         active_km = session.counters().bytes_received - recv0
         engine.close()
 
@@ -436,8 +404,9 @@ def test_active_kmeans_sent_bytes_exact(tmp_path):
     for blocks in (4, 8):
         engine, session = fresh_stack(tmp_path, f"k-sent-{blocks}", capacity=1 << 27)
         sent0 = session.counters().bytes_sent
-        run_kmeans(session, seed=5003, n_points=blocks * block_rows, block_rows=block_rows,
-                   tier=TierKind.DRAM, mode="active", engine=engine, spec=spec)
+        profile = {"n_points": blocks * block_rows, "block_rows": block_rows, "kmeans_spec": spec}
+        run_app("kmeans", "active", session, seed=5003, tier=TierKind.DRAM, profile=profile,
+                engine=engine)
         sent[blocks] = session.counters().bytes_sent - sent0
         engine.close()
         assert sent[blocks] == (
@@ -472,7 +441,7 @@ def test_criterion_06_persistence_semantics(tmp_path):
         engine2 = Engine(tiers2, build_catalog())
         nvm = engine2.tier(TierKind.NVM_DIRECT)
         assert kept in engine2.object_ids()
-        assert bytes(nvm.read_view(kept)) == payload.data_bytes()
+        assert bytes(nvm.read_view(kept)) == bytes(payload.data_view())
         assert not engine2.tier(TierKind.MEMORY_MODE).contains(lost_mm)
         assert not engine2.tier(TierKind.DRAM).contains(lost_dram)
         engine2.close()

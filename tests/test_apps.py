@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from aostore import apps
-from aostore.apps import (
-    run_app,
-    run_histogram,
-    run_kmeans,
-    run_matadd,
-    run_matmul,
-)
+from aostore.apps import run_app
 from aostore.kernels import KMeansSpec, MatrixDescriptor
 from aostore.tiers import TierKind
 
@@ -24,25 +18,19 @@ def reads_of(engine, result):
 
 class TestHistogramDriver:
     def test_active_passive_same_result_and_reuse_one(self, engine, session):
-        active = run_histogram(
-            session, seed=3, n_elems=50_000, block_elems=8192,
-            tier=TierKind.NVM_DIRECT, mode="active", engine=engine,
-        )
+        active = run_app("histogram", "active", session, seed=3, tier=TierKind.NVM_DIRECT,
+                         profile={"n_elems": 50_000, "block_elems": 8192}, engine=engine)
         assert reads_of(engine, active) == [1]
-        passive = run_histogram(
-            session, seed=3, n_elems=50_000, block_elems=8192,
-            tier=TierKind.DRAM, mode="passive", engine=engine,
-        )
+        passive = run_app("histogram", "passive", session, seed=3, tier=TierKind.DRAM,
+                          profile={"n_elems": 50_000, "block_elems": 8192}, engine=engine)
         assert reads_of(engine, passive) == [1]
         assert active.output_digest == passive.output_digest
         assert int(active.final.counts.sum()) == 50_000
 
     def test_active_traffic_is_results_only(self, engine, session):
         recv0 = session.counters().bytes_received
-        result = run_histogram(
-            session, seed=1, n_elems=1 << 16, block_elems=1 << 13,
-            tier=TierKind.DRAM, mode="active", engine=engine,
-        )
+        result = run_app("histogram", "active", session, seed=1, tier=TierKind.DRAM,
+                         profile={"n_elems": 1 << 16, "block_elems": 1 << 13}, engine=engine)
         client_bound = session.counters().bytes_received - recv0
         # per-block replies are a constant ~1.2 kB (140 bins) plus small acks
         assert client_bound < result.invocations * 2048
@@ -50,43 +38,43 @@ class TestHistogramDriver:
 
     def test_passive_traffic_covers_dataset(self, engine, session):
         recv0 = session.counters().bytes_received
-        result = run_histogram(
-            session, seed=1, n_elems=1 << 16, block_elems=1 << 13,
-            tier=TierKind.DRAM, mode="passive", engine=engine,
-        )
+        result = run_app("histogram", "passive", session, seed=1, tier=TierKind.DRAM,
+                         profile={"n_elems": 1 << 16, "block_elems": 1 << 13}, engine=engine)
         assert session.counters().bytes_received - recv0 >= result.dataset_bytes
 
     def test_output_constant_size_across_datasets(self, engine, session):
-        small = run_histogram(session, seed=2, n_elems=4096, block_elems=1024,
-                              tier=TierKind.DRAM, mode="active", engine=engine)
-        large = run_histogram(session, seed=2, n_elems=65536, block_elems=1024,
-                              tier=TierKind.DRAM, mode="active", engine=engine)
+        small = run_app("histogram", "active", session, seed=2, tier=TierKind.DRAM,
+                        profile={"n_elems": 4096, "block_elems": 1024}, engine=engine)
+        large = run_app("histogram", "active", session, seed=2, tier=TierKind.DRAM,
+                        profile={"n_elems": 65536, "block_elems": 1024}, engine=engine)
         assert small.output_bytes == large.output_bytes == 140 * 8
 
 
 class TestKMeansDriver:
     def test_reuse_factor_is_iteration_count(self, engine, session):
-        result = run_kmeans(
-            session, seed=5, n_points=512, block_rows=128,
-            tier=TierKind.MEMORY_MODE, mode="active", engine=engine,
-            spec=KMeansSpec(centers=4, iterations=10, dims=16),
-        )
+        spec = KMeansSpec(centers=4, iterations=10, dims=16)
+        result = run_app("kmeans", "active", session, seed=5, tier=TierKind.MEMORY_MODE,
+                         profile={"n_points": 512, "block_rows": 128, "kmeans_spec": spec},
+                         engine=engine)
         assert reads_of(engine, result) == [10]
         assert result.method_input_bytes == 10 * result.dataset_bytes
 
     def test_active_equals_passive_bitwise(self, engine, session):
         spec = KMeansSpec(centers=5, iterations=7, dims=12)
-        active = run_kmeans(session, seed=6, n_points=600, block_rows=100,
-                            tier=TierKind.NVM_DIRECT, mode="active", engine=engine, spec=spec)
-        passive = run_kmeans(session, seed=6, n_points=600, block_rows=100,
-                             tier=TierKind.DRAM, mode="passive", engine=engine, spec=spec)
+        active = run_app("kmeans", "active", session, seed=6, tier=TierKind.NVM_DIRECT,
+                         profile={"n_points": 600, "block_rows": 100, "kmeans_spec": spec},
+                         engine=engine)
+        passive = run_app("kmeans", "passive", session, seed=6, tier=TierKind.DRAM,
+                          profile={"n_points": 600, "block_rows": 100, "kmeans_spec": spec},
+                          engine=engine)
         assert active.output_digest == passive.output_digest
         assert np.array_equal(active.final.values, passive.final.values)
 
     def test_output_is_80kb_at_paper_shape(self, engine, session):
-        result = run_kmeans(session, seed=7, n_points=256, block_rows=64,
-                            tier=TierKind.DRAM, mode="active", engine=engine,
-                            spec=KMeansSpec(centers=20, iterations=2, dims=500))
+        spec = KMeansSpec(centers=20, iterations=2, dims=500)
+        result = run_app("kmeans", "active", session, seed=7, tier=TierKind.DRAM,
+                         profile={"n_points": 256, "block_rows": 64, "kmeans_spec": spec},
+                         engine=engine)
         assert result.output_bytes == 80_000
 
 
@@ -94,31 +82,32 @@ class TestMatAddDriver:
     @pytest.mark.parametrize("result_mode", ["value", "volatile", "store"])
     def test_placements_agree_with_passive(self, engine, session, result_mode):
         desc = MatrixDescriptor(48, 16)
-        active = run_matadd(session, seed=8, desc=desc, tier=TierKind.NVM_DIRECT,
-                            mode="active", result=result_mode, engine=engine)
-        passive = run_matadd(session, seed=8, desc=desc, tier=TierKind.DRAM,
-                             mode="passive", result="value", engine=engine)
+        active = run_app("matadd", "active", session, seed=8, tier=TierKind.NVM_DIRECT,
+                         profile={"matrix": desc}, result=result_mode, engine=engine)
+        passive = run_app("matadd", "passive", session, seed=8, tier=TierKind.DRAM,
+                          profile={"matrix": desc}, result="value", engine=engine)
         assert active.output_digest == passive.output_digest
         assert np.array_equal(active.final, passive.final)
 
     def test_output_ratio_half_and_reuse_one(self, engine, session):
-        result = run_matadd(session, seed=9, desc=MatrixDescriptor(64, 16),
-                            tier=TierKind.DRAM, mode="active", result="value", engine=engine)
+        result = run_app("matadd", "active", session, seed=9, tier=TierKind.DRAM,
+                         profile={"matrix": MatrixDescriptor(64, 16)}, result="value",
+                         engine=engine)
         assert result.output_bytes * 2 == result.dataset_bytes
         assert reads_of(engine, result) == [1]
 
     def test_store_places_results_in_tier(self, engine, session):
-        result = run_matadd(session, seed=10, desc=MatrixDescriptor(32, 16),
-                            tier=TierKind.NVM_DIRECT, mode="active", result="store",
-                            engine=engine)
+        result = run_app("matadd", "active", session, seed=10, tier=TierKind.NVM_DIRECT,
+                         profile={"matrix": MatrixDescriptor(32, 16)}, result="store",
+                         engine=engine)
         assert len(result.output_ids) == 4
         for oid in result.output_ids:
             assert engine.object_tier(oid) == TierKind.NVM_DIRECT
 
     def test_volatile_places_results_in_dram(self, engine, session):
-        result = run_matadd(session, seed=10, desc=MatrixDescriptor(32, 16),
-                            tier=TierKind.NVM_DIRECT, mode="active", result="volatile",
-                            engine=engine)
+        result = run_app("matadd", "active", session, seed=10, tier=TierKind.NVM_DIRECT,
+                         profile={"matrix": MatrixDescriptor(32, 16)}, result="volatile",
+                         engine=engine)
         for oid in result.output_ids:
             assert engine.object_tier(oid) == TierKind.DRAM
 
@@ -126,8 +115,8 @@ class TestMatAddDriver:
 class TestMatMulDriver:
     def test_reuse_equals_grid(self, engine, session):
         desc = MatrixDescriptor(40, 8)  # grid 5
-        result = run_matmul(session, seed=11, desc=desc, tier=TierKind.DRAM,
-                            mode="active", result="volatile", engine=engine)
+        result = run_app("matmul", "active", session, seed=11, tier=TierKind.DRAM,
+                         profile={"matrix": desc}, result="volatile", engine=engine)
         assert reads_of(engine, result) == [5]
         assert result.method_input_bytes == 5 * result.dataset_bytes
 
@@ -143,8 +132,8 @@ class TestMatMulDriver:
             ("active", "inplace_fma", TierKind.MEMORY_MODE),
             ("passive", "value", TierKind.DRAM),
         ]:
-            run = run_matmul(session, seed=12, desc=desc, tier=tier, mode=mode,
-                             result=result_kind, engine=engine)
+            run = run_app("matmul", mode, session, seed=12, tier=tier, profile={"matrix": desc},
+                          result=result_kind, engine=engine)
             digests.add(run.output_digest)
             finals.append(run.final)
         assert len(digests) == 1
@@ -161,8 +150,8 @@ class TestMatMulDriver:
         offset and on heap arrays alike, so all four agree bit for bit."""
         desc = MatrixDescriptor(192, 96)  # grid 2 of the paper's block side
         runs = [
-            run_matmul(session, seed=16, desc=desc, tier=tier, mode=mode,
-                       result=result_kind, engine=engine)
+            run_app("matmul", mode, session, seed=16, tier=tier, profile={"matrix": desc},
+                    result=result_kind, engine=engine)
             for mode, result_kind, tier in [
                 ("active", "volatile", TierKind.NVM_DIRECT),
                 ("active", "inplace_fma", TierKind.NVM_DIRECT),
@@ -176,22 +165,23 @@ class TestMatMulDriver:
 
     def test_inplace_outputs_live_in_the_compute_tier(self, engine, session):
         desc = MatrixDescriptor(16, 8)
-        result = run_matmul(session, seed=13, desc=desc, tier=TierKind.NVM_DIRECT,
-                            mode="active", result="inplace_fma", engine=engine)
+        result = run_app("matmul", "active", session, seed=13, tier=TierKind.NVM_DIRECT,
+                         profile={"matrix": desc}, result="inplace_fma", engine=engine)
         for oid in result.output_ids:
             assert engine.object_tier(oid) == TierKind.NVM_DIRECT
 
     def test_passive_reuse_matches_grid_too(self, engine, session):
         desc = MatrixDescriptor(24, 8)  # grid 3
-        result = run_matmul(session, seed=14, desc=desc, tier=TierKind.DRAM,
-                            mode="passive", result="value", engine=engine)
+        result = run_app("matmul", "passive", session, seed=14, tier=TierKind.DRAM,
+                         profile={"matrix": desc}, result="value", engine=engine)
         assert reads_of(engine, result) == [3]
 
     @pytest.mark.parametrize("mode", ["active", "passive"])
     def test_method_input_bytes_same_without_engine(self, engine, session, mode):
         desc = MatrixDescriptor(24, 8)  # grid 3
         with_engine, without = (
-            run_matmul(session, seed=15, desc=desc, tier=TierKind.DRAM, mode=mode, engine=e)
+            run_app("matmul", mode, session, seed=15, tier=TierKind.DRAM,
+                    profile={"matrix": desc}, engine=e)
             for e in (engine, None)
         )
         assert with_engine.method_input_bytes == 3 * with_engine.dataset_bytes
@@ -218,8 +208,8 @@ class TestDispatcher:
                     profile={}, engine=engine)
 
     def test_phases_are_recorded(self, engine, session):
-        result = run_histogram(session, seed=1, n_elems=1024, block_elems=256,
-                               tier=TierKind.DRAM, mode="active", engine=engine)
+        result = run_app("histogram", "active", session, seed=1, tier=TierKind.DRAM,
+                         profile={"n_elems": 1024, "block_elems": 256}, engine=engine)
         assert set(result.phases) >= {"generate", "persist", "compute"}
 
 

@@ -1,0 +1,49 @@
+"""The `bench` command line: its documented exit codes."""
+
+from __future__ import annotations
+
+import csv
+import json
+
+from aostore.bench import verify_report_metrics
+from aostore.cli import main
+
+TINY = ["--app", "histogram", "--objects", "big", "--dataset", "desk", "--seed", "3"]
+
+
+def test_run_writes_a_verified_report(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["run", *TINY, "--arena", str(tmp_path / "arenas"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["status"] == "ok"
+    verify_report_metrics(report)
+
+
+def test_invalid_config_exits_2_before_any_work(tmp_path, capsys):
+    arenas = tmp_path / "arenas"
+    argv = ["run", "--app", "matadd", "--result", "inplace_fma", "--arena", str(arenas)]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not arenas.exists()
+
+
+def test_arena_path_that_is_a_file_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    assert main(["run", *TINY, "--arena", str(blocker), "--out", str(tmp_path / "r.json")]) == 1
+    assert "runtime failure" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_sweep_with_a_failing_row_exits_1(tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "base": {"app": "histogram", "objects": "big", "dataset": "desk", "seed": 3},
+        "runs": [{"arena_path": str(tmp_path / "arenas")}, {"arena_path": str(blocker)}],
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+    with out.open() as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "error"]

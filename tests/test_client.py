@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aostore.client import Stub, fetch_full
+from aostore.client import Stub
 from aostore.engine import ByValue
 from aostore.errors import InvalidRequestError, NotFoundError, ShapeMismatchError
 from aostore.kernels import HIST_CLASS, POINTS_CLASS
@@ -83,7 +83,7 @@ class TestPassivePath:
         n = 1 << 20  # 8 MB payload
         oid = ready.make_persistent(HIST_CLASS, FloatArray(np.zeros(n)), TierKind.DRAM)
         recv_before = ready.counters().bytes_received
-        payload = fetch_full(ready, oid)
+        payload = ready.get(oid)
         assert payload.element_count == n
         assert ready.counters().bytes_received - recv_before >= 8 * n
 
@@ -92,12 +92,12 @@ class TestPassivePath:
         oid = ready.make_persistent(HIST_CLASS, FloatArray(np.zeros(n)), TierKind.DRAM)
         recv_before = ready.counters().bytes_received
         for _ in range(10):
-            fetch_full(ready, oid)
+            ready.get(oid)
         assert ready.counters().bytes_received - recv_before >= 10 * 8 * n
 
     def test_fetch_unknown_id(self, ready):
         with pytest.raises(NotFoundError):
-            fetch_full(ready, ObjectIdFactory(77).new_object_id())
+            ready.get(ObjectIdFactory(77).new_object_id())
 
 
 class TestSessionCounters:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aostore import engine as engine_module
 from aostore.engine import ByRef, ByValue, Engine, ResultPlacement
 from aostore.errors import (
     DuplicateError,
@@ -135,7 +136,7 @@ class TestInvoke:
         values = np.random.default_rng(3).random(1000)
         oid = engine.make_persistent("Block", FloatArray(values), TierKind.NVM_DIRECT)
         remote = engine.invoke(oid, "mean").values[0]
-        local = build_catalog().get("stat.mean").fn(FloatArray(values), []).result.values[0]
+        local = build_catalog().get("stat.mean").fn(FloatArray(values), []).values[0]
         assert remote == local
 
     def test_unknown_method(self, engine):
@@ -186,13 +187,9 @@ class TestInvoke:
         nvm_written_after = engine.tier(TierKind.NVM_DIRECT).counters().bytes_written
         assert nvm_written_after - nvm_written_before == 4 * 4 * 8
 
-    def test_small_result_limit_enforced(self, arena_dir):
-        engine = Engine(
-            make_tiers(arena_dir),
-            build_catalog(),
-            id_factory=ObjectIdFactory(5),
-            small_result_limit=64,
-        )
+    def test_small_result_limit_enforced(self, arena_dir, monkeypatch):
+        monkeypatch.setattr(engine_module, "SMALL_RESULT_LIMIT", 64)
+        engine = Engine(make_tiers(arena_dir), build_catalog(), id_factory=ObjectIdFactory(5))
         from aostore.kernels import kernel_classes, kernel_methods
 
         for c in kernel_classes():
@@ -479,7 +476,7 @@ class TestRecovery:
         tier2 = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
         engine2 = Engine({TierKind.NVM_DIRECT: tier2}, build_catalog())
         assert oid in engine2.object_ids()
-        assert bytes(tier2.read_view(oid)) == payload.data_bytes()
+        assert bytes(tier2.read_view(oid)) == bytes(payload.data_view())
         # schema was not persisted: typed access requires re-registration
         with pytest.raises((InvalidRequestError, UnknownNameError)):
             engine2.get_object(oid)

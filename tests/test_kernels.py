@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from aostore.errors import InvalidRequestError, ShapeMismatchError
 from aostore.kernels import (
-    HistogramSpec,
     MatrixDescriptor,
     PartialSum,
     assemble_matrix,
@@ -15,11 +14,11 @@ from aostore.kernels import (
     gen_matrix,
     gen_points,
     histogram_block,
+    histogram_edges,
     initial_centroids,
     kmeans_partial,
     kmeans_reduce,
     matadd_block,
-    matmul_block,
     merge_histograms,
 )
 from aostore.model import Centroids, FloatArray, Histogram, PointsBlock, Submatrix
@@ -76,51 +75,47 @@ class TestGenerators:
 
 class TestHistogram:
     def test_spec_covers_zero_to_infinity(self):
-        spec = HistogramSpec()
-        assert spec.bin_count == 140
-        assert len(spec.edges) == 139
-        assert spec.edges[0] == 2.0**-7 and spec.edges[-1] == 2.0**6
-        assert np.all(np.diff(spec.edges) > 0)
+        edges = histogram_edges()
+        assert len(edges) + 1 == 140
+        assert len(edges) == 139
+        assert edges[0] == 2.0**-7 and edges[-1] == 2.0**6
+        assert np.all(np.diff(edges) > 0)
 
     def test_empty_block_all_zero(self):
-        h = histogram_block(FloatArray([]), HistogramSpec())
+        h = histogram_block(FloatArray([]))
         assert h.counts.sum() == 0 and len(h.counts) == 140
 
     def test_values_below_first_edge_land_in_bin_zero(self):
-        spec = HistogramSpec()
-        h = histogram_block(FloatArray(np.full(17, 2.0**-9)), spec)
+        h = histogram_block(FloatArray(np.full(17, 2.0**-9)))
         assert h.counts[0] == 17 and h.counts.sum() == 17
 
     def test_open_last_bin(self):
-        h = histogram_block(FloatArray([1e12, 65.0]), HistogramSpec())
+        h = histogram_block(FloatArray([1e12, 65.0]))
         assert h.counts[-1] == 2
 
     def test_boundary_value_goes_right(self):
-        spec = HistogramSpec()
-        h = histogram_block(FloatArray([float(spec.edges[0])]), spec)
+        h = histogram_block(FloatArray([float(histogram_edges()[0])]))
         assert h.counts[1] == 1  # edge_1 <= x < edge_2
 
     def test_random_block_matches_linear_scan_oracle(self):
-        spec = HistogramSpec()
         block = gen_f_array(31, 20_000, block_elems=20_000)[0]
-        ours = histogram_block(block, spec)
-        oracle = histogram_oracle(block.values.tolist(), spec.edges.tolist())
+        ours = histogram_block(block)
+        oracle = histogram_oracle(block.values.tolist(), histogram_edges().tolist())
         assert ours.counts.tolist() == oracle
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidRequestError, match="NaN"):
-            histogram_block(FloatArray([1.0, float("nan")]), HistogramSpec())
+            histogram_block(FloatArray([1.0, float("nan")]))
 
     def test_conservation(self):
         block = gen_f_array(8, 5000, block_elems=5000)[0]
-        assert histogram_block(block, HistogramSpec()).counts.sum() == 5000
+        assert histogram_block(block).counts.sum() == 5000
 
     def test_merge_identity_and_commutativity(self):
-        spec = HistogramSpec()
-        a = histogram_block(gen_f_array(1, 1000, block_elems=1000)[0], spec)
+        a = histogram_block(gen_f_array(1, 1000, block_elems=1000)[0])
         zero = Histogram(np.zeros(140, dtype=np.uint64))
         assert merge_histograms([a, zero]) == a
-        b = histogram_block(gen_f_array(2, 1000, block_elems=1000)[0], spec)
+        b = histogram_block(gen_f_array(2, 1000, block_elems=1000)[0])
         assert merge_histograms([a, b]) == merge_histograms([b, a])
 
     def test_merge_width_mismatch(self):
@@ -129,11 +124,10 @@ class TestHistogram:
                               Histogram(np.zeros(4, dtype=np.uint64))])
 
     def test_blocked_merge_equals_monolithic(self):
-        spec = HistogramSpec()
         blocks = gen_f_array(77, 30_000, block_elems=4096)
-        merged = merge_histograms([histogram_block(b, spec) for b in blocks])
+        merged = merge_histograms([histogram_block(b) for b in blocks])
         whole = np.concatenate([b.values for b in blocks])
-        assert merged == histogram_block(FloatArray(whole), spec)
+        assert merged == histogram_block(FloatArray(whole))
 
 
 class TestKMeans:
@@ -221,12 +215,12 @@ class TestMatrixOps:
         rng = np.random.default_rng(1)
         a = Submatrix(rng.random((8, 8)))
         zero = Submatrix(np.zeros((8, 8)))
-        assert matadd_block(a, zero).data_bytes() == a.data_bytes()
+        assert matadd_block(a, zero).data_view() == a.data_view()
 
     def test_add_commutes_bit_exactly(self):
         rng = np.random.default_rng(2)
         a, b = Submatrix(rng.random((16, 16))), Submatrix(rng.random((16, 16)))
-        assert matadd_block(a, b).data_bytes() == matadd_block(b, a).data_bytes()
+        assert matadd_block(a, b).data_view() == matadd_block(b, a).data_view()
 
     def test_add_matches_scalar_oracle_bit_exactly(self):
         rng = np.random.default_rng(3)
@@ -241,16 +235,14 @@ class TestMatrixOps:
             matadd_block(Submatrix(np.zeros((2, 2))), Submatrix(np.zeros((3, 3))))
 
     def test_fma_scalar_case(self):
-        out = matmul_block(
-            Submatrix(np.array([[2.0]])), Submatrix(np.array([[3.0]])), Submatrix(np.array([[4.0]]))
-        )
-        assert out.values[0, 0] == 14.0
+        out = fma_values(np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]]))
+        assert out[0, 0] == 14.0
 
     def test_fma_identity(self):
         rng = np.random.default_rng(4)
         b = rng.random((6, 6))
-        out = matmul_block(Submatrix(np.zeros((6, 6))), Submatrix(np.eye(6)), Submatrix(b))
-        assert np.array_equal(out.values, b)
+        out = fma_values(np.zeros((6, 6)), np.eye(6), b)
+        assert np.array_equal(out, b)
 
     def test_fma_returns_a_new_array_and_leaves_inputs_alone(self):
         # The engine writes an in-place FMA back through the tier's counted
@@ -293,17 +285,16 @@ class TestMatrixOps:
 @settings(max_examples=25)
 def test_histogram_conservation_property(seed, n):
     block = gen_f_array(seed, n, block_elems=n)[0]
-    assert int(histogram_block(block, HistogramSpec()).counts.sum()) == n
+    assert int(histogram_block(block).counts.sum()) == n
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_merge_decomposition_property(seed):
-    spec = HistogramSpec()
     blocks = gen_f_array(seed, 300, block_elems=64)
-    merged = merge_histograms([histogram_block(b, spec) for b in blocks])
+    merged = merge_histograms([histogram_block(b) for b in blocks])
     whole = FloatArray(np.concatenate([b.values for b in blocks]))
-    assert merged == histogram_block(whole, spec)
+    assert merged == histogram_block(whole)
 
 
 @given(

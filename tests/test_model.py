@@ -17,8 +17,8 @@ from aostore.model import (
     decode_payload,
     encode_payload,
     encoded_size,
-    payload_from_region,
     payload_size_bytes,
+    region_reader,
 )
 
 
@@ -135,20 +135,20 @@ class TestCodec:
 class TestZeroCopyView:
     def test_view_aliases_buffer(self):
         payload = FloatArray([1.0, 2.0, 3.0])
-        buf = bytearray(payload.data_bytes())
-        view = payload_from_region(payload.tag, payload.shape_fields(), memoryview(buf))
+        buf = bytearray(payload.data_view())
+        view = region_reader(payload.tag, payload.shape_fields())(memoryview(buf))
         buf[0:8] = np.float64(9.5).tobytes()
         assert view.values[0] == 9.5
 
     def test_writable_view_writes_through(self):
         buf = bytearray(np.zeros(4).tobytes())
-        view = payload_from_region(1, (4,), memoryview(buf))
+        view = region_reader(1, (4,))(memoryview(buf))
         view.values[2] = 7.0
         assert np.frombuffer(buf, dtype="<f8")[2] == 7.0
 
     def test_region_length_checked(self):
         with pytest.raises(PayloadError, match="length mismatch"):
-            payload_from_region(3, (3,), memoryview(bytearray(32)))
+            region_reader(3, (3,))(memoryview(bytearray(32)))
 
 
 class TestDecodeOwnership:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aostore.errors import ArenaError, CapacityError, NotFoundError, InvalidRequestError
-from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, payload_from_region
+from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, region_reader
 from aostore.tiers import (
     ArenaConfig,
     CostModel,
@@ -136,6 +136,18 @@ class TestNvmDirect:
         with pytest.raises(ArenaError, match="magic"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
 
+    def test_corrupt_directory_count_rejected(self, tmp_path):
+        # a count of 2**32 - 1 entries would ask pread for 160 GiB
+        path = tmp_path / "count.arena"
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        tier.store(oid(), bytes(64))
+        tier.close()
+        with path.open("r+b") as fh:
+            fh.seek(64 + 4096)  # the directory follows the header and the data region
+            fh.write(struct.pack("<I", 0xFFFFFFFF))
+        with pytest.raises(ArenaError, match="truncated directory"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+
     def test_version_1_arena_rejected(self, tmp_path):
         # the version-1 layout: a 22-byte header, data right after it, and an
         # empty directory at the end
@@ -149,8 +161,8 @@ class TestNvmDirect:
     def test_payload_views_are_aligned(self, nvm):
         for k in (3, 8, 96):
             key = oid()
-            nvm.store(key, Submatrix(np.ones((k, k))).data_bytes())
-            payload = payload_from_region(TAG_SUBMATRIX, (k,), nvm.read_view(key))
+            nvm.store(key, Submatrix(np.ones((k, k))).data_view())
+            payload = region_reader(TAG_SUBMATRIX, (k,))(nvm.read_view(key))
             assert payload.values.flags.aligned
             del payload
 

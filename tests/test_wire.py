@@ -20,7 +20,6 @@ from aostore.engine import (
     ResultPlacement,
     Routine,
     RoutineCatalog,
-    RoutineOutput,
 )
 from aostore.errors import (
     ERR_MALFORMED,
@@ -49,7 +48,6 @@ from aostore.model import (
 )
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 from aostore.wire import (
-    MAX_FRAME,
     Frame,
     FrameBuffer,
     LoopbackConnection,
@@ -86,9 +84,10 @@ class TestFraming:
         assert decoded == frame
         assert consumed == len(encode_frame(frame))
 
-    def test_oversize_encode_rejected(self):
+    def test_oversize_encode_rejected(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME", 64)
         with pytest.raises(FrameError, match="exceeds"):
-            encode_frame(Frame(MSG_GET, 1, bytes(100)), max_frame=64)
+            encode_frame(Frame(MSG_GET, 1, bytes(100)))
 
     def test_truncated_stream_reports_offset(self):
         raw = encode_frame(Frame(MSG_GET, 1, bytes(16)))
@@ -675,7 +674,7 @@ class TestPartialIO:
         sender = threading.Thread(target=drip)
         sender.start()
         buf = FrameBuffer()
-        got = [bytes(wire._recv_frame(reader, buf, MAX_FRAME)) for _ in frames]
+        got = [bytes(wire._recv_frame(reader, buf)) for _ in frames]
         sender.join()
         a.close()
         reader.close()
@@ -719,7 +718,7 @@ class TestPartialIO:
         sender.start()
         buf = FrameBuffer()
         with pytest.raises(FrameError, match="closed mid-frame"):
-            wire._recv_frame(b, buf, MAX_FRAME)
+            wire._recv_frame(b, buf)
         sender.join()
         assert buf.capacity <= 2 * (4 + (3 << 20)) + wire.RECV_STEP
         a.close()
@@ -731,18 +730,19 @@ class TestPartialIO:
         sender = threading.Thread(target=a.sendall, args=(raw,))
         sender.start()
         buf = FrameBuffer()
-        got = bytes(wire._recv_frame(b, buf, MAX_FRAME))
+        got = bytes(wire._recv_frame(b, buf))
         sender.join()
         a.close()
         b.close()
         assert got == raw and buf.capacity == len(raw)
 
-    def test_oversize_length_fails_before_the_buffer_grows(self):
+    def test_oversize_length_fails_before_the_buffer_grows(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME", 1024)
         a, b = socket.socketpair()
         a.sendall(struct.pack("<I", 1025) + bytes(64))
         buf = FrameBuffer()
         with pytest.raises(FrameError, match="oversize"):
-            wire._recv_frame(b, buf, 1024)
+            wire._recv_frame(b, buf)
         assert buf.capacity == 4
         a.close()
         b.close()
@@ -779,7 +779,7 @@ class TestBufferOwnership:
 
         def probe(target, args):
             seen.append([target.values.flags.aligned] + [a.values.flags.aligned for a in args])
-            return RoutineOutput()
+            return None
 
         engine = Engine(make_tiers(arena_dir), RoutineCatalog([Routine("test.probe", probe)]))
         server = TcpServer(engine)
@@ -808,7 +808,7 @@ class TestBufferOwnership:
 
         def probe(target, args):
             writable.extend(a.values.flags.writeable for a in args)
-            return RoutineOutput()
+            return None
 
         engine = Engine(make_tiers(arena_dir), RoutineCatalog([Routine("test.probe", probe)]))
         server = TcpServer(engine) if transport == "tcp" else None
