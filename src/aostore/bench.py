@@ -21,8 +21,9 @@ import csv
 from collections import Counter
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,10 +227,9 @@ def parse_fraction(s: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def _counters_dict(c: TierCounters) -> dict:
-    out = asdict(c)
-    out["modeled_time_ns"] = _fraction_str(c.modeled_time_ns)
-    return out
+def _counters_dict(c: TierCounters, medium: str, cost: CostModel) -> dict:
+    """The counters of one medium and their modeled time under ``cost``."""
+    return {**asdict(c), "modeled_time_ns": _fraction_str(modeled_time_ns(c, medium, cost))}
 
 
 @dataclass
@@ -334,11 +334,17 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         metrics = _metrics_of(raw)
         media = {kind: handle.media_counters() for kind, handle in tiers.items()}
         tier_section = {
-            kind.name.lower(): {medium: _counters_dict(c) for medium, c in counters.items()}
+            kind.name.lower(): {
+                medium: _counters_dict(c, medium, cost) for medium, c in counters.items()
+            }
             for kind, counters in media.items()
         }
         total_model = sum(
-            (c.modeled_time_ns for counters in media.values() for c in counters.values()),
+            (
+                modeled_time_ns(c, medium, cost)
+                for counters in media.values()
+                for medium, c in counters.items()
+            ),
             Fraction(0),
         )
 
@@ -386,10 +392,8 @@ def _method_traffic(engine: Engine, start: OpTotals) -> dict:
     sums = engine.op_totals()["invoke"].since(start).tier_deltas
     out: dict = {}
     for (kind, medium), vals in sorted(sums.items()):
-        counters = TierCounters(*vals)
-        model = modeled_time_ns(counters, medium, engine.tiers[kind].cost_model)
         out.setdefault(kind.name.lower(), {})[medium] = _counters_dict(
-            replace(counters, modeled_time_ns=model)
+            TierCounters(*vals), medium, engine.tiers[kind].cost_model
         )
     return out
 
@@ -419,15 +423,29 @@ def verify_report_metrics(report: dict) -> None:
     assert report["metrics"]["modeled_time_ns_total"] == float(total)
 
 
-def emit_report(report: BenchmarkReport, fmt: str, path: str | Path) -> None:
-    """Write one report; CSV appends a row (with header when the file is new)."""
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=False) + "\n")
-    elif fmt == "csv":
-        _append_csv_row(path, _csv_row(report))
-    else:
+def emit_report(report: BenchmarkReport, fmt: str, path: str | Path | None) -> None:
+    """Write one report to ``path``, or to stdout when it is None. JSON
+    replaces the file; CSV appends a row, under a header when the file is
+    new (stdout always is)."""
+    if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    if path is None:
+        _write_report(report, fmt, sys.stdout, header=True)
+        return
+    path = Path(path)
+    new_file = not path.exists() or path.stat().st_size == 0
+    with path.open("w" if fmt == "json" else "a", newline="") as fh:
+        _write_report(report, fmt, fh, header=new_file)
+
+
+def _write_report(report: BenchmarkReport, fmt: str, fh, header: bool) -> None:
+    if fmt == "json":
+        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        return
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    if header:
+        writer.writeheader()
+    writer.writerow(_csv_row(report))
 
 
 def _csv_row(report: BenchmarkReport) -> dict:
@@ -499,7 +517,6 @@ def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
     failures = 0
     for config in configs:
         try:
-            config.validate()
             report = run_benchmark(config)
             _append_csv_row(out_csv, _csv_row(report))
             key = (config.app, config.tier, config.objects, config.dataset)

@@ -64,22 +64,14 @@ def _cmd_run(args) -> int:
     config = BenchmarkConfig(
         **{f.name: getattr(args, f.name) for f in fields(BenchmarkConfig) if hasattr(args, f.name)}
     )
-    config.validate()
     report = run_benchmark(config)
     verify_report_metrics(report.to_dict())
-    if args.out is None:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        emit_report(report, args.format, args.out)
+    emit_report(report, args.format, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    configs = load_plan(args.plan)
-    for config in configs:
-        config.validate()
-    summary = sweep(configs, args.out)
+    summary = sweep(load_plan(args.plan), args.out)
     json.dump(summary, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if summary["failures"] == 0 else 1

@@ -171,16 +171,10 @@ class FloatArray(BlockPayload):
 class _Matrix2D(BlockPayload):
     """Shared shape handling for rows x dims float blocks."""
 
-    def __init__(self, values, rows: int | None = None, dims: int | None = None):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=F64)
-        if arr.ndim == 1 and rows is not None and dims is not None:
-            arr = arr.reshape(rows, dims)
         if arr.ndim != 2:
             raise PayloadError(f"{type(self).__name__} expects a rows x dims matrix")
-        if rows is not None and arr.shape[0] != rows:
-            raise PayloadError(f"row count mismatch: declared {rows}, got {arr.shape[0]}")
-        if dims is not None and arr.shape[1] != dims:
-            raise PayloadError(f"dim count mismatch: declared {dims}, got {arr.shape[1]}")
         self._values = arr
 
     @property
@@ -209,16 +203,10 @@ class Submatrix(BlockPayload):
     tag = TAG_SUBMATRIX
     semantic = SEM_SUBMATRIX
 
-    def __init__(self, values, k: int | None = None):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=F64)
-        if arr.ndim == 1 and k is not None:
-            if arr.size != k * k:
-                raise PayloadError(f"length mismatch: submatrix k={k} expects {k * k} values, got {arr.size}")
-            arr = arr.reshape(k, k)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise PayloadError(f"submatrix must be square, got shape {arr.shape}")
-        if k is not None and arr.shape[0] != k:
-            raise PayloadError(f"length mismatch: declared k={k}, got side {arr.shape[0]}")
         self._values = arr
 
     @property

@@ -19,16 +19,16 @@ Arena file format, version 2 (little-endian):
 Region offsets are relative to the start of the data region. Payload regions
 are multiples of 8 bytes long, so each starts 8-byte aligned and numpy sees
 aligned arrays over it; a version-1 file (22-byte header) is refused. The
-directory is rewritten on flush/close. Timing is never simulated by sleeping;
-instead every handle derives a ``modeled_time_ns`` as the exact rational dot
-product of its integer traffic counters with the configured :class:`CostModel`.
+directory is rewritten on flush/close. Timing is never simulated by sleeping:
+a handle keeps only integer traffic counters per medium, and a report derives
+the modeled time from them with :func:`modeled_time_ns`, the exact rational
+dot product of the counters with the configured :class:`CostModel`.
 """
 
 from __future__ import annotations
 
 import enum
 import mmap
-import operator
 import os
 import struct
 import threading
@@ -95,14 +95,9 @@ class CostModel:
         raise InvalidRequestError(f"unknown medium {medium!r}")
 
 
-# the integer counters of a medium, in the order of ``TierCounters.raw()``
-_RAW_FIELDS = ("bytes_read", "bytes_written", "cache_hits", "cache_misses", "read_ops", "write_ops")
-_raw_of = operator.attrgetter(*_RAW_FIELDS)
-
-
 @dataclass(frozen=True)
 class TierCounters:
-    """Monotone traffic counters for one medium, plus derived modeled time."""
+    """Monotone traffic counters for one medium."""
 
     bytes_read: int = 0
     bytes_written: int = 0
@@ -110,17 +105,12 @@ class TierCounters:
     cache_misses: int = 0
     read_ops: int = 0
     write_ops: int = 0
-    modeled_time_ns: Fraction = Fraction(0)
-
-    def raw(self) -> tuple[int, int, int, int, int, int]:
-        return _raw_of(self)
 
 
 def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fraction:
-    """Exact modeled cost of the counter vector under ``cost``; the tier
-    handles compute their own snapshots with this same function, so the law
-    ``modeled_time == dot(counters, cost)`` holds by construction and is
-    recomputable by callers."""
+    """Exact modeled cost of the counter vector under ``cost``. Tier handles
+    keep only the counters; reports compute the modeled time with this
+    function, so a reader can recompute it from the counters they carry."""
     read_rate, write_rate = cost.rates_for(medium)
     return (
         counters.bytes_read * read_rate
@@ -147,19 +137,20 @@ def close_charges() -> dict[tuple[TierKind, str], list[int]]:
 
 
 class _MediumCounters:
-    """Mutable integer counters of one medium, in ``_RAW_FIELDS`` order; each
-    bump is also charged to the operation open on the calling thread."""
+    """Mutable integer counters of one medium, in ``TierCounters`` field
+    order; each bump is also charged to the operation open on the calling
+    thread."""
 
-    __slots__ = ("key", "_raw")
+    __slots__ = ("key", "raw")
 
     def __init__(self, key: tuple[TierKind, str]):
         self.key = key
-        self._raw = [0] * 6
+        self.raw = [0] * 6
 
     def _bump(self, i: int, n: int, ops: int | None = None) -> None:
         """Add ``n`` to counter ``i`` and, if given, 1 to counter ``ops``,
         here and in the open operation's charges."""
-        raw = self._raw
+        raw = self.raw
         raw[i] += n
         if ops is not None:
             raw[ops] += 1
@@ -182,9 +173,6 @@ class _MediumCounters:
     def miss(self) -> None:
         self._bump(3, 1)
 
-    def raw(self) -> tuple[int, int, int, int, int, int]:
-        return tuple(self._raw)
-
 
 @dataclass(frozen=True)
 class ArenaConfig:
@@ -204,7 +192,7 @@ class TierHandle:
     """Common surface of the three tier implementations.
 
     Each handle keeps one :class:`_MediumCounters` per medium it touches, in
-    ``_media``; snapshots with modeled times are built from them on demand.
+    ``_media``; :meth:`media_counters` takes a snapshot of them.
     """
 
     kind: TierKind
@@ -254,19 +242,9 @@ class TierHandle:
         raise NotImplementedError
 
     def media_counters(self) -> dict[str, TierCounters]:
-        """The counters of each medium with their modeled time."""
+        """A snapshot of the counters of each medium."""
         with self._lock:
-            raws = {medium: c.raw() for medium, c in self._media.items()}
-        out = {}
-        for medium, raw in raws.items():
-            plain = TierCounters(*raw)
-            out[medium] = replace(plain, modeled_time_ns=modeled_time_ns(plain, medium, self._cost))
-        return out
-
-    def counters(self) -> TierCounters:
-        """Traffic of the tier's single medium."""
-        (only,) = self.media_counters().values()
-        return only
+            return {medium: TierCounters(*c.raw) for medium, c in self._media.items()}
 
     @property
     def capacity_bytes(self) -> int:
@@ -280,10 +258,6 @@ class TierHandle:
     def used_bytes(self) -> int:
         with self._lock:
             return sum(length for _, length in self._dir.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
 
     def _check_range(self, oid: ObjectId, offset: int, length: int) -> tuple[int, int]:
         base, size = self._entry(oid)
@@ -691,17 +665,6 @@ class MemoryModeTier(_ArenaTier):
     def cache_used_bytes(self) -> int:
         with self._lock:
             return self._cache_used
-
-    def counters(self) -> TierCounters:
-        """Backing-medium (NVM) traffic plus cache hit/miss statistics."""
-        media = self.media_counters()
-        dram, nvm = media[MEDIA_DRAM], media[MEDIA_NVM]
-        return replace(
-            nvm,
-            cache_hits=dram.cache_hits,
-            cache_misses=dram.cache_misses,
-            modeled_time_ns=nvm.modeled_time_ns + dram.modeled_time_ns,
-        )
 
 
 _TIER_CLASSES = {cls.kind: cls for cls in (DramTier, NvmDirectTier, MemoryModeTier)}

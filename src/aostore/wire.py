@@ -83,6 +83,8 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # parts shorter than this are joined to their neighbours before a send, so a
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
+# seconds a client socket waits to connect, and then for each send or receive
+CONNECT_TIMEOUT_S = 30.0
 # a receive buffer grows by at most this much, or by what the frame has
 # already delivered if that is more, ahead of the bytes that have arrived
 RECV_STEP = 1 << 20
@@ -456,7 +458,7 @@ ARG = _Union("INVOKE arg", {1: (ByValue, _Wrapper(ByValue, PAYLOAD_VIEW)),
 RESULT = _Union("INVOKE result", {0: (type(None), None), 1: (BlockPayload, PAYLOAD),
                                   2: (ObjectId, OBJECT_ID)})
 MEDIUM = _Code("medium", {MEDIA_DRAM: 1, MEDIA_NVM: 2})
-COUNTERS = _Record(TierCounters, *[U64] * 6)  # the modeled time is derived, not sent
+COUNTERS = _Record(TierCounters, *[U64] * 6)
 STATS = _Record(ServerStats, _Record(WireCounters, U64, U64, _Map(U8, U8, U64)),
                 _Map(U8, TIER, _Map(U8, MEDIUM, COUNTERS)))  # per tier, per medium
 
@@ -655,9 +657,9 @@ class LoopbackConnection(Connection):
 
 
 class TcpConnection(Connection):
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
+    def __init__(self, host: str, port: int):
         super().__init__()
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         self._received = FrameBuffer()
 
     def _roundtrip(self, raw: list) -> memoryview:

@@ -471,10 +471,10 @@ def test_criterion_07_memory_mode_cache_law(tmp_path):
                 tier.store(key, bytes(object_bytes))
             for key in keys:
                 tier.read_view(key)
-            first_sweep_reads = tier.counters().bytes_read
+            first_sweep_reads = tier.media_counters()["nvm"].bytes_read
             for key in keys:
                 tier.read_view(key)
-            second_sweep_reads = tier.counters().bytes_read - first_sweep_reads
+            second_sweep_reads = tier.media_counters()["nvm"].bytes_read - first_sweep_reads
             if expect_cold:
                 assert second_sweep_reads > 0
             else:

@@ -47,3 +47,32 @@ def test_sweep_with_a_failing_row_exits_1(tmp_path):
     assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
     with out.open() as fh:
         assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "error"]
+
+
+def test_sweep_records_an_invalid_row_and_runs_the_rest(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "base": {"objects": "big", "dataset": "desk", "seed": 3,
+                 "arena_path": str(tmp_path / "arenas")},
+        "runs": [{"app": "histogram"}, {"app": "matadd", "result": "inplace_fma"}],
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+    with out.open() as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "error"]
+
+
+def test_malformed_plan_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([{"app": "histogram", "no_such_field": 1}]))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_csv_without_out_prints_header_and_one_row(tmp_path, capsys):
+    argv = ["run", *TINY, "--arena", str(tmp_path / "arenas"), "--format", "csv"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["status"] for row in rows] == ["ok"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from aostore.model import (
     Submatrix,
 )
 from aostore.tiers import ArenaConfig, TierKind, open_tier
-from aostore.tiers import MEDIA_NVM
+from aostore.tiers import MEDIA_DRAM, MEDIA_NVM
 
 from .conftest import make_tiers
 from .oracles import matmul_oracle
@@ -84,9 +85,9 @@ class TestPersistGet:
 
     def test_persist_accounts_raw_data_bytes(self, engine):
         engine.register_class(BLOCK)
-        before = engine.tier(TierKind.NVM_DIRECT).counters().bytes_written
+        before = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         engine.make_persistent("Block", FloatArray(np.zeros(10**6)), TierKind.NVM_DIRECT)
-        after = engine.tier(TierKind.NVM_DIRECT).counters().bytes_written
+        after = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         assert after - before == 8 * 10**6
 
     def test_get_increments_read_count_once(self, engine):
@@ -115,11 +116,11 @@ class TestPersistGet:
     def test_delete_frees_payload_capacity(self, engine):
         engine.register_class(BLOCK)
         tier = engine.tier(TierKind.DRAM)
-        free0 = tier.free_bytes
+        used0 = tier.used_bytes
         oid = engine.make_persistent("Block", FloatArray(np.zeros(100)), TierKind.DRAM)
-        assert tier.free_bytes == free0 - 800
+        assert tier.used_bytes == used0 + 800
         engine.delete_object(oid)
-        assert tier.free_bytes == free0
+        assert tier.used_bytes == used0
 
 
 class TestInvoke:
@@ -179,12 +180,12 @@ class TestInvoke:
         vol_id = engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile())
         assert engine.object_tier(vol_id) == TierKind.DRAM
 
-        nvm_written_before = engine.tier(TierKind.NVM_DIRECT).counters().bytes_written
+        nvm_written_before = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         stored_id = engine.invoke(
             a, "add", [ByRef(b)], ResultPlacement.store_in(TierKind.NVM_DIRECT)
         )
         assert engine.object_tier(stored_id) == TierKind.NVM_DIRECT
-        nvm_written_after = engine.tier(TierKind.NVM_DIRECT).counters().bytes_written
+        nvm_written_after = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         assert nvm_written_after - nvm_written_before == 4 * 4 * 8
 
     def test_small_result_limit_enforced(self, arena_dir, monkeypatch):
@@ -304,19 +305,20 @@ class TestRecords:
                     acc[i] += d
         for kind, handle in engine.tiers.items():
             for medium, counters in handle.media_counters().items():
-                expected = list(counters.raw())
+                expected = list(astuple(counters))
                 assert totals.get((kind, medium), [0] * 6) == expected
 
     def test_failed_operation_keeps_its_traffic(self, engine):
         _register_matrix(engine)
         oid = engine.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 3))), TierKind.DRAM)
         dram = engine.tier(TierKind.DRAM)
-        before_tier = dram.counters().raw()
+        before_tier = astuple(dram.media_counters()[MEDIA_DRAM])
         before = engine.op_totals()["invoke"]
         # the centroids argument is checked after the target was read
         with pytest.raises(ShapeMismatchError):
             engine.invoke(oid, "partial", [ByValue(FloatArray([1.0]))])
-        moved = tuple(a - b for a, b in zip(dram.counters().raw(), before_tier))
+        after_tier = astuple(dram.media_counters()[MEDIA_DRAM])
+        moved = tuple(a - b for a, b in zip(after_tier, before_tier))
         assert moved == (96, 0, 0, 0, 1, 0)
         failed = engine.op_totals()["invoke"].since(before)
         assert failed.count == 1
@@ -434,7 +436,7 @@ class TestConcurrency:
             for d in totals.tier_deltas.values():
                 summed = [a + b for a, b in zip(summed, d)]
         (counters,) = engine.tier(TierKind.DRAM).media_counters().values()
-        assert summed == list(counters.raw())
+        assert summed == list(astuple(counters))
         assert invokes.tier_deltas[(TierKind.DRAM, "dram")][4] == 1600  # read ops
 
     def test_crossed_mutations_both_finish(self, engine):

@@ -122,8 +122,8 @@ class TestCodec:
             decode_payload(b"")
 
     def test_declared_shape_checked(self):
-        with pytest.raises(PayloadError):
-            Submatrix(np.zeros(4), k=3)
+        with pytest.raises(PayloadError, match="square"):
+            Submatrix(np.zeros(4))
 
     def test_sizes_match_paper_constants(self):
         assert payload_size_bytes(FloatArray(np.zeros(1000))) == 8000

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import struct
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -57,22 +58,22 @@ class TestDram:
     def test_store_one_mib_counts_bytes(self):
         tier = DramTier(ArenaConfig(capacity_bytes=1 << 21))
         tier.store(oid(), bytes(1 << 20))
-        assert tier.counters().bytes_written == 1 << 20
+        assert tier.media_counters()["dram"].bytes_written == 1 << 20
 
     def test_capacity_error_leaves_counters_unchanged(self):
         tier = DramTier(ArenaConfig(capacity_bytes=16))
         with pytest.raises(CapacityError):
             tier.store(oid(), bytes(32))
-        c = tier.counters()
+        c = tier.media_counters()["dram"]
         assert c.bytes_written == 0 and c.write_ops == 0
 
     def test_delete_frees_exact_capacity(self):
         tier = DramTier(ArenaConfig(capacity_bytes=100))
         key = oid()
         tier.store(key, bytes(60))
-        assert tier.free_bytes == 40
+        assert tier.used_bytes == 60
         tier.free(key)
-        assert tier.free_bytes == 100
+        assert tier.used_bytes == 0
 
     def test_read_after_delete_not_found(self):
         tier = DramTier(ArenaConfig(capacity_bytes=100))
@@ -83,9 +84,9 @@ class TestDram:
             tier.read_view(key)
 
     def test_fresh_tier_all_zero(self):
-        c = DramTier(ArenaConfig(capacity_bytes=1)).counters()
-        assert c.raw() == (0, 0, 0, 0, 0, 0)
-        assert c.modeled_time_ns == 0
+        c = DramTier(ArenaConfig(capacity_bytes=1)).media_counters()["dram"]
+        assert astuple(c) == (0, 0, 0, 0, 0, 0)
+        assert modeled_time_ns(c, "dram", CostModel()) == 0
 
 
 class TestNvmDirect:
@@ -94,7 +95,7 @@ class TestNvmDirect:
         nvm.store(key, bytes(range(256)))
         view = nvm.read_view(key)
         assert bytes(view) == bytes(range(256))
-        c = nvm.counters()
+        c = nvm.media_counters()["nvm"]
         assert c.bytes_written == 256 and c.bytes_read == 256
 
     def test_fresh_arena_has_magic(self, tmp_path):
@@ -176,10 +177,10 @@ class TestNvmDirect:
 
     def test_flush_is_idempotent(self, nvm):
         nvm.store(oid(), bytes(64))
-        before = nvm.counters()
+        before = nvm.media_counters()["nvm"]
         nvm.flush()
         nvm.flush()
-        assert nvm.counters().raw() == before.raw()
+        assert astuple(nvm.media_counters()["nvm"]) == astuple(before)
 
     def test_range_overflow_rejected(self, nvm):
         key = oid()
@@ -223,38 +224,38 @@ class TestMemoryMode:
     def test_cold_then_hot_read_counters(self, mm):
         key = oid()
         mm.store(key, bytes(4096))
-        c0 = mm.counters()
-        assert c0.bytes_read == 0
+        c0 = mm.media_counters()
+        assert c0["nvm"].bytes_read == 0
 
         mm.read_view(key)  # cold: miss, nvm read
-        c1 = mm.counters()
-        assert c1.bytes_read - c0.bytes_read == 4096
-        assert c1.cache_misses - c0.cache_misses == 1
+        c1 = mm.media_counters()
+        assert c1["nvm"].bytes_read - c0["nvm"].bytes_read == 4096
+        assert c1["dram"].cache_misses - c0["dram"].cache_misses == 1
 
         mm.read_view(key)  # hot: hit, no nvm read
-        c2 = mm.counters()
-        assert c2.bytes_read == c1.bytes_read
-        assert c2.cache_hits - c1.cache_hits == 1
+        c2 = mm.media_counters()
+        assert c2["nvm"].bytes_read == c1["nvm"].bytes_read
+        assert c2["dram"].cache_hits - c1["dram"].cache_hits == 1
 
     def test_write_then_flush_writes_back_once(self, mm):
         key = oid()
         mm.store(key, bytes(2048))
-        wrote = mm.counters().bytes_written
+        wrote = mm.media_counters()["nvm"].bytes_written
         mm.write_in_place(key, 0, b"dirty")
-        assert mm.counters().bytes_written == wrote  # still cached, not written back
+        assert mm.media_counters()["nvm"].bytes_written == wrote  # still cached, not written back
         mm.flush()
-        assert mm.counters().bytes_written == wrote + 2048
+        assert mm.media_counters()["nvm"].bytes_written == wrote + 2048
         mm.flush()  # second flush writes nothing
-        assert mm.counters().bytes_written == wrote + 2048
+        assert mm.media_counters()["nvm"].bytes_written == wrote + 2048
 
     def test_flush_after_n_dirty_objects(self, mm):
         keys = [oid() for _ in range(3)]
         for k in keys:
             mm.store(k, bytes(512))
             mm.write_in_place(k, 0, b"x")
-        base = mm.counters().bytes_written
+        base = mm.media_counters()["nvm"].bytes_written
         mm.flush()
-        assert mm.counters().bytes_written == base + 3 * 512
+        assert mm.media_counters()["nvm"].bytes_written == base + 3 * 512
 
     def test_cache_occupancy_bounded(self, mm):
         # cache capacity is 16 KiB; store 16 x 4 KiB and sweep twice
@@ -264,11 +265,11 @@ class TestMemoryMode:
         for k in keys:
             mm.read_view(k)
         assert mm.cache_used_bytes <= 1 << 14
-        nvm_reads = mm.counters().bytes_read
+        nvm_reads = mm.media_counters()["nvm"].bytes_read
         for k in keys:
             mm.read_view(k)
         # evictions forced every miss: the second sweep re-reads from the arena
-        assert mm.counters().bytes_read > nvm_reads
+        assert mm.media_counters()["nvm"].bytes_read > nvm_reads
 
     def test_second_sweep_free_when_cache_fits(self, tmp_path):
         tier = open_tier(
@@ -284,10 +285,10 @@ class TestMemoryMode:
             tier.store(k, bytes(4096))
         for k in keys:
             tier.read_view(k)
-        cold_reads = tier.counters().bytes_read
+        cold_reads = tier.media_counters()["nvm"].bytes_read
         for k in keys:
             tier.read_view(k)
-        assert tier.counters().bytes_read == cold_reads
+        assert tier.media_counters()["nvm"].bytes_read == cold_reads
         tier.close()
 
     def test_lru_replay_matches_model(self, tmp_path):
@@ -324,8 +325,8 @@ class TestMemoryMode:
                 tier.flush()
                 model.flush()
         media = tier.media_counters()
-        assert list(media["nvm"].raw()) == model.nvm
-        assert list(media["dram"].raw()) == model.dram
+        assert list(astuple(media["nvm"])) == model.nvm
+        assert list(astuple(media["dram"])) == model.dram
         tier.close()
 
 
@@ -345,25 +346,15 @@ class TestModeledTime:
         tier.store(key, bytes(1000))
         tier.read_view(key)
         tier.read_view(key)
-        c = tier.counters()
+        c = tier.media_counters()["nvm"]
         expected = (
             c.bytes_read * Fraction(3, 100)
             + c.bytes_written * Fraction(1, 10)
             + (c.read_ops + c.write_ops) * Fraction(500)
         )
-        assert c.modeled_time_ns == expected
         assert modeled_time_ns(c, "nvm", cost) == expected
         tier.close()
 
     def test_default_ordering_nvm_write_costliest(self):
         cost = CostModel()
         assert cost.nvm_write_ns_per_byte >= cost.nvm_read_ns_per_byte >= cost.dram_read_ns_per_byte
-
-    def test_mm_total_model_spans_both_media(self, mm):
-        key = oid()
-        mm.store(key, bytes(1024))
-        mm.read_view(key)
-        media = mm.media_counters()
-        assert mm.counters().modeled_time_ns == (
-            media["dram"].modeled_time_ns + media["nvm"].modeled_time_ns
-        )

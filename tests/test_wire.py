@@ -218,6 +218,27 @@ class TestTcpTransport:
         assert st1.wire.bytes_received == st2.wire.bytes_received
         assert st1.tiers == st2.tiers
 
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_stats_tiers_equal_the_server_counters(self, arena_dir, transport):
+        engine, core = _loopback(arena_dir)
+        server = TcpServer(engine) if transport == "tcp" else None
+        session = (
+            Session.connect_tcp(server.host, server.port) if server else Session.connect_loopback(core)
+        )
+        from aostore.kernels import HIST_CLASS
+
+        for tier in (TierKind.NVM_DIRECT, TierKind.DRAM, TierKind.MEMORY_MODE):
+            session.get(session.make_persistent(HIST_CLASS, FloatArray(np.ones(1000)), tier))
+        stats = session.stats()
+        session.close()
+        if server:
+            server.stop()
+        for kind, handle in engine.tiers.items():
+            for medium, counters in handle.media_counters().items():
+                assert stats.tiers[kind][medium] == counters
+        assert stats.tiers[TierKind.NVM_DIRECT][MEDIA_NVM].bytes_written == 8000
+        engine.close()
+
     def test_stop_joins_its_threads_while_sessions_stay_open(self, arena_dir):
         engine, _ = _loopback(arena_dir)
         before = set(threading.enumerate())
