@@ -84,7 +84,7 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
 # seconds a client socket waits to connect, and then for each send or receive
-CONNECT_TIMEOUT_S = 30.0
+SOCKET_TIMEOUT_S = 30.0
 # a receive buffer grows by at most this much, or by what the frame has
 # already delivered if that is more, ahead of the bytes that have arrived
 RECV_STEP = 1 << 20
@@ -659,7 +659,7 @@ class LoopbackConnection(Connection):
 class TcpConnection(Connection):
     def __init__(self, host: str, port: int):
         super().__init__()
-        self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+        self._sock = socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S)
         self._received = FrameBuffer()
 
     def _roundtrip(self, raw: list) -> memoryview:
