@@ -141,19 +141,19 @@ class _MediumCounters:
     order; each bump is also charged to the operation open on the calling
     thread."""
 
-    __slots__ = ("key", "raw")
+    __slots__ = ("key", "counts")
 
     def __init__(self, key: tuple[TierKind, str]):
         self.key = key
-        self.raw = [0] * 6
+        self.counts = [0] * 6
 
     def _bump(self, i: int, n: int, ops: int | None = None) -> None:
         """Add ``n`` to counter ``i`` and, if given, 1 to counter ``ops``,
         here and in the open operation's charges."""
-        raw = self.raw
-        raw[i] += n
+        counts = self.counts
+        counts[i] += n
         if ops is not None:
-            raw[ops] += 1
+            counts[ops] += 1
         acc = _charges.get()
         if acc is not None:
             mine = acc.get(self) or acc.setdefault(self, [0] * 6)
@@ -244,7 +244,7 @@ class TierHandle:
     def media_counters(self) -> dict[str, TierCounters]:
         """A snapshot of the counters of each medium."""
         with self._lock:
-            return {medium: TierCounters(*c.raw) for medium, c in self._media.items()}
+            return {medium: TierCounters(*c.counts) for medium, c in self._media.items()}
 
     @property
     def capacity_bytes(self) -> int:
