@@ -39,7 +39,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as arenas:
         for config in load_plan(plan):
             report = run_benchmark(dataclasses.replace(config, arena_path=arenas))
-            reports.append(without_wall_clock(report.to_dict()))
+            reports.append(without_wall_clock(report))
     out.write_text(json.dumps(reports, indent=1) + "\n")
     print(f"{len(reports)} reports written to {out}")
     return 0

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import apps
 from .client import Session
-from .engine import SMALL_RESULT_LIMIT, Engine, OpTotals
+from .engine import SMALL_RESULT_LIMIT, Engine
 from .errors import StoreError
 from .kernels import KMeansSpec, MatrixDescriptor, build_catalog
 from .model import ObjectIdFactory
@@ -74,28 +74,27 @@ ENV_COST_KEYS = {
     "AOSTORE_PER_OP_NS": "per_op_latency_ns",
 }
 
-CSV_CONFIG_COLUMNS = ("app", "mode", "tier", "objects", "dataset", "result", "seed", "transport")
-CSV_COLUMNS = [
-    *CSV_CONFIG_COLUMNS,
-    "status",
-    "error",
-    "wall_total_ns",
-    "dataset_bytes",
-    "output_bytes",
-    "method_input_bytes",
-    "method_total_ns",
-    "invocations",
-    "reuse_factor",
-    "output_size_ratio",
-    "computation_to_data_ratio_ms_per_mb",
-    "method_computation_index_ms_per_mb",
-    "client_bytes_sent",
-    "client_bytes_received",
-    "server_bytes_sent",
-    "server_bytes_received",
-    "modeled_time_ns_total",
-    "result_digest",
-]
+# each CSV column, in order, with the report section it is read from and its
+# key there; the section "" is the report's top level
+_CSV_SOURCES = {
+    **{c: ("config", c) for c in ("app", "mode", "tier", "objects", "dataset", "result", "seed",
+                                  "transport")},
+    "status": ("", "status"),
+    "error": ("", "error"),
+    "wall_total_ns": ("wall_ns", "total"),
+    **{c: ("raw", c) for c in ("dataset_bytes", "output_bytes", "method_input_bytes",
+                               "method_total_ns", "invocations")},
+    **{c: ("metrics", c) for c in ("reuse_factor", "output_size_ratio",
+                                   "computation_to_data_ratio_ms_per_mb",
+                                   "method_computation_index_ms_per_mb")},
+    "client_bytes_sent": ("wire_client", "bytes_sent"),
+    "client_bytes_received": ("wire_client", "bytes_received"),
+    "server_bytes_sent": ("wire_server", "bytes_sent"),
+    "server_bytes_received": ("wire_server", "bytes_received"),
+    "modeled_time_ns_total": ("metrics", "modeled_time_ns_total"),
+    "result_digest": ("raw", "result_digest"),
+}
+CSV_COLUMNS = list(_CSV_SOURCES)
 
 
 class ConfigError(ValueError):
@@ -227,40 +226,31 @@ def parse_fraction(s: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-def _counters_dict(c: TierCounters, medium: str, cost: CostModel) -> dict:
-    """The counters of one medium and their modeled time under ``cost``."""
-    return {**asdict(c), "modeled_time_ns": _fraction_str(modeled_time_ns(c, medium, cost))}
+def _traffic_section(counters: dict[tuple[TierKind, str], TierCounters], cost: CostModel) -> dict:
+    """Counters keyed by (TierKind, medium) as a report section: per tier name
+    and medium, the counts and their exact modeled time under ``cost``."""
+    out: dict = {}
+    for (kind, medium), c in sorted(counters.items()):
+        out.setdefault(kind.name.lower(), {})[medium] = {
+            **asdict(c),
+            "modeled_time_ns": _fraction_str(modeled_time_ns(c, medium, cost)),
+        }
+    return out
 
 
-@dataclass
-class BenchmarkReport:
-    config: dict
-    status: str
-    error: str
-    wall_ns: dict
-    wire_client: dict
-    wire_server: dict
-    tiers: dict
-    read_count_histogram: dict
-    method_traffic: dict
-    raw: dict
-    metrics: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _wire_section(counters) -> dict:
+    """One endpoint's wire counters as a report section, message types as keys."""
+    per_type = {str(k): v for k, v in sorted(counters.per_type.items())}
+    return {**asdict(counters), "per_type": per_type}
 
 
-def _tier_layout(config: BenchmarkConfig, cost: CostModel) -> dict[TierKind, object]:
+def _tier_layout(config: BenchmarkConfig) -> dict[TierKind, object]:
     arena_dir = Path(config.arena_path)
     arena_dir.mkdir(parents=True, exist_ok=True)
     sizes = profile_sizes(config)
     arena_capacity = sizes["dataset_bytes"] * 3 + (64 << 20)
-    tiers: dict[TierKind, object] = {
-        TierKind.DRAM: open_tier(
-            TierKind.DRAM,
-            ArenaConfig(capacity_bytes=config.dram_capacity_bytes, cost_model=cost),
-        )
-    }
+    dram = ArenaConfig(capacity_bytes=config.dram_capacity_bytes)
+    tiers: dict[TierKind, object] = {TierKind.DRAM: open_tier(TierKind.DRAM, dram)}
     kind = TIER_KINDS[config.tier]
     if kind == TierKind.DRAM:
         return tiers
@@ -277,17 +267,17 @@ def _tier_layout(config: BenchmarkConfig, cost: CostModel) -> dict[TierKind, obj
             path=path,
             capacity_bytes=max(arena_capacity, cache + 1),
             cache_capacity_bytes=cache,
-            cost_model=cost,
         ),
     )
     return tiers
 
 
-def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
+def run_benchmark(config: BenchmarkConfig) -> dict:
+    """Run one configuration; its report, ready for ``json.dumps``."""
     config.validate()
     cost = resolve_cost_model(config)
     sizes = profile_sizes(config)
-    tiers = _tier_layout(config, cost)
+    tiers = _tier_layout(config)
     catalog = build_catalog()
     engine = Engine(tiers, catalog, id_factory=ObjectIdFactory(config.seed))
     server = None
@@ -316,8 +306,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
 
         counts = engine.read_counts()
         histogram = Counter(counts[oid] for oid in run.input_ids)
-
-        method_deltas = _method_traffic(engine, invoke_start)
+        # tier traffic caused by method invocations alone
+        method_deltas = engine.op_totals()["invoke"].since(invoke_start).tier_deltas
         client = session.counters()
         server_stats = session.stats()
 
@@ -332,20 +322,13 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
             "result_digest": run.output_digest,
         }
         metrics = _metrics_of(raw)
-        media = {kind: handle.media_counters() for kind, handle in tiers.items()}
-        tier_section = {
-            kind.name.lower(): {
-                medium: _counters_dict(c, medium, cost) for medium, c in counters.items()
-            }
-            for kind, counters in media.items()
+        media = {
+            (kind, medium): c
+            for kind, handle in tiers.items()
+            for medium, c in handle.media_counters().items()
         }
         total_model = sum(
-            (
-                modeled_time_ns(c, medium, cost)
-                for counters in media.values()
-                for medium, c in counters.items()
-            ),
-            Fraction(0),
+            (modeled_time_ns(c, medium, cost) for (_, medium), c in media.items()), Fraction(0)
         )
 
         report_config = {
@@ -354,48 +337,31 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         report_config["cost_model"] = {
             f.name: _fraction_str(getattr(cost, f.name)) for f in fields(CostModel)
         }
-        wire_client = asdict(client)
-        wire_client["per_type"] = {str(k): v for k, v in sorted(client.per_type.items())}
-        report = BenchmarkReport(
-            config=report_config,
-            status="ok",
-            error="",
-            wall_ns={"total": total_ns, "phases": dict(run.phases)},
-            wire_client=wire_client,
-            wire_server={
-                "bytes_sent": server_stats.wire.bytes_sent,
-                "bytes_received": server_stats.wire.bytes_received,
-                "per_type": {str(k): v for k, v in sorted(server_stats.wire.per_type.items())},
-            },
-            tiers=tier_section,
-            read_count_histogram={str(k): v for k, v in sorted(histogram.items())},
-            method_traffic=method_deltas,
-            raw=raw,
-            metrics={
+        return {
+            "config": report_config,
+            "status": "ok",
+            "error": "",
+            "wall_ns": {"total": total_ns, "phases": dict(run.phases)},
+            "wire_client": _wire_section(client),
+            "wire_server": _wire_section(server_stats.wire),
+            "tiers": _traffic_section(media, cost),
+            "read_count_histogram": {str(k): v for k, v in sorted(histogram.items())},
+            "method_traffic": _traffic_section(
+                {key: TierCounters(*vals) for key, vals in method_deltas.items()}, cost
+            ),
+            "raw": raw,
+            "metrics": {
                 **{name: float(value) for name, value in metrics.items()},
                 "modeled_time_ns_total": float(total_model),
                 "modeled_time_ns_total_exact": _fraction_str(total_model),
             },
-        )
-        return report
+        }
     finally:
         if session is not None:
             session.close()
         if server is not None:
             server.stop()
         engine.close()
-
-
-def _method_traffic(engine: Engine, start: OpTotals) -> dict:
-    """Tier traffic caused by method invocations alone since the invoke
-    totals ``start``, with its exact modeled cost under each tier's cost model."""
-    sums = engine.op_totals()["invoke"].since(start).tier_deltas
-    out: dict = {}
-    for (kind, medium), vals in sorted(sums.items()):
-        out.setdefault(kind.name.lower(), {})[medium] = _counters_dict(
-            TierCounters(*vals), medium, engine.tiers[kind].cost_model
-        )
-    return out
 
 
 def verify_report_metrics(report: dict) -> None:
@@ -423,7 +389,7 @@ def verify_report_metrics(report: dict) -> None:
     assert report["metrics"]["modeled_time_ns_total"] == float(total)
 
 
-def emit_report(report: BenchmarkReport, fmt: str, path: str | Path | None) -> None:
+def emit_report(report: dict, fmt: str, path: str | Path | None) -> None:
     """Write one report to ``path``, or to stdout when it is None. JSON
     replaces the file; CSV appends a row, under a header when the file is
     new (stdout always is)."""
@@ -438,9 +404,9 @@ def emit_report(report: BenchmarkReport, fmt: str, path: str | Path | None) -> N
         _write_report(report, fmt, fh, header=new_file)
 
 
-def _write_report(report: BenchmarkReport, fmt: str, fh, header: bool) -> None:
+def _write_report(report: dict, fmt: str, fh, header: bool) -> None:
     if fmt == "json":
-        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        fh.write(json.dumps(report, indent=2) + "\n")
         return
     writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
     if header:
@@ -448,43 +414,13 @@ def _write_report(report: BenchmarkReport, fmt: str, fh, header: bool) -> None:
     writer.writerow(_csv_row(report))
 
 
-def _csv_row(report: BenchmarkReport) -> dict:
-    d = report.to_dict()
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update({k: d["config"].get(k, "") for k in CSV_CONFIG_COLUMNS})
-    row["status"] = d["status"]
-    row["error"] = d["error"]
-    if d["status"] != "ok":
-        return row
-    row["wall_total_ns"] = d["wall_ns"]["total"]
-    for k in ("dataset_bytes", "output_bytes", "method_input_bytes",
-              "method_total_ns", "invocations"):
-        row[k] = d["raw"][k]
-    row["result_digest"] = d["raw"]["result_digest"]
-    for k in ("reuse_factor", "output_size_ratio",
-              "computation_to_data_ratio_ms_per_mb",
-              "method_computation_index_ms_per_mb", "modeled_time_ns_total"):
-        row[k] = d["metrics"][k]
-    row["client_bytes_sent"] = d["wire_client"]["bytes_sent"]
-    row["client_bytes_received"] = d["wire_client"]["bytes_received"]
-    row["server_bytes_sent"] = d["wire_server"]["bytes_sent"]
-    row["server_bytes_received"] = d["wire_server"]["bytes_received"]
-    return row
-
-
-def _append_csv_row(path: Path, row: dict) -> None:
-    new_file = not path.exists() or path.stat().st_size == 0
-    with path.open("a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if new_file:
-            writer.writeheader()
-        writer.writerow(row)
-
-
-def write_csv_header(path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        csv.DictWriter(fh, fieldnames=CSV_COLUMNS).writeheader()
+def _csv_row(report: dict) -> dict:
+    """A report's CSV row. A failed run's report holds only its config, status
+    and error, and leaves the other columns empty."""
+    return {
+        column: (report.get(section, {}) if section else report).get(key, "")
+        for column, (section, key) in _CSV_SOURCES.items()
+    }
 
 
 def load_plan(path: str | Path) -> list[BenchmarkConfig]:
@@ -510,27 +446,24 @@ def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
     """Run a configuration matrix serially; per-row failures are recorded and
     the sweep continues. Returns a summary with passive/active traffic ratios
     per application where both modes completed."""
-    out_csv = Path(out_csv)
-    write_csv_header(out_csv)
     client_bound: dict[tuple, dict[str, int]] = {}
-    rows = 0
     failures = 0
-    for config in configs:
-        try:
-            report = run_benchmark(config)
-            _append_csv_row(out_csv, _csv_row(report))
-            key = (config.app, config.tier, config.objects, config.dataset)
-            client_bound.setdefault(key, {})[config.mode] = report.wire_client[
-                "bytes_received"
-            ]
-        except (ConfigError, StoreError, OSError) as exc:
-            failures += 1
-            row = {c: "" for c in CSV_COLUMNS}
-            row.update({k: getattr(config, k) for k in CSV_CONFIG_COLUMNS})
-            row.update(status="error", error=str(exc))
-            _append_csv_row(out_csv, row)
-        rows += 1
-    summary: dict = {"runs": rows, "failures": failures, "passive_over_active": {}}
+    with Path(out_csv).open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for config in configs:
+            fh.flush()  # an interrupted sweep keeps the rows it finished
+            try:
+                report = run_benchmark(config)
+                key = (config.app, config.tier, config.objects, config.dataset)
+                client_bound.setdefault(key, {})[config.mode] = report["wire_client"][
+                    "bytes_received"
+                ]
+            except (ConfigError, StoreError, OSError) as exc:
+                failures += 1
+                report = {"config": asdict(config), "status": "error", "error": str(exc)}
+            writer.writerow(_csv_row(report))
+    summary: dict = {"runs": len(configs), "failures": failures, "passive_over_active": {}}
     for key, modes in sorted(client_bound.items()):
         if "active" in modes and "passive" in modes and modes["active"] > 0:
             summary["passive_over_active"]["/".join(key)] = (

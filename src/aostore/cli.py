@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
         **{f.name: getattr(args, f.name) for f in fields(BenchmarkConfig) if hasattr(args, f.name)}
     )
     report = run_benchmark(config)
-    verify_report_metrics(report.to_dict())
+    verify_report_metrics(report)
     emit_report(report, args.format, args.out)
     return 0
 

@@ -302,13 +302,21 @@ class Engine:
         with self._lock:
             if class_name not in self._classes:
                 raise UnknownNameError(f"unknown class {class_name!r}")
-        handle = self.tier(tier)
-        oid = self._ids.new_object_id()
         with _Operation(self, "__persist__"):
-            handle.store(oid, payload.data_view())
-            meta = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
-            with self._lock:
-                self._objects[oid] = meta
+            return self._new_object(class_name, payload, tier)
+
+    def _new_object(self, class_name: str, payload: BlockPayload, tier: TierKind) -> ObjectId:
+        """Store ``payload`` in ``tier`` as a new object under a fresh id.
+        An id the factory draws that names a live object, such as one recovered
+        from an arena written with the same seed, is skipped."""
+        handle = self.tier(tier)
+        with self._lock:
+            oid = self._ids.new_object_id()
+            while oid in self._objects:
+                oid = self._ids.new_object_id()
+        handle.store(oid, payload.data_view())
+        with self._lock:
+            self._objects[oid] = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -449,14 +457,7 @@ class Engine:
         tier = TierKind.DRAM if placement.kind == PlacementKind.VOLATILE_DRAM else placement.tier
         if tier is None:
             raise InvalidRequestError("STORE_IN_TIER placement needs a tier")
-        handle = self.tier(tier)
-        new_id = self._ids.new_object_id()
-        handle.store(new_id, result.data_view())
-        with self._lock:
-            self._objects[new_id] = _ObjectMeta(
-                target_meta.class_name, tier, result.tag, result.shape_fields()
-            )
-        return new_id
+        return self._new_object(target_meta.class_name, result, tier)
 
     # -- introspection -------------------------------------------------------------
 

@@ -20,7 +20,6 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,13 +111,26 @@ class MethodDescriptor:
 class BlockPayload:
     """Base for the block payload variants; value semantics, bit-exact equality.
 
-    Subclasses validate and keep their array in ``_values``; their encoded
-    shape fields are the array's shape unless they say otherwise.
+    Each variant declares its layout on its class: the element type of the
+    data section, the dimensions of its values array, and how many u64 shape
+    fields follow the tag in the encoding. Those fields are the array's shape
+    unless the variant says otherwise.
     """
 
     tag: int = 0
     semantic: str = ""
+    dtype: np.dtype = F64
+    ndim: int = 1
+    shape_count: int = 1
     _values: np.ndarray
+
+    def __init__(self, values):
+        arr = np.asarray(values, dtype=self.dtype)
+        if arr.ndim != self.ndim:
+            raise PayloadError(
+                f"{type(self).__name__} expects a {self.ndim}-d array, got shape {arr.shape}"
+            )
+        self._values = arr
 
     @property
     def values(self) -> np.ndarray:
@@ -158,12 +170,6 @@ class FloatArray(BlockPayload):
     tag = TAG_FLOAT_ARRAY
     semantic = SEM_FLOAT_ARRAY
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=F64)
-        if arr.ndim != 1:
-            raise PayloadError(f"float array must be 1-d, got shape {arr.shape}")
-        self._values = arr
-
     def __repr__(self) -> str:
         return f"FloatArray(n={self._values.shape[0]})"
 
@@ -171,11 +177,8 @@ class FloatArray(BlockPayload):
 class _Matrix2D(BlockPayload):
     """Shared shape handling for rows x dims float blocks."""
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=F64)
-        if arr.ndim != 2:
-            raise PayloadError(f"{type(self).__name__} expects a rows x dims matrix")
-        self._values = arr
+    ndim = 2
+    shape_count = 2
 
     @property
     def rows(self) -> int:
@@ -202,12 +205,13 @@ class Centroids(_Matrix2D):
 class Submatrix(BlockPayload):
     tag = TAG_SUBMATRIX
     semantic = SEM_SUBMATRIX
+    ndim = 2
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=F64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise PayloadError(f"submatrix must be square, got shape {arr.shape}")
-        self._values = arr
+        shape = np.shape(values)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise PayloadError(f"submatrix must be square, got shape {shape}")
+        super().__init__(values)
 
     @property
     def k(self) -> int:
@@ -227,12 +231,7 @@ class Submatrix(BlockPayload):
 class Histogram(BlockPayload):
     tag = TAG_HISTOGRAM
     semantic = SEM_HISTOGRAM
-
-    def __init__(self, counts):
-        arr = np.asarray(counts, dtype=U64)
-        if arr.ndim != 1:
-            raise PayloadError(f"histogram counts must be 1-d, got shape {arr.shape}")
-        self._values = arr
+    dtype = U64
 
     @property
     def counts(self) -> np.ndarray:
@@ -242,33 +241,20 @@ class Histogram(BlockPayload):
         return f"Histogram(bins={self._values.shape[0]})"
 
 
-class _Variant(NamedTuple):
-    """One row of the payload layout: class, u64 shape fields after the tag,
-    and the element type of the data section."""
-
-    cls: type[BlockPayload]
-    shape_count: int
-    dtype: np.dtype
-
-
-_VARIANTS: dict[int, _Variant] = {
-    TAG_FLOAT_ARRAY: _Variant(FloatArray, 1, F64),
-    TAG_POINTS: _Variant(PointsBlock, 2, F64),
-    TAG_SUBMATRIX: _Variant(Submatrix, 1, F64),
-    TAG_HISTOGRAM: _Variant(Histogram, 1, U64),
-    TAG_CENTROIDS: _Variant(Centroids, 2, F64),
+_VARIANTS: dict[int, type[BlockPayload]] = {
+    cls.tag: cls for cls in (FloatArray, PointsBlock, Submatrix, Histogram, Centroids)
 }
 
 
-def _variant(tag: int, where: str = "") -> _Variant:
+def _variant(tag: int, where: str = "") -> type[BlockPayload]:
     try:
         return _VARIANTS[tag]
     except KeyError:
         raise PayloadError(f"unknown variant tag 0x{tag:02x}{where}") from None
 
 
-def _data_length(variant: _Variant, shape: tuple[int, ...]) -> int:
-    return 8 * math.prod(variant.cls.array_shape(shape))
+def _data_length(variant: type[BlockPayload], shape: tuple[int, ...]) -> int:
+    return 8 * math.prod(variant.array_shape(shape))
 
 
 def payload_size_bytes(p: BlockPayload) -> int:
@@ -314,12 +300,12 @@ def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
             f"length mismatch: variant tag {data[0]} with shape {shape} expects "
             f"{expected} data bytes at offset {offset}, got {got}"
         )
-    array_shape = variant.cls.array_shape(shape)
+    array_shape = variant.array_shape(shape)
     values = np.frombuffer(data, variant.dtype, offset=offset).reshape(array_shape)
-    return variant.cls(values.copy() if copy else values)
+    return variant(values.copy() if copy else values)
 
 
-def _decode_header(data: bytes | memoryview) -> tuple[_Variant, tuple[int, ...], int]:
+def _decode_header(data: bytes | memoryview) -> tuple[type[BlockPayload], tuple[int, ...], int]:
     if len(data) < 1:
         raise PayloadError("truncated payload: missing variant tag at offset 0")
     variant = _variant(data[0], " at offset 0")
@@ -339,14 +325,14 @@ def region_reader(tag: int, shape: tuple[int, ...]):
     region, writing the array writes the region."""
     variant = _variant(tag)
     expected = _data_length(variant, shape)
-    array_shape = variant.cls.array_shape(shape)
+    array_shape = variant.array_shape(shape)
 
     def read(region: memoryview) -> BlockPayload:
         if len(region) != expected:
             raise PayloadError(
                 f"length mismatch: region holds {len(region)} bytes, variant needs {expected}"
             )
-        return variant.cls(np.frombuffer(region, dtype=variant.dtype).reshape(array_shape))
+        return variant(np.frombuffer(region, dtype=variant.dtype).reshape(array_shape))
 
     return read
 

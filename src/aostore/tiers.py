@@ -34,7 +34,7 @@ import struct
 import threading
 from collections import OrderedDict
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,7 +181,6 @@ class ArenaConfig:
     path: str | os.PathLike | None = None
     capacity_bytes: int = 1 << 30
     cache_capacity_bytes: int = 0
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -200,7 +199,6 @@ class TierHandle:
 
     def __init__(self, config: ArenaConfig):
         self._config = config
-        self._cost = config.cost_model
         self._lock = threading.Lock()
         self._dir: dict[ObjectId, tuple[int, int]] = {}
         self._media = {medium: _MediumCounters((self.kind, medium)) for medium in self.media}
@@ -249,10 +247,6 @@ class TierHandle:
     @property
     def capacity_bytes(self) -> int:
         return self._config.capacity_bytes
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self._cost
 
     @property
     def used_bytes(self) -> int:
@@ -338,15 +332,19 @@ class _ArenaFile:
         self.capacity = capacity
         self.dir_offset = _DATA_START + capacity
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
-        os.ftruncate(self._fd, _DATA_START + capacity)
-        os.pwrite(
-            self._fd,
-            _HEADER.pack(ARENA_MAGIC, ARENA_VERSION, capacity, self.dir_offset),
-            0,
-        )
-        self.mm = mmap.mmap(self._fd, _DATA_START + capacity)
+        try:
+            os.ftruncate(self._fd, _DATA_START + capacity)
+            os.pwrite(
+                self._fd,
+                _HEADER.pack(ARENA_MAGIC, ARENA_VERSION, capacity, self.dir_offset),
+                0,
+            )
+            self.mm = mmap.mmap(self._fd, _DATA_START + capacity)
+            self._write_directory({})
+        except BaseException:
+            os.close(self._fd)
+            raise
         self.entries: dict[ObjectId, tuple[int, int]] = {}
-        self._write_directory({})
 
     def _open_existing(self, requested_capacity: int) -> None:
         self._fd = os.open(self.path, os.O_RDWR)

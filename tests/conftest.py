@@ -21,13 +21,12 @@ def arena_dir(tmp_path):
     return d
 
 
-def make_tiers(arena_dir, *, capacity=1 << 26, cache=1 << 22, cost_model=None):
-    kwargs = {"cost_model": cost_model} if cost_model else {}
+def make_tiers(arena_dir, *, capacity=1 << 26, cache=1 << 22):
     return {
-        TierKind.DRAM: open_tier(TierKind.DRAM, ArenaConfig(capacity_bytes=capacity, **kwargs)),
+        TierKind.DRAM: open_tier(TierKind.DRAM, ArenaConfig(capacity_bytes=capacity)),
         TierKind.NVM_DIRECT: open_tier(
             TierKind.NVM_DIRECT,
-            ArenaConfig(path=arena_dir / "nvm.arena", capacity_bytes=capacity, **kwargs),
+            ArenaConfig(path=arena_dir / "nvm.arena", capacity_bytes=capacity),
         ),
         TierKind.MEMORY_MODE: open_tier(
             TierKind.MEMORY_MODE,
@@ -35,7 +34,6 @@ def make_tiers(arena_dir, *, capacity=1 << 26, cache=1 << 22, cost_model=None):
                 path=arena_dir / "mm.arena",
                 capacity_bytes=capacity,
                 cache_capacity_bytes=cache,
-                **kwargs,
             ),
         ),
     }

@@ -502,7 +502,7 @@ def bench_reports(tmp_path_factory):
         report = run_benchmark(config)
         path = tmp / f"{name}.json"
         emit_report(report, "json", path)
-        reports[name] = (report.to_dict(), path)
+        reports[name] = (report, path)
     return reports
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from aostore import bench
 from aostore.bench import (
     BenchmarkConfig,
     CSV_COLUMNS,
@@ -124,29 +125,28 @@ class TestRunBenchmark:
     def test_report_fields_and_recomputation(self, tmp_path):
         report = run_benchmark(tiny_config(tmp_path, app="histogram", result="value",
                                            objects="big"))
-        doc = report.to_dict()
-        assert doc["status"] == "ok"
-        assert doc["metrics"]["reuse_factor"] == 1.0
-        verify_report_metrics(doc)
+        assert report["status"] == "ok"
+        assert report["metrics"]["reuse_factor"] == 1.0
+        verify_report_metrics(report)
 
     def test_active_passive_results_identical(self, tmp_path):
         a = run_benchmark(tiny_config(tmp_path, app="histogram", result="value",
                                       objects="big", mode="active"))
         p = run_benchmark(tiny_config(tmp_path, app="histogram", result="value",
                                       objects="big", mode="passive"))
-        assert a.raw["result_digest"] == p.raw["result_digest"]
+        assert a["raw"]["result_digest"] == p["raw"]["result_digest"]
 
     def test_counters_deterministic_across_repeats(self, tmp_path):
-        r1 = run_benchmark(tiny_config(tmp_path)).to_dict()
-        r2 = run_benchmark(tiny_config(tmp_path)).to_dict()
+        r1 = run_benchmark(tiny_config(tmp_path))
+        r2 = run_benchmark(tiny_config(tmp_path))
         for section in ("wire_client", "wire_server", "tiers", "read_count_histogram",
                         "method_traffic"):
             assert r1[section] == r2[section], section
         assert r1["raw"]["result_digest"] == r2["raw"]["result_digest"]
 
     def test_loopback_and_tcp_counters_identical(self, tmp_path):
-        lo = run_benchmark(tiny_config(tmp_path, transport="loopback")).to_dict()
-        tc = run_benchmark(tiny_config(tmp_path, transport="tcp")).to_dict()
+        lo = run_benchmark(tiny_config(tmp_path, transport="loopback"))
+        tc = run_benchmark(tiny_config(tmp_path, transport="tcp"))
         assert lo["wire_client"] == tc["wire_client"]
         assert lo["wire_server"] == tc["wire_server"]
         assert lo["tiers"] == tc["tiers"]
@@ -164,7 +164,7 @@ class TestReports:
         out = tmp_path / "r.json"
         emit_report(report, "json", out)
         doc = json.loads(out.read_text())
-        assert doc == report.to_dict()
+        assert doc == report
         verify_report_metrics(doc)
 
     def test_csv_header_fixed_and_rows_append(self, tmp_path):
@@ -210,6 +210,24 @@ class TestSweep:
         assert len(ratios) == 2
         # data-movement law: passive pulls whole objects, active pulls results
         assert all(v > 1.0 for v in ratios.values())
+
+    def test_each_row_is_on_disk_before_the_next_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        rows_seen = []
+        real_run = bench.run_benchmark
+
+        def run(config):
+            with out.open() as fh:
+                rows_seen.append([r["mode"] for r in csv.DictReader(fh)])
+            return real_run(config)
+
+        monkeypatch.setattr(bench, "run_benchmark", run)
+        configs = [
+            tiny_config(tmp_path, app="histogram", result="value", objects="big", mode=mode)
+            for mode in ("active", "passive")
+        ]
+        sweep(configs, out)
+        assert rows_seen == [[], ["active"]]
 
     def test_failures_recorded_and_sweep_continues(self, tmp_path):
         bad = tiny_config(tmp_path, app="matmul", result="inplace_fma", mode="passive")

@@ -484,6 +484,31 @@ class TestRecovery:
             engine2.get_object(oid)
         engine2.close()
 
+    def test_new_objects_never_take_a_recovered_id(self, tmp_path):
+        path = tmp_path / "persist.arena"
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
+        engine = Engine({TierKind.NVM_DIRECT: tier}, build_catalog(), ObjectIdFactory(1))
+        engine.register_class(BLOCK)
+        recovered = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
+        engine.close()
+
+        tiers = {
+            TierKind.DRAM: open_tier(TierKind.DRAM, ArenaConfig(capacity_bytes=1 << 16)),
+            TierKind.NVM_DIRECT: open_tier(
+                TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16)
+            ),
+        }
+        engine2 = Engine(tiers, build_catalog(), ObjectIdFactory(1))
+        engine2.register_class(BLOCK)
+        fresh = engine2.make_persistent("Block", FloatArray(np.zeros(8)), TierKind.DRAM)
+        # the same seed draws the recovered id first; it is skipped for the next one
+        stream = ObjectIdFactory(1)
+        assert stream.new_object_id() == recovered
+        assert fresh == stream.new_object_id()
+        assert engine2.object_tier(recovered) == TierKind.NVM_DIRECT
+        assert engine2.object_tier(fresh) == TierKind.DRAM
+        engine2.close()
+
 
 class TestClose:
     def test_close_reaches_every_tier_when_one_fails(self, arena_dir):

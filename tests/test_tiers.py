@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import mmap
+import os
 import random
 import struct
 from dataclasses import astuple
@@ -175,6 +177,23 @@ class TestNvmDirect:
         with pytest.raises(ArenaError, match="capacity"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1024))
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "kind", [TierKind.NVM_DIRECT, TierKind.MEMORY_MODE], ids=lambda k: k.name.lower()
+    )
+    def test_failed_create_closes_its_fd(self, tmp_path, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise OSError("mapping refused")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        config = ArenaConfig(
+            path=tmp_path / "f.arena", capacity_bytes=1 << 16, cache_capacity_bytes=1 << 12
+        )
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="mapping refused"):
+            open_tier(kind, config)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_flush_is_idempotent(self, nvm):
         nvm.store(oid(), bytes(64))
         before = nvm.media_counters()["nvm"]
@@ -340,7 +359,7 @@ class TestModeledTime:
         )
         tier = open_tier(
             TierKind.NVM_DIRECT,
-            ArenaConfig(path=tmp_path / "m.arena", capacity_bytes=1 << 16, cost_model=cost),
+            ArenaConfig(path=tmp_path / "m.arena", capacity_bytes=1 << 16),
         )
         key = oid()
         tier.store(key, bytes(1000))
