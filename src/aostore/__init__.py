@@ -21,7 +21,6 @@ from .model import (
     Submatrix,
     decode_payload,
     encode_payload,
-    payload_size_bytes,
 )
 from .tiers import ArenaConfig, CostModel, TierCounters, TierKind, open_tier
 from .wire import LoopbackConnection, ServerCore, TcpConnection, TcpServer
@@ -57,5 +56,4 @@ __all__ = [
     "decode_payload",
     "encode_payload",
     "open_tier",
-    "payload_size_bytes",
 ]

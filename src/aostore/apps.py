@@ -60,7 +60,6 @@ from .model import (
     ObjectId,
     Submatrix,
     encode_payload,
-    payload_size_bytes,
 )
 from .tiers import TierKind
 
@@ -161,7 +160,7 @@ class _Run:
 
     def finish(self, final) -> tuple[object, str, int, list[ObjectId]]:
         """(final, digest, output bytes, output ids) of a by-value result."""
-        return final, _digest([encode_payload(final)]), payload_size_bytes(final), []
+        return final, _digest([encode_payload(final)]), final.values.nbytes, []
 
     def run(self) -> AppRunResult:
         ensure_kernel_registration(self.session)
@@ -170,7 +169,7 @@ class _Run:
             blocks = self.generate()
         with self.phase("persist"):
             ids = [self.session.make_persistent(self.class_name, b, self.tier) for b in blocks]
-            sizes = [payload_size_bytes(b) for b in blocks]
+            sizes = [b.values.nbytes for b in blocks]
             del blocks
         with self.phase("compute"):
             out = self.compute(ids)

@@ -56,10 +56,6 @@ class ObjectId(bytes):
             raise InvalidRequestError(f"object id must be 16 bytes, got {len(raw)}")
         return bytes.__new__(cls, raw)
 
-    @property
-    def raw(self) -> bytes:
-        return bytes(self)
-
     def __repr__(self) -> str:
         return f"ObjectId({self.hex()})"
 
@@ -257,13 +253,8 @@ def _data_length(variant: type[BlockPayload], shape: tuple[int, ...]) -> int:
     return 8 * math.prod(variant.array_shape(shape))
 
 
-def payload_size_bytes(p: BlockPayload) -> int:
-    """Exact data size in bytes, excluding the tag/shape framing."""
-    return 8 * p.element_count
-
-
 def encoded_size(p: BlockPayload) -> int:
-    return 1 + 8 * len(p.shape_fields()) + payload_size_bytes(p)
+    return 1 + 8 * len(p.shape_fields()) + p.values.nbytes
 
 
 def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:

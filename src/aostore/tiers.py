@@ -1,8 +1,9 @@
 """Emulated memory tiers with exact byte accounting.
 
-Three tier kinds:
+Three tier kinds, each storing its objects by first-fit allocation and a
+directory over a mapping with the arena layout:
 
-* ``DRAM`` -- process-heap tier, volatile.
+* ``DRAM`` -- an anonymous private mapping that reserves no memory; volatile.
 * ``NVM_DIRECT`` -- memory-mapped arena file with zero-copy views and
   clean-close durability (byte-addressable persistent memory analogue).
 * ``MEMORY_MODE`` -- arena file fronted by a transparent whole-object LRU
@@ -18,11 +19,12 @@ Arena file format, version 2 (little-endian):
 
 Region offsets are relative to the start of the data region. Payload regions
 are multiples of 8 bytes long, so each starts 8-byte aligned and numpy sees
-aligned arrays over it; a version-1 file (22-byte header) is refused. The
-directory is rewritten on flush/close. Timing is never simulated by sleeping:
-a handle keeps only integer traffic counters per medium, and a report derives
-the modeled time from them with :func:`modeled_time_ns`, the exact rational
-dot product of the counters with the configured :class:`CostModel`.
+aligned arrays over it; a version-1 file (22-byte header) is refused. An
+arena file's directory is rewritten on flush/close. Timing is never simulated
+by sleeping: a handle keeps only integer traffic counters per medium, and a
+report derives the modeled time from them with :func:`modeled_time_ns`, the
+exact rational dot product of the counters with the configured
+:class:`CostModel`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _HEADER = struct.Struct("<4sHQQ")
 _DATA_START = 64  # the header, padded so the data region is 64-byte aligned
 _DIR_COUNT = struct.Struct("<I")
 _DIR_ENTRY = struct.Struct("<16sQQ")
+_MAP_NORESERVE = 0x4000  # Linux's value; Python 3.11's mmap module has no name for it
 
 
 class TierKind(enum.IntEnum):
@@ -187,143 +190,21 @@ class ArenaConfig:
             raise InvalidRequestError("capacity_bytes must be positive")
 
 
-class TierHandle:
-    """Common surface of the three tier implementations.
+class _Arena:
+    """A mapping laid out as the arena file: fixed header, data region,
+    trailing directory. With a path it maps that file; without one it is an
+    anonymous private mapping that reserves no memory up front, has no
+    directory and nothing to flush."""
 
-    Each handle keeps one :class:`_MediumCounters` per medium it touches, in
-    ``_media``; :meth:`media_counters` takes a snapshot of them.
-    """
-
-    kind: TierKind
-    media: tuple[str, ...]
-
-    def __init__(self, config: ArenaConfig):
-        self._config = config
-        self._lock = threading.Lock()
-        self._dir: dict[ObjectId, tuple[int, int]] = {}
-        self._media = {medium: _MediumCounters((self.kind, medium)) for medium in self.media}
-
-    # -- directory ---------------------------------------------------------
-
-    def contains(self, oid: ObjectId) -> bool:
-        with self._lock:
-            return oid in self._dir
-
-    def ids(self) -> list[ObjectId]:
-        with self._lock:
-            return list(self._dir)
-
-    def _entry(self, oid: ObjectId) -> tuple[int, int]:
-        try:
-            return self._dir[oid]
-        except KeyError:
-            raise NotFoundError(f"object {oid.hex()} not in {self.kind.name} tier") from None
-
-    # -- operations (implemented by subclasses) -----------------------------
-
-    def store(self, oid: ObjectId, data: bytes) -> None:
-        raise NotImplementedError
-
-    def read_view(self, oid: ObjectId) -> memoryview:
-        raise NotImplementedError
-
-    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
-        raise NotImplementedError
-
-    def free(self, oid: ObjectId) -> None:
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Make the stored objects durable; nothing to do for a volatile tier."""
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def media_counters(self) -> dict[str, TierCounters]:
-        """A snapshot of the counters of each medium."""
-        with self._lock:
-            return {medium: TierCounters(*c.counts) for medium, c in self._media.items()}
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._config.capacity_bytes
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(length for _, length in self._dir.values())
-
-    def _check_range(self, oid: ObjectId, offset: int, length: int) -> tuple[int, int]:
-        base, size = self._entry(oid)
-        if offset < 0 or length < 0 or offset + length > size:
-            raise InvalidRequestError(
-                f"write range [{offset}, {offset + length}) overflows object of {size} bytes"
-            )
-        return base, size
-
-
-class DramTier(TierHandle):
-    """Process-memory tier; regions are plain bytearrays."""
-
-    kind = TierKind.DRAM
-    media = (MEDIA_DRAM,)
-
-    def __init__(self, config: ArenaConfig):
-        super().__init__(config)
-        self._bufs: dict[ObjectId, bytearray] = {}
-        self._counters = self._media[MEDIA_DRAM]
-        self._used = 0
-
-    def store(self, oid: ObjectId, data: bytes) -> None:
-        with self._lock:
-            if oid in self._dir:
-                raise InvalidRequestError(f"object {oid.hex()} already stored")
-            if self._used + len(data) > self.capacity_bytes:
-                raise CapacityError(
-                    f"DRAM tier out of space: need {len(data)}, free {self.capacity_bytes - self._used}"
-                )
-            self._used += len(data)
-            self._bufs[oid] = bytearray(data)
-            self._dir[oid] = (0, len(data))  # each region is its own buffer
-            self._counters.write(len(data))
-
-    def read_view(self, oid: ObjectId) -> memoryview:
-        with self._lock:
-            _, size = self._entry(oid)
-            self._counters.read(size)
-            return memoryview(self._bufs[oid])
-
-    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
-        with self._lock:
-            self._check_range(oid, offset, len(data))
-            memoryview(self._bufs[oid])[offset : offset + len(data)] = data
-            self._counters.write(len(data))
-
-    def free(self, oid: ObjectId) -> None:
-        with self._lock:
-            _, size = self._entry(oid)
-            del self._dir[oid]
-            del self._bufs[oid]
-            self._used -= size
-
-    def close(self) -> None:
-        with self._lock:
-            self._bufs.clear()
-            self._dir.clear()
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return self._used
-
-
-class _ArenaFile:
-    """A memory-mapped file: fixed header, data region, trailing directory."""
-
-    def __init__(self, path: str | os.PathLike, capacity: int, recover: bool):
-        self.path = Path(path)
-        existing = recover and self.path.exists() and self.path.stat().st_size > 0
-        if existing:
+    def __init__(self, path: str | os.PathLike | None, capacity: int, recover: bool):
+        self.path = None if path is None else Path(path)
+        self._fd: int | None = None
+        self.entries: dict[ObjectId, tuple[int, int]] = {}
+        if self.path is None:
+            self.capacity = capacity
+            flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE
+            self.mm = mmap.mmap(-1, _DATA_START + capacity, flags=flags)
+        elif recover and self.path.exists() and self.path.stat().st_size > 0:
             self._open_existing(capacity)
         else:
             self._create(capacity)
@@ -344,7 +225,6 @@ class _ArenaFile:
         except BaseException:
             os.close(self._fd)
             raise
-        self.entries: dict[ObjectId, tuple[int, int]] = {}
 
     def _open_existing(self, requested_capacity: int) -> None:
         self._fd = os.open(self.path, os.O_RDWR)
@@ -396,7 +276,7 @@ class _ArenaFile:
 
     def _write_directory(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
         blob = _DIR_COUNT.pack(len(entries)) + b"".join(
-            _DIR_ENTRY.pack(oid.raw, off, length) for oid, (off, length) in entries.items()
+            _DIR_ENTRY.pack(oid, off, length) for oid, (off, length) in entries.items()
         )
         os.pwrite(self._fd, blob, self.dir_offset)
         os.ftruncate(self._fd, self.dir_offset + len(blob))
@@ -410,14 +290,25 @@ class _ArenaFile:
         self.mm[base : base + len(data)] = data
 
     def flush(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
-        self.mm.flush()
-        self._write_directory(entries)
-        os.fsync(self._fd)
+        if self._fd is not None:
+            self.mm.flush()
+            self._write_directory(entries)
+            os.fsync(self._fd)
 
     def close(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
-        self.flush(entries)
-        self.mm.close()
-        os.close(self._fd)
+        """Flush, unmap, and close the file even when a step before fails. A
+        live view pins the mapping, which is then unmapped when the last view
+        is released; for a file, the BufferError is raised once it is closed."""
+        try:
+            self.flush(entries)
+            self.mm.close()
+        except BufferError:
+            self.mm = None
+            if self._fd is not None:
+                raise
+        finally:
+            if self._fd is not None:
+                os.close(self._fd)
 
 
 class _Allocator:
@@ -471,34 +362,83 @@ class _Allocator:
         self.holes = merged
 
 
-class _ArenaTier(TierHandle):
-    """Shared by the two arena-backed tiers: first-fit allocation and the
-    object directory over an :class:`_ArenaFile`, whose traffic is NVM traffic.
-    Each tier class still defines its own data path (store, read_view,
-    write_in_place), the calls the traced benchmark wraps per class."""
+class TierHandle:
+    """One tier: an object directory and first-fit allocation over an
+    :class:`_Arena`, and one :class:`_MediumCounters` per medium it touches,
+    in ``_media``; :meth:`media_counters` takes a snapshot of them.
 
-    recover: bool  # adopt the objects an existing arena file holds
+    A subclass names its kind, its media, the medium its arena stands for
+    (``backing``: a DRAM arena is an anonymous mapping, an NVM arena a file)
+    and whether the objects of an existing arena file are adopted
+    (``recover``). The traced benchmark wraps ``store``, ``read_view`` and
+    ``write_in_place`` per tier class, so each subclass names them in its body.
+    """
+
+    kind: TierKind
+    media: tuple[str, ...]
+    backing: str
+    recover = False
 
     def __init__(self, config: ArenaConfig):
-        if config.path is None:
+        file_backed = self.backing == MEDIA_NVM
+        if file_backed and config.path is None:
             raise InvalidRequestError(f"{self.kind.name} tier requires an arena path")
-        super().__init__(config)
-        self._arena = _ArenaFile(config.path, config.capacity_bytes, self.recover)
+        self._lock = threading.Lock()
+        self._media = {medium: _MediumCounters((self.kind, medium)) for medium in self.media}
+        self._arena_io = self._media[self.backing]
+        self._arena = _Arena(
+            config.path if file_backed else None, config.capacity_bytes, self.recover
+        )
         self._config = replace(config, capacity_bytes=self._arena.capacity)
         self._dir = dict(self._arena.entries)
         self._alloc = _Allocator(self._arena.capacity)
         self._alloc.seed(list(self._dir.values()))
-        self._nvm = self._media[MEDIA_NVM]
         self._closed = False
 
-    def _store_in_arena(self, oid: ObjectId, data: bytes) -> None:
+    # -- directory ---------------------------------------------------------
+
+    def ids(self) -> list[ObjectId]:
+        with self._lock:
+            return list(self._dir)
+
+    def _entry(self, oid: ObjectId) -> tuple[int, int]:
+        try:
+            return self._dir[oid]
+        except KeyError:
+            raise NotFoundError(f"object {oid.hex()} not in {self.kind.name} tier") from None
+
+    def _check_range(self, oid: ObjectId, offset: int, length: int) -> tuple[int, int]:
+        base, size = self._entry(oid)
+        if offset < 0 or length < 0 or offset + length > size:
+            raise InvalidRequestError(
+                f"write range [{offset}, {offset + length}) overflows object of {size} bytes"
+            )
+        return base, size
+
+    # -- data path: views and writes straight over the arena ------------------
+
+    def store(self, oid: ObjectId, data: bytes) -> None:
         with self._lock:
             if oid in self._dir:
                 raise InvalidRequestError(f"object {oid.hex()} already stored")
             offset = self._alloc.allocate(len(data))
             self._arena.write(offset, data)
             self._dir[oid] = (offset, len(data))
-            self._nvm.write(len(data))
+            self._arena_io.write(len(data))
+
+    def read_view(self, oid: ObjectId) -> memoryview:
+        with self._lock:
+            offset, size = self._entry(oid)
+            self._arena_io.read(size)
+            return self._arena.read(offset, size)
+
+    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
+        with self._lock:
+            base, _ = self._check_range(oid, offset, len(data))
+            self._arena.write(base + offset, data)
+            self._arena_io.write(len(data))
+
+    # -- lifetime ----------------------------------------------------------------
 
     def free(self, oid: ObjectId) -> None:
         with self._lock:
@@ -514,6 +454,7 @@ class _ArenaTier(TierHandle):
         """Bring the arena up to date before a flush or close."""
 
     def flush(self) -> None:
+        """Make the stored objects durable; nothing to do for a volatile arena."""
         with self._lock:
             self._sync()
             self._arena.flush(self._dir)
@@ -522,31 +463,45 @@ class _ArenaTier(TierHandle):
         with self._lock:
             if not self._closed:
                 self._sync()
+                self._closed = True  # the arena closes its file even when it raises
                 self._arena.close(self._dir)
-                self._closed = True
+
+    def media_counters(self) -> dict[str, TierCounters]:
+        """A snapshot of the counters of each medium."""
+        with self._lock:
+            return {medium: TierCounters(*c.counts) for medium, c in self._media.items()}
+
+    @property
+    def capacity_bytes(self) -> int:
+        return self._config.capacity_bytes
+
+    @property
+    def used_bytes(self) -> int:
+        with self._lock:
+            return sum(length for _, length in self._dir.values())
 
 
-class NvmDirectTier(_ArenaTier):
+class DramTier(TierHandle):
+    """Volatile process memory: the arena is an anonymous mapping."""
+
+    kind = TierKind.DRAM
+    media = (MEDIA_DRAM,)
+    backing = MEDIA_DRAM
+    store = TierHandle.store
+    read_view = TierHandle.read_view
+    write_in_place = TierHandle.write_in_place
+
+
+class NvmDirectTier(TierHandle):
     """App-Direct analogue: zero-copy views over a persistent mapped arena."""
 
     kind = TierKind.NVM_DIRECT
     media = (MEDIA_NVM,)
+    backing = MEDIA_NVM
     recover = True
-
-    def store(self, oid: ObjectId, data: bytes) -> None:
-        self._store_in_arena(oid, data)
-
-    def read_view(self, oid: ObjectId) -> memoryview:
-        with self._lock:
-            offset, size = self._entry(oid)
-            self._nvm.read(size)
-            return self._arena.read(offset, size)
-
-    def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
-        with self._lock:
-            base, _ = self._check_range(oid, offset, len(data))
-            self._arena.write(base + offset, data)
-            self._nvm.write(len(data))
+    store = TierHandle.store
+    read_view = TierHandle.read_view
+    write_in_place = TierHandle.write_in_place
 
 
 class _CacheEntry:
@@ -557,7 +512,7 @@ class _CacheEntry:
         self.dirty = dirty
 
 
-class MemoryModeTier(_ArenaTier):
+class MemoryModeTier(TierHandle):
     """NVM presented as volatile system memory with a DRAM LRU cache in front.
 
     Reads are served from the cache; a miss copies the region from the arena
@@ -569,7 +524,7 @@ class MemoryModeTier(_ArenaTier):
 
     kind = TierKind.MEMORY_MODE
     media = (MEDIA_DRAM, MEDIA_NVM)
-    recover = False
+    backing = MEDIA_NVM
 
     def __init__(self, config: ArenaConfig):
         if not 0 < config.cache_capacity_bytes < config.capacity_bytes:
@@ -589,7 +544,7 @@ class MemoryModeTier(_ArenaTier):
             if entry.dirty:
                 offset, _ = self._dir[oid]
                 self._arena.write(offset, entry.buf)
-                self._nvm.write(len(entry.buf))
+                self._arena_io.write(len(entry.buf))
                 entry.dirty = False
 
     def _evict_for(self, incoming: int) -> None:
@@ -601,7 +556,7 @@ class MemoryModeTier(_ArenaTier):
     def _fill(self, oid: ObjectId) -> _CacheEntry:
         """Miss path: arena -> cache copy, with eviction; returns the entry."""
         offset, size = self._entry(oid)
-        self._nvm.read(size)
+        self._arena_io.read(size)
         self._dram.write(size)
         self._dram.miss()
         entry = _CacheEntry(bytearray(self._arena.read(offset, size)))
@@ -621,8 +576,7 @@ class MemoryModeTier(_ArenaTier):
 
     # -- tier operations -----------------------------------------------------
 
-    def store(self, oid: ObjectId, data: bytes) -> None:
-        self._store_in_arena(oid, data)
+    store = TierHandle.store
 
     def read_view(self, oid: ObjectId) -> memoryview:
         with self._lock:
@@ -642,7 +596,7 @@ class MemoryModeTier(_ArenaTier):
                 # object larger than the whole cache: write straight through
                 base, _ = self._dir[oid]
                 self._arena.write(base + offset, data)
-                self._nvm.write(len(data))
+                self._arena_io.write(len(data))
                 entry.dirty = False
 
     def _forget(self, oid: ObjectId) -> None:

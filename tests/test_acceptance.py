@@ -442,8 +442,8 @@ def test_criterion_06_persistence_semantics(tmp_path):
         nvm = engine2.tier(TierKind.NVM_DIRECT)
         assert kept in engine2.object_ids()
         assert bytes(nvm.read_view(kept)) == bytes(payload.data_view())
-        assert not engine2.tier(TierKind.MEMORY_MODE).contains(lost_mm)
-        assert not engine2.tier(TierKind.DRAM).contains(lost_dram)
+        assert lost_mm not in engine2.tier(TierKind.MEMORY_MODE).ids()
+        assert lost_dram not in engine2.tier(TierKind.DRAM).ids()
         engine2.close()
 
 

@@ -17,7 +17,6 @@ from aostore.model import (
     decode_payload,
     encode_payload,
     encoded_size,
-    payload_size_bytes,
     region_reader,
 )
 
@@ -34,7 +33,7 @@ class TestObjectIds:
 
     def test_million_draws_unique(self):
         factory = ObjectIdFactory(seed=7)
-        seen = {factory.new_object_id().raw for _ in range(10**6)}
+        seen = {bytes(factory.new_object_id()) for _ in range(10**6)}
         assert len(seen) == 10**6
 
     def test_bad_length_rejected(self):
@@ -46,7 +45,7 @@ class TestObjectIds:
         oid = ObjectId(bytearray(raw))
         assert oid == ObjectId(raw) and oid != ObjectId(bytes(16))
         assert hash(oid) == hash(raw)
-        assert oid.raw == raw and type(oid.raw) is bytes
+        assert bytes(oid) == raw
         assert oid.hex() == raw.hex()
         assert repr(oid) == str(oid) == f"ObjectId({raw.hex()})"
         assert {oid: 1}[ObjectId(raw)] == 1
@@ -100,8 +99,8 @@ class TestCodec:
     def test_size_law(self, payload):
         encoded = encode_payload(payload)
         assert len(encoded) == encoded_size(payload)
-        assert payload_size_bytes(payload) == 8 * payload.element_count
-        assert len(encoded) == 1 + 8 * len(payload.shape_fields()) + payload_size_bytes(payload)
+        assert payload.values.nbytes == 8 * payload.element_count
+        assert len(encoded) == 1 + 8 * len(payload.shape_fields()) + payload.values.nbytes
 
     def test_unknown_tag(self):
         with pytest.raises(PayloadError, match="unknown variant"):
@@ -126,10 +125,10 @@ class TestCodec:
             Submatrix(np.zeros(4))
 
     def test_sizes_match_paper_constants(self):
-        assert payload_size_bytes(FloatArray(np.zeros(1000))) == 8000
-        assert payload_size_bytes(PointsBlock(np.zeros((100, 500)))) == 400000
+        assert FloatArray(np.zeros(1000)).values.nbytes == 8000
+        assert PointsBlock(np.zeros((100, 500))).values.nbytes == 400000
         # constant k-means output: 20 centroids x 500 dims = 80 kB
-        assert payload_size_bytes(Centroids(np.zeros((20, 500)))) == 80000
+        assert Centroids(np.zeros((20, 500))).values.nbytes == 80000
 
 
 class TestZeroCopyView:

@@ -85,6 +85,14 @@ class TestDram:
         with pytest.raises(NotFoundError):
             tier.read_view(key)
 
+    def test_capacity_beyond_memory_reserves_none(self):
+        # 1 TiB: a mapping that reserved its pages would fail with ENOMEM
+        tier = DramTier(ArenaConfig(capacity_bytes=1 << 40))
+        key = oid()
+        tier.store(key, b"sparse")
+        assert bytes(tier.read_view(key)) == b"sparse"
+        tier.close()
+
     def test_fresh_tier_all_zero(self):
         c = DramTier(ArenaConfig(capacity_bytes=1)).media_counters()["dram"]
         assert astuple(c) == (0, 0, 0, 0, 0, 0)
@@ -126,13 +134,6 @@ class TestNvmDirect:
         assert bytes(tier2.read_view(key))[4:8] == b"ABCD"
         tier2.close()
 
-    def test_zero_copy_view_sees_in_place_write(self, nvm):
-        key = oid()
-        nvm.store(key, bytes(8))
-        view = nvm.read_view(key)
-        nvm.write_in_place(key, 0, b"ZZZZZZZZ")
-        assert bytes(view) == b"ZZZZZZZZ"
-
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.arena"
         path.write_bytes(b"NOPE" + bytes(64))
@@ -160,14 +161,6 @@ class TestNvmDirect:
         path.write_bytes(header + bytes(capacity) + struct.pack("<I", 0))
         with pytest.raises(ArenaError, match="unsupported version 1"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=capacity))
-
-    def test_payload_views_are_aligned(self, nvm):
-        for k in (3, 8, 96):
-            key = oid()
-            nvm.store(key, Submatrix(np.ones((k, k))).data_view())
-            payload = region_reader(TAG_SUBMATRIX, (k,))(nvm.read_view(key))
-            assert payload.values.flags.aligned
-            del payload
 
     def test_capacity_below_directory_rejected(self, tmp_path):
         path = tmp_path / "cap.arena"
@@ -201,16 +194,42 @@ class TestNvmDirect:
         nvm.flush()
         assert astuple(nvm.media_counters()["nvm"]) == astuple(before)
 
-    def test_range_overflow_rejected(self, nvm):
-        key = oid()
-        nvm.store(key, bytes(8))
-        with pytest.raises(InvalidRequestError, match="overflow"):
-            nvm.write_in_place(key, 4, bytes(8))
 
-    def test_freed_space_is_reused(self, tmp_path):
-        tier = open_tier(
-            TierKind.NVM_DIRECT, ArenaConfig(path=tmp_path / "f.arena", capacity_bytes=1024)
-        )
+@pytest.mark.parametrize(
+    "kind", [TierKind.DRAM, TierKind.NVM_DIRECT], ids=lambda k: k.name.lower()
+)
+class TestArenaPath:
+    """The storage path the DRAM and NVM tiers share."""
+
+    @pytest.fixture
+    def tier(self, kind, tmp_path):
+        tier = open_tier(kind, ArenaConfig(path=tmp_path / "a.arena", capacity_bytes=1 << 20))
+        yield tier
+        tier.close()
+
+    def test_zero_copy_view_sees_in_place_write(self, tier):
+        key = oid()
+        tier.store(key, bytes(8))
+        view = tier.read_view(key)
+        tier.write_in_place(key, 0, b"ZZZZZZZZ")
+        assert bytes(view) == b"ZZZZZZZZ"
+
+    def test_payload_views_are_aligned(self, tier):
+        for k in (3, 8, 96):
+            key = oid()
+            tier.store(key, Submatrix(np.ones((k, k))).data_view())
+            payload = region_reader(TAG_SUBMATRIX, (k,))(tier.read_view(key))
+            assert payload.values.flags.aligned
+            del payload
+
+    def test_range_overflow_rejected(self, tier):
+        key = oid()
+        tier.store(key, bytes(8))
+        with pytest.raises(InvalidRequestError, match="overflow"):
+            tier.write_in_place(key, 4, bytes(8))
+
+    def test_freed_space_is_reused(self, kind, tmp_path):
+        tier = open_tier(kind, ArenaConfig(path=tmp_path / "f.arena", capacity_bytes=1024))
         keys = [oid() for _ in range(4)]
         for k in keys:
             tier.store(k, bytes(256))
@@ -219,6 +238,28 @@ class TestNvmDirect:
         tier.free(keys[1])
         tier.store(oid(), bytes(256))  # fits the freed hole
         tier.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", list(TierKind), ids=lambda k: k.name.lower())
+def test_close_with_live_view_releases_fds(tmp_path, kind):
+    before = len(os.listdir("/proc/self/fd"))
+    config = ArenaConfig(
+        path=tmp_path / "v.arena", capacity_bytes=1 << 16, cache_capacity_bytes=1 << 12
+    )
+    tier = open_tier(kind, config)
+    key = oid()
+    tier.store(key, b"pinned!!")
+    view = tier.read_view(key)
+    if kind == TierKind.NVM_DIRECT:
+        with pytest.raises(BufferError):  # a pinned file mapping is reported
+            tier.close()
+    else:
+        tier.close()
+    assert bytes(view) == b"pinned!!"  # the mapping lasts as long as the view
+    view.release()
+    assert len(os.listdir("/proc/self/fd")) == before
+    tier.close()  # closing again does nothing
 
 
 class TestMemoryMode:
