@@ -426,17 +426,21 @@ def _csv_row(report: dict) -> dict:
 def load_plan(path: str | Path) -> list[BenchmarkConfig]:
     """A plan is a JSON file: either a list of config objects or
     {"base": {...}, "runs": [{...}, ...]} with per-run overrides."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"plan {path} is not JSON: {exc}") from None
     if isinstance(doc, dict):
         base = doc.get("base", {})
         runs = doc.get("runs", [])
     else:
         base, runs = {}, doc
+    if not (isinstance(base, dict) and isinstance(runs, list)):
+        raise ConfigError("a plan's base must be an object and its runs a list")
     configs = []
     for entry in runs:
-        merged = {**base, **entry}
-        try:
-            configs.append(BenchmarkConfig(**merged))
+        try:  # an entry that is not an object fails to merge
+            configs.append(BenchmarkConfig(**{**base, **entry}))
         except TypeError as exc:
             raise ConfigError(f"bad plan entry {entry}: {exc}") from None
     return configs

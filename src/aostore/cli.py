@@ -36,19 +36,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one benchmark configuration")
+    # an unset option is left out of the namespace: BenchmarkConfig supplies it
+    run = sub.add_parser("run", help="run one benchmark configuration",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--app", required=True, choices=APPS)
-    run.add_argument("--mode", default="active", choices=MODES)
-    run.add_argument("--tier", default="dram", choices=TIERS)
-    run.add_argument("--objects", default="big", choices=OBJECT_SIZES)
-    run.add_argument("--dataset", default="desk", choices=DATASETS)
-    run.add_argument("--result", default="value", choices=RESULTS)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--arena", dest="arena_path", default="bench-arenas",
-                     help="directory for arena files")
-    run.add_argument("--transport", default="loopback", choices=TRANSPORTS)
-    run.add_argument("--dram-capacity", dest="dram_capacity_bytes", type=int, default=1 << 30)
-    run.add_argument("--mm-cache", dest="mm_cache_bytes", type=int, default=0,
+    run.add_argument("--mode", choices=MODES)
+    run.add_argument("--tier", choices=TIERS)
+    run.add_argument("--objects", choices=OBJECT_SIZES)
+    run.add_argument("--dataset", choices=DATASETS)
+    run.add_argument("--result", choices=RESULTS)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--arena", dest="arena_path", help="directory for arena files")
+    run.add_argument("--transport", choices=TRANSPORTS)
+    run.add_argument("--dram-capacity", dest="dram_capacity_bytes", type=int)
+    run.add_argument("--mm-cache", dest="mm_cache_bytes", type=int,
                      help="Memory-Mode cache bytes (0 = derive from dataset)")
     run.add_argument("--out", default=None, help="report path (default: stdout)")
     run.add_argument("--format", default="json", choices=("json", "csv"))

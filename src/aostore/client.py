@@ -8,7 +8,7 @@ only and performs no client-side caching, so every fetch hits the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .engine import ByRef, ByValue, ResultPlacement, RoutineCatalog
 from .errors import InvalidRequestError, NotFoundError
@@ -27,7 +27,8 @@ from . import wire
 
 @dataclass
 class SessionCounters:
-    """Client-side view of traffic plus operation tallies."""
+    """Client-side view of traffic; ``gets``, ``puts`` and ``invokes`` are
+    the GET, MAKE_PERSISTENT and INVOKE requests sent, failed ones too."""
 
     bytes_sent: int = 0
     bytes_received: int = 0
@@ -44,7 +45,6 @@ class Session:
         self._conn = connection
         self.catalog = catalog
         self._methods: dict[tuple[str, str], MethodDescriptor] = {}
-        self._tallies = SessionCounters()
 
     @classmethod
     def connect_loopback(cls, core: wire.ServerCore, catalog: RoutineCatalog | None = None) -> "Session":
@@ -68,14 +68,10 @@ class Session:
         self._methods[(desc.class_name, desc.method_name)] = desc
 
     def make_persistent(self, class_name: str, payload: BlockPayload, tier: TierKind) -> ObjectId:
-        (oid,) = self._conn.call(wire.MSG_MAKE_PERSISTENT, class_name, tier, payload)
-        self._tallies.puts += 1
-        return oid
+        return self._conn.call(wire.MSG_MAKE_PERSISTENT, class_name, tier, payload)[0]
 
     def get(self, oid: ObjectId) -> BlockPayload:
-        (payload,) = self._conn.call(wire.MSG_GET, oid)
-        self._tallies.gets += 1
-        return payload
+        return self._conn.call(wire.MSG_GET, oid)[0]
 
     def invoke(
         self,
@@ -84,9 +80,7 @@ class Session:
         args: list[ByValue | ByRef] = (),
         placement: ResultPlacement = ResultPlacement.value(),
     ):
-        (result,) = self._conn.call(wire.MSG_INVOKE, oid, method_name, placement, args)
-        self._tallies.invokes += 1
-        return result
+        return self._conn.call(wire.MSG_INVOKE, oid, method_name, placement, args)[0]
 
     def delete(self, oid: ObjectId) -> None:
         self._conn.call(wire.MSG_DELETE, oid)
@@ -98,13 +92,14 @@ class Session:
         return self._conn.call(wire.MSG_STATS)[0]
 
     def counters(self) -> SessionCounters:
-        """Wire counters of the connection plus this session's tallies."""
+        """The connection's wire counters, with its request counts by kind."""
         c = self._conn.counters
-        return replace(
-            self._tallies,
-            bytes_sent=c.bytes_sent,
-            bytes_received=c.bytes_received,
-            per_type=dict(c.per_type),
+        count = c.per_type.get
+        return SessionCounters(
+            c.bytes_sent, c.bytes_received, dict(c.per_type),
+            gets=count(wire.MSG_GET, 0),
+            puts=count(wire.MSG_MAKE_PERSISTENT, 0),
+            invokes=count(wire.MSG_INVOKE, 0),
         )
 
     def method_descriptor(self, class_name: str, method_name: str) -> MethodDescriptor:

@@ -3,9 +3,9 @@
 Registered routines execute directly over tier-resident payloads: for DRAM and
 NVM-direct objects the routine sees numpy arrays aliasing the stored region
 (no payload-sized copy); for Memory-Mode objects it sees the cached copy.
-Results are delivered by value, stored volatile in DRAM, or stored into a
-named tier. Mutating routines update their target through the tier's
-write-in-place path under an exclusive claim on it.
+A result is returned by value or stored as a new object in a named tier,
+volatile if that tier is DRAM. Mutating routines update their target through
+the tier's write-in-place path under an exclusive claim on it.
 
 An operation claims all its objects at once under one engine-wide condition
 (the target exclusive if the routine mutates it, every other object shared),
@@ -20,7 +20,6 @@ run. A failed operation that moved bytes is counted too.
 
 from __future__ import annotations
 
-import enum
 import operator
 import threading
 import time
@@ -51,28 +50,24 @@ from .tiers import TierHandle, TierKind, close_charges, open_charges
 SMALL_RESULT_LIMIT = 1 << 20  # return-by-value ceiling, 1 MiB
 
 
-class PlacementKind(enum.IntEnum):
-    RETURN_BY_VALUE = 0
-    VOLATILE_DRAM = 1
-    STORE_IN_TIER = 2
-
-
 @dataclass(frozen=True)
 class ResultPlacement:
-    kind: PlacementKind
+    """Where an invocation's result goes: back to the caller by value when
+    ``tier`` is None, else into a new object in that tier."""
+
     tier: Optional[TierKind] = None
 
     @classmethod
     def value(cls) -> "ResultPlacement":
-        return cls(PlacementKind.RETURN_BY_VALUE)
+        return cls()
 
     @classmethod
     def volatile(cls) -> "ResultPlacement":
-        return cls(PlacementKind.VOLATILE_DRAM)
+        return cls.store_in(TierKind.DRAM)
 
     @classmethod
     def store_in(cls, tier: TierKind) -> "ResultPlacement":
-        return cls(PlacementKind.STORE_IN_TIER, tier)
+        return cls(tier)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,8 @@ class Engine:
         self._catalog = catalog
         self._ids = id_factory or ObjectIdFactory()
         self._classes: dict[str, ClassDescriptor] = {}
-        self._methods: dict[tuple[str, str], MethodDescriptor] = {}
+        # (class, method) -> its descriptor and the routine it resolved to
+        self._methods: dict[tuple[str, str], tuple[MethodDescriptor, Routine]] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
         self._totals = {op: OpTotals() for op in OPS}
         # guards the registries and the totals; claims wait on it
@@ -238,7 +234,7 @@ class Engine:
                     f"method {key} declares mutates_target={desc.mutates_target} but "
                     f"routine {desc.routine_key!r} has mutates={routine.mutates}"
                 )
-            self._methods[key] = desc
+            self._methods[key] = (desc, routine)
 
     def tier(self, kind: TierKind) -> TierHandle:
         try:
@@ -375,49 +371,45 @@ class Engine:
     ):
         """Execute a registered method against the tier-resident payload.
 
-        Returns the result payload (RETURN_BY_VALUE), the new ObjectId
-        (VOLATILE_DRAM / STORE_IN_TIER), or None for mutating routines that
-        produce no result.
+        Returns the result payload when ``placement.tier`` is None, else the
+        ObjectId of the result stored in that tier; None for a routine that
+        produces no result or mutates its target.
         """
         with self._lock:
             meta = self._meta(oid)
             if meta.class_name is None:
                 raise UnknownNameError(f"object {oid.hex()} has no registered class")
-            desc = self._methods.get((meta.class_name, method_name))
-            if desc is None:
+            try:
+                desc, routine = self._methods[(meta.class_name, method_name)]
+            except KeyError:
                 raise UnknownNameError(
                     f"method {method_name!r} not registered for class {meta.class_name!r}"
-                )
-            routine = self._catalog.get(desc.routine_key)
+                ) from None
             if len(args) != len(desc.arg_schema):
                 raise ShapeMismatchError(
                     f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
                 )
-            ref_metas: list[tuple[ObjectId, _ObjectMeta]] = []
-            for arg in args:
-                if isinstance(arg, ByRef):
-                    if routine.mutates and arg.object_id == oid:
-                        raise InvalidRequestError(
-                            "argument aliases the mutation target; pass distinct objects"
-                        )
-                    ref_metas.append((arg.object_id, self._meta(arg.object_id)))
-            claims = [(meta, routine.mutates)] + [(m, False) for _, m in ref_metas]
+            if routine.mutates and any(isinstance(a, ByRef) and a.object_id == oid for a in args):
+                raise InvalidRequestError(
+                    "argument aliases the mutation target; pass distinct objects"
+                )
+            # per argument: the referenced object's meta, or None for a value
+            arg_metas = [self._meta(a.object_id) if isinstance(a, ByRef) else None for a in args]
+            claims = [(meta, routine.mutates)] + [(m, False) for m in arg_metas if m is not None]
             self._claim(claims)
 
         with _Operation(self, "invoke", claims) as op:
             target = self._payload_view(meta, oid)
             resolved: list[BlockPayload] = []
-            ref_iter = iter(ref_metas)
-            for arg, schema in zip(args, desc.arg_schema):
-                if isinstance(arg, ByValue):
+            for arg, arg_meta, schema in zip(args, arg_metas, desc.arg_schema):
+                if arg_meta is None:
                     self._check_schema(arg.payload, schema, method_name)
                     resolved.append(_by_value(arg.payload))
                 else:
-                    ref_id, ref_meta = next(ref_iter)
-                    view = self._payload_view(ref_meta, ref_id)
+                    view = self._payload_view(arg_meta, arg.object_id)
                     self._check_schema(view, schema, method_name)
                     resolved.append(view)
-                    op.reads.append(ref_meta)
+                    op.reads.append(arg_meta)
             if not routine.mutates:
                 op.reads.append(meta)
 
@@ -446,18 +438,15 @@ class Engine:
     ):
         if result is None:
             return None
+        if placement.tier is not None:
+            return self._new_object(target_meta.class_name, result, placement.tier)
         size = encoded_size(result)
-        if placement.kind == PlacementKind.RETURN_BY_VALUE:
-            if size > SMALL_RESULT_LIMIT:
-                raise InvalidRequestError(
-                    f"result of {size} bytes exceeds the {SMALL_RESULT_LIMIT}-byte "
-                    f"return-by-value limit; use a stored placement"
-                )
-            return result
-        tier = TierKind.DRAM if placement.kind == PlacementKind.VOLATILE_DRAM else placement.tier
-        if tier is None:
-            raise InvalidRequestError("STORE_IN_TIER placement needs a tier")
-        return self._new_object(target_meta.class_name, result, tier)
+        if size > SMALL_RESULT_LIMIT:
+            raise InvalidRequestError(
+                f"result of {size} bytes exceeds the {SMALL_RESULT_LIMIT}-byte "
+                f"return-by-value limit; use a stored placement"
+            )
+        return result
 
     # -- introspection -------------------------------------------------------------
 

@@ -50,7 +50,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import ByRef, ByValue, Engine, PlacementKind, ResultPlacement
+from .engine import ByRef, ByValue, Engine, ResultPlacement
 from .errors import FrameError, StoreError, UnknownMsgTypeError, error_for_code
 from .model import (
     BlockPayload,
@@ -420,26 +420,26 @@ def _family(cls: type) -> list[type]:
     return [cls] + [sub for child in cls.__subclasses__() for sub in _family(child)]
 
 
-_STORE_IN_TIER = PlacementKind.STORE_IN_TIER
-
-
 class _Placement:
-    """u8 placement kind, then a u8 tier only for STORE_IN_TIER."""
+    """A ResultPlacement as a u8 code: 0 by value, 1 DRAM, or 2 and then a
+    u8 tier; ``02 01`` decodes as DRAM too."""
 
-    _kind = _Code("placement", {k: k.value for k in PlacementKind})
-    _plain = {k: ResultPlacement(k) for k in PlacementKind if k is not _STORE_IN_TIER}
+    _short = {None: b"\x00", TierKind.DRAM: b"\x01"}
+    _decoded = {0: ResultPlacement.value(), 1: ResultPlacement.volatile()}
 
     def put(self, out: list, value: ResultPlacement) -> None:
-        self._kind.put(out, value.kind)
-        if value.kind is _STORE_IN_TIER:
+        out.append(self._short.get(value.tier, b"\x02"))
+        if value.tier not in self._short:
             TIER.put(out, value.tier)
 
     def take(self, buf: memoryview, pos: int):
-        kind, pos = self._kind.take(buf, pos)
-        if kind is not _STORE_IN_TIER:
-            return self._plain[kind], pos
-        tier, pos = TIER.take(buf, pos)
-        return ResultPlacement(kind, tier), pos
+        code = buf[pos]
+        if code in self._decoded:
+            return self._decoded[code], pos + 1
+        if code != 2:
+            raise FrameError(f"unknown placement code {code} at offset {pos}")
+        tier, pos = TIER.take(buf, pos + 1)
+        return ResultPlacement(tier), pos
 
 
 U8, U16, U64 = _Int("B"), _Int("H"), _Int("Q")
@@ -612,15 +612,9 @@ class Connection:
 
     def call(self, msg_type: int, *values) -> tuple:
         """Send the request of ``msg_type`` carrying ``values``; returns the
-        values of its reply."""
-        _, request, reply = MESSAGES[msg_type]
+        values of its reply, or raises the typed error of an ERROR reply."""
+        _, request, reply_layout = MESSAGES[msg_type]
         body = encode_body(request, values)
-        return decode_body(reply, self.request(msg_type, body))
-
-    def request(self, msg_type: int, body: list) -> memoryview:
-        """One request frame out, its body the parts ``encode_body`` returns;
-        returns the body of its reply, valid until the next request, or raises
-        the typed error of an ERROR reply."""
         request_id = self._next_request
         self._next_request += 1
         raw = encode_frame(Frame(msg_type, request_id, body))
@@ -636,7 +630,7 @@ class Connection:
             raise error_for_code(*decode_body(MESSAGES[MSG_ERROR].reply, reply_body))
         if reply_type != msg_type | REPLY_BIT:
             raise FrameError(f"reply type {reply_type} does not match request type {msg_type}")
-        return reply_body
+        return decode_body(reply_layout, reply_body)
 
     def _roundtrip(self, raw):
         raise NotImplementedError

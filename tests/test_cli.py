@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import json
 
-from aostore.bench import verify_report_metrics
+import pytest
+
+from aostore import cli
+from aostore.bench import BenchmarkConfig, verify_report_metrics
 from aostore.cli import main
 
 TINY = ["--app", "histogram", "--objects", "big", "--dataset", "desk", "--seed", "3"]
@@ -62,9 +65,15 @@ def test_sweep_records_an_invalid_row_and_runs_the_rest(tmp_path):
         assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "error"]
 
 
-def test_malformed_plan_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps([{"app": "histogram", "no_such_field": 1}]), id="unknown-field"),
+    pytest.param("[{", id="not-json"),
+    pytest.param(json.dumps([1, 2]), id="entry-not-object"),
+    pytest.param(json.dumps({"base": [], "runs": [{"app": "histogram"}]}), id="base-not-object"),
+])
+def test_malformed_plan_exits_2(tmp_path, capsys, text):
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps([{"app": "histogram", "no_such_field": 1}]))
+    plan.write_text(text)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -76,3 +85,15 @@ def test_run_csv_without_out_prints_header_and_one_row(tmp_path, capsys):
     assert main(argv) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [row["status"] for row in rows] == ["ok"]
+
+
+def test_unset_run_options_take_the_config_defaults(monkeypatch):
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        raise cli.ConfigError("stop here")
+
+    monkeypatch.setattr(cli, "run_benchmark", fake_run)
+    assert main(["run", "--app", "histogram"]) == 2
+    assert seen == [BenchmarkConfig(app="histogram")]

@@ -101,12 +101,15 @@ class TestPassivePath:
 
 
 class TestSessionCounters:
-    def test_tallies_track_operations(self, ready):
+    def test_counts_track_operations(self, ready):
         oid = ready.make_persistent(HIST_CLASS, FloatArray([1.0, 2.0]), TierKind.DRAM)
         ready.get(oid)
         ready.invoke(oid, "mean")
         c = ready.counters()
         assert c.puts == 1 and c.gets == 1 and c.invokes == 1
+        with pytest.raises(NotFoundError):  # a request that fails counts too
+            ready.get(ObjectIdFactory(77).new_object_id())
+        assert ready.counters().gets == 2
 
     def test_consistent_with_server_stats(self, ready):
         oid = ready.make_persistent(HIST_CLASS, FloatArray(np.ones(100)), TierKind.DRAM)

@@ -527,6 +527,60 @@ class TestMessageFormat:
         session.stats()  # nothing half-sent: the connection still works
 
 
+class TestPlacementBytes:
+    """The placement field of an INVOKE request, byte for byte."""
+
+    @pytest.mark.parametrize("placement, code", [
+        pytest.param(ResultPlacement.value(), "00", id="value"),
+        pytest.param(ResultPlacement.volatile(), "01", id="volatile"),
+        pytest.param(ResultPlacement.store_in(TierKind.DRAM), "01", id="store-dram"),
+        pytest.param(ResultPlacement.store_in(TierKind.NVM_DIRECT), "0202", id="store-nvm"),
+        pytest.param(ResultPlacement.store_in(TierKind.MEMORY_MODE), "0203", id="store-mm"),
+    ])
+    def test_encoding(self, placement, code):
+        engine, conn, session = _scripted()
+        session.invoke(OID_A, "m", [], placement)
+        frame, _ = decode_frame(conn.frames[0][0])
+        # object id, str16 method name, placement, u8 arg count
+        assert frame.body.hex() == OID_A.hex() + "01006d" + code + "00"
+        assert engine.calls == [("invoke", OID_A, "m", [], placement)]
+
+    def test_store_in_dram_is_volatile(self):
+        assert ResultPlacement.store_in(TierKind.DRAM) == ResultPlacement.volatile()
+
+    @pytest.mark.parametrize("code, tier", [
+        pytest.param(b"\x01", TierKind.DRAM, id="01"),
+        pytest.param(b"\x02\x01", TierKind.DRAM, id="0201"),
+        pytest.param(b"\x02\x02", TierKind.NVM_DIRECT, id="0202"),
+    ])
+    def test_hand_built_request_decodes(self, code, tier):
+        core = ServerCore(_ScriptedEngine())
+        body = OID_A + b"\x01\x00m" + code + b"\x00"
+        reply, _ = decode_frame(core.handle_frame_bytes(encode_frame(Frame(MSG_INVOKE, 1, body))))
+        assert reply.msg_type == MSG_INVOKE | REPLY_BIT
+        assert core.engine.calls == [("invoke", OID_A, "m", [], ResultPlacement(tier))]
+
+    def test_long_form_dram_stores_the_result_in_dram(self, arena_dir):
+        engine, core = _loopback(arena_dir)
+        a, b = (
+            engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
+            for _ in range(2)
+        )
+        body = a + b"\x03\x00add" + b"\x02\x01" + b"\x01\x02" + b
+        reply, _ = decode_frame(core.handle_frame_bytes(encode_frame(Frame(MSG_INVOKE, 1, body))))
+        (result,) = wire.decode_body(wire.MESSAGES[MSG_INVOKE].reply, reply.body)
+        assert engine.object_tier(result) == TierKind.DRAM
+        np.testing.assert_array_equal(engine.get_object(result).values, 2 * np.eye(2))
+        engine.close()
+
+    def test_unknown_placement_code_is_malformed(self):
+        core = ServerCore(_ScriptedEngine())
+        body = OID_A + b"\x01\x00m\x03\x00"
+        reply, _ = decode_frame(core.handle_frame_bytes(encode_frame(Frame(MSG_INVOKE, 1, body))))
+        assert struct.unpack_from("<H", reply.body)[0] == ERR_MALFORMED
+        assert core.engine.calls == []
+
+
 _text = st.text(max_size=12)
 _oids = st.binary(min_size=16, max_size=16).map(ObjectId)
 _tiers = st.sampled_from(list(TierKind))
