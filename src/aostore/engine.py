@@ -3,9 +3,9 @@
 Registered routines execute directly over tier-resident payloads: for DRAM and
 NVM-direct objects the routine sees numpy arrays aliasing the stored region
 (no payload-sized copy); for Memory-Mode objects it sees the cached copy.
-A result is returned by value or stored as a new object in a named tier,
-volatile if that tier is DRAM. Mutating routines update their target through
-the tier's write-in-place path under an exclusive claim on it.
+A result is returned by value or stored in a new object in a named tier (volatile
+in DRAM), computed straight into its region if it has the target's variant and
+shape. Mutating routines update their target in place under an exclusive claim.
 
 An operation claims all its objects at once under one engine-wide condition
 (the target exclusive if the routine mutates it, every other object shared),
@@ -20,6 +20,7 @@ run. A failed operation that moved bytes is counted too.
 
 from __future__ import annotations
 
+import inspect
 import operator
 import threading
 import time
@@ -45,7 +46,7 @@ from .model import (
     region_reader,
     encoded_size,
 )
-from .tiers import TierHandle, TierKind, close_charges, open_charges
+from .tiers import TierHandle, TierKind, close_charges, copy_of, open_charges
 
 SMALL_RESULT_LIMIT = 1 << 20  # return-by-value ceiling, 1 MiB
 
@@ -84,10 +85,11 @@ class ByRef:
 class Routine:
     """A catalog entry: ``fn(target, args)`` returns its result payload, or
     None for no result; a routine that ``mutates`` returns the target's new
-    values instead, which the engine writes in place."""
+    values instead, which the engine writes in place. One whose result has the
+    target's variant and shape may take a keyword-only ``out``, an array to fill."""
 
     key: str
-    fn: Callable[[BlockPayload, list[BlockPayload]], "BlockPayload | np.ndarray | None"]
+    fn: Callable[..., "BlockPayload | np.ndarray | None"]
     mutates: bool = False
 
 
@@ -201,8 +203,8 @@ class Engine:
         self._catalog = catalog
         self._ids = id_factory or ObjectIdFactory()
         self._classes: dict[str, ClassDescriptor] = {}
-        # (class, method) -> its descriptor and the routine it resolved to
-        self._methods: dict[tuple[str, str], tuple[MethodDescriptor, Routine]] = {}
+        # (class, method) -> its descriptor, its routine, whether that takes out
+        self._methods: dict[tuple[str, str], tuple[MethodDescriptor, Routine, bool]] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
         self._totals = {op: OpTotals() for op in OPS}
         # guards the registries and the totals; claims wait on it
@@ -234,7 +236,9 @@ class Engine:
                     f"method {key} declares mutates_target={desc.mutates_target} but "
                     f"routine {desc.routine_key!r} has mutates={routine.mutates}"
                 )
-            self._methods[key] = (desc, routine)
+            # a wrapper made by functools.wraps keeps the routine as __wrapped__
+            kwargs = getattr(inspect.unwrap(routine.fn), "__kwdefaults__", None) or {}
+            self._methods[key] = (desc, routine, "out" in kwargs and not routine.mutates)
 
     def tier(self, kind: TierKind) -> TierHandle:
         try:
@@ -299,20 +303,20 @@ class Engine:
             if class_name not in self._classes:
                 raise UnknownNameError(f"unknown class {class_name!r}")
         with _Operation(self, "__persist__"):
-            return self._new_object(class_name, payload, tier)
+            return self._new_object(class_name, payload, tier, copy_of(payload.data_view()))
 
-    def _new_object(self, class_name: str, payload: BlockPayload, tier: TierKind) -> ObjectId:
-        """Store ``payload`` in ``tier`` as a new object under a fresh id.
-        An id the factory draws that names a live object, such as one recovered
-        from an arena written with the same seed, is skipped."""
+    def _new_object(self, class_name: str, like: BlockPayload, tier: TierKind, fill) -> ObjectId:
+        """A new object of ``like``'s schema and size in ``tier``, written by
+        ``fill`` (:meth:`TierHandle.place`). A fresh id that names a live
+        object, such as one recovered from an arena of the same seed, is skipped."""
         handle = self.tier(tier)
         with self._lock:
             oid = self._ids.new_object_id()
             while oid in self._objects:
                 oid = self._ids.new_object_id()
-        handle.store(oid, payload.data_view())
+        handle.place(oid, like.values.nbytes, fill)
         with self._lock:
-            self._objects[oid] = _ObjectMeta(class_name, tier, payload.tag, payload.shape_fields())
+            self._objects[oid] = _ObjectMeta(class_name, tier, like.tag, like.shape_fields())
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -380,7 +384,7 @@ class Engine:
             if meta.class_name is None:
                 raise UnknownNameError(f"object {oid.hex()} has no registered class")
             try:
-                desc, routine = self._methods[(meta.class_name, method_name)]
+                desc, routine, fills = self._methods[(meta.class_name, method_name)]
             except KeyError:
                 raise UnknownNameError(
                     f"method {method_name!r} not registered for class {meta.class_name!r}"
@@ -413,15 +417,20 @@ class Engine:
             if not routine.mutates:
                 op.reads.append(meta)
 
-            t0 = time.perf_counter_ns()
-            out = routine.fn(target, resolved)
-            op.method_ns = time.perf_counter_ns() - t0
+            def run(**out):
+                t0 = time.perf_counter_ns()
+                result = routine.fn(target, resolved, **out)
+                op.method_ns = time.perf_counter_ns() - t0
+                return result
 
-            if not routine.mutates:
-                return self._place_result(out, meta, placement)
-            update = np.ascontiguousarray(out)
-            self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
-            return None
+            if routine.mutates:
+                update = np.ascontiguousarray(run())
+                self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
+                return None
+            if fills and placement.tier is not None:
+                fill = lambda region: run(out=meta.reader(region).values)
+                return self._new_object(meta.class_name, target, placement.tier, fill)
+            return self._place_result(run(), meta, placement)
 
     @staticmethod
     def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:
@@ -430,16 +439,14 @@ class Engine:
                 f"method {method_name!r} expects {schema!r} argument, got {payload.semantic!r}"
             )
 
-    def _place_result(
-        self,
-        result: Optional[BlockPayload],
-        target_meta: _ObjectMeta,
-        placement: ResultPlacement,
-    ):
+    def _place_result(self, result: Optional[BlockPayload], meta: _ObjectMeta, placement):
+        """Return ``result`` by value, or copy it into a new object; :meth:`invoke`
+        computes a stored result of a routine taking ``out`` in its region instead."""
         if result is None:
             return None
         if placement.tier is not None:
-            return self._new_object(target_meta.class_name, result, placement.tier)
+            fill = copy_of(result.data_view())
+            return self._new_object(meta.class_name, result, placement.tier, fill)
         size = encoded_size(result)
         if size > SMALL_RESULT_LIMIT:
             raise InvalidRequestError(

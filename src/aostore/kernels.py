@@ -275,10 +275,16 @@ def kmeans_reduce(partials: list[PartialSum], previous: Centroids) -> Centroids:
     return Centroids(out)
 
 
-def matadd_block(a: Submatrix, b: Submatrix) -> Submatrix:
+def matadd_block(a: Submatrix, b: Submatrix, out: np.ndarray | None = None) -> Submatrix:
     if a.k != b.k:
         raise ShapeMismatchError(f"submatrix side mismatch: {a.k} vs {b.k}")
-    return Submatrix(a.values + b.values)
+    return Submatrix(np.add(a.values, b.values, out=out))
+
+
+def copy_block(block: Submatrix, out: np.ndarray | None = None) -> Submatrix:
+    out = np.empty_like(block.values) if out is None else out
+    np.copyto(out, block.values)
+    return Submatrix(out)
 
 
 def fma_values(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,11 +333,11 @@ _METHODS = (
     (POINTS_CLASS, "finish", "kmeans.finish", (SEM_CENTROIDS,), SEM_CENTROIDS, False,
      lambda t, a: kmeans_reduce([PartialSum.from_payload(t)], a[0])),
     (MATRIX_CLASS, "add", "mat.add", (SEM_SUBMATRIX,), SEM_SUBMATRIX, False,
-     lambda t, a: matadd_block(t, a[0])),
+     lambda t, a, *, out=None: matadd_block(t, a[0], out)),
     (MATRIX_CLASS, "fma", "mat.fma", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True,
      lambda t, a: fma_values(t.values, a[0].values, a[1].values)),
     (MATRIX_CLASS, "identity", "mat.identity", (), SEM_SUBMATRIX, False,
-     lambda t, a: Submatrix(np.array(t.values, copy=True))),
+     lambda t, a, *, out=None: copy_block(t, out)),
 )
 # (class, semantic of its one data field), in registration order
 _CLASSES = (

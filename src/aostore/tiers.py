@@ -139,6 +139,11 @@ def close_charges() -> dict[tuple[TierKind, str], list[int]]:
     return {counters.key: raw for counters, raw in (acc or {}).items()}
 
 
+def copy_of(data: bytes):
+    """A ``fill`` for :meth:`TierHandle.place` that copies ``data`` in."""
+    return lambda region: region.__setitem__(slice(None), data)
+
+
 class _MediumCounters:
     """Mutable integer counters of one medium, in ``TierCounters`` field
     order; each bump is also charged to the operation open on the calling
@@ -281,13 +286,9 @@ class _Arena:
         os.pwrite(self._fd, blob, self.dir_offset)
         os.ftruncate(self._fd, self.dir_offset + len(blob))
 
-    def read(self, offset: int, length: int) -> memoryview:
+    def view(self, offset: int, length: int) -> memoryview:
         base = _DATA_START + offset
         return memoryview(self.mm)[base : base + length]
-
-    def write(self, offset: int, data: bytes) -> None:
-        base = _DATA_START + offset
-        self.mm[base : base + len(data)] = data
 
     def flush(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
         if self._fd is not None:
@@ -314,17 +315,12 @@ class _Arena:
 class _Allocator:
     """First-fit free-list over a bump pointer; offsets are data-relative."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, live):
+        # start from the live (offset, length) regions: bump past them, holes between
         self.capacity = capacity
         self.bump = 0
         self.holes: list[list[int]] = []  # sorted [offset, length]
-
-    def seed(self, live: list[tuple[int, int]]) -> None:
-        # Rebuild state from recovered regions: bump past them, holes between.
-        regions = sorted(live)
-        self.bump = 0
-        self.holes = []
-        for offset, length in regions:
+        for offset, length in sorted(live):
             if offset > self.bump:
                 self.holes.append([self.bump, offset - self.bump])
             self.bump = max(self.bump, offset + length)
@@ -391,8 +387,7 @@ class TierHandle:
         )
         self._config = replace(config, capacity_bytes=self._arena.capacity)
         self._dir = dict(self._arena.entries)
-        self._alloc = _Allocator(self._arena.capacity)
-        self._alloc.seed(list(self._dir.values()))
+        self._alloc = _Allocator(self._arena.capacity, self._dir.values())
         self._closed = False
 
     # -- directory ---------------------------------------------------------
@@ -417,25 +412,36 @@ class TierHandle:
 
     # -- data path: views and writes straight over the arena ------------------
 
-    def store(self, oid: ObjectId, data: bytes) -> None:
+    def place(self, oid: ObjectId, size: int, fill) -> None:
+        """Store ``size`` new bytes that ``fill`` writes into a view of their region outside
+        the lock; one write is charged, or if ``fill`` raises, the region is released."""
         with self._lock:
             if oid in self._dir:
                 raise InvalidRequestError(f"object {oid.hex()} already stored")
-            offset = self._alloc.allocate(len(data))
-            self._arena.write(offset, data)
-            self._dir[oid] = (offset, len(data))
-            self._arena_io.write(len(data))
+            offset = self._alloc.allocate(size)
+        try:
+            fill(self._arena.view(offset, size))
+        except BaseException:
+            with self._lock:
+                self._alloc.release(offset, size)
+            raise
+        with self._lock:
+            self._dir[oid] = (offset, size)
+            self._arena_io.write(size)
+
+    def store(self, oid: ObjectId, data: bytes) -> None:
+        self.place(oid, len(data), copy_of(data))
 
     def read_view(self, oid: ObjectId) -> memoryview:
         with self._lock:
             offset, size = self._entry(oid)
             self._arena_io.read(size)
-            return self._arena.read(offset, size)
+            return self._arena.view(offset, size)
 
     def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
         with self._lock:
             base, _ = self._check_range(oid, offset, len(data))
-            self._arena.write(base + offset, data)
+            self._arena.view(base + offset, len(data))[:] = data
             self._arena_io.write(len(data))
 
     # -- lifetime ----------------------------------------------------------------
@@ -543,7 +549,7 @@ class MemoryModeTier(TierHandle):
         for oid, entry in entries:
             if entry.dirty:
                 offset, _ = self._dir[oid]
-                self._arena.write(offset, entry.buf)
+                self._arena.view(offset, len(entry.buf))[:] = entry.buf
                 self._arena_io.write(len(entry.buf))
                 entry.dirty = False
 
@@ -559,7 +565,7 @@ class MemoryModeTier(TierHandle):
         self._arena_io.read(size)
         self._dram.write(size)
         self._dram.miss()
-        entry = _CacheEntry(bytearray(self._arena.read(offset, size)))
+        entry = _CacheEntry(bytearray(self._arena.view(offset, size)))
         if size <= self._config.cache_capacity_bytes:
             self._evict_for(size)
             self._cache[oid] = entry
@@ -595,7 +601,7 @@ class MemoryModeTier(TierHandle):
             if oid not in self._cache:
                 # object larger than the whole cache: write straight through
                 base, _ = self._dir[oid]
-                self._arena.write(base + offset, data)
+                self._arena.view(base + offset, len(data))[:] = data
                 self._arena_io.write(len(data))
                 entry.dirty = False
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -37,6 +39,17 @@ def make_tiers(arena_dir, *, capacity=1 << 26, cache=1 << 22):
             ),
         ),
     }
+
+
+def peak_traced_bytes(call) -> int:
+    """The peak of the memory tracemalloc traces while ``call()`` runs: numpy
+    arrays and Python objects, not tier mappings."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 from aostore import engine as engine_module
 from aostore.engine import ByRef, ByValue, Engine, ResultPlacement
 from aostore.errors import (
+    CapacityError,
     DuplicateError,
     InvalidRequestError,
     NotFoundError,
@@ -29,7 +30,7 @@ from aostore.model import (
 from aostore.tiers import ArenaConfig, TierKind, open_tier
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM
 
-from .conftest import make_tiers
+from .conftest import make_tiers, peak_traced_bytes
 from .oracles import matmul_oracle
 
 
@@ -279,6 +280,126 @@ class TestFmaInPlace:
         view = engine.tier(TierKind.NVM_DIRECT).read_view(acc)
         engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         assert np.frombuffer(bytes(view), dtype="<f8")[0] == 2.0
+
+
+class TestStoredResultInPlace:
+    """A stored result of the target's variant and shape (add, identity) is
+    computed straight into the region of its new object."""
+
+    @staticmethod
+    def _inputs(engine, kind, k):
+        _register_matrix(engine)
+        a_v, b_v = np.random.default_rng(k).random((2, k, k))
+        a, b = (engine.make_persistent(MATRIX_CLASS, Submatrix(v), kind) for v in (a_v, b_v))
+        for oid in (a, b):
+            engine.get_object(oid)  # cached, so a Memory-Mode read below is a hit
+        return a, b, a_v, b_v
+
+    @pytest.mark.parametrize("kind", list(TierKind), ids=lambda k: k.name.lower())
+    @pytest.mark.parametrize("method", ["add", "identity"])
+    def test_result_bytes_and_counters(self, engine, kind, method):
+        k = 64
+        n = k * k * 8
+        a, b, a_v, b_v = self._inputs(engine, kind, k)
+        args, expected = ([ByRef(b)], a_v + b_v) if method == "add" else ([], a_v)
+        before = engine.op_totals()["invoke"]
+        stored = engine.invoke(a, method, args, ResultPlacement.store_in(kind))
+        moved = engine.op_totals()["invoke"].since(before)
+        assert engine.object_tier(stored) == kind
+        assert engine.get_object(stored).values.tobytes() == expected.tobytes()
+        # the input reads (cache hits in Memory Mode), and one write of the
+        # result to the arena's medium
+        r = 1 + len(args)
+        want = {
+            TierKind.DRAM: {(kind, MEDIA_DRAM): (r * n, n, 0, 0, r, 1)},
+            TierKind.NVM_DIRECT: {(kind, MEDIA_NVM): (r * n, n, 0, 0, r, 1)},
+            TierKind.MEMORY_MODE: {
+                (kind, MEDIA_DRAM): (r * n, 0, r, 0, r, 0),
+                (kind, MEDIA_NVM): (0, n, 0, 0, 0, 1),
+            },
+        }[kind]
+        assert moved.count == 1
+        assert moved.tier_deltas == want
+
+    @pytest.mark.parametrize("method", ["add", "identity"])
+    def test_result_is_written_once(self, engine, method):
+        k = 512  # a 2 MiB block
+        a, b, _, _ = self._inputs(engine, TierKind.NVM_DIRECT, k)
+        args = [ByRef(b)] if method == "add" else []
+        placement = ResultPlacement.store_in(TierKind.NVM_DIRECT)
+        # a result computed apart and then copied in would peak at 2 MiB here
+        assert peak_traced_bytes(lambda: engine.invoke(a, method, args, placement)) < 512 * 1024
+
+    def test_concurrent_results_keep_their_regions(self, engine):
+        """A region is reserved under the tier lock and filled outside it, so
+        results filled at the same time, into holes that frees leave, must
+        never share bytes."""
+        _register_matrix(engine)
+        k, workers = 16, 8
+        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((k, k))), TierKind.DRAM)
+        tier = engine.tier(TierKind.DRAM)
+        used = tier.used_bytes
+        kept = {}
+
+        def worker(i):
+            block = Submatrix(np.full((k, k), float(i)))
+            a = engine.make_persistent(MATRIX_CLASS, block, TierKind.DRAM)
+            mine = []
+            for j in range(100):
+                mine.append(engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile()))
+                if j % 2:
+                    engine.delete_object(mine.pop(0))
+            kept[i] = mine
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True) for i in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(kept) == list(range(workers))
+        for i, mine in kept.items():
+            for oid in mine:
+                assert np.array_equal(engine.get_object(oid).values, np.full((k, k), i + 1.0))
+        results = sum(len(mine) for mine in kept.values())
+        assert tier.used_bytes == used + (workers + results) * k * k * 8
+
+    @pytest.mark.parametrize("kind", list(TierKind), ids=lambda k: k.name.lower())
+    def test_failing_routine_leaves_nothing_behind(self, arena_dir, kind):
+        k = 64
+        n = k * k * 8
+        engine = fresh_engine(arena_dir, capacity=3 * n, cache=2 * n)  # a, b and one result
+        a, b, a_v, b_v = self._inputs(engine, kind, k)
+        tier = engine.tier(kind)
+
+        def writes():
+            return {m: (c.bytes_written, c.write_ops) for m, c in tier.media_counters().items()}
+
+        used, ids, written = tier.used_bytes, sorted(tier.ids()), writes()
+        before = engine.op_totals()["invoke"]
+        small = ByValue(Submatrix(np.ones((k // 2, k // 2))))
+        with pytest.raises(ShapeMismatchError, match="side mismatch"):
+            engine.invoke(a, "add", [small], ResultPlacement.store_in(kind))
+        failed = engine.op_totals()["invoke"].since(before)
+        assert (tier.used_bytes, sorted(tier.ids()), writes()) == (used, ids, written)
+        assert failed.count == 1
+        # only the target's read is charged; the reserved region was never written
+        medium = MEDIA_NVM if kind == TierKind.NVM_DIRECT else MEDIA_DRAM
+        hits = int(kind == TierKind.MEMORY_MODE)
+        assert failed.tier_deltas == {(kind, medium): (n, 0, hits, 0, 1, 0)}
+        # the region reserved for the failed result went back to the allocator
+        stored = engine.invoke(a, "add", [ByRef(b)], ResultPlacement.store_in(kind))
+        assert engine.get_object(stored).values.tobytes() == (a_v + b_v).tobytes()
+        with pytest.raises(CapacityError):
+            engine.invoke(a, "add", [ByRef(b)], ResultPlacement.store_in(kind))
+        engine.close()
 
 
 class TestRecords:
