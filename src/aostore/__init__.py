@@ -22,7 +22,7 @@ from .model import (
     decode_payload,
     encode_payload,
 )
-from .tiers import ArenaConfig, CostModel, TierCounters, TierKind, open_tier
+from .tiers import ArenaConfig, TierCounters, TierKind, open_tier
 from .wire import LoopbackConnection, ServerCore, TcpConnection, TcpServer
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "ByValue",
     "Centroids",
     "ClassDescriptor",
-    "CostModel",
     "Engine",
     "FloatArray",
     "Histogram",

@@ -10,9 +10,11 @@ with the derived metrics:
     output size ratio          = output bytes / input bytes
     reuse factor               = method input bytes / input bytes
 
+The total wall time includes the ``generate`` phase, which builds the dataset.
 ns-per-byte equals ms-per-MB, so both time ratios are exact integer-ratio
-values. Modeled times are exact rationals of the counter vectors and the cost
-model; wall-clock fields are reported but never part of any acceptance check.
+values. Modeled times are exact rationals of the tier counters and the fixed
+:class:`CostModel`, which only this module applies; wall-clock fields are
+reported but never part of any acceptance check.
 """
 
 from __future__ import annotations
@@ -20,27 +22,19 @@ from __future__ import annotations
 import csv
 from collections import Counter
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from fractions import Fraction
 from pathlib import Path
 
 from . import apps
 from .client import Session
 from .engine import SMALL_RESULT_LIMIT, Engine
-from .errors import StoreError
+from .errors import InvalidRequestError, StoreError
 from .kernels import KMeansSpec, MatrixDescriptor, build_catalog
 from .model import ObjectIdFactory
-from .tiers import (
-    ArenaConfig,
-    CostModel,
-    TierKind,
-    modeled_time_ns,
-    open_tier,
-    TierCounters,
-)
+from .tiers import MEDIA_DRAM, MEDIA_NVM, ArenaConfig, TierCounters, TierKind, open_tier
 from .wire import ServerCore, TcpServer
 
 APPS = ("histogram", "kmeans", "matadd", "matmul")
@@ -65,14 +59,6 @@ MATRIX_GRID = {"big": 6, "small": 42}
 
 DEFAULT_DRAM_CAPACITY = 1 << 30
 MM_CACHE_BIG_DATASET = 256 * 1000 * 1000
-
-ENV_COST_KEYS = {
-    "AOSTORE_DRAM_READ_NS_PER_B": "dram_read_ns_per_byte",
-    "AOSTORE_DRAM_WRITE_NS_PER_B": "dram_write_ns_per_byte",
-    "AOSTORE_NVM_READ_NS_PER_B": "nvm_read_ns_per_byte",
-    "AOSTORE_NVM_WRITE_NS_PER_B": "nvm_write_ns_per_byte",
-    "AOSTORE_PER_OP_NS": "per_op_latency_ns",
-}
 
 # each CSV column, in order, with the report section it is read from and its
 # key there; the section "" is the report's top level
@@ -114,7 +100,6 @@ class BenchmarkConfig:
     transport: str = "loopback"
     dram_capacity_bytes: int = DEFAULT_DRAM_CAPACITY
     mm_cache_bytes: int = 0  # 0 = derive from dataset size
-    cost_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         checks = [
@@ -179,15 +164,34 @@ def profile_sizes(config: BenchmarkConfig) -> dict:
     return out
 
 
-def resolve_cost_model(config: BenchmarkConfig, env: dict | None = None) -> CostModel:
-    """Defaults, overridden by environment variables, then by the config."""
-    env = os.environ if env is None else env
-    overrides: dict = {}
-    for env_key, field_name in ENV_COST_KEYS.items():
-        if env_key in env:
-            overrides[field_name] = env[env_key]
-    overrides.update(config.cost_overrides)
-    return CostModel.create(**overrides)
+@dataclass(frozen=True)
+class CostModel:
+    """Per-byte and per-operation costs, exact rationals (ns units).
+
+    Default ordering follows the qualitative hardware behaviour: NVM writes
+    cost more than NVM reads, which cost more than DRAM accesses.
+    """
+
+    dram_read_ns_per_byte: Fraction = Fraction(1, 100)
+    dram_write_ns_per_byte: Fraction = Fraction(1, 100)
+    nvm_read_ns_per_byte: Fraction = Fraction(3, 100)
+    nvm_write_ns_per_byte: Fraction = Fraction(1, 10)
+    per_op_latency_ns: Fraction = Fraction(1000)
+
+
+def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fraction:
+    """Exact modeled cost of one medium's counter vector under ``cost``."""
+    if medium == MEDIA_DRAM:
+        read_rate, write_rate = cost.dram_read_ns_per_byte, cost.dram_write_ns_per_byte
+    elif medium == MEDIA_NVM:
+        read_rate, write_rate = cost.nvm_read_ns_per_byte, cost.nvm_write_ns_per_byte
+    else:
+        raise InvalidRequestError(f"unknown medium {medium!r}")
+    return (
+        counters.bytes_read * read_rate
+        + counters.bytes_written * write_rate
+        + (counters.read_ops + counters.write_ops) * cost.per_op_latency_ns
+    )
 
 
 def compute_metrics(
@@ -275,7 +279,7 @@ def _tier_layout(config: BenchmarkConfig) -> dict[TierKind, object]:
 def run_benchmark(config: BenchmarkConfig) -> dict:
     """Run one configuration; its report, ready for ``json.dumps``."""
     config.validate()
-    cost = resolve_cost_model(config)
+    cost = CostModel()
     sizes = profile_sizes(config)
     tiers = _tier_layout(config)
     catalog = build_catalog()
@@ -331,12 +335,8 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
             (modeled_time_ns(c, medium, cost) for (_, medium), c in media.items()), Fraction(0)
         )
 
-        report_config = {
-            k: v for k, v in asdict(config).items() if k not in ("arena_path", "cost_overrides")
-        }
-        report_config["cost_model"] = {
-            f.name: _fraction_str(getattr(cost, f.name)) for f in fields(CostModel)
-        }
+        report_config = {k: v for k, v in asdict(config).items() if k != "arena_path"}
+        report_config["cost_model"] = {k: _fraction_str(v) for k, v in asdict(cost).items()}
         return {
             "config": report_config,
             "status": "ok",
@@ -364,29 +364,42 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         engine.close()
 
 
-def verify_report_metrics(report: dict) -> None:
-    """Check every derived metric against recomputation from the raw fields.
+def _check(ok: bool, message: str) -> None:
+    """An ``assert`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(message)
 
-    Raises AssertionError on any mismatch; comparison is exact (float fields
-    must equal float(exact fraction), exact fields must match the recomputed
-    fractions).
+
+def _checked_modeled_total(section: dict, model: CostModel, name: str) -> Fraction:
+    """Check a traffic section's modeled times against its counters; their sum."""
+    total = Fraction(0)
+    for tier_name, media in section.items():
+        for medium, c in media.items():
+            counters = TierCounters(**{k: v for k, v in c.items() if k != "modeled_time_ns"})
+            modeled = modeled_time_ns(counters, medium, model)
+            _check(parse_fraction(c["modeled_time_ns"]) == modeled,
+                   f"{name} {tier_name}/{medium} modeled time mismatch")
+            total += modeled
+    return total
+
+
+def verify_report_metrics(report: dict) -> None:
+    """Check every derived metric and modeled time against exact recomputation
+    from the raw fields and counters (float fields against float(fraction)).
+
+    Raises AssertionError on any mismatch, also under ``python -O``, and
+    InvalidRequestError on a medium the cost model does not know.
     """
     metrics = report["metrics"]
     for name, frac in _metrics_of(report["raw"]).items():
-        assert metrics[name] == float(frac), f"{name}: {metrics[name]} != {float(frac)}"
+        _check(metrics[name] == float(frac), f"{name}: {metrics[name]} != {float(frac)}")
     cost = report["config"]["cost_model"]
     model = CostModel(**{f.name: parse_fraction(cost[f.name]) for f in fields(CostModel)})
-    total = Fraction(0)
-    for tier_name, media in report["tiers"].items():
-        for medium, c in media.items():
-            counters = TierCounters(**{k: v for k, v in c.items() if k != "modeled_time_ns"})
-            recomputed_model = modeled_time_ns(counters, medium, model)
-            assert parse_fraction(c["modeled_time_ns"]) == recomputed_model, (
-                f"tier {tier_name}/{medium} modeled time mismatch"
-            )
-            total += recomputed_model
-    assert parse_fraction(report["metrics"]["modeled_time_ns_total_exact"]) == total
-    assert report["metrics"]["modeled_time_ns_total"] == float(total)
+    total = _checked_modeled_total(report["tiers"], model, "tier")
+    _checked_modeled_total(report["method_traffic"], model, "method traffic")
+    exact = parse_fraction(metrics["modeled_time_ns_total_exact"])
+    _check(exact == total and metrics["modeled_time_ns_total"] == float(total),
+           "modeled_time_ns_total mismatch")
 
 
 def emit_report(report: dict, fmt: str, path: str | Path | None) -> None:

@@ -1,9 +1,6 @@
 """Command-line harness: `bench run ...` and `bench sweep --plan FILE`.
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime failure.
-Cost model defaults can be overridden with environment variables
-(AOSTORE_DRAM_READ_NS_PER_B, AOSTORE_DRAM_WRITE_NS_PER_B,
-AOSTORE_NVM_READ_NS_PER_B, AOSTORE_NVM_WRITE_NS_PER_B, AOSTORE_PER_OP_NS).
 """
 
 from __future__ import annotations

@@ -21,10 +21,7 @@ Region offsets are relative to the start of the data region. Payload regions
 are multiples of 8 bytes long, so each starts 8-byte aligned and numpy sees
 aligned arrays over it; a version-1 file (22-byte header) is refused. An
 arena file's directory is rewritten on flush/close. Timing is never simulated
-by sleeping: a handle keeps only integer traffic counters per medium, and a
-report derives the modeled time from them with :func:`modeled_time_ns`, the
-exact rational dot product of the counters with the configured
-:class:`CostModel`.
+by sleeping: a handle keeps only integer traffic counters per medium.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ import struct
 import threading
 from collections import OrderedDict
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ArenaError, CapacityError, InvalidRequestError, NotFoundError
@@ -63,42 +59,6 @@ MEDIA_NVM = "nvm"
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Per-byte and per-operation costs, exact rationals (ns units).
-
-    Default ordering follows the qualitative hardware behaviour: NVM writes
-    cost more than NVM reads, which cost more than DRAM accesses.
-    """
-
-    dram_read_ns_per_byte: Fraction = Fraction(1, 100)
-    dram_write_ns_per_byte: Fraction = Fraction(1, 100)
-    nvm_read_ns_per_byte: Fraction = Fraction(3, 100)
-    nvm_write_ns_per_byte: Fraction = Fraction(1, 10)
-    per_op_latency_ns: Fraction = Fraction(1000)
-
-    @classmethod
-    def create(cls, **overrides) -> "CostModel":
-        """The defaults with ``overrides`` applied, each made an exact rational."""
-        names = {f.name for f in fields(cls)}
-        exact = {}
-        for key, value in overrides.items():
-            if key not in names:
-                raise InvalidRequestError(f"unknown cost model field {key!r}")
-            # Fraction(str(float)) keeps 0.01 exactly 1/100 instead of the binary double
-            exact[key] = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-            if exact[key] < 0:
-                raise InvalidRequestError(f"cost model field {key!r} must be non-negative")
-        return replace(cls(), **exact)
-
-    def rates_for(self, medium: str) -> tuple[Fraction, Fraction]:
-        if medium == MEDIA_DRAM:
-            return self.dram_read_ns_per_byte, self.dram_write_ns_per_byte
-        if medium == MEDIA_NVM:
-            return self.nvm_read_ns_per_byte, self.nvm_write_ns_per_byte
-        raise InvalidRequestError(f"unknown medium {medium!r}")
-
-
-@dataclass(frozen=True)
 class TierCounters:
     """Monotone traffic counters for one medium."""
 
@@ -108,18 +68,6 @@ class TierCounters:
     cache_misses: int = 0
     read_ops: int = 0
     write_ops: int = 0
-
-
-def modeled_time_ns(counters: TierCounters, medium: str, cost: CostModel) -> Fraction:
-    """Exact modeled cost of the counter vector under ``cost``. Tier handles
-    keep only the counters; reports compute the modeled time with this
-    function, so a reader can recompute it from the counters they carry."""
-    read_rate, write_rate = cost.rates_for(medium)
-    return (
-        counters.bytes_read * read_rate
-        + counters.bytes_written * write_rate
-        + (counters.read_ops + counters.write_ops) * cost.per_op_latency_ns
-    )
 
 
 # the raw counts per medium charged to the operation open on this thread, if any

@@ -1,26 +1,39 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import aostore
 from aostore import bench
 from aostore.bench import (
     BenchmarkConfig,
     CSV_COLUMNS,
     ConfigError,
+    CostModel,
     compute_metrics,
     emit_report,
     load_plan,
+    modeled_time_ns,
     parse_fraction,
     profile_sizes,
-    resolve_cost_model,
     run_benchmark,
     sweep,
     verify_report_metrics,
 )
+from aostore.errors import InvalidRequestError
+from aostore.model import ObjectIdFactory
+from aostore.tiers import ArenaConfig, TierKind, open_tier
+
+SRC = Path(aostore.__file__).resolve().parents[1]
+REPO = SRC.parent
 
 
 def desk(app, **kw):
@@ -101,15 +114,35 @@ class TestMetrics:
             compute_metrics(total_ns=1, dataset_bytes=0, method_total_ns=1,
                             method_input_bytes=1, output_bytes=1)
 
-    def test_cost_model_env_overrides(self, tmp_path):
-        cfg = desk("histogram", arena_path=str(tmp_path))
-        model = resolve_cost_model(cfg, env={"AOSTORE_NVM_WRITE_NS_PER_B": "0.25"})
-        assert model.nvm_write_ns_per_byte == Fraction(1, 4)
-        model2 = resolve_cost_model(
-            BenchmarkConfig(app="histogram", cost_overrides={"per_op_latency_ns": 5}),
-            env={},
+
+class TestModeledTime:
+    def test_linear_in_counters(self, tmp_path):
+        cost = CostModel(
+            dram_read_ns_per_byte=Fraction(1, 50),
+            nvm_read_ns_per_byte=Fraction(3, 100),
+            nvm_write_ns_per_byte=Fraction(1, 10),
+            per_op_latency_ns=Fraction(500),
         )
-        assert model2.per_op_latency_ns == 5
+        tier = open_tier(
+            TierKind.NVM_DIRECT,
+            ArenaConfig(path=tmp_path / "m.arena", capacity_bytes=1 << 16),
+        )
+        key = ObjectIdFactory(seed=99).new_object_id()
+        tier.store(key, bytes(1000))
+        tier.read_view(key)
+        tier.read_view(key)
+        c = tier.media_counters()["nvm"]
+        expected = (
+            c.bytes_read * Fraction(3, 100)
+            + c.bytes_written * Fraction(1, 10)
+            + (c.read_ops + c.write_ops) * Fraction(500)
+        )
+        assert modeled_time_ns(c, "nvm", cost) == expected
+        tier.close()
+
+    def test_default_ordering_nvm_write_costliest(self):
+        cost = CostModel()
+        assert cost.nvm_write_ns_per_byte >= cost.nvm_read_ns_per_byte >= cost.dram_read_ns_per_byte
 
 
 def tiny_config(tmp_path, **kw):
@@ -180,6 +213,57 @@ class TestReports:
     def test_fraction_string_round_trip(self):
         f = Fraction(492198336, 25)
         assert parse_fraction(f"{f.numerator}/{f.denominator}") == f
+
+
+@pytest.fixture(scope="module")
+def active_report(tmp_path_factory):
+    """One verified report of an active run whose methods read a tier."""
+    report = run_benchmark(tiny_config(tmp_path_factory.mktemp("verify")))
+    verify_report_metrics(report)
+    assert report["method_traffic"]
+    return report
+
+
+class TestVerifyReport:
+    def test_tampered_method_traffic_rejected(self, active_report):
+        report = copy.deepcopy(active_report)
+        for media in report["method_traffic"].values():
+            for counters in media.values():
+                counters["modeled_time_ns"] = "7/1"
+        with pytest.raises(AssertionError, match="method traffic"):
+            verify_report_metrics(report)
+
+    def test_unknown_medium_rejected(self, active_report):
+        report = copy.deepcopy(active_report)
+        media = report["tiers"]["nvm_direct"]
+        media["ssd"] = media.pop("nvm")
+        with pytest.raises(InvalidRequestError, match="ssd"):
+            verify_report_metrics(report)
+
+    def test_checks_hold_under_optimize(self, active_report, tmp_path):
+        report = copy.deepcopy(active_report)
+        report["metrics"]["reuse_factor"] += 1
+        report["tiers"]["nvm_direct"]["nvm"]["modeled_time_ns"] = "7/1"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(report))
+        code = ("import json, sys; from aostore.bench import verify_report_metrics; "
+                "verify_report_metrics(json.loads(open(sys.argv[1]).read()))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code, str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "AssertionError: reuse_factor" in proc.stderr
+
+
+def test_desk_counters_byte_identical(tmp_path):
+    """The desk plan's counters, modeled times and digests, without any
+    wall-clock field, match the committed desk_counters.json byte for byte."""
+    out = tmp_path / "desk_counters.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, str(REPO / "scripts" / "desk_counters.py"), str(out)],
+                   env=env, check=True, capture_output=True, timeout=600)
+    assert out.read_bytes() == (REPO / "desk_counters.json").read_bytes()
 
 
 class TestSweep:

@@ -5,21 +5,14 @@ import os
 import random
 import struct
 from dataclasses import astuple
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from aostore.errors import ArenaError, CapacityError, NotFoundError, InvalidRequestError
 from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, region_reader
-from aostore.tiers import (
-    ArenaConfig,
-    CostModel,
-    DramTier,
-    TierKind,
-    modeled_time_ns,
-    open_tier,
-)
+from aostore.bench import CostModel, modeled_time_ns
+from aostore.tiers import ArenaConfig, DramTier, TierKind, open_tier
 
 from .oracles import LruModel
 
@@ -389,32 +382,3 @@ class TestMemoryMode:
         assert list(astuple(media["dram"])) == model.dram
         tier.close()
 
-
-class TestModeledTime:
-    def test_linear_in_counters(self, tmp_path):
-        cost = CostModel.create(
-            dram_read_ns_per_byte="1/50",
-            nvm_read_ns_per_byte="3/100",
-            nvm_write_ns_per_byte="1/10",
-            per_op_latency_ns=500,
-        )
-        tier = open_tier(
-            TierKind.NVM_DIRECT,
-            ArenaConfig(path=tmp_path / "m.arena", capacity_bytes=1 << 16),
-        )
-        key = oid()
-        tier.store(key, bytes(1000))
-        tier.read_view(key)
-        tier.read_view(key)
-        c = tier.media_counters()["nvm"]
-        expected = (
-            c.bytes_read * Fraction(3, 100)
-            + c.bytes_written * Fraction(1, 10)
-            + (c.read_ops + c.write_ops) * Fraction(500)
-        )
-        assert modeled_time_ns(c, "nvm", cost) == expected
-        tier.close()
-
-    def test_default_ordering_nvm_write_costliest(self):
-        cost = CostModel()
-        assert cost.nvm_write_ns_per_byte >= cost.nvm_read_ns_per_byte >= cost.dram_read_ns_per_byte
