@@ -260,15 +260,19 @@ class Engine:
         for m, exclusive in claims:
             m.held = -1 if exclusive else m.held + 1
 
+    def _release(self, claims: list[tuple[_ObjectMeta, bool]]) -> None:
+        """Give back claims that :meth:`_claim` took; the caller holds ``_lock``."""
+        for m, exclusive in claims:
+            m.held = 0 if exclusive else m.held - 1
+        if claims:
+            self._lock.notify_all()
+
     def _finish(self, op: "_Operation", ok: bool) -> None:
         """Stop charging this thread, release the operation's claims, count
         its reads, and add it to its totals if it succeeded or moved bytes."""
         charges = close_charges()
         with self._lock:
-            for m, exclusive in op.claims:
-                m.held = 0 if exclusive else m.held - 1
-            if op.claims:
-                self._lock.notify_all()
+            self._release(op.claims)
             for m in op.reads:
                 m.read_count += 1
             if not (ok or charges):
@@ -335,19 +339,26 @@ class Engine:
 
     def get_object(self, oid: ObjectId, read: Callable[[BlockPayload], object] | None = None):
         """The object's payload as a copy the caller owns; or, with ``read``,
-        what ``read`` returns for a payload aliasing the tier region. ``read``
-        runs while the shared claim is held, so the region cannot change under
-        it; the view must not outlive the call."""
+        what ``read`` returns for a payload aliasing the tier region.
+
+        The operation is finished, its read counted and its traffic added to
+        the totals, before ``read`` runs, so whatever ``read`` sends on is
+        accounted for by the time it arrives. ``read`` runs while the shared
+        claim is still held, so the region cannot change under it; the claim
+        is released when ``read`` returns or raises, and the view must not
+        outlive the call."""
         with self._lock:
             meta = self._meta(oid)
             claims = [(meta, False)]
             self._claim(claims)
-        with _Operation(self, "__get__", claims) as op:
-            view = self._payload_view(meta, oid)
-            op.reads.append(meta)
-            if read is None:
-                return type(view)(view.values.copy())
-            return read(view)
+        try:
+            with _Operation(self, "__get__") as op:
+                view = self._payload_view(meta, oid)
+                op.reads.append(meta)
+            return type(view)(view.values.copy()) if read is None else read(view)
+        finally:
+            with self._lock:
+                self._release(claims)
 
     def delete_object(self, oid: ObjectId) -> None:
         with self._lock:

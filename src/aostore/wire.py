@@ -16,39 +16,51 @@ Every reply echoes the request_id. The same ``ServerCore`` byte path backs
 both the in-process loopback transport and the TCP transport, so identical
 workloads produce identical counters on either.
 
-Over TCP a large payload crosses user space at most once on each side. Each
-connection receives frames with ``recv_into`` into one reused buffer, grown
-only as a frame's bytes arrive, and sends a frame with ``sendmsg`` over a few
-parts: the head and the small fields joined, each large payload's data
-section a view of its array. The copies left, per operation:
+Over TCP a reply frame of at least ``GATHER_LIMIT`` bytes crosses user space
+on neither side when the socket takes it whole. Each connection receives
+requests with ``recv_into`` into one reused buffer, grown only as a frame's
+bytes arrive, and a client sends a frame with ``sendmsg`` over a few parts:
+the head and the small fields joined, each large payload's data section a
+view of its array. A client receives a small reply into its reused buffer
+and a large one into fresh memory placed so that the frame ends on an 8-byte
+boundary. A large frame ends with its payload, whose data section is a
+multiple of 8 bytes, so that section starts aligned and is decoded as a view.
+The copies left, per operation:
 
 - persist: the client sends the payload's own array. The server decodes the
   payload as a view of its receive buffer, and the tier store copies it in.
-- get: while ``Engine.get_object`` holds the shared claim, the server encodes
-  the reply from the tier region straight into the connection's reused send
-  buffer (one copy). The client copies the payload out of its receive buffer
-  into a fresh array (one copy).
+- get: while ``Engine.get_object`` holds the shared claim, the server sends
+  the reply with one non-blocking ``sendmsg`` whose data part is the tier
+  region itself. Only what the socket did not take is copied, into the
+  connection's reused send buffer, and sent once the claim is released. The
+  client decodes the payload as a view of the memory it received the frame
+  into (no copy).
 - invoke by value: the argument travels as a persisted payload does, and the
   routine sees it as a read-only view of the receive buffer, copied first
-  only if it is unaligned. A by-value result is encoded from the routine's
-  array into the send buffer, and the client copies it out as for a get.
+  only if it is unaligned. A by-value result is sent from the routine's
+  array as a get's reply is from the tier region, and received as a get's.
+
+A reply below ``GATHER_LIMIT`` is one joined bytes object, sent with
+``sendall`` after the handler returns; the client copies a payload out of it.
 
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the receive buffer, which the next
 request overwrites; it is used only until its reply is sent, and the tier
-stores copy it. A reply frame returned by ``handle_frame_bytes`` into a
-connection's send buffer is valid until that buffer's next reply. The
-loopback transport joins each request's parts into one bytes object.
+stores copy it. The loopback transport joins each request's parts into one
+bytes object, and each reply's parts too, the latter under the claim.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import socket
 import struct
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .engine import ByRef, ByValue, Engine, ResultPlacement
 from .errors import FrameError, StoreError, UnknownMsgTypeError, error_for_code
@@ -125,14 +137,13 @@ class FrameBuffer:
         self._whole = memoryview(bytearray())
 
 
-def encode_frame(frame: Frame, into: FrameBuffer | None = None):
+def encode_frame(frame: Frame):
     """The frame with its head. A bytes body gives one bytes object.
 
     A list of parts, as ``encode_body`` returns, gives a list of parts ready
     for ``sendmsg``. A frame shorter than ``GATHER_LIMIT`` is one bytes object.
     A longer one is the head and the small parts joined, with each part of at
-    least ``GATHER_LIMIT`` bytes left as it is; with ``into``, it is copied
-    into that buffer instead, and the list holds one view of it.
+    least ``GATHER_LIMIT`` bytes left as it is.
     """
     body = frame.body
     whole = type(body) is not list
@@ -144,14 +155,6 @@ def encode_frame(frame: Frame, into: FrameBuffer | None = None):
         return head + body
     if length < GATHER_LIMIT:
         return [b"".join((head, *body))]
-    if into is not None:
-        view = into.view(_LEN.size + length)
-        view[: _HEAD.size] = head
-        pos = _HEAD.size
-        for part in body:
-            view[pos : pos + len(part)] = part
-            pos += len(part)
-        return [view]
     out, small = [], [head]
     for part in body:
         if len(part) < GATHER_LIMIT:
@@ -276,18 +279,28 @@ class _ObjectId:
 class _Payload:
     """The payload codec of ``aostore.model``, looked up at each call; an
     encoded payload carries its own length. The data section goes out as a
-    view of the array. It is read back as a copy the caller owns, or with
-    ``copy=False`` as a view of the frame."""
+    view of the array.
 
-    def __init__(self, copy: bool):
-        self._copy = copy
+    In a request it is read back as a view of the frame: the server stores or
+    reads it, then drops it. In a reply it is read back as a view too when the
+    frame is memory of its own (an array, see ``_recv_frame``), which the
+    caller then owns, copied only if unaligned; from any other frame (the
+    reused buffer, the loopback's bytes) it is read back as a copy."""
+
+    def __init__(self, reply: bool):
+        self._reply = reply
 
     def put(self, out: list, value: BlockPayload) -> None:
         encode_payload(value, out)
 
     def take(self, buf: memoryview, pos: int):
         end = pos + encoded_length(buf[pos:])
-        return decode_payload(buf[pos:end], self._copy), end
+        if not self._reply:
+            return decode_payload(buf[pos:end], False), end
+        payload = decode_payload(buf[pos:end], not isinstance(buf.obj, np.ndarray))
+        if not payload.values.flags.aligned:
+            payload = type(payload)(payload.values.copy())
+        return payload, end
 
 
 class _Code:
@@ -446,8 +459,8 @@ U8, U16, U64 = _Int("B"), _Int("H"), _Int("Q")
 BOOL = _Code("bool", {False: 0, True: 1})
 STR16 = _Str16()
 OBJECT_ID = _ObjectId()
-PAYLOAD = _Payload(copy=True)  # in replies: the client keeps what it decodes
-PAYLOAD_VIEW = _Payload(copy=False)  # in requests: the server stores or reads it, then drops it
+PAYLOAD = _Payload(reply=True)  # in replies: the client keeps what it decodes
+PAYLOAD_VIEW = _Payload(reply=False)  # in requests: the server stores or reads it, then drops it
 _TIER_CODES = {t: t.value for t in TierKind}
 TIER = _Code("tier", _TIER_CODES)
 TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
@@ -553,18 +566,19 @@ class ServerCore:
         with self._lock:
             return self._counters.snapshot()
 
-    def handle_frame_bytes(self, data, out: FrameBuffer | None = None):
-        """The reply frame to the request frame ``data``, as bytes; with
-        ``out``, a reply of at least ``GATHER_LIMIT`` bytes is written into
-        that buffer and returned as a view of it, valid until its next use."""
+    def handle_frame_bytes(self, data, send=None):
+        """The reply frame to the request frame ``data``, as bytes.
+
+        With ``send``, a reply of at least ``GATHER_LIMIT`` bytes is handed to
+        ``send`` as the list of parts that ``encode_frame`` returns, while the
+        claim its payload is read under is still held, and what ``send``
+        returns takes its place: the bytes of the frame still to be sent.
+        ``send`` must not block, and must copy what it keeps."""
         with self._lock:
             self._counters.bytes_received += len(data)
-        reply = self._dispatch(data, out)
-        with self._lock:
-            self._counters.bytes_sent += len(reply)
-        return reply
+        return self._dispatch(data, send)
 
-    def _dispatch(self, data, out: FrameBuffer | None):
+    def _dispatch(self, data, send):
         request_id = 0
         try:
             msg_type, request_id, end = _frame_head(data, 0)
@@ -578,23 +592,29 @@ class ServerCore:
 
             def reply(result):
                 body = encode_body(reply_layout, (result,)[: len(reply_layout.fields)])
-                return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), out)
+                return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), send)
 
             values = decode_body(request, memoryview(data)[13:])
             return self._HANDLERS[msg_type](self, reply, *values)
         except StoreError as exc:
-            return self._error_reply(request_id, exc, out)
+            return self._error_reply(request_id, exc, send)
         except Exception as exc:  # engine bugs must not kill the connection
             err = StoreError(f"internal: {exc}")
-            return self._error_reply(request_id, err, out)
+            return self._error_reply(request_id, err, send)
 
-    def _error_reply(self, request_id: int, exc: StoreError, out: FrameBuffer | None):
+    def _error_reply(self, request_id: int, exc: StoreError, send):
         body = encode_body(MESSAGES[MSG_ERROR].reply, (exc.code, str(exc)))
-        return self._frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), out)
+        return self._frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), send)
 
-    def _frame(self, frame: Frame, out: FrameBuffer | None):
-        parts = encode_frame(frame, out)
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+    def _frame(self, frame: Frame, send):
+        """Count the reply frame as sent and return it, or what ``send`` left
+        of it; a handler replies last, so nothing fails after this."""
+        parts = encode_frame(frame)
+        with self._lock:
+            self._counters.bytes_sent += sum(map(len, parts))
+        if len(parts) == 1:
+            return parts[0]
+        return b"".join(parts) if send is None else send(parts)
 
 
 # -- transports -------------------------------------------------------------------
@@ -654,11 +674,12 @@ class TcpConnection(Connection):
     def __init__(self, host: str, port: int):
         super().__init__()
         self._sock = socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S)
-        self._received = FrameBuffer()
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._received = FrameBuffer()  # small replies only
 
     def _roundtrip(self, raw: list) -> memoryview:
         _send_parts(self._sock, raw)
-        return _recv_frame(self._sock, self._received)
+        return _recv_frame(self._sock, self._received, own_large=True)
 
     def close(self) -> None:
         self._received.release()
@@ -668,20 +689,29 @@ class TcpConnection(Connection):
             pass
 
 
-def _recv_frame(sock: socket.socket, buf: FrameBuffer) -> memoryview:
+def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) -> memoryview:
     """One whole frame, received into ``buf`` and returned as a view of it;
     FrameError when the peer closes first or claims an oversize frame (before
     ``buf`` grows), after which the stream cannot be resynchronized.
 
     A frame larger than ``buf`` grows it in steps as its bytes arrive (see
     ``RECV_STEP``), so a peer that announces a large frame and stalls makes
-    the buffer no larger than twice what it has sent plus ``RECV_STEP``."""
+    the buffer no larger than twice what it has sent plus ``RECV_STEP``.
+
+    With ``own_large``, a frame of at least ``GATHER_LIMIT`` bytes is received
+    instead into fresh memory, an array that only the returned view refers
+    to, placed so that the frame ends on an 8-byte boundary."""
     head = buf.view(_LEN.size)
     _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME:
         raise FrameError(f"oversize frame of {length} bytes")
     size, got = _LEN.size + length, _LEN.size
+    if own_large and size >= GATHER_LIMIT:
+        frame = memoryview(np.empty((size + 7) // 8, np.uint64)).cast("B")[-size % 8 :]
+        frame[:got] = head
+        _recv_into(sock, frame[got:])
+        return frame
     while size > buf.capacity:
         step = buf.view(min(size, got + max(got, RECV_STEP)), keep=got)
         _recv_into(sock, step[got:])
@@ -700,6 +730,28 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
             raise FrameError(f"connection closed mid-frame: {len(view)} bytes missing")
         view = view[n:]
         n = sock.recv_into(view)
+
+
+def _send_now(sock: socket.socket, spill: FrameBuffer, parts: list) -> memoryview:
+    """Send what the socket takes of ``parts`` at once, with one non-blocking
+    ``sendmsg`` (``sock`` must have no timeout, or Python would wait on it);
+    copy the rest into ``spill`` and return a view of it, which may be empty.
+    An error sends nothing and keeps every byte, so the send of the rest
+    reports it."""
+    try:
+        sent = sock.sendmsg(parts, (), socket.MSG_DONTWAIT)
+    except OSError:  # the socket is full (EAGAIN), or broken
+        sent = 0
+    rest = spill.view(sum(map(len, parts)) - sent)
+    pos = 0
+    for part in parts:
+        if sent >= len(part):
+            sent -= len(part)
+            continue
+        piece = memoryview(part)[sent:]
+        rest[pos : pos + len(piece)] = piece
+        pos, sent = pos + len(piece), 0
+    return rest
 
 
 def _send_parts(sock: socket.socket, parts: list) -> None:
@@ -757,16 +809,20 @@ class TcpServer:
             t.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        received, replies = FrameBuffer(), FrameBuffer()
+        received, spill = FrameBuffer(), FrameBuffer()
+        send = functools.partial(_send_now, conn, spill)
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 frame = _recv_frame(conn, received)
-                _send_parts(conn, [self.core.handle_frame_bytes(frame, replies)])
+                rest = self.core.handle_frame_bytes(frame, send)
+                if rest:
+                    conn.sendall(rest)
         except (OSError, FrameError):
             pass  # peer closed, or sent a frame the stream cannot recover from
         finally:
             received.release()
-            replies.release()
+            spill.release()
             with self._lock:
                 self._conns.discard(conn)
             try:

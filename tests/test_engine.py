@@ -97,6 +97,31 @@ class TestPersistGet:
         engine.get_object(oid)
         assert engine.read_counts()[oid] == 1
 
+    def test_get_is_counted_before_read_runs_and_claimed_until_it_returns(self, engine):
+        """A reply sent from inside ``read`` can reach its client at once, so
+        the read count and the totals must already hold it; the shared claim
+        keeps the region from changing until ``read`` is done with it."""
+        engine.register_class(BLOCK)
+        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        seen = []
+
+        def read(view):
+            seen.append((engine.read_counts()[oid], engine.op_totals()["__get__"].count,
+                         engine._objects[oid].held))
+            return "sent"
+
+        assert engine.get_object(oid, read) == "sent"
+        assert seen == [(1, 1, 1)]
+        assert engine._objects[oid].held == 0
+
+        def fail(view):
+            raise RuntimeError("send failed")
+
+        with pytest.raises(RuntimeError):
+            engine.get_object(oid, fail)
+        assert engine._objects[oid].held == 0
+        engine.delete_object(oid)
+
     def test_unknown_class_rejected(self, engine):
         with pytest.raises(UnknownNameError):
             engine.make_persistent("Nope", FloatArray([1.0]), TierKind.DRAM)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import socket
 import struct
 import threading
@@ -834,6 +835,23 @@ def tcp(arena_dir):
     engine.close()
 
 
+def _reused(session) -> np.ndarray:
+    """The bytes of a TCP session's reused receive buffer."""
+    buf = session._conn._received
+    return np.frombuffer(buf.view(buf.capacity), np.uint8)
+
+
+def _assert_owned(payloads, session) -> None:
+    """Each array is aligned and writable, and shares memory with no other
+    and not with the connection's reused receive buffer."""
+    reused = _reused(session)
+    for i, payload in enumerate(payloads):
+        flags = payload.values.flags
+        assert flags.aligned and flags.writeable
+        assert not np.shares_memory(payload.values, reused)
+        assert not any(np.shares_memory(payload.values, p.values) for p in payloads[i + 1 :])
+
+
 class TestBufferOwnership:
     def test_a_get_owns_its_payload(self, tcp):
         _, session = tcp
@@ -844,10 +862,41 @@ class TestBufferOwnership:
         first = session.get(a)
         second = session.get(b)
         assert np.all(first.values == 1.0) and np.all(second.values == 2.0)
-        assert not np.shares_memory(first.values, second.values)
-        for payload in (first, second):
-            flags = payload.values.flags
-            assert flags.owndata and flags.aligned and flags.writeable
+        _assert_owned([first, second], session)
+
+    def test_every_large_reply_is_aligned_writable_and_unshared(self, tcp):
+        """A GET of every variant from every tier, and a by-value INVOKE
+        result, each at least GATHER_LIMIT bytes, comes back as memory of its
+        own that no later reply changes. Their data sections start 6 (GET)
+        and 7 (INVOKE, after the result tag) bytes past 8-byte boundaries of
+        the frame, so only the placement of the frame's end aligns them."""
+        _, session = tcp
+        rng = np.random.default_rng(4)
+        blocks = [
+            FloatArray(rng.random(2049)),
+            PointsBlock(rng.random((1031, 3))),
+            Submatrix(rng.random((47, 47))),
+            Histogram(rng.integers(0, 1 << 60, 2053, dtype=np.uint64)),
+            Centroids(rng.random((7, 301))),
+        ]
+        sent, got = [], []
+        for tier in TierKind:
+            for block in blocks:
+                oid = session.make_persistent(MATRIX_CLASS, block, tier)
+                sent.append(block)
+                got.append(session.get(oid))
+        a, b = (
+            session.make_persistent(MATRIX_CLASS, Submatrix(np.full((64, 64), x)), TierKind.DRAM)
+            for x in (1.0, 2.0)
+        )
+        before = session.counters().bytes_received
+        total = session.invoke(a, "add", [ByRef(b)])
+        assert session.counters().bytes_received - before >= wire.GATHER_LIMIT
+        sent.append(Submatrix(np.full((64, 64), 3.0)))
+        got.append(total)
+        _assert_owned(got, session)
+        assert not any(p.values.flags.owndata for p in got)  # views of the frames, not copies
+        assert got == sent
 
     def test_every_array_a_routine_sees_is_aligned(self, arena_dir):
         seen = []
@@ -906,14 +955,24 @@ class TestBufferOwnership:
         assert mine.values.flags.writeable  # the caller's array is left as it was
 
     def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, arena_dir, monkeypatch):
-        made = []
+        """The client's reused buffer holds small replies only, the server's
+        receive buffer the largest request, and its send buffer only what the
+        socket did not take of a large reply; all three go on close."""
+        made, kept = [], [0]
 
         class Recorded(FrameBuffer):
             def __init__(self):
                 super().__init__()
                 made.append(self)
 
+        def send_now(sock, spill, parts):
+            rest = send_now.original(sock, spill, parts)
+            kept.append(len(rest))
+            return rest
+
+        send_now.original = wire._send_now
         monkeypatch.setattr(wire, "FrameBuffer", Recorded)
+        monkeypatch.setattr(wire, "_send_now", send_now)
         engine, _ = _loopback(arena_dir)
         server = TcpServer(engine)
         session = Session.connect_tcp(server.host, server.port)
@@ -922,13 +981,15 @@ class TestBufferOwnership:
         persisted = session.counters()
         session.get(oid)
         got = session.counters()
-        session.stats()  # smaller frames leave the buffers as they are
+        session.stats()
         largest_request = persisted.bytes_sent - start.bytes_sent
-        largest_reply = got.bytes_received - persisted.bytes_received
+        largest_small_reply = session.counters().bytes_received - got.bytes_received
         client = session._conn._received
         served = [b for b in made if b is not client]
-        assert client.capacity == largest_reply
-        assert sorted(b.capacity for b in served) == sorted([largest_request, largest_reply])
+        assert got.bytes_received - persisted.bytes_received >= wire.GATHER_LIMIT
+        assert largest_small_reply < wire.GATHER_LIMIT
+        assert client.capacity == largest_small_reply
+        assert sorted(b.capacity for b in served) == sorted([largest_request, max(kept)])
         session.close()
         assert client.capacity == 0
         deadline = time.monotonic() + 10
@@ -937,3 +998,123 @@ class TestBufferOwnership:
         server.stop()
         engine.close()
         assert [b.capacity for b in served] == [0, 0]
+
+    def test_a_reply_the_socket_takes_in_part_is_sent_whole(self, arena_dir):
+        """What the socket does not take under the claim is copied before the
+        handler returns, so a later write to the object does not show in the
+        reply, and the server counts the whole frame as sent."""
+        engine, core = _loopback(arena_dir)
+        values = np.arange(512 * 512, dtype=np.float64).reshape(512, 512)  # 2 MiB
+        oid = engine.make_persistent(MATRIX_CLASS, Submatrix(values), TierKind.DRAM)
+        body = wire.encode_body(wire.MESSAGES[MSG_GET].reply, (Submatrix(values),))
+        expected = b"".join(encode_frame(Frame(MSG_GET | REPLY_BIT, 1, body)))
+        a, b = socket.socketpair()
+        a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        a.setblocking(False)  # a send that would wait for the reader fails instead
+        before = core.wire_counters().bytes_sent
+        rest = core.handle_frame_bytes(
+            encode_frame(Frame(MSG_GET, 1, oid)), functools.partial(wire._send_now, a, FrameBuffer())
+        )
+        a.setblocking(True)
+        engine.tier(TierKind.DRAM).write_in_place(oid, 0, bytes(values.nbytes))
+        assert 0 < len(rest) < len(expected)
+        received = bytearray()
+
+        def drain():
+            while len(received) < len(expected):
+                chunk = b.recv(1 << 16)
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        a.sendall(rest)
+        a.close()  # the reader stops at the end of what was sent
+        reader.join(30)
+        assert not reader.is_alive()
+        b.close()
+        engine.close()
+        assert bytes(received) == expected
+        assert core.wire_counters().bytes_sent - before == len(expected)
+
+    def test_a_stalled_reader_holds_no_claim(self, tcp, monkeypatch):
+        """A client that asks for a large object and never reads the reply
+        leaves the object free: the server keeps the part the socket did not
+        take, releases the claim, and blocks only in sending that part."""
+        server, session = tcp
+        kept = []
+
+        def send_now(sock, spill, parts):
+            rest = send_now.original(sock, spill, parts)
+            kept.append(len(rest))
+            return rest
+
+        send_now.original = wire._send_now
+        monkeypatch.setattr(wire, "_send_now", send_now)
+        values = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        oid = session.make_persistent(MATRIX_CLASS, FloatArray(values), TierKind.DRAM)
+        stalled = socket.create_connection((server.host, server.port))
+        try:
+            stalled.sendall(encode_frame(Frame(MSG_GET, 1, oid)))
+            deadline = time.monotonic() + 10
+            while not kept and time.monotonic() < deadline:
+                time.sleep(0.01)
+            deleter = threading.Thread(target=session.delete, args=(oid,), daemon=True)
+            deleter.start()
+            deleter.join(10)
+            freed = not deleter.is_alive()
+            if freed:  # the freed region may be reused by the next object
+                session.make_persistent(MATRIX_CLASS, FloatArray(-values), TierKind.DRAM)
+            stalled.settimeout(30)
+            reply = wire._recv_frame(stalled, FrameBuffer())
+        finally:
+            stalled.close()
+        deleter.join(30)
+        assert freed
+        assert kept and kept[0] > 0
+        assert np.array_equal(np.frombuffer(reply, np.float64, offset=4 + 9 + 9), values)
+
+    def test_tcp_sockets_send_without_delay(self, tcp):
+        """A reply the socket takes only in part leaves in two sends; the
+        second must not wait for the peer's delayed ACK."""
+        server, session = tcp
+        session.stats()  # the server has accepted the connection
+        with server._lock:
+            served = list(server._conns)
+        assert len(served) == 1
+        for sock in (session._conn._sock, *served):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def _carries_payload(kind) -> bool:
+    if isinstance(kind, wire._Payload):
+        return True
+    if isinstance(kind, wire._Union):
+        return any(_carries_payload(arm) for arm in kind._by_tag.values() if arm is not None)
+    if isinstance(kind, wire._Fields):
+        return any(map(_carries_payload, kind.fields))
+    if isinstance(kind, wire._List):
+        return _carries_payload(kind._item)
+    return False
+
+
+def _ends_with_payload(kind) -> bool:
+    """Whether every value of ``kind`` that holds a payload ends with it."""
+    if isinstance(kind, wire._Payload):
+        return True
+    if isinstance(kind, wire._Union):
+        arms = [arm for arm in kind._by_tag.values() if arm is not None]
+        return all(_ends_with_payload(arm) for arm in arms if _carries_payload(arm))
+    if isinstance(kind, wire._Fields):
+        *head, last = kind.fields
+        return not any(map(_carries_payload, head)) and _ends_with_payload(last)
+    return False  # a list may hold payloads before its last item
+
+
+@pytest.mark.parametrize("msg_type", sorted(wire.MESSAGES))
+def test_a_reply_that_can_carry_a_payload_ends_with_it(msg_type):
+    """The client places a large frame so that it ends aligned, which aligns
+    the payload's data section only if nothing follows it."""
+    reply = wire.MESSAGES[msg_type].reply
+    assert not _carries_payload(reply) or _ends_with_payload(reply)
