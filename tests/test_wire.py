@@ -835,21 +835,30 @@ def tcp(arena_dir):
     engine.close()
 
 
-def _reused(session) -> np.ndarray:
-    """The bytes of a TCP session's reused receive buffer."""
-    buf = session._conn._received
-    return np.frombuffer(buf.view(buf.capacity), np.uint8)
-
-
 def _assert_owned(payloads, session) -> None:
     """Each array is aligned and writable, and shares memory with no other
     and not with the connection's reused receive buffer."""
-    reused = _reused(session)
+    buf = session._conn._received
+    reused = np.frombuffer(buf.view(buf.capacity), np.uint8)
     for i, payload in enumerate(payloads):
         flags = payload.values.flags
         assert flags.aligned and flags.writeable
         assert not np.shares_memory(payload.values, reused)
         assert not any(np.shares_memory(payload.values, p.values) for p in payloads[i + 1 :])
+
+
+def _record_what_is_kept(monkeypatch) -> list:
+    """The length of what the socket did not take of each large reply that
+    a TCP connection accepted from now on sends."""
+    kept, send_now = [], wire._send_now
+
+    def recorded(sock, spill, parts):
+        rest = send_now(sock, spill, parts)
+        kept.append(len(rest))
+        return rest
+
+    monkeypatch.setattr(wire, "_send_now", recorded)
+    return kept
 
 
 class TestBufferOwnership:
@@ -958,21 +967,15 @@ class TestBufferOwnership:
         """The client's reused buffer holds small replies only, the server's
         receive buffer the largest request, and its send buffer only what the
         socket did not take of a large reply; all three go on close."""
-        made, kept = [], [0]
+        made = []
 
         class Recorded(FrameBuffer):
             def __init__(self):
                 super().__init__()
                 made.append(self)
 
-        def send_now(sock, spill, parts):
-            rest = send_now.original(sock, spill, parts)
-            kept.append(len(rest))
-            return rest
-
-        send_now.original = wire._send_now
         monkeypatch.setattr(wire, "FrameBuffer", Recorded)
-        monkeypatch.setattr(wire, "_send_now", send_now)
+        kept = _record_what_is_kept(monkeypatch)
         engine, _ = _loopback(arena_dir)
         server = TcpServer(engine)
         session = Session.connect_tcp(server.host, server.port)
@@ -989,7 +992,7 @@ class TestBufferOwnership:
         assert got.bytes_received - persisted.bytes_received >= wire.GATHER_LIMIT
         assert largest_small_reply < wire.GATHER_LIMIT
         assert client.capacity == largest_small_reply
-        assert sorted(b.capacity for b in served) == sorted([largest_request, max(kept)])
+        assert sorted(b.capacity for b in served) == sorted([largest_request, max(kept, default=0)])
         session.close()
         assert client.capacity == 0
         deadline = time.monotonic() + 10
@@ -1043,15 +1046,7 @@ class TestBufferOwnership:
         leaves the object free: the server keeps the part the socket did not
         take, releases the claim, and blocks only in sending that part."""
         server, session = tcp
-        kept = []
-
-        def send_now(sock, spill, parts):
-            rest = send_now.original(sock, spill, parts)
-            kept.append(len(rest))
-            return rest
-
-        send_now.original = wire._send_now
-        monkeypatch.setattr(wire, "_send_now", send_now)
+        kept = _record_what_is_kept(monkeypatch)
         values = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
         oid = session.make_persistent(MATRIX_CLASS, FloatArray(values), TierKind.DRAM)
         stalled = socket.create_connection((server.host, server.port))
