@@ -41,7 +41,6 @@ from .kernels import (
     MATRIX_CLASS,
     MatrixDescriptor,
     POINTS_CLASS,
-    PartialSum,
     assemble_matrix,
     gen_f_array,
     gen_matrix,
@@ -58,6 +57,7 @@ from .kernels import (
 )
 from .model import (
     ObjectId,
+    PointsBlock,
     Submatrix,
     encode_payload,
 )
@@ -238,7 +238,7 @@ class _KMeans(_Run):
             return centroids
         # the centroids stay in a DRAM object from one iteration to the next,
         # so each accumulate names them instead of carrying them
-        zeros = PartialSum.zeros(spec.centers, spec.dims).to_payload()
+        zeros = PointsBlock(np.zeros(spec.partial_shape))
         cid = self.session.make_persistent(POINTS_CLASS, centroids, TierKind.DRAM)
         for _ in range(spec.iterations):
             acc = self.session.make_persistent(POINTS_CLASS, zeros, TierKind.DRAM)

@@ -1,11 +1,11 @@
 """The four kernel applications as routine-catalog entries plus generators.
 
 histogram     -- 140 fixed bins over [0, inf) on F-distributed arrays
-k-means       -- Lloyd iterations with per-block partial sums, 20 centers;
-                 each center's sums accumulate in row order. ``accumulate``
-                 adds a block's packed partial onto a stored accumulator;
-                 the active run names its centroids, kept in a DRAM object,
-                 by reference
+k-means       -- Lloyd iterations, 20 centers. A block's partial is the
+                 (centers, dims + 1) array the store keeps: each center's
+                 sums, accumulated in row order, then its count.
+                 ``accumulate`` adds it onto a stored accumulator; the active
+                 run names its centroids, kept in a DRAM object, by reference
 matrix add    -- elementwise sum of k x k submatrix blocks, bit exact
 matrix mul    -- blocked multiply-accumulate, one BLAS product per block:
                  active, in-place and passive executions call the same
@@ -61,6 +61,10 @@ class KMeansSpec:
         if self.centers < 1 or self.iterations < 1 or self.dims < 1:
             raise InvalidRequestError("k-means needs centers, iterations, dims >= 1")
 
+    @property
+    def partial_shape(self) -> tuple[int, int]:
+        return (self.centers, self.dims + 1)  # each center's sums, then its count
+
 
 @dataclass(frozen=True)
 class MatrixDescriptor:
@@ -78,33 +82,6 @@ class MatrixDescriptor:
     @property
     def grid(self) -> int:
         return self.n // self.k
-
-
-@dataclass
-class PartialSum:
-    """Per-block k-means accumulation: per-center coordinate sums and counts."""
-
-    sums: np.ndarray  # (centers, dims) f64
-    counts: np.ndarray  # (centers,) u64
-
-    def to_payload(self) -> PointsBlock:
-        # counts ride along as an extra trailing column; exact for < 2**53
-        packed = np.empty((self.sums.shape[0], self.sums.shape[1] + 1), dtype=np.float64)
-        packed[:, :-1] = self.sums
-        packed[:, -1] = self.counts.astype(np.float64)
-        return PointsBlock(packed)
-
-    @classmethod
-    def from_payload(cls, p: PointsBlock) -> "PartialSum":
-        vals = p.values
-        return cls(
-            sums=np.array(vals[:, :-1], dtype=np.float64),
-            counts=np.array(vals[:, -1], dtype=np.uint64),
-        )
-
-    @classmethod
-    def zeros(cls, centers: int, dims: int) -> "PartialSum":
-        return cls(np.zeros((centers, dims)), np.zeros(centers, dtype=np.uint64))
 
 
 # -- generators -------------------------------------------------------------
@@ -214,9 +191,10 @@ def merge_histograms(histograms: list[Histogram]) -> Histogram:
     return Histogram(total)
 
 
-def kmeans_partial(block: PointsBlock, centroids: Centroids) -> PartialSum:
+def kmeans_partial(block: PointsBlock, centroids: Centroids) -> np.ndarray:
     """Assign each point to the nearest centroid (squared Euclidean distance,
-    ties to the lowest index) and accumulate per-center sums in row order."""
+    ties to the lowest index) and accumulate per-center sums in row order into
+    the packed partial: per center its sums, then its count (exact below 2**53)."""
     pts = block.values
     cents = centroids.values
     if pts.shape[1] != cents.shape[1]:
@@ -239,39 +217,40 @@ def kmeans_partial(block: PointsBlock, centroids: Centroids) -> PartialSum:
     # rows by adding one row after another to 0.0, so the rows are gathered
     # once, grouped by center, and each group reduced in place. A single
     # column numpy would sum pairwise, in another order, so that one case is
-    # gathered into a buffer one zero column wider.
+    # gathered into a buffer one zero column wider, up to the count column.
     if dims == 1:
         grouped = np.zeros((len(order), 2))
         grouped[:, 0] = pts[order, 0]
     else:
         grouped = pts.take(order, axis=0)
-    sums = np.empty((k, grouped.shape[1]))
+    partial = np.empty((k, dims + 1))
     start = 0
     for j, end in enumerate(np.cumsum(counts).tolist()):
-        np.add.reduce(grouped[start:end], axis=0, out=sums[j])
+        np.add.reduce(grouped[start:end], axis=0, out=partial[j, : grouped.shape[1]])
         start = end
-    return PartialSum(sums[:, :dims], counts.astype(np.uint64))
+    partial[:, dims] = counts
+    return partial
 
 
-def kmeans_reduce(partials: list[PartialSum], previous: Centroids) -> Centroids:
-    """Combine partial sums; centers with no points keep their previous value."""
+def kmeans_reduce(partials: list[np.ndarray], previous: Centroids) -> Centroids:
+    """Add packed partials in list order and divide each center's sums by its
+    count; centers with no points keep their previous value."""
     if not partials:
         raise InvalidRequestError("nothing to reduce")
-    shape = partials[0].sums.shape
-    sums = np.zeros(shape)
-    counts = np.zeros(shape[0], dtype=np.uint64)
+    shape = partials[0].shape
+    total = np.zeros(shape)
     for p in partials:
-        if p.sums.shape != shape:
-            raise ShapeMismatchError(f"partial shape mismatch: {p.sums.shape} vs {shape}")
-        sums += p.sums
-        counts += p.counts
-    if previous.values.shape != shape:
+        if p.shape != shape:
+            raise ShapeMismatchError(f"partial shape mismatch: {p.shape} vs {shape}")
+        total += p
+    if previous.values.shape != (shape[0], shape[1] - 1):
         raise ShapeMismatchError(
-            f"previous centroids shape {previous.values.shape} does not match {shape}"
+            f"previous centroids shape {previous.values.shape} does not match partials {shape}"
         )
     out = np.array(previous.values, copy=True)
+    counts = total[:, -1]
     occupied = counts > 0
-    out[occupied] = sums[occupied] / counts[occupied, None].astype(np.float64)
+    out[occupied] = total[occupied, :-1] / counts[occupied, None]
     return Centroids(out)
 
 
@@ -306,11 +285,10 @@ def fma_values(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(target: BlockPayload, args: list[BlockPayload]) -> np.ndarray:
-    """Add the block's packed partial (sums, then counts as a last column)
-    onto the packed accumulator: the same float adds a merge of unpacked sums
-    makes, and counts below 2**53 add exactly as float64."""
+    """Add the block's packed partial onto the packed accumulator: the same
+    float adds ``kmeans_reduce`` makes, counts included."""
     block, centroids = args
-    partial = kmeans_partial(block, centroids).to_payload().values
+    partial = kmeans_partial(block, centroids)
     if target.values.shape != partial.shape:
         raise ShapeMismatchError(
             f"accumulator shape {target.values.shape} does not match partial {partial.shape}"
@@ -327,11 +305,11 @@ _METHODS = (
     (HIST_CLASS, "mean", "stat.mean", (), SEM_SCALAR, False,
      lambda t, a: FloatArray([float(np.mean(t.values))])),
     (POINTS_CLASS, "partial", "kmeans.partial", (SEM_CENTROIDS,), SEM_POINTS, False,
-     lambda t, a: kmeans_partial(t, a[0]).to_payload()),
+     lambda t, a: PointsBlock(kmeans_partial(t, a[0]))),
     (POINTS_CLASS, "accumulate", "kmeans.accumulate", (SEM_POINTS, SEM_CENTROIDS), SEM_NONE, True,
      _accumulate),
     (POINTS_CLASS, "finish", "kmeans.finish", (SEM_CENTROIDS,), SEM_CENTROIDS, False,
-     lambda t, a: kmeans_reduce([PartialSum.from_payload(t)], a[0])),
+     lambda t, a: kmeans_reduce([t.values], a[0])),
     (MATRIX_CLASS, "add", "mat.add", (SEM_SUBMATRIX,), SEM_SUBMATRIX, False,
      lambda t, a, *, out=None: matadd_block(t, a[0], out)),
     (MATRIX_CLASS, "fma", "mat.fma", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True,

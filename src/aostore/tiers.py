@@ -33,7 +33,7 @@ import struct
 import threading
 from collections import OrderedDict
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ArenaError, CapacityError, InvalidRequestError, NotFoundError
@@ -333,7 +333,6 @@ class TierHandle:
         self._arena = _Arena(
             config.path if file_backed else None, config.capacity_bytes, self.recover
         )
-        self._config = replace(config, capacity_bytes=self._arena.capacity)
         self._dir = dict(self._arena.entries)
         self._alloc = _Allocator(self._arena.capacity, self._dir.values())
         self._closed = False
@@ -426,10 +425,6 @@ class TierHandle:
             return {medium: TierCounters(*c.counts) for medium, c in self._media.items()}
 
     @property
-    def capacity_bytes(self) -> int:
-        return self._config.capacity_bytes
-
-    @property
     def used_bytes(self) -> int:
         with self._lock:
             return sum(length for _, length in self._dir.values())
@@ -486,6 +481,7 @@ class MemoryModeTier(TierHandle):
                 "MEMORY_MODE needs 0 < cache_capacity_bytes < capacity_bytes"
             )
         super().__init__(config)
+        self._cache_capacity = config.cache_capacity_bytes
         self._cache: OrderedDict[ObjectId, _CacheEntry] = OrderedDict()
         self._cache_used = 0
         self._dram = self._media[MEDIA_DRAM]
@@ -502,7 +498,7 @@ class MemoryModeTier(TierHandle):
                 entry.dirty = False
 
     def _evict_for(self, incoming: int) -> None:
-        while self._cache and self._cache_used + incoming > self._config.cache_capacity_bytes:
+        while self._cache and self._cache_used + incoming > self._cache_capacity:
             oid, entry = self._cache.popitem(last=False)
             self._cache_used -= len(entry.buf)
             self._write_back([(oid, entry)])
@@ -514,7 +510,7 @@ class MemoryModeTier(TierHandle):
         self._dram.write(size)
         self._dram.miss()
         entry = _CacheEntry(bytearray(self._arena.view(offset, size)))
-        if size <= self._config.cache_capacity_bytes:
+        if size <= self._cache_capacity:
             self._evict_for(size)
             self._cache[oid] = entry
             self._cache_used += size

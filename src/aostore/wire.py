@@ -95,7 +95,8 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # parts shorter than this are joined to their neighbours before a send, so a
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
-# seconds a client socket waits to connect, and then for each send or receive
+# seconds a client socket waits to connect, and then for each send or receive;
+# and seconds a server connection's blocking send may go without progress
 SOCKET_TIMEOUT_S = 30.0
 # a receive buffer grows by at most this much, or by what the frame has
 # already delivered if that is more, ahead of the bytes that have arrived
@@ -284,7 +285,8 @@ class _Payload:
     In a request it is read back as a view of the frame: the server stores or
     reads it, then drops it. In a reply it is read back as a view too when the
     frame is memory of its own (an array, see ``_recv_frame``), which the
-    caller then owns, copied only if unaligned; from any other frame (the
+    caller then owns; that view is aligned, since every reply ends with its
+    payload and such a frame ends 8-byte aligned. From any other frame (the
     reused buffer, the loopback's bytes) it is read back as a copy."""
 
     def __init__(self, reply: bool):
@@ -297,10 +299,7 @@ class _Payload:
         end = pos + encoded_length(buf[pos:])
         if not self._reply:
             return decode_payload(buf[pos:end], False), end
-        payload = decode_payload(buf[pos:end], not isinstance(buf.obj, np.ndarray))
-        if not payload.values.flags.aligned:
-            payload = type(payload)(payload.values.copy())
-        return payload, end
+        return decode_payload(buf[pos:end], not isinstance(buf.obj, np.ndarray)), end
 
 
 class _Code:
@@ -775,7 +774,8 @@ def _send_parts(sock: socket.socket, parts: list) -> None:
 
 class TcpServer:
     """Threaded TCP front-end over a ServerCore; one thread per connection,
-    per-connection requests processed strictly in order. ``stop`` closes the
+    per-connection requests processed strictly in order; a connection whose
+    send stalls for ``SOCKET_TIMEOUT_S`` is dropped. ``stop`` closes the
     listener and every live connection and joins all the server's threads."""
 
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0):
@@ -813,13 +813,16 @@ class TcpServer:
         send = functools.partial(_send_now, conn, spill)
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # _send_now needs no Python timeout: the kernel's send timeout bounds sendall
+            timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
             while True:
                 frame = _recv_frame(conn, received)
                 rest = self.core.handle_frame_bytes(frame, send)
                 if rest:
                     conn.sendall(rest)
         except (OSError, FrameError):
-            pass  # peer closed, or sent a frame the stream cannot recover from
+            pass  # peer closed or stalled, or sent a frame the stream cannot recover from
         finally:
             received.release()
             spill.release()

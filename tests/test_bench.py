@@ -266,6 +266,18 @@ def test_desk_counters_byte_identical(tmp_path):
     assert out.read_bytes() == (REPO / "desk_counters.json").read_bytes()
 
 
+def test_quick_start_demo_runs(tmp_path):
+    """README's Quick start: the demo exits 0 and the stub's local and remote
+    means agree. Its arena directory goes under ``tmp_path``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "TMPDIR": str(tmp_path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "run_demo.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "local mean : 2.0" in lines and "remote mean: 2.0" in lines
+
+
 class TestSweep:
     def test_empty_plan_yields_header_only(self, tmp_path):
         out = tmp_path / "s.csv"

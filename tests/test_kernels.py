@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from aostore.errors import InvalidRequestError, ShapeMismatchError
 from aostore.kernels import (
     MatrixDescriptor,
-    PartialSum,
     assemble_matrix,
     fma_values,
     gen_f_array,
@@ -135,13 +134,13 @@ class TestKMeans:
         cents = Centroids(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
         block = PointsBlock(np.array([[3.0, 3.0]]))
         p = kmeans_partial(block, cents)
-        assert p.counts.tolist() == [0, 0, 0, 1]
-        assert np.array_equal(p.sums[3], [3.0, 3.0])
+        assert p[:, -1].tolist() == [0, 0, 0, 1]
+        assert np.array_equal(p[3, :-1], [3.0, 3.0])
 
     def test_equidistant_tie_goes_to_lowest_index(self):
         cents = Centroids(np.array([[0.0], [2.0]]))
         p = kmeans_partial(PointsBlock(np.array([[1.0]])), cents)
-        assert p.counts.tolist() == [1, 0]
+        assert p[:, -1].tolist() == [1, 0]
 
     def test_dims_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -159,28 +158,23 @@ class TestKMeans:
             j = int(np.argmin(d2))
             sums[j] += row
             counts[j] += 1
-        assert p.counts.tolist() == counts.tolist()
-        rel = np.abs(p.sums - sums) / np.maximum(np.abs(sums), 1e-300)
+        assert p[:, -1].tolist() == counts.tolist()
+        rel = np.abs(p[:, :-1] - sums) / np.maximum(np.abs(sums), 1e-300)
         assert rel[counts > 0].max() < 1e-12
 
     def test_reduce_single_partial_single_point_clusters(self):
         sums = np.array([[2.0, 4.0], [6.0, 8.0]])
-        counts = np.array([1, 1], dtype=np.uint64)
+        counts = np.array([1.0, 1.0])
         prev = Centroids(np.zeros((2, 2)))
-        out = kmeans_reduce([PartialSum(sums, counts)], prev)
+        out = kmeans_reduce([np.column_stack([sums, counts])], prev)
         assert np.array_equal(out.values, sums)
 
     def test_empty_cluster_keeps_previous(self):
         sums = np.array([[4.0], [0.0]])
-        counts = np.array([2, 0], dtype=np.uint64)
+        counts = np.array([2.0, 0.0])
         prev = Centroids(np.array([[9.0], [7.5]]))
-        out = kmeans_reduce([PartialSum(sums, counts)], prev)
+        out = kmeans_reduce([np.column_stack([sums, counts])], prev)
         assert out.values.tolist() == [[2.0], [7.5]]
-
-    def test_partial_sum_payload_round_trip(self):
-        p = PartialSum(np.arange(6.0).reshape(2, 3), np.array([5, 7], dtype=np.uint64))
-        back = PartialSum.from_payload(p.to_payload())
-        assert np.array_equal(back.sums, p.sums) and np.array_equal(back.counts, p.counts)
 
     def test_ten_iterations_match_monolithic_lloyd(self):
         # 200 points, 4 centers, 6 dims: blocked partial/reduce vs the oracle
@@ -200,7 +194,7 @@ class TestKMeans:
         cents = rng.random((6, 5))
         base = kmeans_partial(PointsBlock(pts), Centroids(cents))
         scaled = kmeans_partial(PointsBlock(pts * 8.0), Centroids(cents * 8.0))
-        assert base.counts.tolist() == scaled.counts.tolist()
+        assert base[:, -1].tolist() == scaled[:, -1].tolist()
 
     def test_centroids_are_convex_combinations(self):
         blocks = gen_points(3, 500, 4, 100)
@@ -318,9 +312,9 @@ def test_partial_sums_bit_identical_to_bincount_reference(rows, dims, centers, f
         cents[-1] = 1e9  # nearest to no point
     got = kmeans_partial(PointsBlock(pts), Centroids(cents))
     sums, counts = kmeans_partial_oracle(pts, cents)
-    assert np.array_equal(got.counts, counts)
+    assert np.array_equal(got[:, -1], counts)
     # compared as bit patterns, so the sign of a zero sum counts too
-    assert np.array_equal(got.sums.view(np.uint64), sums.view(np.uint64))
+    assert np.array_equal(got[:, :-1].view(np.uint64), sums.view(np.uint64))
 
 
 @given(
@@ -355,4 +349,4 @@ def test_nan_in_any_input_is_rejected_and_infinities_are_not(
                 kmeans_partial(PointsBlock(pts), Centroids(cents))
         else:
             got = kmeans_partial(PointsBlock(pts), Centroids(cents))
-            assert int(got.counts.sum()) == rows
+            assert int(got[:, -1].sum()) == rows

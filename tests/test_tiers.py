@@ -180,6 +180,24 @@ class TestNvmDirect:
             open_tier(kind, config)
         assert len(os.listdir("/proc/self/fd")) == before
 
+    def test_reopen_recovers_a_hole_between_live_objects(self, tmp_path):
+        # x, y, z fill the arena; with y freed, only y's old region is left
+        path = tmp_path / "h.arena"
+        x, y, z = oid(), oid(), oid()
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=192))
+        for key, fill in ((x, b"x"), (y, b"y"), (z, b"z")):
+            tier.store(key, fill * 64)
+        tier.free(y)
+        tier.flush()
+        tier.close()
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=192))
+        new = oid()
+        tier.store(new, b"n" * 64)
+        with pytest.raises(CapacityError):
+            tier.store(oid(), bytes(8))
+        assert [bytes(tier.read_view(k)) for k in (x, new, z)] == [b"x" * 64, b"n" * 64, b"z" * 64]
+        tier.close()
+
     def test_flush_is_idempotent(self, nvm):
         nvm.store(oid(), bytes(64))
         before = nvm.media_counters()["nvm"]
@@ -300,6 +318,24 @@ class TestMemoryMode:
         assert mm.media_counters()["nvm"].bytes_written == wrote + 2048
         mm.flush()  # second flush writes nothing
         assert mm.media_counters()["nvm"].bytes_written == wrote + 2048
+
+    def test_write_in_place_larger_than_the_cache_writes_through(self, mm):
+        # the cache holds 16 KiB: a 32 KiB object is read in on every use and
+        # never kept, so a write goes to the cached copy and the arena alike
+        key, size, data = oid(), 1 << 15, b"written!" * 4
+        mm.store(key, bytes(size))
+        before = mm.media_counters()
+        mm.write_in_place(key, 64, data)
+        after = mm.media_counters()
+        delta = {
+            m: tuple(a - b for a, b in zip(astuple(after[m]), astuple(before[m])))
+            for m in ("dram", "nvm")
+        }
+        # (bytes_read, bytes_written, cache_hits, cache_misses, read_ops, write_ops)
+        assert delta["dram"] == (0, size + len(data), 0, 1, 0, 2)
+        assert delta["nvm"] == (size, len(data), 0, 0, 1, 1)
+        assert bytes(mm.read_view(key)[64 : 64 + len(data)]) == data
+        assert mm.cache_used_bytes == 0
 
     def test_flush_after_n_dirty_objects(self, mm):
         keys = [oid() for _ in range(3)]

@@ -1070,6 +1070,36 @@ class TestBufferOwnership:
         assert kept and kept[0] > 0
         assert np.array_equal(np.frombuffer(reply, np.float64, offset=4 + 9 + 9), values)
 
+    def test_a_stalled_reader_is_dropped_after_the_send_timeout(self, tcp, monkeypatch):
+        """A client that asks for a large object and never reads the reply
+        holds its server thread only until a send makes no progress for
+        SOCKET_TIMEOUT_S; the connection then closes, and others still work."""
+        server, session = tcp
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 1.0)
+        values = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        oid = session.make_persistent(MATRIX_CLASS, FloatArray(values), TierKind.DRAM)
+        session.close()  # the connection the fixture opened before the patch
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # takes little
+        try:
+            stalled.connect((server.host, server.port))
+            stalled.sendall(encode_frame(Frame(MSG_GET, 1, oid)))
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                with server._lock:
+                    if not server._conns:
+                        break
+                time.sleep(0.05)
+            with server._lock:
+                assert not server._conns
+        finally:
+            stalled.close()
+        fresh = Session.connect_tcp(server.host, server.port)
+        try:
+            assert np.array_equal(fresh.get(oid).values, values)
+        finally:
+            fresh.close()
+
     def test_tcp_sockets_send_without_delay(self, tcp):
         """A reply the socket takes only in part leaves in two sends; the
         second must not wait for the peer's delayed ACK."""
