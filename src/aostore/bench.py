@@ -123,6 +123,10 @@ class BenchmarkConfig:
                 f"result={self.result} applies to the matrix apps (sizeable output); "
                 f"{self.app} returns a constant-size result by value"
             )
+        for name in ("seed", "dram_capacity_bytes", "mm_cache_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         sizes = profile_sizes(self)

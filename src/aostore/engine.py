@@ -1,8 +1,7 @@
 """The active heart of the store: registries, object persistence, invocation.
 
-Registered routines execute directly over tier-resident payloads: for DRAM and
-NVM-direct objects the routine sees numpy arrays aliasing the stored region
-(no payload-sized copy); for Memory-Mode objects it sees the cached copy.
+Registered routines execute directly over tier-resident payloads: the routine
+sees numpy arrays aliasing the stored region (no payload-sized copy).
 A result is returned by value or stored in a new object in a named tier (volatile
 in DRAM), computed straight into its region if it has the target's variant and
 shape. Mutating routines update their target in place under an exclusive claim.

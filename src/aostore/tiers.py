@@ -6,8 +6,9 @@ directory over a mapping with the arena layout:
 * ``DRAM`` -- an anonymous private mapping that reserves no memory; volatile.
 * ``NVM_DIRECT`` -- memory-mapped arena file with zero-copy views and
   clean-close durability (byte-addressable persistent memory analogue).
-* ``MEMORY_MODE`` -- arena file fronted by a transparent whole-object LRU
-  cache; the arena is reinitialized empty on every open, so the tier is
+* ``MEMORY_MODE`` -- arena file fronted by a transparent whole-object DRAM
+  LRU cache that only charges traffic: views alias the arena as on the other
+  tiers. The arena is reinitialized empty on every open, so the tier is
   volatile across restarts.
 
 Arena file format, version 2 (little-endian):
@@ -453,22 +454,17 @@ class NvmDirectTier(TierHandle):
     write_in_place = TierHandle.write_in_place
 
 
-class _CacheEntry:
-    __slots__ = ("buf", "dirty")
-
-    def __init__(self, buf: bytearray, dirty: bool = False):
-        self.buf = buf
-        self.dirty = dirty
-
-
 class MemoryModeTier(TierHandle):
     """NVM presented as volatile system memory with a DRAM LRU cache in front.
 
-    Reads are served from the cache; a miss copies the region from the arena
-    (NVM read) into the cache (DRAM write), evicting least-recently-used
-    objects as needed. Dirty cached objects are written back to the arena on
-    eviction or flush, each write-back accounted exactly once. The arena file
-    is reinitialized empty on every open: nothing survives a restart.
+    The cache is modeled by its bookkeeping alone: the sizes of the cached
+    objects in LRU order and the set of dirty ones. The bytes live once, in
+    the arena, and views alias it as on the other tiers. A miss is charged an
+    NVM read and a DRAM write of the object, evicting least-recently-used
+    objects as needed; a dirty object is charged one write-back when it is
+    evicted, flushed or closed. An object larger than the cache is never
+    kept, so a write to it is charged as written through. The arena file is
+    reinitialized empty on every open: nothing survives a restart.
     """
 
     kind = TierKind.MEMORY_MODE
@@ -482,47 +478,32 @@ class MemoryModeTier(TierHandle):
             )
         super().__init__(config)
         self._cache_capacity = config.cache_capacity_bytes
-        self._cache: OrderedDict[ObjectId, _CacheEntry] = OrderedDict()
+        self._cache: OrderedDict[ObjectId, int] = OrderedDict()  # size per object, LRU first
+        self._dirty: set[ObjectId] = set()
         self._cache_used = 0
         self._dram = self._media[MEDIA_DRAM]
 
-    # -- cache plumbing ------------------------------------------------------
-
-    def _write_back(self, entries) -> None:
-        """Write the dirty ones of the (oid, entry) pairs back to the arena."""
-        for oid, entry in entries:
-            if entry.dirty:
-                offset, _ = self._dir[oid]
-                self._arena.view(offset, len(entry.buf))[:] = entry.buf
-                self._arena_io.write(len(entry.buf))
-                entry.dirty = False
-
-    def _evict_for(self, incoming: int) -> None:
-        while self._cache and self._cache_used + incoming > self._cache_capacity:
-            oid, entry = self._cache.popitem(last=False)
-            self._cache_used -= len(entry.buf)
-            self._write_back([(oid, entry)])
-
-    def _fill(self, oid: ObjectId) -> _CacheEntry:
-        """Miss path: arena -> cache copy, with eviction; returns the entry."""
-        offset, size = self._entry(oid)
+    def _use(self, oid: ObjectId, size: int) -> bool:
+        """Charge a hit, or a miss that fills the cache; whether the object
+        is cached afterwards."""
+        if oid in self._cache:
+            self._cache.move_to_end(oid)
+            self._dram.hit()
+            return True
         self._arena_io.read(size)
         self._dram.write(size)
         self._dram.miss()
-        entry = _CacheEntry(bytearray(self._arena.view(offset, size)))
-        if size <= self._cache_capacity:
-            self._evict_for(size)
-            self._cache[oid] = entry
-            self._cache_used += size
-        return entry
-
-    def _cached(self, oid: ObjectId) -> _CacheEntry:
-        entry = self._cache.get(oid)
-        if entry is None:
-            return self._fill(oid)
-        self._cache.move_to_end(oid)
-        self._dram.hit()
-        return entry
+        if size > self._cache_capacity:
+            return False
+        while self._cache_used + size > self._cache_capacity:
+            victim, victim_size = self._cache.popitem(last=False)
+            self._cache_used -= victim_size
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                self._arena_io.write(victim_size)
+        self._cache[oid] = size
+        self._cache_used += size
+        return True
 
     # -- tier operations -----------------------------------------------------
 
@@ -530,38 +511,38 @@ class MemoryModeTier(TierHandle):
 
     def read_view(self, oid: ObjectId) -> memoryview:
         with self._lock:
-            _, size = self._entry(oid)
-            entry = self._cached(oid)
+            offset, size = self._entry(oid)
+            self._use(oid, size)
             self._dram.read(size)
-            return memoryview(entry.buf)
+            return self._arena.view(offset, size)
 
     def write_in_place(self, oid: ObjectId, offset: int, data: bytes) -> None:
         with self._lock:
-            self._check_range(oid, offset, len(data))
-            entry = self._cached(oid)
-            memoryview(entry.buf)[offset : offset + len(data)] = data
-            entry.dirty = True
+            base, size = self._check_range(oid, offset, len(data))
+            cached = self._use(oid, size)
+            self._arena.view(base + offset, len(data))[:] = data
             self._dram.write(len(data))
-            if oid not in self._cache:
-                # object larger than the whole cache: write straight through
-                base, _ = self._dir[oid]
-                self._arena.view(base + offset, len(data))[:] = data
+            if cached:
+                self._dirty.add(oid)
+            else:
                 self._arena_io.write(len(data))
-                entry.dirty = False
 
     def _forget(self, oid: ObjectId) -> None:
-        entry = self._cache.pop(oid, None)
-        if entry is not None:
-            self._cache_used -= len(entry.buf)
+        self._cache_used -= self._cache.pop(oid, 0)
+        self._dirty.discard(oid)
 
     def _sync(self) -> None:
-        self._write_back(self._cache.items())
+        for oid in self._dirty:
+            self._arena_io.write(self._cache[oid])
+        self._dirty.clear()
 
     def close(self) -> None:
-        super().close()
-        with self._lock:
-            self._cache.clear()
-            self._cache_used = 0
+        try:
+            super().close()
+        finally:
+            with self._lock:
+                self._cache.clear()
+                self._cache_used = 0
 
     @property
     def cache_used_bytes(self) -> int:

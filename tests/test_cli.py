@@ -65,6 +65,26 @@ def test_sweep_records_an_invalid_row_and_runs_the_rest(tmp_path):
         assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "error"]
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param({"seed": "7"}, id="seed-str"),
+    pytest.param({"seed": 7.5}, id="seed-float"),
+    pytest.param({"tier": "mm", "mm_cache_bytes": "big"}, id="mm-cache-str"),
+    pytest.param({"tier": "mm", "mm_cache_bytes": True}, id="mm-cache-bool"),
+    pytest.param({"dram_capacity_bytes": "1e9"}, id="dram-capacity-str"),
+])
+def test_sweep_records_a_mistyped_row_and_runs_the_rest(tmp_path, entry):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "base": {"app": "histogram", "objects": "big", "dataset": "desk", "seed": 3,
+                 "arena_path": str(tmp_path / "arenas")},
+        "runs": [entry, {}],
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+    with out.open() as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["error", "ok"]
+
+
 @pytest.mark.parametrize("text", [
     pytest.param(json.dumps([{"app": "histogram", "no_such_field": 1}]), id="unknown-field"),
     pytest.param("[{", id="not-json"),

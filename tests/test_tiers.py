@@ -14,6 +14,7 @@ from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, region_read
 from aostore.bench import CostModel, modeled_time_ns
 from aostore.tiers import ArenaConfig, DramTier, TierKind, open_tier
 
+from .conftest import peak_traced_bytes
 from .oracles import LruModel
 
 ids = ObjectIdFactory(seed=99)
@@ -262,7 +263,7 @@ def test_close_with_live_view_releases_fds(tmp_path, kind):
     key = oid()
     tier.store(key, b"pinned!!")
     view = tier.read_view(key)
-    if kind == TierKind.NVM_DIRECT:
+    if kind != TierKind.DRAM:
         with pytest.raises(BufferError):  # a pinned file mapping is reported
             tier.close()
     else:
@@ -336,6 +337,27 @@ class TestMemoryMode:
         assert delta["nvm"] == (size, len(data), 0, 0, 1, 1)
         assert bytes(mm.read_view(key)[64 : 64 + len(data)]) == data
         assert mm.cache_used_bytes == 0
+
+    def test_miss_copies_no_object(self, tmp_path):
+        tier = open_tier(
+            TierKind.MEMORY_MODE,
+            ArenaConfig(path=tmp_path / "big.arena", capacity_bytes=1 << 22,
+                        cache_capacity_bytes=1 << 21),
+        )
+        key = oid()
+        tier.store(key, bytes(1 << 20))
+        assert peak_traced_bytes(lambda: tier.read_view(key)) < 64 * 1024
+        assert tier.media_counters()["dram"].cache_misses == 1
+        assert tier.cache_used_bytes == 1 << 20
+        tier.close()
+
+    def test_view_of_an_object_larger_than_the_cache_sees_later_writes(self, mm):
+        key, data = oid(), b"written!"
+        mm.store(key, bytes(1 << 15))
+        view = mm.read_view(key)
+        mm.write_in_place(key, 64, data)
+        assert bytes(view[64 : 64 + len(data)]) == data
+        view.release()
 
     def test_flush_after_n_dirty_objects(self, mm):
         keys = [oid() for _ in range(3)]
