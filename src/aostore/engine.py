@@ -42,6 +42,7 @@ from .model import (
     MethodDescriptor,
     ObjectId,
     ObjectIdFactory,
+    Schema,
     region_reader,
     encoded_size,
 )
@@ -300,26 +301,33 @@ class Engine:
     # -- object lifecycle ------------------------------------------------------
 
     def make_persistent(
-        self, class_name: str, payload: BlockPayload, tier: TierKind
+        self, class_name: str, payload: "BlockPayload | Schema", tier: TierKind, fill=None
     ) -> ObjectId:
+        """A new object of ``class_name`` in ``tier`` holding ``payload``, whose
+        data section is copied in. With ``fill``, ``payload`` may be just its
+        :class:`Schema`, and ``fill`` writes the data section into the new
+        region instead (see :meth:`TierHandle.place`); it is not called when
+        the class, the tier or the tier's free space rules the object out."""
         with self._lock:
             if class_name not in self._classes:
                 raise UnknownNameError(f"unknown class {class_name!r}")
+        if fill is None:
+            payload, fill = payload.schema(), copy_of(payload.data_view())
         with _Operation(self, "__persist__"):
-            return self._new_object(class_name, payload, tier, copy_of(payload.data_view()))
+            return self._new_object(class_name, payload, tier, fill)
 
-    def _new_object(self, class_name: str, like: BlockPayload, tier: TierKind, fill) -> ObjectId:
-        """A new object of ``like``'s schema and size in ``tier``, written by
-        ``fill`` (:meth:`TierHandle.place`). A fresh id that names a live
-        object, such as one recovered from an arena of the same seed, is skipped."""
+    def _new_object(self, class_name: str, schema: Schema, tier: TierKind, fill) -> ObjectId:
+        """A new object of ``schema`` in ``tier``, written by ``fill``
+        (:meth:`TierHandle.place`). A fresh id that names a live object, such
+        as one recovered from an arena of the same seed, is skipped."""
         handle = self.tier(tier)
         with self._lock:
             oid = self._ids.new_object_id()
             while oid in self._objects:
                 oid = self._ids.new_object_id()
-        handle.place(oid, like.values.nbytes, fill)
+        handle.place(oid, schema.nbytes, fill)
         with self._lock:
-            self._objects[oid] = _ObjectMeta(class_name, tier, like.tag, like.shape_fields())
+            self._objects[oid] = _ObjectMeta(class_name, tier, schema.tag, schema.shape)
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -439,7 +447,8 @@ class Engine:
                 return None
             if fills and placement.tier is not None:
                 fill = lambda region: run(out=meta.reader(region).values)
-                return self._new_object(meta.class_name, target, placement.tier, fill)
+                schema = Schema(meta.variant, meta.shape)
+                return self._new_object(meta.class_name, schema, placement.tier, fill)
             return self._place_result(run(), meta, placement)
 
     @staticmethod
@@ -456,7 +465,7 @@ class Engine:
             return None
         if placement.tier is not None:
             fill = copy_of(result.data_view())
-            return self._new_object(meta.class_name, result, placement.tier, fill)
+            return self._new_object(meta.class_name, result.schema(), placement.tier, fill)
         size = encoded_size(result)
         if size > SMALL_RESULT_LIMIT:
             raise InvalidRequestError(

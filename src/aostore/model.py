@@ -20,6 +20,7 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,19 @@ class MethodDescriptor:
     mutates_target: bool = False
 
 
+class Schema(NamedTuple):
+    """A payload less its data: the variant tag and the shape fields, which
+    the engine keeps per object while a tier holds the data section."""
+
+    tag: int
+    shape: tuple[int, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """The length of the data section."""
+        return data_length(_variant(self.tag), self.shape)
+
+
 class BlockPayload:
     """Base for the block payload variants; value semantics, bit-exact equality.
 
@@ -134,6 +148,9 @@ class BlockPayload:
 
     def shape_fields(self) -> tuple[int, ...]:
         return self._values.shape
+
+    def schema(self) -> Schema:
+        return Schema(self.tag, self.shape_fields())
 
     @classmethod
     def array_shape(cls, shape_fields: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,8 +266,16 @@ def _variant(tag: int, where: str = "") -> type[BlockPayload]:
         raise PayloadError(f"unknown variant tag 0x{tag:02x}{where}") from None
 
 
-def _data_length(variant: type[BlockPayload], shape: tuple[int, ...]) -> int:
+def data_length(variant: type[BlockPayload], shape: tuple[int, ...]) -> int:
+    """The length of the data section of a ``variant`` payload of ``shape``."""
     return 8 * math.prod(variant.array_shape(shape))
+
+
+def header_length(tag: int) -> int:
+    """The length of the header (tag and shape fields) of an encoded payload
+    of variant ``tag``; 1 for an unknown tag, which :func:`decode_header` rejects."""
+    variant = _VARIANTS.get(tag)
+    return 1 + 8 * variant.shape_count if variant else 1
 
 
 def encoded_size(p: BlockPayload) -> int:
@@ -273,8 +298,8 @@ def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:
 def encoded_length(data: bytes | memoryview) -> int:
     """Length of the encoded payload at the start of ``data``, read from its
     tag and shape; ``data`` may continue past it."""
-    variant, shape, offset = _decode_header(data)
-    return offset + _data_length(variant, shape)
+    variant, shape, offset = decode_header(data)
+    return offset + data_length(variant, shape)
 
 
 def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
@@ -283,8 +308,8 @@ def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
     ``copy=False`` it is a view of ``data`` instead, copying nothing: it sees
     later changes to ``data``, and it is unaligned when the data section
     does not start at an address that is a multiple of 8."""
-    variant, shape, offset = _decode_header(data)
-    expected = _data_length(variant, shape)
+    variant, shape, offset = decode_header(data)
+    expected = data_length(variant, shape)
     got = len(data) - offset
     if got != expected:
         raise PayloadError(
@@ -296,7 +321,9 @@ def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
     return variant(values.copy() if copy else values)
 
 
-def _decode_header(data: bytes | memoryview) -> tuple[type[BlockPayload], tuple[int, ...], int]:
+def decode_header(data: bytes | memoryview) -> tuple[type[BlockPayload], tuple[int, ...], int]:
+    """The variant, shape fields and header length of the encoded payload at
+    the start of ``data``, which need hold only its header."""
     if len(data) < 1:
         raise PayloadError("truncated payload: missing variant tag at offset 0")
     variant = _variant(data[0], " at offset 0")
@@ -315,7 +342,7 @@ def region_reader(tag: int, shape: tuple[int, ...]):
     ``region``, so changes to the region show through it and, on a writable
     region, writing the array writes the region."""
     variant = _variant(tag)
-    expected = _data_length(variant, shape)
+    expected = data_length(variant, shape)
     array_shape = variant.array_shape(shape)
 
     def read(region: memoryview) -> BlockPayload:

@@ -16,42 +16,60 @@ Every reply echoes the request_id. The same ``ServerCore`` byte path backs
 both the in-process loopback transport and the TCP transport, so identical
 workloads produce identical counters on either.
 
-Over TCP a reply frame of at least ``GATHER_LIMIT`` bytes crosses user space
-on neither side when the socket takes it whole. Each connection receives
-requests with ``recv_into`` into one reused buffer, grown only as a frame's
-bytes arrive, and a client sends a frame with ``sendmsg`` over a few parts:
-the head and the small fields joined, each large payload's data section a
-view of its array. A client receives a small reply into its reused buffer
-and a large one into fresh memory placed so that the frame ends on an 8-byte
-boundary. A large frame ends with its payload, whose data section is a
-multiple of 8 bytes, so that section starts aligned and is decoded as a view.
-The copies left, per operation:
+Over TCP the data section of a large frame, one of at least
+``GATHER_LIMIT`` bytes, crosses user space on neither side: a persist's, but
+for the data bytes that come in with its header, and a reply's when the
+socket takes it whole. A client sends a frame with ``sendmsg`` over a few
+parts: the head and the small fields joined, each large payload's data
+section a view of its array. Each server connection receives requests with
+``recv_into`` into one reused buffer, grown only as a frame's bytes arrive,
+but for the data section of a large persist. A client receives a small reply
+into its reused buffer and a large one into fresh memory placed so that the
+frame ends on a 64-byte boundary. A large frame ends with its payload, whose
+data section is a multiple of 8 bytes, so that section starts aligned
+(64-byte aligned when its length is a multiple of 64) and is decoded as a
+view. The copies left, per operation:
 
-- persist: the client sends the payload's own array. The server decodes the
-  payload as a view of its receive buffer, and the tier store copies it in.
+- persist: the client sends the payload's own array. The server receives a
+  large frame into its reused buffer only up to the end of the payload's
+  header, with what else came in the same reads, at most ``GATHER_LIMIT``
+  bytes. The engine then reserves the object's region, the data bytes that
+  came with the prefix are copied in, and the rest are received from the
+  socket straight into the region. A small frame is received whole, and the
+  tier region filled from the buffer.
 - get: while ``Engine.get_object`` holds the shared claim, the server sends
   the reply with one non-blocking ``sendmsg`` whose data part is the tier
   region itself. Only what the socket did not take is copied, into the
   connection's reused send buffer, and sent once the claim is released. The
   client decodes the payload as a view of the memory it received the frame
   into (no copy).
-- invoke by value: the argument travels as a persisted payload does, and the
-  routine sees it as a read-only view of the receive buffer, copied first
+- invoke by value: the argument is received whole into the reused buffer,
+  and the routine sees it as a read-only view of that buffer, copied first
   only if it is unaligned. A by-value result is sent from the routine's
   array as a get's reply is from the tier region, and received as a get's.
 
 A reply below ``GATHER_LIMIT`` is one joined bytes object, sent with
 ``sendall`` after the handler returns; the client copies a payload out of it.
 
+A peer that stalls part way through a large persist holds its connection's
+thread and the object's reserved region, which is not yet written: a sparse
+range of the arena file, or untouched pages of the DRAM tier's NORESERVE
+mapping, so memory grows only by the bytes that have arrived. The region is
+given back, and no object made, when the peer closes or ``TcpServer.stop``
+shuts the connection; a request that fails before its data section is
+received reads that section and drops it, and the connection goes on.
+
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the receive buffer, which the next
-request overwrites; it is used only until its reply is sent, and the tier
-stores copy it. The loopback transport joins each request's parts into one
-bytes object, and each reply's parts too, the latter under the claim.
+request overwrites; it is used only until its reply is sent, and a persist's
+data section is copied or received into the tier region. The loopback
+transport joins each request's parts into one bytes object, and each reply's
+parts too, the latter under the claim.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import socket
@@ -69,9 +87,13 @@ from .model import (
     ClassDescriptor,
     MethodDescriptor,
     ObjectId,
+    Schema,
+    data_length,
+    decode_header,
     decode_payload,
     encode_payload,
     encoded_length,
+    header_length,
 )
 from .tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 
@@ -168,9 +190,12 @@ def encode_frame(frame: Frame):
     return out
 
 
-def _frame_head(data, offset: int) -> tuple[int, int, int]:
-    """(msg_type, request_id, end offset) of the frame starting at ``offset``."""
-    if len(data) - offset < _LEN.size:
+def _frame_head(data, offset: int, have: int | None = None) -> tuple[int, int, int]:
+    """(msg_type, request_id, end offset) of the frame starting at ``offset``;
+    ``have`` is the length of the stream that ``data`` starts, ``len(data)``
+    unless ``data`` holds only a prefix of the frame (its head at least)."""
+    have = len(data) if have is None else have
+    if have - offset < _LEN.size:
         raise FrameError(f"truncated frame: missing length field at offset {offset}")
     (length,) = _LEN.unpack_from(data, offset)
     if length > MAX_FRAME:
@@ -178,7 +203,7 @@ def _frame_head(data, offset: int) -> tuple[int, int, int]:
     if length < 9:
         raise FrameError(f"frame length {length} below minimum 9 at offset {offset}")
     end = offset + _LEN.size + length
-    if len(data) < end:
+    if have < end:
         raise FrameError(
             f"truncated frame at offset {offset}: need {length} bytes after length field"
         )
@@ -282,12 +307,13 @@ class _Payload:
     encoded payload carries its own length. The data section goes out as a
     view of the array.
 
-    In a request it is read back as a view of the frame: the server stores or
-    reads it, then drops it. In a reply it is read back as a view too when the
-    frame is memory of its own (an array, see ``_recv_frame``), which the
-    caller then owns; that view is aligned, since every reply ends with its
-    payload and such a frame ends 8-byte aligned. From any other frame (the
-    reused buffer, the loopback's bytes) it is read back as a copy."""
+    In a request (a by-value INVOKE argument) it is read back as a view of
+    the frame: the routine reads it, then the server drops it. In a reply it
+    is read back as a view too when the frame is memory of its own (an array,
+    see ``_recv_frame``), which the caller then owns; that view is aligned,
+    since every reply ends with its payload and such a frame ends 64-byte
+    aligned. From any other frame (the reused buffer, the loopback's bytes)
+    it is read back as a copy."""
 
     def __init__(self, reply: bool):
         self._reply = reply
@@ -300,6 +326,23 @@ class _Payload:
         if not self._reply:
             return decode_payload(buf[pos:end], False), end
         return decode_payload(buf[pos:end], not isinstance(buf.obj, np.ndarray)), end
+
+
+class _Upload:
+    """A persisted payload as the server takes it: its :class:`Schema`, and a
+    view of its data section in the frame. When the server has received only
+    a prefix of the frame (see ``ServerCore.handle_frame_bytes``), the view
+    holds only the data bytes that came with the prefix, maybe none. A client
+    sends it as a payload, the data section a view of the array."""
+
+    def put(self, out: list, value: BlockPayload) -> None:
+        encode_payload(value, out)
+
+    def take(self, buf: memoryview, pos: int):
+        variant, shape, offset = decode_header(buf[pos:])
+        start = pos + offset
+        end = start + data_length(variant, shape)
+        return (Schema(variant.tag, shape), buf[start:end]), end
 
 
 class _Code:
@@ -459,7 +502,8 @@ BOOL = _Code("bool", {False: 0, True: 1})
 STR16 = _Str16()
 OBJECT_ID = _ObjectId()
 PAYLOAD = _Payload(reply=True)  # in replies: the client keeps what it decodes
-PAYLOAD_VIEW = _Payload(reply=False)  # in requests: the server stores or reads it, then drops it
+PAYLOAD_VIEW = _Payload(reply=False)  # by-value INVOKE arguments, read by the routine, then dropped
+UPLOAD = _Upload()
 _TIER_CODES = {t: t.value for t in TierKind}
 TIER = _Code("tier", _TIER_CODES)
 TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
@@ -493,7 +537,7 @@ def _message(name: str, request: list, reply: list) -> Message:
 MESSAGES: dict[int, Message] = {
     MSG_REGISTER_CLASS: _message("REGISTER_CLASS", [CLASS], []),
     MSG_REGISTER_METHOD: _message("REGISTER_METHOD", [METHOD], []),
-    MSG_MAKE_PERSISTENT: _message("MAKE_PERSISTENT", [STR16, TIER, PAYLOAD_VIEW], [OBJECT_ID]),
+    MSG_MAKE_PERSISTENT: _message("MAKE_PERSISTENT", [STR16, TIER, UPLOAD], [OBJECT_ID]),
     MSG_GET: _message("GET", [OBJECT_ID], [PAYLOAD]),
     MSG_INVOKE: _message("INVOKE", [OBJECT_ID, STR16, _Placement(), _List(U8, ARG)], [RESULT]),
     MSG_DELETE: _message("DELETE", [OBJECT_ID], []),
@@ -513,15 +557,20 @@ def encode_body(layout: _Fields, values) -> list:
     return out
 
 
-def decode_body(layout: _Fields, body) -> tuple:
-    """The values of ``layout`` read from ``body``, which they must fill."""
+def decode_body(layout: _Fields, body, length: int | None = None) -> tuple:
+    """The values of ``layout`` read from ``body``, which they must fill; or,
+    with ``length``, from a prefix of a body of that many bytes, which the
+    values must fill, the last of them past the end of the prefix maybe."""
     buf = memoryview(body)
+    length = len(buf) if length is None else length
     try:
         values, pos = layout.take(buf, 0)
     except (struct.error, IndexError):
-        raise FrameError(f"truncated {layout.what} of {len(buf)} bytes") from None
-    if pos != len(buf):
-        raise FrameError(f"trailing garbage in {layout.what}: {len(buf) - pos} bytes at {pos}")
+        pos = length + 1
+    if pos > length:
+        raise FrameError(f"truncated {layout.what} of {length} bytes")
+    if pos != length:
+        raise FrameError(f"trailing garbage in {layout.what}: {length - pos} bytes at {pos}")
     return values
 
 
@@ -537,23 +586,28 @@ class ServerCore:
 
     # msg type -> engine call on the request's values, handing the reply's
     # one value (if its row has one) to ``reply``; a GET hands ``reply`` to
-    # the engine, which calls it on a view of the object under its claim
+    # the engine, which calls it on a view of the object under its claim, and
+    # a MAKE_PERSISTENT (whose payload decodes as its schema and the data
+    # bytes in hand) a fill that copies those bytes into the object's region
+    # and receives the ``rest`` of the frame after them
     _HANDLERS = {
-        MSG_REGISTER_CLASS: lambda core, reply, desc: reply(core.engine.register_class(desc)),
-        MSG_REGISTER_METHOD: lambda core, reply, desc: reply(core.engine.register_method(desc)),
-        MSG_MAKE_PERSISTENT: lambda core, reply, cls, tier, p: reply(
-            core.engine.make_persistent(cls, p, tier)
+        MSG_REGISTER_CLASS: lambda core, reply, rest, desc: reply(core.engine.register_class(desc)),
+        MSG_REGISTER_METHOD: lambda core, reply, rest, desc: reply(
+            core.engine.register_method(desc)
         ),
-        MSG_GET: lambda core, reply, oid: core.engine.get_object(oid, reply),
-        MSG_INVOKE: lambda core, reply, oid, name, place, args: reply(
+        MSG_MAKE_PERSISTENT: lambda core, reply, rest, cls, tier, upload: reply(
+            core.engine.make_persistent(cls, upload[0], tier, rest.fill(upload[1]))
+        ),
+        MSG_GET: lambda core, reply, rest, oid: core.engine.get_object(oid, reply),
+        MSG_INVOKE: lambda core, reply, rest, oid, name, place, args: reply(
             core.engine.invoke(oid, name, args, place)
         ),
-        MSG_DELETE: lambda core, reply, oid: reply(core.engine.delete_object(oid)),
-        MSG_STATS: lambda core, reply: reply(ServerStats(
+        MSG_DELETE: lambda core, reply, rest, oid: reply(core.engine.delete_object(oid)),
+        MSG_STATS: lambda core, reply, rest: reply(ServerStats(
             core.wire_counters(),
             {kind: handle.media_counters() for kind, handle in core.engine.tiers.items()},
         )),
-        MSG_FLUSH: lambda core, reply, tier: reply(core.engine.flush(tier)),
+        MSG_FLUSH: lambda core, reply, rest, tier: reply(core.engine.flush(tier)),
     }
 
     def __init__(self, engine: Engine):
@@ -565,40 +619,61 @@ class ServerCore:
         with self._lock:
             return self._counters.snapshot()
 
-    def handle_frame_bytes(self, data, send=None):
+    def handle_frame_bytes(self, data, send=None, recv=None):
         """The reply frame to the request frame ``data``, as bytes.
 
         With ``send``, a reply of at least ``GATHER_LIMIT`` bytes is handed to
         ``send`` as the list of parts that ``encode_frame`` returns, while the
         claim its payload is read under is still held, and what ``send``
         returns takes its place: the bytes of the frame still to be sent.
-        ``send`` must not block, and must copy what it keeps."""
-        with self._lock:
-            self._counters.bytes_received += len(data)
-        return self._dispatch(data, send)
+        ``send`` must not block, and must copy what it keeps.
 
-    def _dispatch(self, data, send):
+        With ``recv``, ``data`` may be a prefix of a MAKE_PERSISTENT frame
+        that runs at least to the end of its payload's header, and
+        ``recv(view)`` fills ``view`` with the next bytes of the frame. The
+        engine reserves the object's region, the data bytes in ``data`` are
+        copied in, and the rest are received into the region straight from
+        the socket. A request that fails before that reads the rest and drops
+        it, then replies with its error as for a whole frame; one whose
+        receive fails raises, since the stream cannot be read on. A frame is
+        counted once all its bytes have arrived."""
+        missing = _LEN.size + _LEN.unpack_from(data)[0] - len(data) if recv else 0
+        if not missing:
+            self._count(len(data))
+        return self._dispatch(data, send, _Rest(recv, missing) if missing else _NOTHING_MORE)
+
+    def _count(self, nbytes: int, msg_type: int | None = None) -> None:
+        with self._lock:
+            self._counters.bytes_received += nbytes
+            if msg_type is not None:
+                self._counters.count(msg_type)
+
+    def _dispatch(self, data, send, rest: "_Rest"):
         request_id = 0
         try:
-            msg_type, request_id, end = _frame_head(data, 0)
-            if end != len(data):
-                raise FrameError(f"frame length {end - 4} disagrees with {len(data) - 4} bytes")
+            size = len(data) + rest.missing
+            msg_type, request_id, end = _frame_head(data, 0, size)
+            if end != size:
+                raise FrameError(f"frame length {end - 4} disagrees with {size - 4} bytes")
             if msg_type not in REQUEST_TYPES:
                 raise UnknownMsgTypeError(f"unknown msg_type {msg_type}")
-            with self._lock:
-                self._counters.count(msg_type)
+            if rest.missing:
+                rest.arrived = functools.partial(self._count, size, msg_type)
+            else:
+                self._count(0, msg_type)
             _, request, reply_layout = MESSAGES[msg_type]
 
             def reply(result):
                 body = encode_body(reply_layout, (result,)[: len(reply_layout.fields)])
                 return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), send)
 
-            values = decode_body(request, memoryview(data)[13:])
-            return self._HANDLERS[msg_type](self, reply, *values)
-        except StoreError as exc:
-            return self._error_reply(request_id, exc, send)
+            values = decode_body(request, memoryview(data)[13:], size - 13)
+            return self._HANDLERS[msg_type](self, reply, rest, *values)
         except Exception as exc:  # engine bugs must not kill the connection
-            err = StoreError(f"internal: {exc}")
+            if rest.broken:
+                raise
+            rest.drain()
+            err = exc if isinstance(exc, StoreError) else StoreError(f"internal: {exc}")
             return self._error_reply(request_id, err, send)
 
     def _error_reply(self, request_id: int, exc: StoreError, send):
@@ -614,6 +689,50 @@ class ServerCore:
         if len(parts) == 1:
             return parts[0]
         return b"".join(parts) if send is None else send(parts)
+
+
+class _Rest:
+    """The bytes of a request frame that follow the part the server has in
+    hand: ``missing`` of them, which ``recv(view)`` receives in order, after
+    which ``arrived()`` runs. ``broken`` is set while a receive is under way,
+    and stays set if it fails: the stream cannot then be read on."""
+
+    __slots__ = ("_recv", "missing", "arrived", "broken")
+
+    def __init__(self, recv, missing: int):
+        self._recv, self.missing = recv, missing
+        self.arrived = None
+        self.broken = False
+
+    def _into(self, view: memoryview) -> None:
+        self.broken = True
+        self._recv(view)
+        self.broken = False
+        self.missing -= len(view)
+        if not self.missing:
+            self.arrived()
+
+    def fill(self, section: memoryview):
+        """A fill for :meth:`TierHandle.place` that copies ``section``, the
+        data bytes in hand, to the start of the region and receives the rest
+        of the frame into the rest of it: the payload ends the frame."""
+
+        def fill(region: memoryview) -> None:
+            n = len(section)
+            region[:n] = section
+            if n < len(region):
+                self._into(region[n:])
+
+        return fill
+
+    def drain(self) -> None:
+        """Receive what is missing and drop it, so the next frame can be read."""
+        scratch = memoryview(bytearray(min(self.missing, RECV_STEP)))
+        while self.missing:
+            self._into(scratch[: self.missing])
+
+
+_NOTHING_MORE = _Rest(None, 0)  # for a frame in hand whole; shared, since it never changes
 
 
 # -- transports -------------------------------------------------------------------
@@ -688,7 +807,9 @@ class TcpConnection(Connection):
             pass
 
 
-def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) -> memoryview:
+def _recv_frame(
+    sock: socket.socket, buf: FrameBuffer, own_large: bool = False, upload_prefix: bool = False
+) -> memoryview:
     """One whole frame, received into ``buf`` and returned as a view of it;
     FrameError when the peer closes first or claims an oversize frame (before
     ``buf`` grows), after which the stream cannot be resynchronized.
@@ -699,7 +820,14 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
 
     With ``own_large``, a frame of at least ``GATHER_LIMIT`` bytes is received
     instead into fresh memory, an array that only the returned view refers
-    to, placed so that the frame ends on an 8-byte boundary."""
+    to, placed so that the frame ends on a 64-byte boundary.
+
+    With ``upload_prefix``, a MAKE_PERSISTENT frame of at least
+    ``GATHER_LIMIT`` bytes is received only up to the end of its payload's
+    header, and with it whatever else the same reads bring, up to
+    ``GATHER_LIMIT`` bytes in all (more only for a class name that long).
+    The rest stays on the socket, for ``ServerCore.handle_frame_bytes`` to
+    receive into the object's region."""
     head = buf.view(_LEN.size)
     _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
@@ -707,10 +835,24 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
         raise FrameError(f"oversize frame of {length} bytes")
     size, got = _LEN.size + length, _LEN.size
     if own_large and size >= GATHER_LIMIT:
-        frame = memoryview(np.empty((size + 7) // 8, np.uint64)).cast("B")[-size % 8 :]
+        whole = memoryview(np.empty(size + 63, np.uint8))
+        # the buffer's address, read the cheapest way (numpy's interface dict costs more)
+        start = -(ctypes.addressof(ctypes.c_char.from_buffer(whole)) + size) % 64
+        frame = whole[start : start + size]
         frame[:got] = head
         _recv_into(sock, frame[got:])
         return frame
+    if upload_prefix and size >= GATHER_LIMIT:
+        need = _upload_header_end(head)
+        while got < need:
+            prefix = buf.view(max(need, GATHER_LIMIT), keep=got)
+            n = sock.recv_into(prefix[got:])
+            if not n:
+                raise FrameError(f"connection closed mid-frame: {size - got} bytes missing")
+            got += n
+            need = min(size, _upload_header_end(prefix[:got]))
+        if need:
+            return prefix[:got]
     while size > buf.capacity:
         step = buf.view(min(size, got + max(got, RECV_STEP)), keep=got)
         _recv_into(sock, step[got:])
@@ -718,6 +860,21 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
     frame = buf.view(size)
     _recv_into(sock, frame[got:])
     return frame
+
+
+def _upload_header_end(prefix) -> int:
+    """The length of the MAKE_PERSISTENT frame that ``prefix`` starts up to
+    the end of its payload's header: the head, the class name (str16), the
+    tier and the payload's tag and shape fields. While ``prefix`` is too short
+    to tell, a length it must reach first; 0 for a frame of another type."""
+    if len(prefix) < 15:
+        return 15
+    if prefix[4] != MSG_MAKE_PERSISTENT:
+        return 0
+    tag_at = 16 + _Str16._len.unpack_from(prefix, 13)[0]
+    if len(prefix) <= tag_at:
+        return tag_at + 1
+    return tag_at + header_length(prefix[tag_at])
 
 
 def _recv_into(sock: socket.socket, view: memoryview) -> None:
@@ -811,16 +968,17 @@ class TcpServer:
     def _serve_conn(self, conn: socket.socket) -> None:
         received, spill = FrameBuffer(), FrameBuffer()
         send = functools.partial(_send_now, conn, spill)
+        recv = functools.partial(_recv_into, conn)
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # _send_now needs no Python timeout: the kernel's send timeout bounds sendall
             timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
             while True:
-                frame = _recv_frame(conn, received)
-                rest = self.core.handle_frame_bytes(frame, send)
-                if rest:
-                    conn.sendall(rest)
+                frame = _recv_frame(conn, received, upload_prefix=True)
+                unsent = self.core.handle_frame_bytes(frame, send, recv)
+                if unsent:
+                    conn.sendall(unsent)
         except (OSError, FrameError):
             pass  # peer closed or stalled, or sent a frame the stream cannot recover from
         finally:

@@ -23,7 +23,11 @@ from aostore.engine import (
     RoutineCatalog,
 )
 from aostore.errors import (
+    ERR_CAPACITY,
+    ERR_INVALID,
     ERR_MALFORMED,
+    ERR_UNKNOWN_NAME,
+    CapacityError,
     FrameError,
     NotFoundError,
     StoreError,
@@ -46,6 +50,7 @@ from aostore.model import (
     ObjectIdFactory,
     PointsBlock,
     Submatrix,
+    region_reader,
 )
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 from aostore.wire import (
@@ -55,6 +60,7 @@ from aostore.wire import (
     MSG_ERROR,
     MSG_GET,
     MSG_INVOKE,
+    MSG_MAKE_PERSISTENT,
     MSG_REGISTER_CLASS,
     MSG_STATS,
     REPLY_BIT,
@@ -110,8 +116,9 @@ class TestFraming:
             decode_frame(bytes(raw))
 
 
-def _loopback(arena_dir, seed=5):
-    engine = Engine(make_tiers(arena_dir), build_catalog(), id_factory=ObjectIdFactory(seed))
+def _loopback(arena_dir, seed=5, tiers=None):
+    tiers = tiers or make_tiers(arena_dir)
+    engine = Engine(tiers, build_catalog(), id_factory=ObjectIdFactory(seed))
     for c in kernel_classes():
         engine.register_class(c)
     for m in kernel_methods():
@@ -312,7 +319,11 @@ class _ScriptedEngine:
     def register_method(self, desc):
         return self._answer("register_method", desc)
 
-    def make_persistent(self, class_name, payload, tier):
+    def make_persistent(self, class_name, schema, tier, fill):
+        """Records the payload that ``fill`` writes into a region of its size."""
+        region = memoryview(bytearray(schema.nbytes))
+        fill(region)
+        payload = region_reader(schema.tag, schema.shape)(region)
         return self._answer("make_persistent", class_name, payload, tier)
 
     def get_object(self, oid, read=None):
@@ -694,11 +705,12 @@ class TestMessageRoundTrip:
 
 class TestCodecLookup:
     def test_codec_calls_the_functions_bound_in_wire(self, session, monkeypatch):
-        """The codec looks ``encode_frame``, ``encode_payload`` and
-        ``decode_payload`` up as ``aostore.wire`` globals at call time, so a
-        wrapper set there (the traced benchmark sets one) sees every call."""
+        """The codec looks ``encode_frame``, ``encode_payload``,
+        ``decode_header`` and ``decode_payload`` up as ``aostore.wire``
+        globals at call time, so a wrapper set there (the traced benchmark
+        sets one) sees every call."""
         calls = collections.Counter()
-        for name in ("encode_frame", "encode_payload", "decode_payload"):
+        for name in ("encode_frame", "encode_payload", "decode_header", "decode_payload"):
 
             def counted(*args, _name=name, _fn=getattr(wire, name), **kwargs):
                 calls[_name] += 1
@@ -711,8 +723,11 @@ class TestCodecLookup:
         session.get(oid)
         session.invoke(oid, "partial", [ByValue(Centroids(np.zeros((2, 2))))])
         # three requests and three replies carrying four payloads: the
-        # persisted block, the GET reply, the argument and the result
-        assert calls == {"encode_frame": 6, "encode_payload": 4, "decode_payload": 4}
+        # persisted block, of which the server reads the header only, the
+        # GET reply, the argument and the result
+        assert calls == {
+            "encode_frame": 6, "encode_payload": 4, "decode_header": 1, "decode_payload": 3
+        }
 
 
 # -- partial I/O and buffer ownership -----------------------------------------------
@@ -964,9 +979,11 @@ class TestBufferOwnership:
         assert mine.values.flags.writeable  # the caller's array is left as it was
 
     def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, arena_dir, monkeypatch):
-        """The client's reused buffer holds small replies only, the server's
-        receive buffer the largest request, and its send buffer only what the
-        socket did not take of a large reply; all three go on close."""
+        """The client's reused buffer holds small replies only. The server's
+        receive buffer holds a large persist only up to its prefix of
+        GATHER_LIMIT bytes, and the largest other request whole; its send
+        buffer holds only what the socket did not take of a large reply. All
+        three go on close."""
         made = []
 
         class Recorded(FrameBuffer):
@@ -979,20 +996,28 @@ class TestBufferOwnership:
         engine, _ = _loopback(arena_dir)
         server = TcpServer(engine)
         session = Session.connect_tcp(server.host, server.port)
+        block = Submatrix(np.ones((100, 100)))
         start = session.counters()
-        oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((100, 100))), TierKind.DRAM)
+        oid = session.make_persistent(MATRIX_CLASS, block, TierKind.DRAM)
         persisted = session.counters()
         session.get(oid)
         got = session.counters()
         session.stats()
-        largest_request = persisted.bytes_sent - start.bytes_sent
         largest_small_reply = session.counters().bytes_received - got.bytes_received
         client = session._conn._received
         served = [b for b in made if b is not client]
+        assert persisted.bytes_sent - start.bytes_sent > wire.GATHER_LIMIT
         assert got.bytes_received - persisted.bytes_received >= wire.GATHER_LIMIT
         assert largest_small_reply < wire.GATHER_LIMIT
         assert client.capacity == largest_small_reply
-        assert sorted(b.capacity for b in served) == sorted([largest_request, max(kept, default=0)])
+        spilled = max(kept, default=0)
+        assert sorted(b.capacity for b in served) == sorted([wire.GATHER_LIMIT, spilled])
+        before = session.counters()
+        session.invoke(oid, "add", [ByValue(block)], ResultPlacement.volatile())
+        largest_request = session.counters().bytes_sent - before.bytes_sent
+        session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((200, 200))), TierKind.DRAM)
+        assert largest_request > wire.GATHER_LIMIT
+        assert sorted(b.capacity for b in served) == sorted([largest_request, spilled])
         session.close()
         assert client.capacity == 0
         deadline = time.monotonic() + 10
@@ -1110,6 +1135,237 @@ class TestBufferOwnership:
         assert len(served) == 1
         for sock in (session._conn._sock, *served):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+# -- persists received straight into the tier region --------------------------------
+
+# a variant and shape whose data section is just below, then just above, GATHER_LIMIT
+_NEAR_THE_LIMIT = [
+    (FloatArray, (2047,)), (FloatArray, (2049,)),
+    (PointsBlock, (23, 89)), (PointsBlock, (3, 683)),
+    (Submatrix, (45, 45)), (Submatrix, (46, 46)),
+    (Histogram, (2047,)), (Histogram, (2049,)),
+    (Centroids, (89, 23)), (Centroids, (683, 3)),
+]
+
+
+def _random_block(cls, shape, rng):
+    """A payload whose data section is random bytes: NaNs of any payload too."""
+    raw = rng.integers(0, 1 << 64, shape, dtype=np.uint64, endpoint=False)
+    return cls(raw if cls is Histogram else raw.view(np.float64))
+
+
+def _persist_frame(class_name, tier, payload, request_id=1) -> bytes:
+    body = wire.encode_body(wire.MESSAGES[MSG_MAKE_PERSISTENT].request, (class_name, tier, payload))
+    return b"".join(encode_frame(Frame(MSG_MAKE_PERSISTENT, request_id, body)))
+
+
+def _exchange(sock, raw: bytes) -> Frame:
+    sock.sendall(raw)
+    reply, _ = decode_frame(bytes(wire._recv_frame(sock, FrameBuffer())))
+    return reply
+
+
+class TestStreamedPersist:
+    @pytest.mark.parametrize("tier", list(TierKind))
+    def test_every_variant_near_the_limit_round_trips_byte_exact(self, tcp, tier):
+        _, session = tcp
+        rng = np.random.default_rng(tier.value)
+        for cls, shape in _NEAR_THE_LIMIT:
+            block = _random_block(cls, shape, rng)
+            got = session.get(session.make_persistent(MATRIX_CLASS, block, tier))
+            assert type(got) is cls
+            assert got.values.tobytes() == block.values.tobytes()
+
+    @pytest.mark.parametrize("first", [5, 14, 15, -2, -1, 0, 3, None], ids=[
+        "in the head", "in the name length", "at the name", "in the shape",
+        "a byte short of the data", "at the data", "in the data", "whole frame",
+    ])
+    def test_the_prefix_may_end_anywhere_in_the_header_or_the_data(self, arena_dir, first):
+        """The server reads a large persist up to the end of the payload's
+        header and no further than the bytes in hand. The peer sends ``first``
+        bytes (counted from the end of the header when not above 0, the whole
+        frame when None) and the rest only once the prefix has been read, or
+        after a pause when the prefix needs more; the object holds the sent
+        bytes either way, and the frame is counted once."""
+        engine, core = _loopback(arena_dir)
+        block = _random_block(FloatArray, (4099,), np.random.default_rng(1))
+        raw = _persist_frame(MATRIX_CLASS, TierKind.NVM_DIRECT, block)
+        header_end = 13 + 2 + len(MATRIX_CLASS) + 1 + 9
+        first = len(raw) if first is None else first if first > 0 else header_end + first
+        read = threading.Event()
+        a, b = socket.socketpair()
+        b.settimeout(30)
+
+        def send():
+            a.sendall(raw[:first])
+            read.wait(0.2)
+            a.sendall(raw[first:])
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        buf = FrameBuffer()
+        prefix = wire._recv_frame(b, buf, upload_prefix=True)
+        read.set()
+        recv = functools.partial(wire._recv_into, b)
+        reply, _ = decode_frame(core.handle_frame_bytes(prefix, None, recv))
+        sender.join(30)
+        assert not sender.is_alive()
+        a.close()
+        b.close()
+        assert header_end <= len(prefix) <= wire.GATHER_LIMIT == buf.capacity
+        if first >= header_end:
+            assert len(prefix) <= first
+        assert reply.msg_type == MSG_MAKE_PERSISTENT | REPLY_BIT
+        (oid,) = wire.decode_body(wire.MESSAGES[MSG_MAKE_PERSISTENT].reply, reply.body)
+        assert engine.get_object(oid).values.tobytes() == block.values.tobytes()
+        counters = core.wire_counters()
+        assert (counters.bytes_received, counters.per_type) == (len(raw), {MSG_MAKE_PERSISTENT: 1})
+        engine.close()
+
+    @pytest.mark.parametrize("case, code", [
+        ("unknown class", ERR_UNKNOWN_NAME),
+        ("tier not open", ERR_INVALID),
+        ("no room", ERR_CAPACITY),
+        ("header claims more data", ERR_MALFORMED),
+        ("header claims less data", ERR_MALFORMED),
+    ])
+    def test_an_error_before_the_fill_drains_the_frame(self, arena_dir, case, code):
+        """The server reads and drops the data section of a large persist
+        that fails before the fill, replies with the error a whole frame gets
+        (the loopback's reply, byte for byte), counts the frame, and serves
+        the next request on the connection."""
+        tiers = make_tiers(arena_dir, capacity=1 << 20, cache=1 << 18)
+        if case == "tier not open":
+            tiers.pop(TierKind.NVM_DIRECT).close()
+        engine, _ = _loopback(arena_dir, tiers=tiers)
+        server = TcpServer(engine)
+        block = _random_block(FloatArray, (6000,), np.random.default_rng(2))
+        cls, payload = MATRIX_CLASS, block
+        if case == "unknown class":
+            cls = "Nope"
+        elif case == "no room":
+            payload = FloatArray(np.ones((1 << 17) + 1))
+        bad = bytearray(_persist_frame(cls, TierKind.NVM_DIRECT, payload))
+        count_at = 13 + 2 + len(cls) + 1 + 1
+        if case.startswith("header claims"):
+            struct.pack_into("<Q", bad, count_at, 6001 if "more" in case else 5999)
+        good = FloatArray(block.values[::-1])
+        conn = socket.create_connection((server.host, server.port), timeout=30)
+        try:
+            reply = _exchange(conn, bad)
+            then = _exchange(conn, _persist_frame(MATRIX_CLASS, TierKind.DRAM, good, 2))
+            (oid,) = wire.decode_body(wire.MESSAGES[MSG_MAKE_PERSISTENT].reply, then.body)
+            fetched = _exchange(conn, encode_frame(Frame(MSG_GET, 3, oid)))
+        finally:
+            conn.close()
+        assert reply.msg_type == MSG_ERROR | REPLY_BIT
+        assert struct.unpack_from("<H", reply.body)[0] == code
+        whole, _ = decode_frame(ServerCore(engine).handle_frame_bytes(bytes(bad)))
+        assert reply == whole
+        assert then.msg_type == MSG_MAKE_PERSISTENT | REPLY_BIT
+        assert engine.object_ids() == [oid]
+        (payload,) = wire.decode_body(wire.MESSAGES[MSG_GET].reply, fetched.body)
+        assert payload.values.tobytes() == good.values.tobytes()
+        counters = server.core.wire_counters()
+        assert counters.per_type == {MSG_MAKE_PERSISTENT: 2, MSG_GET: 1}
+        good_frame = _persist_frame(MATRIX_CLASS, TierKind.DRAM, good)
+        assert counters.bytes_received == len(bad) + len(good_frame) + 29  # and the GET
+        server.stop()
+        engine.close()
+
+    @pytest.mark.parametrize("tier", list(TierKind))
+    @pytest.mark.parametrize("end", ["peer closes", "server stops"])
+    def test_an_upload_cut_short_gives_its_region_back(self, arena_dir, monkeypatch, tier, end):
+        """While a large persist is being received its region is reserved:
+        another persist of the size is refused for want of room. Once the
+        peer closes or the server stops, the region is free again, and no
+        object, tier traffic or wire frame is left of the upload; the server
+        goes on serving its other connections until it stops."""
+        receiving = threading.Event()
+        into = wire._Rest._into
+
+        def signalled(rest, view):
+            receiving.set()
+            return into(rest, view)
+
+        monkeypatch.setattr(wire._Rest, "_into", signalled)
+        tiers = make_tiers(arena_dir, capacity=1 << 20, cache=1 << 18)
+        engine, _ = _loopback(arena_dir, tiers=tiers)
+        server = TcpServer(engine)
+        other = Session.connect_tcp(server.host, server.port)
+        kept = other.make_persistent(MATRIX_CLASS, FloatArray(np.ones(1000)), tier)
+        handle = engine.tier(tier)
+        used, traffic = handle.used_bytes, handle.media_counters()
+        big = FloatArray(np.arange(80_000, dtype=np.float64))  # 640 kB of the 1 MiB
+        raw = _persist_frame(MATRIX_CLASS, tier, big)
+        cut = socket.create_connection((server.host, server.port))
+        try:
+            cut.sendall(raw[: len(raw) // 2])
+            assert receiving.wait(10)
+            with pytest.raises(CapacityError):
+                other.make_persistent(MATRIX_CLASS, big, tier)
+            if end == "server stops":
+                server.stop()
+        finally:
+            cut.close()
+        deadline = time.monotonic() + 10
+        while len(server._conns) > (end == "peer closes") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert (handle.used_bytes, handle.media_counters()) == (used, traffic)
+        assert engine.object_ids() == [kept]
+        sent, received = other.counters(), server.core.wire_counters()
+        assert (received.bytes_received, received.per_type) == (sent.bytes_sent, sent.per_type)
+        if end == "peer closes":
+            stored = other.make_persistent(MATRIX_CLASS, big, tier)
+            server.stop()
+        else:
+            stored = engine.make_persistent(MATRIX_CLASS, big, tier)
+        assert np.array_equal(engine.get_object(stored).values, big.values)
+        other.close()
+        engine.close()
+
+    def test_loopback_and_tcp_counters_identical_with_large_persists(self, tmp_path):
+        def scripted(session):
+            rng = np.random.default_rng(3)
+            for tier in TierKind:
+                for cls, shape in _NEAR_THE_LIMIT[1::2]:
+                    block = _random_block(cls, shape, rng)
+                    session.get(session.make_persistent(MATRIX_CLASS, block, tier))
+            with pytest.raises(StoreError):
+                block = _random_block(FloatArray, (5000,), rng)
+                session.make_persistent("Nope", block, TierKind.DRAM)
+            session.flush()
+            return session.counters(), session.stats()
+
+        runs = []
+        for transport in ("loopback", "tcp"):
+            d = tmp_path / transport
+            d.mkdir()
+            engine, core = _loopback(d)
+            server = TcpServer(engine) if transport == "tcp" else None
+            session = (Session.connect_tcp(server.host, server.port) if server
+                       else Session.connect_loopback(core))
+            runs.append(scripted(session))
+            session.close()
+            if server:
+                server.stop()
+            engine.close()
+        (c1, st1), (c2, st2) = runs
+        assert (c1.bytes_sent, c1.bytes_received, c1.per_type) == (
+            c2.bytes_sent, c2.bytes_received, c2.per_type)
+        assert st1.wire == st2.wire
+        assert st1.tiers == st2.tiers
+
+    def test_a_large_get_starts_64_byte_aligned(self, tcp):
+        """A large reply's frame ends on a 64-byte boundary, so a data section
+        whose length is a multiple of 64 starts 64-byte aligned."""
+        _, session = tcp
+        for k in (96, 512):
+            for tier in TierKind:
+                oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((k, k))), tier)
+                for _ in range(4):
+                    assert session.get(oid).values.ctypes.data % 64 == 0
 
 
 def _carries_payload(kind) -> bool:
