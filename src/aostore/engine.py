@@ -300,21 +300,17 @@ class Engine:
 
     # -- object lifecycle ------------------------------------------------------
 
-    def make_persistent(
-        self, class_name: str, payload: "BlockPayload | Schema", tier: TierKind, fill=None
-    ) -> ObjectId:
-        """A new object of ``class_name`` in ``tier`` holding ``payload``, whose
-        data section is copied in. With ``fill``, ``payload`` may be just its
-        :class:`Schema`, and ``fill`` writes the data section into the new
-        region instead (see :meth:`TierHandle.place`); it is not called when
-        the class, the tier or the tier's free space rules the object out."""
+    def make_persistent(self, class_name: str, schema: Schema, tier: TierKind, fill) -> ObjectId:
+        """A new object of ``class_name`` in ``tier`` holding a payload of
+        ``schema``, whose data section ``fill`` writes into the new region
+        (see :meth:`TierHandle.place`); a payload in memory fills with
+        ``copy_of(payload.data_view())``. ``fill`` is not called when the
+        class, the tier or the tier's free space rules the object out."""
         with self._lock:
             if class_name not in self._classes:
                 raise UnknownNameError(f"unknown class {class_name!r}")
-        if fill is None:
-            payload, fill = payload.schema(), copy_of(payload.data_view())
         with _Operation(self, "__persist__"):
-            return self._new_object(class_name, payload, tier, fill)
+            return self._new_object(class_name, schema, tier, fill)
 
     def _new_object(self, class_name: str, schema: Schema, tier: TierKind, fill) -> ObjectId:
         """A new object of ``schema`` in ``tier``, written by ``fill``

@@ -51,13 +51,17 @@ view. The copies left, per operation:
 A reply below ``GATHER_LIMIT`` is one joined bytes object, sent with
 ``sendall`` after the handler returns; the client copies a payload out of it.
 
-A peer that stalls part way through a large persist holds its connection's
-thread and the object's reserved region, which is not yet written: a sparse
-range of the arena file, or untouched pages of the DRAM tier's NORESERVE
-mapping, so memory grows only by the bytes that have arrived. The region is
-given back, and no object made, when the peer closes or ``TcpServer.stop``
-shuts the connection; a request that fails before its data section is
-received reads that section and drops it, and the connection goes on.
+A peer that stalls part way through a large persist's data section holds
+its connection's thread and the object's reserved region, which is not yet
+written: a sparse range of the arena file, or untouched pages of the DRAM
+tier's NORESERVE mapping, so memory grows only by the bytes that have
+arrived. It holds them until a receive makes no progress for
+``SOCKET_TIMEOUT_S``, the peer closes, or ``TcpServer.stop`` shuts the
+connection: the receive then fails, the region is given back, no object is
+made, and the connection closes. The timeout applies only while such a
+section is received, so a connection may idle between requests. A request
+that fails before its data section is received reads that section and drops
+it, under the same timeout, and the connection goes on.
 
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the receive buffer, which the next
@@ -118,7 +122,8 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
 # seconds a client socket waits to connect, and then for each send or receive;
-# and seconds a server connection's blocking send may go without progress
+# and seconds a server connection's blocking send, or its receive of a large
+# persist's data section, may go without progress
 SOCKET_TIMEOUT_S = 30.0
 # a receive buffer grows by at most this much, or by what the frame has
 # already delivered if that is more, ahead of the bytes that have arrived
@@ -591,23 +596,21 @@ class ServerCore:
     # bytes in hand) a fill that copies those bytes into the object's region
     # and receives the ``rest`` of the frame after them
     _HANDLERS = {
-        MSG_REGISTER_CLASS: lambda core, reply, rest, desc: reply(core.engine.register_class(desc)),
-        MSG_REGISTER_METHOD: lambda core, reply, rest, desc: reply(
-            core.engine.register_method(desc)
-        ),
-        MSG_MAKE_PERSISTENT: lambda core, reply, rest, cls, tier, upload: reply(
+        MSG_REGISTER_CLASS: lambda core, reply, desc: reply(core.engine.register_class(desc)),
+        MSG_REGISTER_METHOD: lambda core, reply, desc: reply(core.engine.register_method(desc)),
+        MSG_MAKE_PERSISTENT: lambda core, reply, cls, tier, upload, *, rest: reply(
             core.engine.make_persistent(cls, upload[0], tier, rest.fill(upload[1]))
         ),
-        MSG_GET: lambda core, reply, rest, oid: core.engine.get_object(oid, reply),
-        MSG_INVOKE: lambda core, reply, rest, oid, name, place, args: reply(
+        MSG_GET: lambda core, reply, oid: core.engine.get_object(oid, reply),
+        MSG_INVOKE: lambda core, reply, oid, name, place, args: reply(
             core.engine.invoke(oid, name, args, place)
         ),
-        MSG_DELETE: lambda core, reply, rest, oid: reply(core.engine.delete_object(oid)),
-        MSG_STATS: lambda core, reply, rest: reply(ServerStats(
+        MSG_DELETE: lambda core, reply, oid: reply(core.engine.delete_object(oid)),
+        MSG_STATS: lambda core, reply: reply(ServerStats(
             core.wire_counters(),
             {kind: handle.media_counters() for kind, handle in core.engine.tiers.items()},
         )),
-        MSG_FLUSH: lambda core, reply, rest, tier: reply(core.engine.flush(tier)),
+        MSG_FLUSH: lambda core, reply, tier: reply(core.engine.flush(tier)),
     }
 
     def __init__(self, engine: Engine):
@@ -635,8 +638,9 @@ class ServerCore:
         copied in, and the rest are received into the region straight from
         the socket. A request that fails before that reads the rest and drops
         it, then replies with its error as for a whole frame; one whose
-        receive fails raises, since the stream cannot be read on. A frame is
-        counted once all its bytes have arrived."""
+        receive fails (the peer closed or stalled, see ``TcpServer``) raises,
+        since the stream cannot be read on, and the region is given back. A
+        frame is counted once all its bytes have arrived."""
         missing = _LEN.size + _LEN.unpack_from(data)[0] - len(data) if recv else 0
         if not missing:
             self._count(len(data))
@@ -668,7 +672,10 @@ class ServerCore:
                 return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), send)
 
             values = decode_body(request, memoryview(data)[13:], size - 13)
-            return self._HANDLERS[msg_type](self, reply, rest, *values)
+            handler = self._HANDLERS[msg_type]
+            if msg_type == MSG_MAKE_PERSISTENT:
+                handler = functools.partial(handler, rest=rest)
+            return handler(self, reply, *values)
         except Exception as exc:  # engine bugs must not kill the connection
             if rest.broken:
                 raise
@@ -807,10 +814,8 @@ class TcpConnection(Connection):
             pass
 
 
-def _recv_frame(
-    sock: socket.socket, buf: FrameBuffer, own_large: bool = False, upload_prefix: bool = False
-) -> memoryview:
-    """One whole frame, received into ``buf`` and returned as a view of it;
+def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) -> memoryview:
+    """One frame, received into ``buf`` and returned as a view of it;
     FrameError when the peer closes first or claims an oversize frame (before
     ``buf`` grows), after which the stream cannot be resynchronized.
 
@@ -818,16 +823,15 @@ def _recv_frame(
     ``RECV_STEP``), so a peer that announces a large frame and stalls makes
     the buffer no larger than twice what it has sent plus ``RECV_STEP``.
 
-    With ``own_large``, a frame of at least ``GATHER_LIMIT`` bytes is received
-    instead into fresh memory, an array that only the returned view refers
-    to, placed so that the frame ends on a 64-byte boundary.
+    A MAKE_PERSISTENT frame of at least ``GATHER_LIMIT`` bytes is received
+    only up to the end of its payload's header, and with it whatever else the
+    same reads bring, up to ``GATHER_LIMIT`` bytes in all (more only for a
+    class name that long). The rest stays on the socket, for
+    ``ServerCore.handle_frame_bytes`` to receive into the object's region.
 
-    With ``upload_prefix``, a MAKE_PERSISTENT frame of at least
-    ``GATHER_LIMIT`` bytes is received only up to the end of its payload's
-    header, and with it whatever else the same reads bring, up to
-    ``GATHER_LIMIT`` bytes in all (more only for a class name that long).
-    The rest stays on the socket, for ``ServerCore.handle_frame_bytes`` to
-    receive into the object's region."""
+    With ``own_large``, a frame of at least ``GATHER_LIMIT`` bytes is received
+    whole instead into fresh memory, an array that only the returned view
+    refers to, placed so that the frame ends on a 64-byte boundary."""
     head = buf.view(_LEN.size)
     _recv_into(sock, head)
     (length,) = _LEN.unpack(head)
@@ -842,7 +846,7 @@ def _recv_frame(
         frame[:got] = head
         _recv_into(sock, frame[got:])
         return frame
-    if upload_prefix and size >= GATHER_LIMIT:
+    if size >= GATHER_LIMIT:
         need = _upload_header_end(head)
         while got < need:
             prefix = buf.view(max(need, GATHER_LIMIT), keep=got)
@@ -929,10 +933,14 @@ def _send_parts(sock: socket.socket, parts: list) -> None:
         parts = [memoryview(parts[0])[sent:], *parts[1:]]
 
 
+_NO_TIMEOUT = struct.pack("ll", 0, 0)
+
+
 class TcpServer:
     """Threaded TCP front-end over a ServerCore; one thread per connection,
-    per-connection requests processed strictly in order; a connection whose
-    send stalls for ``SOCKET_TIMEOUT_S`` is dropped. ``stop`` closes the
+    per-connection requests processed strictly in order. A connection whose
+    send, or receive of the data section of a large persist, makes no
+    progress for ``SOCKET_TIMEOUT_S`` is dropped. ``stop`` closes the
     listener and every live connection and joins all the server's threads."""
 
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0):
@@ -968,14 +976,23 @@ class TcpServer:
     def _serve_conn(self, conn: socket.socket) -> None:
         received, spill = FrameBuffer(), FrameBuffer()
         send = functools.partial(_send_now, conn, spill)
-        recv = functools.partial(_recv_into, conn)
+        # _send_now needs no Python timeout: the kernel's send timeout bounds sendall
+        timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
+
+        def recv(view: memoryview) -> None:
+            """Receive the rest of a request, which holds a reserved region
+            while it comes; between requests a connection may idle."""
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeout)
+            try:
+                _recv_into(conn, view)
+            finally:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _NO_TIMEOUT)
+
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # _send_now needs no Python timeout: the kernel's send timeout bounds sendall
-            timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
             while True:
-                frame = _recv_frame(conn, received, upload_prefix=True)
+                frame = _recv_frame(conn, received)
                 unsent = self.core.handle_frame_bytes(frame, send, recv)
                 if unsent:
                     conn.sendall(unsent)

@@ -8,7 +8,7 @@ from hypothesis import settings
 from aostore.engine import Engine
 from aostore.kernels import build_catalog
 from aostore.model import ObjectIdFactory
-from aostore.tiers import ArenaConfig, TierKind, open_tier
+from aostore.tiers import ArenaConfig, TierKind, copy_of, open_tier
 from aostore.wire import ServerCore
 from aostore.client import Session
 
@@ -50,6 +50,11 @@ def peak_traced_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def persist(engine, class_name, payload, tier):
+    """``engine.make_persistent`` of a payload in memory, copied in."""
+    return engine.make_persistent(class_name, payload.schema(), tier, copy_of(payload.data_view()))
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ from aostore.model import (
 from aostore.tiers import ArenaConfig, TierKind, open_tier
 from aostore.wire import Frame, ServerCore, TcpServer, decode_frame, encode_frame
 
-from .conftest import make_tiers
+from .conftest import make_tiers, persist
 from .oracles import histogram_oracle, lloyd_oracle, matmul_oracle
 
 FRAME_OVERHEAD = 13  # length u32 + msg_type u8 + request_id u64
@@ -432,9 +432,9 @@ def test_criterion_06_persistence_semantics(tmp_path):
         for c in kernel_classes():
             engine.register_class(c)
         payload = FloatArray(np.arange(512.0))
-        kept = engine.make_persistent(HIST_CLASS, payload, TierKind.NVM_DIRECT)
-        lost_mm = engine.make_persistent(HIST_CLASS, payload, TierKind.MEMORY_MODE)
-        lost_dram = engine.make_persistent(HIST_CLASS, payload, TierKind.DRAM)
+        kept = persist(engine, HIST_CLASS, payload, TierKind.NVM_DIRECT)
+        lost_mm = persist(engine, HIST_CLASS, payload, TierKind.MEMORY_MODE)
+        lost_dram = persist(engine, HIST_CLASS, payload, TierKind.DRAM)
         engine.close()  # clean shutdown
 
         tiers2 = make_tiers(arena, capacity=1 << 20, cache=1 << 18)

@@ -30,7 +30,7 @@ from aostore.model import (
 from aostore.tiers import ArenaConfig, TierKind, open_tier
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM
 
-from .conftest import make_tiers, peak_traced_bytes
+from .conftest import make_tiers, peak_traced_bytes, persist
 from .oracles import matmul_oracle
 
 
@@ -81,19 +81,19 @@ class TestPersistGet:
     def test_get_returns_identical_payload(self, engine):
         engine.register_class(BLOCK)
         payload = FloatArray([1.5, -2.0, 3.25])
-        oid = engine.make_persistent("Block", payload, TierKind.NVM_DIRECT)
+        oid = persist(engine, "Block", payload, TierKind.NVM_DIRECT)
         assert engine.get_object(oid) == payload
 
     def test_persist_accounts_raw_data_bytes(self, engine):
         engine.register_class(BLOCK)
         before = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
-        engine.make_persistent("Block", FloatArray(np.zeros(10**6)), TierKind.NVM_DIRECT)
+        persist(engine, "Block", FloatArray(np.zeros(10**6)), TierKind.NVM_DIRECT)
         after = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         assert after - before == 8 * 10**6
 
     def test_get_increments_read_count_once(self, engine):
         engine.register_class(BLOCK)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         engine.get_object(oid)
         assert engine.read_counts()[oid] == 1
 
@@ -102,7 +102,7 @@ class TestPersistGet:
         the read count and the totals must already hold it; the shared claim
         keeps the region from changing until ``read`` is done with it."""
         engine.register_class(BLOCK)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         seen = []
 
         def read(view):
@@ -124,7 +124,7 @@ class TestPersistGet:
 
     def test_unknown_class_rejected(self, engine):
         with pytest.raises(UnknownNameError):
-            engine.make_persistent("Nope", FloatArray([1.0]), TierKind.DRAM)
+            persist(engine, "Nope", FloatArray([1.0]), TierKind.DRAM)
 
     def test_get_unknown_id(self, engine):
         with pytest.raises(NotFoundError):
@@ -132,7 +132,7 @@ class TestPersistGet:
 
     def test_delete_then_get_not_found(self, engine):
         engine.register_class(BLOCK)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         engine.delete_object(oid)
         with pytest.raises(NotFoundError):
             engine.get_object(oid)
@@ -143,7 +143,7 @@ class TestPersistGet:
         engine.register_class(BLOCK)
         tier = engine.tier(TierKind.DRAM)
         used0 = tier.used_bytes
-        oid = engine.make_persistent("Block", FloatArray(np.zeros(100)), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray(np.zeros(100)), TierKind.DRAM)
         assert tier.used_bytes == used0 + 800
         engine.delete_object(oid)
         assert tier.used_bytes == used0
@@ -153,7 +153,7 @@ class TestInvoke:
     def test_mean_of_example_block(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        oid = engine.make_persistent("Block", FloatArray([1.0, 2.0, 3.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0, 2.0, 3.0]), TierKind.DRAM)
         result = engine.invoke(oid, "mean")
         assert float(result.values[0]) == 2.0
 
@@ -161,21 +161,21 @@ class TestInvoke:
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
         values = np.random.default_rng(3).random(1000)
-        oid = engine.make_persistent("Block", FloatArray(values), TierKind.NVM_DIRECT)
+        oid = persist(engine, "Block", FloatArray(values), TierKind.NVM_DIRECT)
         remote = engine.invoke(oid, "mean").values[0]
         local = build_catalog().get("stat.mean").fn(FloatArray(values), []).values[0]
         assert remote == local
 
     def test_unknown_method(self, engine):
         engine.register_class(BLOCK)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         with pytest.raises(UnknownNameError, match="method"):
             engine.invoke(oid, "nope")
 
     def test_arg_count_checked(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError, match="args"):
             engine.invoke(oid, "mean", [ByValue(FloatArray([1.0]))])
 
@@ -186,7 +186,7 @@ class TestInvoke:
             engine.register_class(c)
         for m in kernel_methods():
             engine.register_method(m)
-        oid = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
+        oid = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError, match="expects"):
             engine.invoke(oid, "add", [ByValue(FloatArray([1.0]))])
 
@@ -197,8 +197,8 @@ class TestInvoke:
             engine.register_class(c)
         for m in kernel_methods():
             engine.register_method(m)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.NVM_DIRECT)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((4, 4))), TierKind.NVM_DIRECT)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.NVM_DIRECT)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((4, 4))), TierKind.NVM_DIRECT)
 
         by_value = engine.invoke(a, "add", [ByRef(b)])
         assert isinstance(by_value, Submatrix)
@@ -223,8 +223,8 @@ class TestInvoke:
             engine.register_class(c)
         for m in kernel_methods():
             engine.register_method(m)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
         with pytest.raises(InvalidRequestError, match="return-by-value"):
             engine.invoke(a, "add", [ByRef(b)])
         # stored placements have no such ceiling
@@ -244,19 +244,19 @@ def _register_matrix(engine):
 class TestFmaInPlace:
     def test_identity_case(self, engine):
         _register_matrix(engine)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((3, 3))), TierKind.NVM_DIRECT)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(3)), TierKind.NVM_DIRECT)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((3, 3))), TierKind.NVM_DIRECT)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(3)), TierKind.NVM_DIRECT)
         m = np.arange(9.0).reshape(3, 3)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(m), TierKind.NVM_DIRECT)
+        b = persist(engine, MATRIX_CLASS, Submatrix(m), TierKind.NVM_DIRECT)
         engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         assert np.array_equal(engine.get_object(acc).values, m)
 
     def test_zero_annihilator(self, engine):
         _register_matrix(engine)
         c0 = np.arange(4.0).reshape(2, 2)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(c0), TierKind.DRAM)
-        z = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(c0), TierKind.DRAM)
+        z = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         engine.invoke(acc, "fma", [ByRef(z), ByRef(b)])
         assert np.array_equal(engine.get_object(acc).values, c0)
 
@@ -264,9 +264,9 @@ class TestFmaInPlace:
         _register_matrix(engine)
         rng = np.random.default_rng(11)
         a_v, b_v, c_v = rng.random((3, 8, 8))
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(c_v), TierKind.NVM_DIRECT)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(a_v), TierKind.NVM_DIRECT)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(b_v), TierKind.NVM_DIRECT)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(c_v), TierKind.NVM_DIRECT)
+        a = persist(engine, MATRIX_CLASS, Submatrix(a_v), TierKind.NVM_DIRECT)
+        b = persist(engine, MATRIX_CLASS, Submatrix(b_v), TierKind.NVM_DIRECT)
         engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         expected = c_v + matmul_oracle(a_v, b_v)
         got = engine.get_object(acc).values
@@ -274,24 +274,24 @@ class TestFmaInPlace:
 
     def test_aliasing_rejected(self, engine):
         _register_matrix(engine)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(InvalidRequestError, match="distinct"):
             engine.invoke(acc, "fma", [ByRef(acc), ByRef(b)])
 
     def test_shape_mismatch_rejected(self, engine):
         _register_matrix(engine)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((3, 3))), TierKind.DRAM)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.ones((3, 3))), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError):
             engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
 
     def test_inputs_read_counts_increment(self, engine):
         _register_matrix(engine)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
         engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         counts = engine.read_counts()
         assert counts[a] == 1 and counts[b] == 1
@@ -299,9 +299,9 @@ class TestFmaInPlace:
 
     def test_nvm_in_place_write_hits_the_mapping(self, engine):
         _register_matrix(engine)
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.NVM_DIRECT)
-        a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.full((2, 2), 2.0)), TierKind.NVM_DIRECT)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.NVM_DIRECT)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.full((2, 2), 2.0)), TierKind.NVM_DIRECT)
         view = engine.tier(TierKind.NVM_DIRECT).read_view(acc)
         engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
         assert np.frombuffer(bytes(view), dtype="<f8")[0] == 2.0
@@ -315,7 +315,7 @@ class TestStoredResultInPlace:
     def _inputs(engine, kind, k):
         _register_matrix(engine)
         a_v, b_v = np.random.default_rng(k).random((2, k, k))
-        a, b = (engine.make_persistent(MATRIX_CLASS, Submatrix(v), kind) for v in (a_v, b_v))
+        a, b = (persist(engine, MATRIX_CLASS, Submatrix(v), kind) for v in (a_v, b_v))
         for oid in (a, b):
             engine.get_object(oid)  # cached, so a Memory-Mode read below is a hit
         return a, b, a_v, b_v
@@ -361,14 +361,14 @@ class TestStoredResultInPlace:
         never share bytes."""
         _register_matrix(engine)
         k, workers = 16, 8
-        b = engine.make_persistent(MATRIX_CLASS, Submatrix(np.ones((k, k))), TierKind.DRAM)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((k, k))), TierKind.DRAM)
         tier = engine.tier(TierKind.DRAM)
         used = tier.used_bytes
         kept = {}
 
         def worker(i):
             block = Submatrix(np.full((k, k), float(i)))
-            a = engine.make_persistent(MATRIX_CLASS, block, TierKind.DRAM)
+            a = persist(engine, MATRIX_CLASS, block, TierKind.DRAM)
             mine = []
             for j in range(100):
                 mine.append(engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile()))
@@ -432,9 +432,7 @@ class TestRecords:
         _register_matrix(engine)
         rng = np.random.default_rng(2)
         ids = [
-            engine.make_persistent(
-                MATRIX_CLASS, Submatrix(rng.random((4, 4))), TierKind.MEMORY_MODE
-            )
+            persist(engine, MATRIX_CLASS, Submatrix(rng.random((4, 4))), TierKind.MEMORY_MODE)
             for _ in range(6)
         ]
         for i in range(5):
@@ -456,7 +454,7 @@ class TestRecords:
 
     def test_failed_operation_keeps_its_traffic(self, engine):
         _register_matrix(engine)
-        oid = engine.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 3))), TierKind.DRAM)
+        oid = persist(engine, POINTS_CLASS, PointsBlock(np.ones((4, 3))), TierKind.DRAM)
         dram = engine.tier(TierKind.DRAM)
         before_tier = astuple(dram.media_counters()[MEDIA_DRAM])
         before = engine.op_totals()["invoke"]
@@ -472,7 +470,7 @@ class TestRecords:
 
     def test_failed_operation_without_traffic_is_not_counted(self, engine):
         engine.register_class(BLOCK)
-        oid = engine.make_persistent("Block", FloatArray([1.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         n0 = engine.record_count
         with pytest.raises(UnknownNameError):
             engine.invoke(oid, "mean")
@@ -483,7 +481,7 @@ class TestRecords:
         engine.register_method(BLOCK_MEAN)
         n0 = engine.record_count
         start = engine.op_totals()
-        oid = engine.make_persistent("Block", FloatArray([1.0, 2.0]), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray([1.0, 2.0]), TierKind.DRAM)
         engine.invoke(oid, "mean")
         engine.get_object(oid)
         engine.delete_object(oid)
@@ -496,7 +494,7 @@ class TestRecords:
     def test_totals_stay_bounded_over_many_invokes(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        oid = engine.make_persistent("Block", FloatArray(np.arange(64.0)), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray(np.arange(64.0)), TierKind.DRAM)
         # The warm-up also fills CPython's tuple free lists (at most 2,000 per
         # size), which tracemalloc counts as allocated memory.
         for _ in range(3000):
@@ -517,13 +515,12 @@ class TestConcurrency:
     def test_concurrent_mutations_serialize(self, engine):
         _register_matrix(engine)
         k = 4
-        acc = engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((k, k))), TierKind.DRAM)
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((k, k))), TierKind.DRAM)
         inputs = []
         for i in range(8):
-            a = engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(k)), TierKind.DRAM)
-            b = engine.make_persistent(
-                MATRIX_CLASS, Submatrix(np.full((k, k), float(i + 1))), TierKind.DRAM
-            )
+            a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(k)), TierKind.DRAM)
+            b_v = np.full((k, k), float(i + 1))
+            b = persist(engine, MATRIX_CLASS, Submatrix(b_v), TierKind.DRAM)
             inputs.append((a, b))
 
         def worker(pair):
@@ -541,7 +538,7 @@ class TestConcurrency:
     def test_concurrent_reads_allowed(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        oid = engine.make_persistent("Block", FloatArray(np.ones(1000)), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray(np.ones(1000)), TierKind.DRAM)
         results = []
 
         def reader():
@@ -557,7 +554,7 @@ class TestConcurrency:
     def test_threaded_deltas_sum_to_tier_counters(self, engine):
         engine.register_class(BLOCK)
         engine.register_method(BLOCK_MEAN)
-        oid = engine.make_persistent("Block", FloatArray(np.arange(12.0)), TierKind.DRAM)
+        oid = persist(engine, "Block", FloatArray(np.arange(12.0)), TierKind.DRAM)
         start = engine.op_totals()
 
         def reader():
@@ -590,7 +587,7 @@ class TestConcurrency:
         # locks taken in the wrong order this pair could deadlock
         _register_matrix(engine)
         x, y, c = (
-            engine.make_persistent(MATRIX_CLASS, Submatrix(np.zeros((4, 4))), TierKind.DRAM)
+            persist(engine, MATRIX_CLASS, Submatrix(np.zeros((4, 4))), TierKind.DRAM)
             for _ in range(3)
         )
         before = engine.op_totals()["invoke"].count
@@ -618,7 +615,7 @@ class TestRecovery:
         engine = Engine({TierKind.NVM_DIRECT: tier}, build_catalog())
         engine.register_class(BLOCK)
         payload = FloatArray([3.0, 1.0, 4.0, 1.0, 5.0])
-        oid = engine.make_persistent("Block", payload, TierKind.NVM_DIRECT)
+        oid = persist(engine, "Block", payload, TierKind.NVM_DIRECT)
         engine.close()
 
         tier2 = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
@@ -635,7 +632,7 @@ class TestRecovery:
         tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
         engine = Engine({TierKind.NVM_DIRECT: tier}, build_catalog(), ObjectIdFactory(1))
         engine.register_class(BLOCK)
-        recovered = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
+        recovered = persist(engine, "Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
         engine.close()
 
         tiers = {
@@ -646,7 +643,7 @@ class TestRecovery:
         }
         engine2 = Engine(tiers, build_catalog(), ObjectIdFactory(1))
         engine2.register_class(BLOCK)
-        fresh = engine2.make_persistent("Block", FloatArray(np.zeros(8)), TierKind.DRAM)
+        fresh = persist(engine2, "Block", FloatArray(np.zeros(8)), TierKind.DRAM)
         # the same seed draws the recovered id first; it is skipped for the next one
         stream = ObjectIdFactory(1)
         assert stream.new_object_id() == recovered
@@ -660,8 +657,8 @@ class TestClose:
     def test_close_reaches_every_tier_when_one_fails(self, arena_dir):
         engine = fresh_engine(arena_dir)
         engine.register_class(BLOCK)
-        in_nvm = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
-        in_mm = engine.make_persistent("Block", FloatArray(np.ones(8)), TierKind.MEMORY_MODE)
+        in_nvm = persist(engine, "Block", FloatArray(np.ones(8)), TierKind.NVM_DIRECT)
+        in_mm = persist(engine, "Block", FloatArray(np.ones(8)), TierKind.MEMORY_MODE)
         mm = engine.tier(TierKind.MEMORY_MODE)
         mm.write_in_place(in_mm, 0, np.zeros(8).tobytes())  # now cached and dirty
         write_backs = mm.media_counters()[MEDIA_NVM].write_ops

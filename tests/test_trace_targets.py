@@ -14,7 +14,7 @@ from aostore.kernels import MATRIX_CLASS, build_catalog, kernel_classes, kernel_
 from aostore.model import ObjectIdFactory, Submatrix
 from aostore.tiers import ArenaConfig, DramTier, TierKind
 
-from .conftest import make_tiers, peak_traced_bytes
+from .conftest import make_tiers, peak_traced_bytes, persist
 
 
 def _spans(monkeypatch):
@@ -49,7 +49,7 @@ def test_traced_catalog_computes_stored_results_in_place(monkeypatch, arena_dir)
         engine.register_method(m)
     k = 512  # a 2 MiB block
     a, b = (
-        engine.make_persistent(MATRIX_CLASS, Submatrix(np.full((k, k), v)), TierKind.NVM_DIRECT)
+        persist(engine, MATRIX_CLASS, Submatrix(np.full((k, k), v)), TierKind.NVM_DIRECT)
         for v in (1.0, 2.0)
     )
     placement = ResultPlacement.store_in(TierKind.NVM_DIRECT)

@@ -70,7 +70,7 @@ from aostore.wire import (
     encode_frame,
 )
 
-from .conftest import make_tiers
+from .conftest import make_tiers, persist
 
 
 class TestFraming:
@@ -575,7 +575,7 @@ class TestPlacementBytes:
     def test_long_form_dram_stores_the_result_in_dram(self, arena_dir):
         engine, core = _loopback(arena_dir)
         a, b = (
-            engine.make_persistent(MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
+            persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
             for _ in range(2)
         )
         body = a + b"\x03\x00add" + b"\x02\x01" + b"\x01\x02" + b
@@ -967,7 +967,9 @@ class TestBufferOwnership:
         names = ["p" * n for n in range(1, 9)]  # aligned and unaligned arguments
         for name in names:
             client.register_method(MethodDescriptor("Probe", name, "test.probe", ("",)))
-        target = client.make_persistent("Probe", Submatrix(np.ones((4, 4))), TierKind.DRAM)
+        block = Submatrix(np.ones((4, 4)))
+        target = (persist(engine, "Probe", block, TierKind.DRAM) if client is engine
+                  else client.make_persistent("Probe", block, TierKind.DRAM))
         mine = Centroids(np.ones((3, 5)))
         for name in names:
             client.invoke(target, name, [ByValue(mine)])
@@ -1033,7 +1035,7 @@ class TestBufferOwnership:
         reply, and the server counts the whole frame as sent."""
         engine, core = _loopback(arena_dir)
         values = np.arange(512 * 512, dtype=np.float64).reshape(512, 512)  # 2 MiB
-        oid = engine.make_persistent(MATRIX_CLASS, Submatrix(values), TierKind.DRAM)
+        oid = persist(engine, MATRIX_CLASS, Submatrix(values), TierKind.DRAM)
         body = wire.encode_body(wire.MESSAGES[MSG_GET].reply, (Submatrix(values),))
         expected = b"".join(encode_frame(Frame(MSG_GET | REPLY_BIT, 1, body)))
         a, b = socket.socketpair()
@@ -1205,7 +1207,7 @@ class TestStreamedPersist:
         sender = threading.Thread(target=send)
         sender.start()
         buf = FrameBuffer()
-        prefix = wire._recv_frame(b, buf, upload_prefix=True)
+        prefix = wire._recv_frame(b, buf)
         read.set()
         recv = functools.partial(wire._recv_into, b)
         reply, _ = decode_frame(core.handle_frame_bytes(prefix, None, recv))
@@ -1320,10 +1322,58 @@ class TestStreamedPersist:
             stored = other.make_persistent(MATRIX_CLASS, big, tier)
             server.stop()
         else:
-            stored = engine.make_persistent(MATRIX_CLASS, big, tier)
+            stored = persist(engine, MATRIX_CLASS, big, tier)
         assert np.array_equal(engine.get_object(stored).values, big.values)
         other.close()
         engine.close()
+
+    def test_a_stalled_upload_gives_its_region_back_after_the_receive_timeout(
+        self, arena_dir, monkeypatch
+    ):
+        """A peer that sends part of a large persist and then neither sends
+        nor closes holds the object's region only until a receive makes no
+        progress for SOCKET_TIMEOUT_S; the server then drops the connection
+        and frees the region. A connection idle between requests for longer
+        than that is kept."""
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 1.0)
+        receiving = threading.Event()
+        into = wire._Rest._into
+
+        def signalled(rest, view):
+            receiving.set()
+            return into(rest, view)
+
+        monkeypatch.setattr(wire._Rest, "_into", signalled)
+        tiers = make_tiers(arena_dir, capacity=1 << 20, cache=1 << 18)
+        engine, _ = _loopback(arena_dir, tiers=tiers)
+        server = TcpServer(engine)
+        idle = Session.connect_tcp(server.host, server.port)
+        tier = TierKind.NVM_DIRECT
+        kept = idle.make_persistent(MATRIX_CLASS, FloatArray(np.ones(1000)), tier)
+        handle = engine.tier(tier)
+        used, traffic = handle.used_bytes, handle.media_counters()
+        big = FloatArray(np.arange(80_000, dtype=np.float64))  # 640 kB of the 1 MiB
+        raw = _persist_frame(MATRIX_CLASS, tier, big)
+        stalled = socket.create_connection((server.host, server.port))
+        try:
+            stalled.sendall(raw[: len(raw) // 2])
+            assert receiving.wait(10)
+            started = time.monotonic()
+            with pytest.raises(CapacityError):
+                idle.make_persistent(MATRIX_CLASS, big, tier)
+            while len(server._conns) > 1 and time.monotonic() < started + 10:
+                time.sleep(0.01)
+            assert 0.5 < time.monotonic() - started < 5
+            assert (handle.used_bytes, handle.media_counters()) == (used, traffic)
+            assert engine.object_ids() == [kept]
+            time.sleep(1.2)  # longer than the timeout since idle's last request
+            stored = idle.make_persistent(MATRIX_CLASS, big, tier)
+            assert np.array_equal(idle.get(stored).values, big.values)
+        finally:
+            stalled.close()
+            idle.close()
+            server.stop()
+            engine.close()
 
     def test_loopback_and_tcp_counters_identical_with_large_persists(self, tmp_path):
         def scripted(session):
