@@ -58,10 +58,11 @@ tier's NORESERVE mapping, so memory grows only by the bytes that have
 arrived. It holds them until a receive makes no progress for
 ``SOCKET_TIMEOUT_S``, the peer closes, or ``TcpServer.stop`` shuts the
 connection: the receive then fails, the region is given back, no object is
-made, and the connection closes. The timeout applies only while such a
-section is received, so a connection may idle between requests. A request
-that fails before its data section is received reads that section and drops
-it, under the same timeout, and the connection goes on.
+made, and the connection closes. The timeout bounds every receive of a frame
+that has begun to arrive, and only those: a connection may idle between
+requests. A request that fails before its data section is received reads
+that section and drops it, under the same timeout, and the connection goes
+on.
 
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the receive buffer, which the next
@@ -122,8 +123,8 @@ _HEAD = struct.Struct("<IBQ")  # length, msg_type, request_id
 # frame goes out as at most a few iovecs; longer ones are sent in place
 GATHER_LIMIT = 1 << 14
 # seconds a client socket waits to connect, and then for each send or receive;
-# and seconds a server connection's blocking send, or its receive of a large
-# persist's data section, may go without progress
+# and seconds a server connection's blocking send, or its receive of a frame
+# whose first bytes have arrived, may go without progress
 SOCKET_TIMEOUT_S = 30.0
 # a receive buffer grows by at most this much, or by what the frame has
 # already delivered if that is more, ahead of the bytes that have arrived
@@ -833,7 +834,15 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
     whole instead into fresh memory, an array that only the returned view
     refers to, placed so that the frame ends on a 64-byte boundary."""
     head = buf.view(_LEN.size)
-    _recv_into(sock, head)
+    while True:
+        try:
+            got = sock.recv_into(head)
+            break
+        except BlockingIOError:  # a server's receive timeout: it waits for requests unbounded
+            pass
+    if not got:
+        raise FrameError("connection closed before a frame")
+    _recv_into(sock, head[got:])
     (length,) = _LEN.unpack(head)
     if length > MAX_FRAME:
         raise FrameError(f"oversize frame of {length} bytes")
@@ -933,14 +942,12 @@ def _send_parts(sock: socket.socket, parts: list) -> None:
         parts = [memoryview(parts[0])[sent:], *parts[1:]]
 
 
-_NO_TIMEOUT = struct.pack("ll", 0, 0)
-
-
 class TcpServer:
     """Threaded TCP front-end over a ServerCore; one thread per connection,
     per-connection requests processed strictly in order. A connection whose
-    send, or receive of the data section of a large persist, makes no
-    progress for ``SOCKET_TIMEOUT_S`` is dropped. ``stop`` closes the
+    send, or receive of a frame that has begun to arrive, makes no progress
+    for ``SOCKET_TIMEOUT_S`` is dropped; one may idle between requests
+    without limit. ``stop`` closes the
     listener and every live connection and joins all the server's threads."""
 
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0):
@@ -976,21 +983,14 @@ class TcpServer:
     def _serve_conn(self, conn: socket.socket) -> None:
         received, spill = FrameBuffer(), FrameBuffer()
         send = functools.partial(_send_now, conn, spill)
-        # _send_now needs no Python timeout: the kernel's send timeout bounds sendall
-        timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
-
-        def recv(view: memoryview) -> None:
-            """Receive the rest of a request, which holds a reserved region
-            while it comes; between requests a connection may idle."""
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeout)
-            try:
-                _recv_into(conn, view)
-            finally:
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _NO_TIMEOUT)
-
+        recv = functools.partial(_recv_into, conn)
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # kernel timeouts, as _send_now needs a socket with no Python timeout: the
+            # send one bounds sendall, the receive one a frame that stalls part way
+            timeout = struct.pack("ll", int(SOCKET_TIMEOUT_S), int(SOCKET_TIMEOUT_S % 1 * 1e6))
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeout)
             while True:
                 frame = _recv_frame(conn, received)
                 unsent = self.core.handle_frame_bytes(frame, send, recv)
