@@ -10,6 +10,15 @@ An operation claims all its objects at once under one engine-wide condition
 (the target exclusive if the routine mutates it, every other object shared),
 or waits; holding no claim while it waits, it needs no lock order.
 
+An object's payload view, the payload whose array aliases its tier region,
+is built on the object's first read from the region the tier's ``read_view``
+returns, and reused while the object lives; every read still calls
+``read_view``, so every read is charged, and Memory Mode's LRU order kept,
+as if the view were new. Two readers holding shared claims may both build
+the view at once; either view is right, so it does not matter which one is
+kept. :meth:`Engine.close` drops the views before it closes the tiers, as a
+live view keeps a mapping from being unmapped.
+
 The tiers charge each counter bump to the operation open on the calling
 thread (:func:`~aostore.tiers.open_charges`). Every operation adds that
 traffic, and an invocation its method time, to running totals per operation
@@ -121,6 +130,7 @@ class _ObjectMeta:
     shape: Optional[tuple[int, ...]]
     read_count: int = 0
     held: int = 0  # claims held: -1 for an exclusive one, else the shared ones
+    view: Optional[BlockPayload] = None  # the payload over the region, once first read
 
     @cached_property
     def reader(self) -> Callable[[memoryview], BlockPayload]:
@@ -207,8 +217,9 @@ class Engine:
         self._methods: dict[tuple[str, str], tuple[MethodDescriptor, Routine, bool]] = {}
         self._objects: dict[ObjectId, _ObjectMeta] = {}
         self._totals = {op: OpTotals() for op in OPS}
-        # guards the registries and the totals; claims wait on it
-        self._lock = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()  # guards the registries, the claims and the totals
+        self._released = threading.Condition(self._lock)  # what a blocked claim waits on
+        self._waiting = 0  # claims blocked on _released
         # Adopt objects recovered from persistent arenas; their schema was not
         # persisted, so they are readable at the byte level only.
         for kind, handle in self._tiers.items():
@@ -255,17 +266,25 @@ class Engine:
     def _claim(self, claims: list[tuple[_ObjectMeta, bool]]) -> None:
         """Take every (object, exclusive) claim at once, waiting while any of
         them conflicts with a claim held; the caller holds ``_lock``."""
-        while any(m.held < 0 or (exclusive and m.held) for m, exclusive in claims):
-            self._lock.wait()
+        while True:
+            for m, exclusive in claims:
+                if m.held < 0 or (exclusive and m.held):
+                    break
+            else:
+                break
+            self._waiting += 1
+            self._released.wait()
+            self._waiting -= 1
         for m, exclusive in claims:
             m.held = -1 if exclusive else m.held + 1
 
     def _release(self, claims: list[tuple[_ObjectMeta, bool]]) -> None:
-        """Give back claims that :meth:`_claim` took; the caller holds ``_lock``."""
+        """Give back claims that :meth:`_claim` took, waking the blocked
+        claims if there are any; the caller holds ``_lock``."""
         for m, exclusive in claims:
             m.held = 0 if exclusive else m.held - 1
-        if claims:
-            self._lock.notify_all()
+        if self._waiting:
+            self._released.notify_all()
 
     def _finish(self, op: "_Operation", ok: bool) -> None:
         """Stop charging this thread, release the operation's claims, count
@@ -281,7 +300,8 @@ class Engine:
             totals.count += 1
             totals.method_ns += op.method_ns
             sums = totals.tier_deltas
-            for key, raw in charges.items():
+            for counters, raw in charges.items():
+                key = counters.key
                 sums[key] = tuple(map(operator.add, sums.get(key, _ZERO), raw))
 
     @property
@@ -334,11 +354,17 @@ class Engine:
             raise NotFoundError(f"unknown object {oid.hex()}") from None
 
     def _payload_view(self, meta: _ObjectMeta, oid: ObjectId) -> BlockPayload:
-        if meta.variant is None or meta.shape is None:
+        """The object's payload over its region, built on the first read; every
+        read is charged through the tier's ``read_view``."""
+        view = meta.view
+        if view is None and (meta.variant is None or meta.shape is None):
             raise InvalidRequestError(
                 f"object {oid.hex()} was recovered without schema; only raw reads apply"
             )
-        return meta.reader(self.tier(meta.tier).read_view(oid))
+        region = self._tiers[meta.tier].read_view(oid)
+        if view is None:
+            view = meta.view = meta.reader(region)
+        return view
 
     def get_object(self, oid: ObjectId, read: Callable[[BlockPayload], object] | None = None):
         """The object's payload as a copy the caller owns; or, with ``read``,
@@ -407,13 +433,15 @@ class Engine:
                 raise ShapeMismatchError(
                     f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
                 )
-            if routine.mutates and any(isinstance(a, ByRef) and a.object_id == oid for a in args):
+            refs = [a.object_id for a in args if type(a) is ByRef]
+            if routine.mutates and oid in refs:
                 raise InvalidRequestError(
                     "argument aliases the mutation target; pass distinct objects"
                 )
             # per argument: the referenced object's meta, or None for a value
-            arg_metas = [self._meta(a.object_id) if isinstance(a, ByRef) else None for a in args]
-            claims = [(meta, routine.mutates)] + [(m, False) for m in arg_metas if m is not None]
+            arg_metas = [self._meta(a.object_id) if type(a) is ByRef else None for a in args]
+            claims = [(meta, routine.mutates)]
+            claims += [(m, False) for m in arg_metas if m is not None]
             self._claim(claims)
 
         with _Operation(self, "invoke", claims) as op:
@@ -421,13 +449,16 @@ class Engine:
             resolved: list[BlockPayload] = []
             for arg, arg_meta, schema in zip(args, arg_metas, desc.arg_schema):
                 if arg_meta is None:
-                    self._check_schema(arg.payload, schema, method_name)
-                    resolved.append(_by_value(arg.payload))
+                    payload = _by_value(arg.payload)
                 else:
-                    view = self._payload_view(arg_meta, arg.object_id)
-                    self._check_schema(view, schema, method_name)
-                    resolved.append(view)
+                    payload = self._payload_view(arg_meta, arg.object_id)
                     op.reads.append(arg_meta)
+                if schema and schema != payload.semantic:
+                    raise ShapeMismatchError(
+                        f"method {method_name!r} expects {schema!r} argument, "
+                        f"got {payload.semantic!r}"
+                    )
+                resolved.append(payload)
             if not routine.mutates:
                 op.reads.append(meta)
 
@@ -446,13 +477,6 @@ class Engine:
                 schema = Schema(meta.variant, meta.shape)
                 return self._new_object(meta.class_name, schema, placement.tier, fill)
             return self._place_result(run(), meta, placement)
-
-    @staticmethod
-    def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:
-        if schema and schema != payload.semantic:
-            raise ShapeMismatchError(
-                f"method {method_name!r} expects {schema!r} argument, got {payload.semantic!r}"
-            )
 
     def _place_result(self, result: Optional[BlockPayload], meta: _ObjectMeta, placement):
         """Return ``result`` by value, or copy it into a new object; :meth:`invoke`
@@ -485,7 +509,11 @@ class Engine:
             return self._meta(oid).tier
 
     def close(self) -> None:
-        """Close every tier, even when one fails; then re-raise the first error."""
+        """Drop the payload views, then close every tier, even when one fails;
+        then re-raise the first error."""
+        with self._lock:
+            for meta in self._objects.values():
+                meta.view = None
         first: BaseException | None = None
         for handle in self._tiers.values():
             try:

@@ -80,12 +80,13 @@ def open_charges() -> None:
     _charges.set({})
 
 
-def close_charges() -> dict[tuple[TierKind, str], list[int]]:
+def close_charges() -> dict["_MediumCounters", list[int]]:
     """Stop charging this thread; the traffic charged since
-    :func:`open_charges`, as raw counters per (TierKind, medium)."""
+    :func:`open_charges`, as raw counts per medium's counters, whose ``key``
+    is (TierKind, medium)."""
     acc = _charges.get()
     _charges.set(None)
-    return {counters.key: raw for counters, raw in (acc or {}).items()}
+    return acc or {}
 
 
 def copy_of(data: bytes):
@@ -162,6 +163,7 @@ class _Arena:
             self._open_existing(capacity)
         else:
             self._create(capacity)
+        self._whole = memoryview(self.mm)  # what views are sliced from
 
     def _create(self, capacity: int) -> None:
         self.capacity = capacity
@@ -237,7 +239,7 @@ class _Arena:
 
     def view(self, offset: int, length: int) -> memoryview:
         base = _DATA_START + offset
-        return memoryview(self.mm)[base : base + length]
+        return self._whole[base : base + length]
 
     def flush(self, entries: dict[ObjectId, tuple[int, int]]) -> None:
         if self._fd is not None:
@@ -251,6 +253,7 @@ class _Arena:
         is released; for a file, the BufferError is raised once it is closed."""
         try:
             self.flush(entries)
+            self._whole.release()
             self.mm.close()
         except BufferError:
             self.mm = None

@@ -590,28 +590,24 @@ class ServerCore:
     global to the endpoint, matching what one process would observe.
     """
 
-    # msg type -> engine call on the request's values, handing the reply's
-    # one value (if its row has one) to ``reply``; a GET hands ``reply`` to
-    # the engine, which calls it on a view of the object under its claim, and
-    # a MAKE_PERSISTENT (whose payload decodes as its schema and the data
-    # bytes in hand) a fill that copies those bytes into the object's region
-    # and receives the ``rest`` of the frame after them
+    # msg type -> engine call on the request's values, returning the reply's
+    # one value (None if its row has none); a MAKE_PERSISTENT, whose payload
+    # decodes as its schema and the data bytes in hand, gives the engine a
+    # fill that copies those bytes into the object's region and receives the
+    # ``rest`` of the frame after them. A GET is not here: the engine hands a
+    # view of the object to a function that replies under the object's claim.
     _HANDLERS = {
-        MSG_REGISTER_CLASS: lambda core, reply, desc: reply(core.engine.register_class(desc)),
-        MSG_REGISTER_METHOD: lambda core, reply, desc: reply(core.engine.register_method(desc)),
-        MSG_MAKE_PERSISTENT: lambda core, reply, cls, tier, upload, *, rest: reply(
-            core.engine.make_persistent(cls, upload[0], tier, rest.fill(upload[1]))
+        MSG_REGISTER_CLASS: lambda core, rest, desc: core.engine.register_class(desc),
+        MSG_REGISTER_METHOD: lambda core, rest, desc: core.engine.register_method(desc),
+        MSG_MAKE_PERSISTENT: lambda core, rest, cls, tier, upload: core.engine.make_persistent(
+            cls, upload[0], tier, rest.fill(upload[1])
         ),
-        MSG_GET: lambda core, reply, oid: core.engine.get_object(oid, reply),
-        MSG_INVOKE: lambda core, reply, oid, name, place, args: reply(
-            core.engine.invoke(oid, name, args, place)
+        MSG_INVOKE: lambda core, rest, oid, name, place, args: core.engine.invoke(
+            oid, name, args, place
         ),
-        MSG_DELETE: lambda core, reply, oid: reply(core.engine.delete_object(oid)),
-        MSG_STATS: lambda core, reply: reply(ServerStats(
-            core.wire_counters(),
-            {kind: handle.media_counters() for kind, handle in core.engine.tiers.items()},
-        )),
-        MSG_FLUSH: lambda core, reply, tier: reply(core.engine.flush(tier)),
+        MSG_DELETE: lambda core, rest, oid: core.engine.delete_object(oid),
+        MSG_STATS: lambda core, rest: core._stats(),
+        MSG_FLUSH: lambda core, rest, tier: core.engine.flush(tier),
     }
 
     def __init__(self, engine: Engine):
@@ -622,6 +618,16 @@ class ServerCore:
     def wire_counters(self) -> WireCounters:
         with self._lock:
             return self._counters.snapshot()
+
+    def _stats(self) -> ServerStats:
+        """The reply to a STATS request, counted in it as if it were counted
+        on arrival: a request is counted only with its reply, and a STATS
+        request, which has no body, is its head alone."""
+        wire = self.wire_counters()
+        wire.bytes_received += _HEAD.size
+        wire.count(MSG_STATS)
+        tiers = {kind: handle.media_counters() for kind, handle in self.engine.tiers.items()}
+        return ServerStats(wire, tiers)
 
     def handle_frame_bytes(self, data, send=None, recv=None):
         """The reply frame to the request frame ``data``, as bytes.
@@ -640,60 +646,54 @@ class ServerCore:
         the socket. A request that fails before that reads the rest and drops
         it, then replies with its error as for a whole frame; one whose
         receive fails (the peer closed or stalled, see ``TcpServer``) raises,
-        since the stream cannot be read on, and the region is given back. A
-        frame is counted once all its bytes have arrived."""
+        since the stream cannot be read on, and the region is given back.
+
+        A request is counted together with its reply, in one step, so a
+        frame is counted only once all its bytes have arrived; its type is
+        counted if its head is valid and names a request."""
         missing = _LEN.size + _LEN.unpack_from(data)[0] - len(data) if recv else 0
-        if not missing:
-            self._count(len(data))
-        return self._dispatch(data, send, _Rest(recv, missing) if missing else _NOTHING_MORE)
-
-    def _count(self, nbytes: int, msg_type: int | None = None) -> None:
-        with self._lock:
-            self._counters.bytes_received += nbytes
-            if msg_type is not None:
-                self._counters.count(msg_type)
-
-    def _dispatch(self, data, send, rest: "_Rest"):
+        rest = _Rest(recv, missing) if missing else _NOTHING_MORE
+        size = len(data) + missing
+        request_type = None
         request_id = 0
         try:
-            size = len(data) + rest.missing
             msg_type, request_id, end = _frame_head(data, 0, size)
             if end != size:
                 raise FrameError(f"frame length {end - 4} disagrees with {size - 4} bytes")
             if msg_type not in REQUEST_TYPES:
                 raise UnknownMsgTypeError(f"unknown msg_type {msg_type}")
-            if rest.missing:
-                rest.arrived = functools.partial(self._count, size, msg_type)
-            else:
-                self._count(0, msg_type)
-            _, request, reply_layout = MESSAGES[msg_type]
-
-            def reply(result):
-                body = encode_body(reply_layout, (result,)[: len(reply_layout.fields)])
-                return self._frame(Frame(msg_type | REPLY_BIT, request_id, body), send)
-
+            request_type = msg_type
+            _, request, layout = MESSAGES[msg_type]
             values = decode_body(request, memoryview(data)[13:], size - 13)
-            handler = self._HANDLERS[msg_type]
-            if msg_type == MSG_MAKE_PERSISTENT:
-                handler = functools.partial(handler, rest=rest)
-            return handler(self, reply, *values)
+            if msg_type == MSG_GET:
+                return self.engine.get_object(*values, lambda view: self._reply(
+                    size, msg_type, msg_type, request_id, encode_body(layout, (view,)), send
+                ))
+            result = self._HANDLERS[msg_type](self, rest, *values)
+            body = encode_body(layout, (result,)[: len(layout.fields)])
+            return self._reply(size, msg_type, msg_type, request_id, body, send)
         except Exception as exc:  # engine bugs must not kill the connection
             if rest.broken:
                 raise
             rest.drain()
             err = exc if isinstance(exc, StoreError) else StoreError(f"internal: {exc}")
-            return self._error_reply(request_id, err, send)
+            body = encode_body(MESSAGES[MSG_ERROR].reply, (err.code, str(err)))
+            return self._reply(size, request_type, MSG_ERROR, request_id, body, send)
 
-    def _error_reply(self, request_id: int, exc: StoreError, send):
-        body = encode_body(MESSAGES[MSG_ERROR].reply, (exc.code, str(exc)))
-        return self._frame(Frame(MSG_ERROR | REPLY_BIT, request_id, body), send)
-
-    def _frame(self, frame: Frame, send):
-        """Count the reply frame as sent and return it, or what ``send`` left
-        of it; a handler replies last, so nothing fails after this."""
-        parts = encode_frame(frame)
+    def _reply(self, received: int, request_type, reply_type: int, request_id: int, body, send):
+        """Frame ``body`` as a reply of ``reply_type`` to a request of
+        ``received`` bytes and of ``request_type`` (None if that is not
+        known); count the request and the reply in one step, and return the
+        reply or what ``send`` left of it. A handler replies last, so nothing
+        fails after this."""
+        parts = encode_frame(Frame(reply_type | REPLY_BIT, request_id, body))
+        sent = sum(map(len, parts))
         with self._lock:
-            self._counters.bytes_sent += sum(map(len, parts))
+            counters = self._counters
+            counters.bytes_received += received
+            counters.bytes_sent += sent
+            if request_type is not None:
+                counters.count(request_type)
         if len(parts) == 1:
             return parts[0]
         return b"".join(parts) if send is None else send(parts)
@@ -701,15 +701,14 @@ class ServerCore:
 
 class _Rest:
     """The bytes of a request frame that follow the part the server has in
-    hand: ``missing`` of them, which ``recv(view)`` receives in order, after
-    which ``arrived()`` runs. ``broken`` is set while a receive is under way,
-    and stays set if it fails: the stream cannot then be read on."""
+    hand: ``missing`` of them, which ``recv(view)`` receives in order.
+    ``broken`` is set while a receive is under way, and stays set if it
+    fails: the stream cannot then be read on."""
 
-    __slots__ = ("_recv", "missing", "arrived", "broken")
+    __slots__ = ("_recv", "missing", "broken")
 
     def __init__(self, recv, missing: int):
         self._recv, self.missing = recv, missing
-        self.arrived = None
         self.broken = False
 
     def _into(self, view: memoryview) -> None:
@@ -717,8 +716,6 @@ class _Rest:
         self._recv(view)
         self.broken = False
         self.missing -= len(view)
-        if not self.missing:
-            self.arrived()
 
     def fill(self, section: memoryview):
         """A fill for :meth:`TierHandle.place` that copies ``section``, the

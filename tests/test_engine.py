@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aostore import engine as engine_module
-from aostore.engine import ByRef, ByValue, Engine, ResultPlacement
+from aostore.engine import ByRef, ByValue, Engine, ResultPlacement, Routine, RoutineCatalog
 from aostore.errors import (
     CapacityError,
     DuplicateError,
@@ -18,8 +18,9 @@ from aostore.errors import (
     ShapeMismatchError,
     UnknownNameError,
 )
-from aostore.kernels import MATRIX_CLASS, POINTS_CLASS, build_catalog
+from aostore.kernels import MATRIX_CLASS, POINTS_CLASS, build_catalog, fma_values
 from aostore.model import (
+    Centroids,
     ClassDescriptor,
     FloatArray,
     MethodDescriptor,
@@ -670,4 +671,140 @@ class TestClose:
         assert mm.media_counters()[MEDIA_NVM].write_ops == write_backs + 1
         assert mm.cache_used_bytes == 0
         view.release()
+        engine.close()
+
+
+def _describe(target, args):
+    """A routine reporting what it was handed: the variant tag, the shape
+    and the values of its target."""
+    return FloatArray([target.tag, *target.values.shape, *target.values.ravel()])
+
+
+class TestPayloadViews:
+    """An object's payload view is built on its first read and reused while
+    the object lives; every read is still charged through the tier."""
+
+    @pytest.mark.parametrize("kind", list(TierKind))
+    def test_reused_region_shows_the_new_object(self, arena_dir, kind):
+        base = build_catalog()
+        catalog = RoutineCatalog([*map(base.get, base.keys()), Routine("describe", _describe)])
+        engine = Engine(make_tiers(arena_dir), catalog, id_factory=ObjectIdFactory(5))
+        _register_matrix(engine)
+        engine.register_class(BLOCK)
+        engine.register_method(MethodDescriptor("Block", "describe", "describe", (), "f64_array"))
+        old_values = np.arange(64.0).reshape(8, 8)
+        old = persist(engine, MATRIX_CLASS, Submatrix(old_values), kind)
+        other = persist(engine, MATRIX_CLASS, Submatrix(np.ones((8, 8))), kind)
+        # both views are built and in use before the old object goes
+        assert engine.get_object(old) == Submatrix(old_values)
+        engine.invoke(other, "add", [ByRef(old)])
+        where = engine.get_object(old, lambda view: view.values.ctypes.data)
+        engine.delete_object(old)
+
+        new_values = np.arange(64.0) + 100.0
+        new = persist(engine, "Block", FloatArray(new_values), kind)
+        assert engine.get_object(new, lambda view: view.values.ctypes.data) == where
+        got = engine.get_object(new)
+        assert type(got) is FloatArray and got == FloatArray(new_values)
+        described = engine.invoke(new, "describe").values
+        assert described.tolist() == [FloatArray.tag, 64, *new_values]
+        # as an argument it has the new schema: a submatrix is expected
+        with pytest.raises(ShapeMismatchError, match="f64_array"):
+            engine.invoke(other, "add", [ByRef(new)])
+        engine.close()
+
+    @pytest.mark.parametrize("kind", list(TierKind))
+    def test_in_place_updates_show_through_get_and_by_ref_reads(self, engine, kind):
+        _register_matrix(engine)
+        rng = np.random.default_rng(4)
+        a_v, b_v, c_v = rng.random((3, 6, 6))
+        acc = persist(engine, MATRIX_CLASS, Submatrix(c_v), kind)
+        a = persist(engine, MATRIX_CLASS, Submatrix(a_v), kind)
+        b = persist(engine, MATRIX_CLASS, Submatrix(b_v), kind)
+        ones = persist(engine, MATRIX_CLASS, Submatrix(np.ones((6, 6))), kind)
+        expected = c_v
+        for _ in range(4):
+            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            expected = fma_values(expected, a_v, b_v)
+            assert np.array_equal(engine.get_object(acc).values, expected)
+            by_ref = engine.invoke(ones, "add", [ByRef(acc)])
+            assert np.array_equal(by_ref.values, expected + 1.0)
+
+    def test_close_after_serving_every_tier(self, arena_dir):
+        engine = fresh_engine(arena_dir)
+        _register_matrix(engine)
+        rng = np.random.default_rng(6)
+        kept = {}
+        for kind in TierKind:
+            acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v), kind)
+                         for v in rng.random((3, 4, 4)))
+            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            engine.invoke(a, "add", [ByRef(b)])
+            engine.get_object(acc)
+            engine.get_object(b, lambda view: view.values.sum())
+            kept[kind] = {oid: engine.get_object(oid) for oid in (acc, a, b)}
+        engine.close()  # no view is left to pin a mapping
+
+        nvm = open_tier(
+            TierKind.NVM_DIRECT,
+            ArenaConfig(path=arena_dir / "nvm.arena", capacity_bytes=1 << 26),
+        )
+        assert sorted(nvm.ids()) == sorted(kept[TierKind.NVM_DIRECT])
+        for oid, payload in kept[TierKind.NVM_DIRECT].items():
+            assert bytes(nvm.read_view(oid)) == bytes(payload.data_view())
+        nvm.close()
+
+
+class TestRepeatedReadCharges:
+    """A reused view changes no charge: each read still goes through the
+    tier's ``read_view``."""
+
+    def test_each_in_place_fma_charges_three_reads_and_one_write(self, engine):
+        _register_matrix(engine)
+        rng = np.random.default_rng(8)
+        acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v), TierKind.NVM_DIRECT)
+                     for v in rng.random((3, 96, 96)))
+        size = 96 * 96 * 8
+        assert size == 73_728
+        for _ in range(3):
+            before = engine.op_totals()["invoke"]
+            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            delta = engine.op_totals()["invoke"].since(before)
+            assert delta.count == 1
+            assert delta.tier_deltas == {
+                (TierKind.NVM_DIRECT, MEDIA_NVM): (3 * size, size, 0, 0, 3, 1)
+            }
+
+    def test_memory_mode_accumulate_charges_every_hit_and_miss(self, arena_dir):
+        acc_v, cents_v = np.zeros((2, 4)), np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        blocks_v = np.random.default_rng(9).random((2, 5, 3))
+        # the cache holds the accumulator, the centroids and one block
+        acc_n, cents_n, block_n = acc_v.nbytes, cents_v.nbytes, blocks_v[0].nbytes
+        engine = fresh_engine(arena_dir, cache=acc_n + cents_n + block_n)
+        _register_matrix(engine)
+        mm = TierKind.MEMORY_MODE
+        acc = persist(engine, POINTS_CLASS, PointsBlock(acc_v), mm)
+        cents = persist(engine, POINTS_CLASS, Centroids(cents_v), mm)
+        blocks = [persist(engine, POINTS_CLASS, PointsBlock(v), mm) for v in blocks_v]
+        engine.flush(mm)
+        deltas = []
+        for i in range(5):
+            before = engine.op_totals()["invoke"]
+            engine.invoke(acc, "accumulate", [ByRef(blocks[i % 2]), ByRef(cents)])
+            deltas.append(engine.op_totals()["invoke"].since(before).tier_deltas)
+        # bytes read, bytes written, hits, misses, read ops, write ops
+        dram, nvm = (mm, MEDIA_DRAM), (mm, MEDIA_NVM)
+        reads = acc_n + block_n + cents_n
+        # the target, block and centroids are read, then the target written
+        # back in place; the first call misses all three reads, the rest
+        # miss only the block, which evicts the other, clean, block
+        assert deltas[0] == {
+            dram: (reads, reads + acc_n, 1, 3, 3, 4),
+            nvm: (reads, 0, 0, 0, 3, 0),
+        }
+        for later in deltas[1:]:
+            assert later == {
+                dram: (reads, block_n + acc_n, 3, 1, 3, 2),
+                nvm: (block_n, 0, 0, 0, 1, 0),
+            }
         engine.close()
