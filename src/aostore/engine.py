@@ -433,15 +433,13 @@ class Engine:
                 raise ShapeMismatchError(
                     f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
                 )
-            refs = [a.object_id for a in args if type(a) is ByRef]
-            if routine.mutates and oid in refs:
+            if routine.mutates and any(isinstance(a, ByRef) and a.object_id == oid for a in args):
                 raise InvalidRequestError(
                     "argument aliases the mutation target; pass distinct objects"
                 )
             # per argument: the referenced object's meta, or None for a value
-            arg_metas = [self._meta(a.object_id) if type(a) is ByRef else None for a in args]
-            claims = [(meta, routine.mutates)]
-            claims += [(m, False) for m in arg_metas if m is not None]
+            arg_metas = [self._meta(a.object_id) if isinstance(a, ByRef) else None for a in args]
+            claims = [(meta, routine.mutates)] + [(m, False) for m in arg_metas if m is not None]
             self._claim(claims)
 
         with _Operation(self, "invoke", claims) as op:
@@ -449,16 +447,13 @@ class Engine:
             resolved: list[BlockPayload] = []
             for arg, arg_meta, schema in zip(args, arg_metas, desc.arg_schema):
                 if arg_meta is None:
-                    payload = _by_value(arg.payload)
+                    self._check_schema(arg.payload, schema, method_name)
+                    resolved.append(_by_value(arg.payload))
                 else:
-                    payload = self._payload_view(arg_meta, arg.object_id)
+                    view = self._payload_view(arg_meta, arg.object_id)
+                    self._check_schema(view, schema, method_name)
+                    resolved.append(view)
                     op.reads.append(arg_meta)
-                if schema and schema != payload.semantic:
-                    raise ShapeMismatchError(
-                        f"method {method_name!r} expects {schema!r} argument, "
-                        f"got {payload.semantic!r}"
-                    )
-                resolved.append(payload)
             if not routine.mutates:
                 op.reads.append(meta)
 
@@ -477,6 +472,13 @@ class Engine:
                 schema = Schema(meta.variant, meta.shape)
                 return self._new_object(meta.class_name, schema, placement.tier, fill)
             return self._place_result(run(), meta, placement)
+
+    @staticmethod
+    def _check_schema(payload: BlockPayload, schema: str, method_name: str) -> None:
+        if schema and schema != payload.semantic:
+            raise ShapeMismatchError(
+                f"method {method_name!r} expects {schema!r} argument, got {payload.semantic!r}"
+            )
 
     def _place_result(self, result: Optional[BlockPayload], meta: _ObjectMeta, placement):
         """Return ``result`` by value, or copy it into a new object; :meth:`invoke`
