@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import astuple
 
@@ -583,6 +584,34 @@ class TestConcurrency:
         assert summed == list(astuple(counters))
         assert invokes.tier_deltas[(TierKind.DRAM, "dram")][4] == 1600  # read ops
 
+    def test_a_blocked_claim_wakes_when_the_conflicting_claim_goes(self, engine):
+        _register_matrix(engine)
+        acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
+                     for _ in range(3))
+        reading, done_reading = threading.Event(), threading.Event()
+
+        def read(view):  # holds the shared claim on acc until told to return
+            reading.set()
+            assert done_reading.wait(30)
+
+        getter = threading.Thread(target=engine.get_object, args=(acc, read), daemon=True)
+        writer = threading.Thread(
+            target=engine.invoke, args=(acc, "fma", [ByRef(a), ByRef(b)]), daemon=True
+        )
+        getter.start()
+        assert reading.wait(30)
+        writer.start()
+        deadline = time.monotonic() + 30
+        while engine._waiting != 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert engine._waiting == 1 and writer.is_alive()  # blocked on acc
+        done_reading.set()
+        for t in (getter, writer):
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not getter.is_alive() and not writer.is_alive()
+        assert engine._waiting == 0
+        assert np.array_equal(engine.get_object(acc).values, 2 * np.eye(2))
+
     def test_crossed_mutations_both_finish(self, engine):
         # each thread mutates the object the other one reads: with per-object
         # locks taken in the wrong order this pair could deadlock
@@ -753,6 +782,43 @@ class TestPayloadViews:
         for oid, payload in kept[TierKind.NVM_DIRECT].items():
             assert bytes(nvm.read_view(oid)) == bytes(payload.data_view())
         nvm.close()
+
+    def test_views_shared_by_concurrent_readers_and_writers(self, engine):
+        _register_matrix(engine)
+        k, kind = 8, TierKind.NVM_DIRECT
+        acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((k, k))), kind)
+        a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(k)), kind)
+        b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((k, k))), kind)
+        ones = persist(engine, MATRIX_CLASS, Submatrix(np.ones((k, k))), kind)
+        torn = []
+
+        def writer():
+            for _ in range(50):
+                engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+
+        def reader():
+            for _ in range(50):
+                # every FMA adds 1 to each element, so a whole update is uniform
+                seen = engine.get_object(acc).values
+                by_ref = engine.invoke(ones, "add", [ByRef(acc)]).values
+                torn.extend(v for v in (seen, by_ref - 1.0) if np.ptp(v) != 0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f, daemon=True) for f in [writer, reader] * 4]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert torn == []
+        assert np.array_equal(engine.get_object(acc).values, np.full((k, k), 200.0))
+        counts = engine.read_counts()
+        assert (counts[a], counts[b], counts[acc]) == (200, 200, 4 * 50 * 2 + 1)
 
 
 class TestRepeatedReadCharges:
