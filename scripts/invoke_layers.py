@@ -31,7 +31,7 @@ from aostore.client import Session
 from aostore.engine import ByRef, Engine, ResultPlacement, Routine, RoutineCatalog
 from aostore.kernels import MATRIX_CLASS, build_catalog, fma_values
 from aostore.kernels import kernel_classes, kernel_methods
-from aostore.model import MethodDescriptor, SEM_NONE, SEM_SUBMATRIX, Submatrix
+from aostore.model import MethodDescriptor, ObjectId, SEM_NONE, SEM_SUBMATRIX, Submatrix
 from aostore.tiers import ArenaConfig, TierKind, copy_of, open_tier
 from aostore.wire import MESSAGES, MSG_INVOKE, Frame, ServerCore, TcpServer
 from aostore.wire import encode_body, encode_frame
@@ -56,7 +56,7 @@ def noop(target, args):
     return target.values
 
 
-def persist(engine: Engine, class_name: str, payload) -> bytes:
+def persist(engine: Engine, class_name: str, payload) -> ObjectId:
     tier = TierKind.NVM_DIRECT
     return engine.make_persistent(class_name, payload.schema(), tier, copy_of(payload.data_view()))
 
