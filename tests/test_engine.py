@@ -602,10 +602,12 @@ class TestConcurrency:
         assert reading.wait(30)
         writer.start()
         deadline = time.monotonic() + 30
-        while engine._waiting != 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert engine._waiting == 1 and writer.is_alive()  # blocked on acc
-        done_reading.set()
+        try:
+            while engine._waiting != 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert engine._waiting == 1 and writer.is_alive()  # blocked on acc
+        finally:
+            done_reading.set()
         for t in (getter, writer):
             t.join(timeout=max(0.0, deadline - time.monotonic()))
         assert not getter.is_alive() and not writer.is_alive()
