@@ -21,12 +21,13 @@ Over TCP the data section of a large frame, one of at least
 for the data bytes that come in with its header, and a reply's when the
 socket takes it whole. A client sends a frame with ``sendmsg`` over a few
 parts: the head and the small fields joined, each large payload's data
-section a view of its array. Each server connection receives requests with
-``recv_into`` into one reused buffer, grown only as a frame's bytes arrive,
-but for the data section of a large persist. A client receives a small reply
-into its reused buffer and a large one into fresh memory placed so that the
-frame ends on a 64-byte boundary. A large frame ends with its payload, whose
-data section is a multiple of 8 bytes, so that section starts aligned
+section a view of its array. Each end receives with ``recv_into``: a small
+frame into one reused buffer of ``GATHER_LIMIT`` bytes, and a large one into
+fresh memory, placed so that the frame ends on a 64-byte boundary, whose
+pages are committed only as the frame's bytes arrive. Only a large persist
+is received otherwise: its prefix into the reused buffer, its data section
+into the tier region. A reply ends with its payload, whose data section is
+a multiple of 8 bytes, so that section of a large reply starts aligned
 (64-byte aligned when its length is a multiple of 64) and is decoded as a
 view. The copies left, per operation:
 
@@ -35,18 +36,20 @@ view. The copies left, per operation:
   header, with what else came in the same reads, at most ``GATHER_LIMIT``
   bytes. The engine then reserves the object's region, the data bytes that
   came with the prefix are copied in, and the rest are received from the
-  socket straight into the region. A small frame is received whole, and the
-  tier region filled from the buffer.
+  socket straight into the region. A small frame is received whole, as is a
+  large one whose payload header does not fit that prefix, and the tier
+  region filled from the frame.
 - get: while ``Engine.get_object`` holds the shared claim, the server sends
   the reply with one non-blocking ``sendmsg`` whose data part is the tier
   region itself. Only what the socket did not take is copied, into the
   connection's reused send buffer, and sent once the claim is released. The
   client decodes the payload as a view of the memory it received the frame
   into (no copy).
-- invoke by value: the argument is received whole into the reused buffer,
-  and the routine sees it as a read-only view of that buffer, copied first
-  only if it is unaligned. A by-value result is sent from the routine's
-  array as a get's reply is from the tier region, and received as a get's.
+- invoke by value: the argument is received whole, into the reused buffer
+  or, in a large frame, into fresh memory, and the routine sees it as a
+  read-only view of that memory, copied first only if it is unaligned. A
+  by-value result is sent from the routine's array as a get's reply is from
+  the tier region, and received as a get's.
 
 A reply below ``GATHER_LIMIT`` is one joined bytes object, sent with
 ``sendall`` after the handler returns; the client copies a payload out of it.
@@ -55,21 +58,23 @@ A peer that stalls part way through a large persist's data section holds
 its connection's thread and the object's reserved region, which is not yet
 written: a sparse range of the arena file, or untouched pages of the DRAM
 tier's NORESERVE mapping, so memory grows only by the bytes that have
-arrived. It holds them until a receive makes no progress for
-``SOCKET_TIMEOUT_S``, the peer closes, or ``TcpServer.stop`` shuts the
-connection: the receive then fails, the region is given back, no object is
-made, and the connection closes. The timeout bounds every receive of a frame
+arrived, as it does for a peer that stalls in any other large frame. It
+holds them until a receive makes no progress for ``SOCKET_TIMEOUT_S``, the
+peer closes, or ``TcpServer.stop`` shuts the connection: the receive then
+fails, the region is given back, no object is made, and the connection
+closes. The timeout bounds every receive of a frame
 that has begun to arrive, and only those: a connection may idle between
 requests. A request that fails before its data section is received reads
 that section and drops it, under the same timeout, and the connection goes
 on.
 
 Ownership: a value returned to a client caller owns its memory. A value the
-server decodes from a request may alias the receive buffer, which the next
-request overwrites; it is used only until its reply is sent, and a persist's
-data section is copied or received into the tier region. The loopback
-transport joins each request's parts into one bytes object, and each reply's
-parts too, the latter under the claim.
+server decodes from a request may alias the memory the frame was received
+into, the reused buffer that the next request overwrites or a large frame's
+own array; it is used only until its reply is sent, and a persist's data
+section is copied or received into the tier region. The loopback transport
+joins each request's parts into one bytes object, and each reply's parts
+too, the latter under the claim.
 """
 
 from __future__ import annotations
@@ -126,9 +131,6 @@ GATHER_LIMIT = 1 << 14
 # and seconds a server connection's blocking send, or its receive of a frame
 # whose first bytes have arrived, may go without progress
 SOCKET_TIMEOUT_S = 30.0
-# a receive buffer grows by at most this much, or by what the frame has
-# already delivered if that is more, ahead of the bytes that have arrived
-RECV_STEP = 1 << 20
 
 
 class Frame(NamedTuple):
@@ -138,11 +140,12 @@ class Frame(NamedTuple):
 
 
 class FrameBuffer:
-    """A reusable byte buffer that frames are received into or written into.
+    """A reusable byte buffer: a connection's receive buffer, of
+    ``GATHER_LIMIT`` bytes (see ``_recv_frame``), or a server's send buffer.
 
-    It grows to the largest frame asked of it and never shrinks until
-    ``release``. Growing replaces the array rather than resizing it, so a view
-    handed out earlier stays valid, over the old bytes."""
+    It grows to the largest size asked of it and never shrinks until
+    ``release``. Growing replaces the array, bytes dropped, so a view handed
+    out earlier stays valid, over the old bytes."""
 
     __slots__ = ("_whole",)
 
@@ -153,13 +156,10 @@ class FrameBuffer:
     def capacity(self) -> int:
         return len(self._whole)
 
-    def view(self, size: int, keep: int = 0) -> memoryview:
-        """A writable view of the first ``size`` bytes; when the buffer grows,
-        the first ``keep`` bytes move over to the new array."""
+    def view(self, size: int) -> memoryview:
+        """A writable view of the first ``size`` bytes."""
         if size > len(self._whole):
-            whole = memoryview(bytearray(size))
-            whole[:keep] = self._whole[:keep]
-            self._whole = whole
+            self._whole = memoryview(bytearray(size))
         return self._whole[:size]
 
     def release(self) -> None:
@@ -732,7 +732,7 @@ class _Rest:
 
     def drain(self) -> None:
         """Receive what is missing and drop it, so the next frame can be read."""
-        scratch = memoryview(bytearray(min(self.missing, RECV_STEP)))
+        scratch = memoryview(bytearray(min(self.missing, GATHER_LIMIT)))
         while self.missing:
             self._into(scratch[: self.missing])
 
@@ -813,24 +813,26 @@ class TcpConnection(Connection):
 
 
 def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) -> memoryview:
-    """One frame, received into ``buf`` and returned as a view of it;
+    """One frame, returned as a view of the memory it was received into;
     FrameError when the peer closes first or claims an oversize frame (before
-    ``buf`` grows), after which the stream cannot be resynchronized.
+    any memory is set aside for it), after which the stream cannot be
+    resynchronized.
 
-    A frame larger than ``buf`` grows it in steps as its bytes arrive (see
-    ``RECV_STEP``), so a peer that announces a large frame and stalls makes
-    the buffer no larger than twice what it has sent plus ``RECV_STEP``.
-
-    A MAKE_PERSISTENT frame of at least ``GATHER_LIMIT`` bytes is received
-    only up to the end of its payload's header, and with it whatever else the
-    same reads bring, up to ``GATHER_LIMIT`` bytes in all (more only for a
-    class name that long). The rest stays on the socket, for
+    A frame below ``GATHER_LIMIT`` bytes is received whole into ``buf``. Of a
+    larger MAKE_PERSISTENT frame only a prefix is: up to the end of its
+    payload's header, and with it whatever else the same reads bring, up to
+    ``GATHER_LIMIT`` bytes in all. The rest stays on the socket, for
     ``ServerCore.handle_frame_bytes`` to receive into the object's region.
 
-    With ``own_large``, a frame of at least ``GATHER_LIMIT`` bytes is received
-    whole instead into fresh memory, an array that only the returned view
-    refers to, placed so that the frame ends on a 64-byte boundary."""
-    head = buf.view(_LEN.size)
+    Any other frame of at least ``GATHER_LIMIT`` bytes, a persist whose header
+    does not fit that prefix too, is received whole into fresh memory, an
+    array that only the returned view refers to, placed so that the frame
+    ends on a 64-byte boundary. Its pages are committed only as bytes arrive,
+    so a peer that announces a large frame and stalls costs memory only for
+    what it has sent. With ``own_large``, as a client receives replies, a
+    large frame goes there straight after its length field."""
+    prefix = buf.view(GATHER_LIMIT)
+    head = prefix[: _LEN.size]
     while True:
         try:
             got = sock.recv_into(head)
@@ -844,30 +846,24 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
     if length > MAX_FRAME:
         raise FrameError(f"oversize frame of {length} bytes")
     size, got = _LEN.size + length, _LEN.size
-    if own_large and size >= GATHER_LIMIT:
-        whole = memoryview(np.empty(size + 63, np.uint8))
-        # the buffer's address, read the cheapest way (numpy's interface dict costs more)
-        start = -(ctypes.addressof(ctypes.c_char.from_buffer(whole)) + size) % 64
-        frame = whole[start : start + size]
-        frame[:got] = head
+    if size < GATHER_LIMIT:
+        frame = prefix[:size]
         _recv_into(sock, frame[got:])
         return frame
-    if size >= GATHER_LIMIT:
-        need = _upload_header_end(head)
-        while got < need:
-            prefix = buf.view(max(need, GATHER_LIMIT), keep=got)
-            n = sock.recv_into(prefix[got:])
-            if not n:
-                raise FrameError(f"connection closed mid-frame: {size - got} bytes missing")
-            got += n
-            need = min(size, _upload_header_end(prefix[:got]))
-        if need:
-            return prefix[:got]
-    while size > buf.capacity:
-        step = buf.view(min(size, got + max(got, RECV_STEP)), keep=got)
-        _recv_into(sock, step[got:])
-        got = len(step)
-    frame = buf.view(size)
+    need = 0 if own_large else _upload_header_end(head)
+    while got < need <= GATHER_LIMIT:
+        n = sock.recv_into(prefix[got:])
+        if not n:
+            raise FrameError(f"connection closed mid-frame: {size - got} bytes missing")
+        got += n
+        need = _upload_header_end(prefix[:got])
+    if got >= need > 0:
+        return prefix[:got]
+    whole = memoryview(np.empty(size + 63, np.uint8))
+    # the buffer's address, read the cheapest way (numpy's interface dict costs more)
+    start = -(ctypes.addressof(ctypes.c_char.from_buffer(whole)) + size) % 64
+    frame = whole[start : start + size]
+    frame[:got] = prefix[:got]
     _recv_into(sock, frame[got:])
     return frame
 
@@ -989,8 +985,7 @@ class TcpServer:
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeout)
             while True:
-                frame = _recv_frame(conn, received)
-                unsent = self.core.handle_frame_bytes(frame, send, recv)
+                unsent = self.core.handle_frame_bytes(_recv_frame(conn, received), send, recv)
                 if unsent:
                     conn.sendall(unsent)
         except (OSError, FrameError):

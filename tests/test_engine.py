@@ -639,6 +639,49 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert engine.op_totals()["invoke"].count == before + 400
 
+    def test_a_crossed_claim_waits_holding_none_of_its_objects(self, arena_dir):
+        """x is mutated with y read, then y with x read: the second call waits
+        for the first, and while it waits y shows only the first call's shared
+        claim, since a blocked claim takes none of its objects. Once the
+        first call returns, both finish, in that order."""
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_add(target, args):  # target += args[0], once told to return
+            holding.set()
+            assert release.wait(30)
+            return target.values + args[0].values
+
+        base = build_catalog()
+        catalog = RoutineCatalog([*map(base.get, base.keys()), Routine("hold_add", hold_add, True)])
+        engine = Engine(make_tiers(arena_dir), catalog)
+        _register_matrix(engine)
+        engine.register_method(MethodDescriptor(MATRIX_CLASS, "hold_add", "hold_add", ("",),
+                                                mutates_target=True))
+        x, y = (persist(engine, MATRIX_CLASS, Submatrix(np.full((2, 2), v)), TierKind.DRAM)
+                for v in (1.0, 2.0))
+        first = threading.Thread(target=engine.invoke, args=(x, "hold_add", [ByRef(y)]),
+                                 daemon=True)
+        second = threading.Thread(target=engine.invoke, args=(y, "hold_add", [ByRef(x)]),
+                                  daemon=True)
+        first.start()
+        deadline = time.monotonic() + 30
+        try:
+            assert holding.wait(30)
+            second.start()
+            while engine._waiting != 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert engine._waiting == 1 and second.is_alive()
+            assert (engine._objects[x].held, engine._objects[y].held) == (-1, 1)
+        finally:
+            release.set()
+        for t in (first, second):
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not first.is_alive() and not second.is_alive()
+        assert engine._waiting == 0
+        assert np.array_equal(engine.get_object(x).values, np.full((2, 2), 3.0))
+        assert np.array_equal(engine.get_object(y).values, np.full((2, 2), 5.0))
+        engine.close()
+
 
 class TestRecovery:
     def test_recovered_objects_readable_at_byte_level(self, tmp_path):

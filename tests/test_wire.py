@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import os
 import socket
 import struct
 import threading
@@ -799,44 +800,74 @@ class TestPartialIO:
         assert len(sender.returns) > 1 and sum(sender.returns) == len(expected)
 
     def test_stalled_large_frame_grows_the_buffer_only_by_what_arrived(self):
-        a, b = socket.socketpair()
+        """A frame announced large is received into fresh memory whose pages
+        are committed only as its bytes arrive: while the receiver waits for
+        the rest, the process's resident memory has grown by no more than the
+        bytes sent and a margin of two transparent huge pages (one at each end
+        of the written range) and 1 MiB for the rest of the process."""
+        margin = (2 << 21) + (1 << 20)
+        for announced, sent in ((64 << 20, 3 << 20), (wire.MAX_FRAME, 8 << 20)):
+            a, b = socket.socketpair()
+            reader = _CountingSocket(b)
+            raw = struct.pack("<I", announced) + bytes(sent)
+            failed = []
 
-        def announce_and_stall():
-            a.sendall(struct.pack("<I", 64 << 20) + bytes(3 << 20))
+            def receive():
+                with pytest.raises(FrameError, match="closed mid-frame") as caught:
+                    wire._recv_frame(reader, FrameBuffer())
+                failed.append(caught.value)
+
+            before = _resident_bytes()
+            receiver = threading.Thread(target=receive)
+            receiver.start()
+            a.sendall(raw)
+            deadline = time.monotonic() + 30
+            while sum(reader.returns) < len(raw) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            grown = _resident_bytes() - before
             a.shutdown(socket.SHUT_WR)
-
-        sender = threading.Thread(target=announce_and_stall)
-        sender.start()
-        buf = FrameBuffer()
-        with pytest.raises(FrameError, match="closed mid-frame"):
-            wire._recv_frame(b, buf)
-        sender.join()
-        assert buf.capacity <= 2 * (4 + (3 << 20)) + wire.RECV_STEP
-        a.close()
-        b.close()
+            receiver.join(30)
+            a.close()
+            reader.close()
+            assert sum(reader.returns) == len(raw) and failed
+            assert grown <= sent + margin, (announced, grown)
 
     def test_frame_larger_than_a_step_is_read_whole(self):
-        raw = encode_frame(Frame(MSG_GET, 3, np.random.default_rng(0).bytes(5 * wire.RECV_STEP + 7)))
+        """A frame of a few MiB is received whole, byte for byte, into memory
+        of its own; the reused buffer stays at GATHER_LIMIT bytes."""
+        raw = encode_frame(Frame(MSG_GET, 3, np.random.default_rng(0).bytes((5 << 20) + 7)))
         a, b = socket.socketpair()
         sender = threading.Thread(target=a.sendall, args=(raw,))
         sender.start()
         buf = FrameBuffer()
-        got = bytes(wire._recv_frame(b, buf))
+        got = wire._recv_frame(b, buf)
         sender.join()
         a.close()
         b.close()
-        assert got == raw and buf.capacity == len(raw)
+        assert bytes(got) == raw and isinstance(got.obj, np.ndarray)
+        assert buf.capacity <= wire.GATHER_LIMIT
 
     def test_oversize_length_fails_before_the_buffer_grows(self, monkeypatch):
-        monkeypatch.setattr(wire, "MAX_FRAME", 1024)
-        a, b = socket.socketpair()
-        a.sendall(struct.pack("<I", 1025) + bytes(64))
-        buf = FrameBuffer()
-        with pytest.raises(FrameError, match="oversize"):
-            wire._recv_frame(b, buf)
-        assert buf.capacity == 4
-        a.close()
-        b.close()
+        """A length above MAX_FRAME, one that would be received into fresh
+        memory if it were allowed, fails before any array is made for it, on
+        a server's and on a client's receive."""
+        monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)
+        made, empty = [], np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kw: made.append(args) or empty(*args, **kw))
+        for own_large in (False, True):
+            a, b = socket.socketpair()
+            a.sendall(struct.pack("<I", (1 << 20) + 1) + bytes(64))
+            buf = FrameBuffer()
+            with pytest.raises(FrameError, match="oversize"):
+                wire._recv_frame(b, buf, own_large)
+            a.close()
+            b.close()
+            assert not made and buf.capacity <= wire.GATHER_LIMIT
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 @pytest.fixture
@@ -939,16 +970,20 @@ class TestBufferOwnership:
         for name in names:
             session.register_method(MethodDescriptor("Probe", name, "test.probe", ("", "")))
         block = Submatrix(np.ones((4, 4)))
+        small = ByValue(Centroids(np.ones((3, 5))))
+        large = ByValue(Centroids(np.ones((64, 33))))
+        assert large.payload.values.nbytes > wire.GATHER_LIMIT  # received into fresh memory
         for tier in TierKind:
             target = session.make_persistent("Probe", block, tier)
-            ref = session.make_persistent("Probe", block, tier)
+            ref = ByRef(session.make_persistent("Probe", block, tier))
             for name in names:
-                session.invoke(target, name, [ByRef(ref), ByValue(Centroids(np.ones((3, 5))))])
+                for args in ([ref, small], [ref, large], [large, ref]):
+                    session.invoke(target, name, args)
             assert session.get(target).values.flags.aligned
         session.close()
         server.stop()
         engine.close()
-        assert seen == [[True, True, True]] * len(names) * len(TierKind)
+        assert seen == [[True, True, True]] * 3 * len(names) * len(TierKind)
 
     @pytest.mark.parametrize("transport", ["engine", "loopback", "tcp"])
     def test_by_value_arguments_are_read_only(self, arena_dir, transport):
@@ -971,21 +1006,25 @@ class TestBufferOwnership:
         target = (persist(engine, "Probe", block, TierKind.DRAM) if client is engine
                   else client.make_persistent("Probe", block, TierKind.DRAM))
         mine = Centroids(np.ones((3, 5)))
+        large = Centroids(np.ones((64, 33)))
+        assert large.values.nbytes > wire.GATHER_LIMIT  # received into fresh memory over TCP
         for name in names:
             client.invoke(target, name, [ByValue(mine)])
+            client.invoke(target, name, [ByValue(large)])
         if server:
             client.close()
             server.stop()
         engine.close()
-        assert writable == [False] * len(names)
-        assert mine.values.flags.writeable  # the caller's array is left as it was
+        assert writable == [False] * 2 * len(names)
+        # the caller's arrays are left as they were
+        assert mine.values.flags.writeable and large.values.flags.writeable
 
     def test_server_buffers_fit_the_largest_frame_and_go_on_close(self, arena_dir, monkeypatch):
-        """The client's reused buffer holds small replies only. The server's
-        receive buffer holds a large persist only up to its prefix of
-        GATHER_LIMIT bytes, and the largest other request whole; its send
-        buffer holds only what the socket did not take of a large reply. All
-        three go on close."""
+        """The client's and the server's reused receive buffers hold at most
+        GATHER_LIMIT bytes, through a large persist, a large GET reply, an
+        INVOKE with a large by-value argument and a small STATS reply. The
+        server's send buffer holds only what the socket did not take of a
+        large reply. All three go on close."""
         made = []
 
         class Recorded(FrameBuffer):
@@ -1004,30 +1043,25 @@ class TestBufferOwnership:
         persisted = session.counters()
         session.get(oid)
         got = session.counters()
+        session.invoke(oid, "add", [ByValue(block)], ResultPlacement.volatile())
+        invoked = session.counters()
         session.stats()
-        largest_small_reply = session.counters().bytes_received - got.bytes_received
         client = session._conn._received
-        served = [b for b in made if b is not client]
+        received, spill = [b for b in made if b is not client]
         assert persisted.bytes_sent - start.bytes_sent > wire.GATHER_LIMIT
         assert got.bytes_received - persisted.bytes_received >= wire.GATHER_LIMIT
-        assert largest_small_reply < wire.GATHER_LIMIT
-        assert client.capacity == largest_small_reply
-        spilled = max(kept, default=0)
-        assert sorted(b.capacity for b in served) == sorted([wire.GATHER_LIMIT, spilled])
-        before = session.counters()
-        session.invoke(oid, "add", [ByValue(block)], ResultPlacement.volatile())
-        largest_request = session.counters().bytes_sent - before.bytes_sent
-        session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((200, 200))), TierKind.DRAM)
-        assert largest_request > wire.GATHER_LIMIT
-        assert sorted(b.capacity for b in served) == sorted([largest_request, spilled])
+        assert invoked.bytes_sent - got.bytes_sent > wire.GATHER_LIMIT
+        assert 0 < client.capacity <= wire.GATHER_LIMIT
+        assert 0 < received.capacity <= wire.GATHER_LIMIT
+        assert spill.capacity == max(kept, default=0)
         session.close()
         assert client.capacity == 0
         deadline = time.monotonic() + 10
-        while any(b.capacity for b in served) and time.monotonic() < deadline:
+        while (received.capacity or spill.capacity) and time.monotonic() < deadline:
             time.sleep(0.01)
         server.stop()
         engine.close()
-        assert [b.capacity for b in served] == [0, 0]
+        assert (received.capacity, spill.capacity) == (0, 0)
 
     def test_a_reply_the_socket_takes_in_part_is_sent_whole(self, arena_dir):
         """What the socket does not take under the claim is copied before the
@@ -1385,8 +1419,18 @@ class TestStreamedPersist:
             with pytest.raises(StoreError):
                 block = _random_block(FloatArray, (5000,), rng)
                 session.make_persistent("Nope", block, TierKind.DRAM)
+            # a class name too long for a persist's payload header to fit the
+            # prefix the server reads first: its frames are received whole
+            long_name = "C" * 20_000
+            session.register_class(ClassDescriptor(long_name))
+            fetched = []
+            for tier in TierKind:
+                block = _random_block(FloatArray, (2049,), rng)
+                got = session.get(session.make_persistent(long_name, block, tier))
+                assert got.values.tobytes() == block.values.tobytes()
+                fetched.append(got.values.tobytes())
             session.flush()
-            return session.counters(), session.stats()
+            return session.counters(), session.stats(), fetched
 
         runs = []
         for transport in ("loopback", "tcp"):
@@ -1401,7 +1445,8 @@ class TestStreamedPersist:
             if server:
                 server.stop()
             engine.close()
-        (c1, st1), (c2, st2) = runs
+        (c1, st1, fetched1), (c2, st2, fetched2) = runs
+        assert fetched1 == fetched2
         assert (c1.bytes_sent, c1.bytes_received, c1.per_type) == (
             c2.bytes_sent, c2.bytes_received, c2.per_type)
         assert st1.wire == st2.wire
