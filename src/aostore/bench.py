@@ -33,7 +33,7 @@ from .client import Session
 from .engine import SMALL_RESULT_LIMIT, Engine
 from .errors import InvalidRequestError, StoreError
 from .kernels import KMeansSpec, MatrixDescriptor, build_catalog
-from .model import ObjectIdFactory
+from .model import TAG_SUBMATRIX, ObjectIdFactory, Schema, header_length
 from .tiers import MEDIA_DRAM, MEDIA_NVM, ArenaConfig, TierCounters, TierKind, open_tier
 from .wire import ServerCore, TcpServer
 
@@ -136,7 +136,8 @@ class BenchmarkConfig:
                 f"DRAM capacity {self.dram_capacity_bytes}; use tier=nvm or tier=mm"
             )
         if self.app in ("matadd", "matmul") and self.result == "value":
-            block_encoded = sizes["matrix"].k ** 2 * 8 + 9
+            block = Schema(TAG_SUBMATRIX, (sizes["matrix"].k,))
+            block_encoded = header_length(TAG_SUBMATRIX) + block.nbytes
             if block_encoded > SMALL_RESULT_LIMIT:
                 raise ConfigError(
                     f"matrix blocks of {block_encoded} encoded bytes exceed the return-by-value "

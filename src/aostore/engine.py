@@ -33,7 +33,6 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +51,6 @@ from .model import (
     ObjectId,
     ObjectIdFactory,
     Schema,
-    region_reader,
     encoded_size,
 )
 from .tiers import TierHandle, TierKind, close_charges, copy_of, open_charges
@@ -126,15 +124,10 @@ class RoutineCatalog:
 class _ObjectMeta:
     class_name: Optional[str]
     tier: TierKind
-    variant: Optional[int]
-    shape: Optional[tuple[int, ...]]
+    schema: Optional[Schema]  # None for an object recovered from an arena
     read_count: int = 0
     held: int = 0  # claims held: -1 for an exclusive one, else the shared ones
     view: Optional[BlockPayload] = None  # the payload over the region, once first read
-
-    @cached_property
-    def reader(self) -> Callable[[memoryview], BlockPayload]:
-        return region_reader(self.variant, self.shape)
 
 
 def _by_value(payload: BlockPayload) -> BlockPayload:
@@ -220,11 +213,12 @@ class Engine:
         self._lock = threading.Lock()  # guards the registries, the claims and the totals
         self._released = threading.Condition(self._lock)  # what a blocked claim waits on
         self._waiting = 0  # claims blocked on _released
-        # Adopt objects recovered from persistent arenas; their schema was not
-        # persisted, so they are readable at the byte level only.
+        # Adopt objects recovered from persistent arenas. Their class and schema
+        # were not persisted, so until they are (ROADMAP item 1) a GET of one
+        # raises InvalidRequestError and an INVOKE on one UnknownNameError.
         for kind, handle in self._tiers.items():
             for oid in handle.ids():
-                self._objects[oid] = _ObjectMeta(None, kind, None, None)
+                self._objects[oid] = _ObjectMeta(None, kind, None)
 
     # -- registries ----------------------------------------------------------
 
@@ -343,7 +337,7 @@ class Engine:
                 oid = self._ids.new_object_id()
         handle.place(oid, schema.nbytes, fill)
         with self._lock:
-            self._objects[oid] = _ObjectMeta(class_name, tier, schema.tag, schema.shape)
+            self._objects[oid] = _ObjectMeta(class_name, tier, schema)
         return oid
 
     def _meta(self, oid: ObjectId) -> _ObjectMeta:
@@ -357,13 +351,13 @@ class Engine:
         """The object's payload over its region, built on the first read; every
         read is charged through the tier's ``read_view``."""
         view = meta.view
-        if view is None and (meta.variant is None or meta.shape is None):
+        if view is None and meta.schema is None:
             raise InvalidRequestError(
                 f"object {oid.hex()} was recovered without schema; only raw reads apply"
             )
         region = self._tiers[meta.tier].read_view(oid)
         if view is None:
-            view = meta.view = meta.reader(region)
+            view = meta.view = meta.schema.view(region)
         return view
 
     def get_object(self, oid: ObjectId, read: Callable[[BlockPayload], object] | None = None):
@@ -468,9 +462,8 @@ class Engine:
                 self.tier(meta.tier).write_in_place(oid, 0, memoryview(update).cast("B"))
                 return None
             if fills and placement.tier is not None:
-                fill = lambda region: run(out=meta.reader(region).values)
-                schema = Schema(meta.variant, meta.shape)
-                return self._new_object(meta.class_name, schema, placement.tier, fill)
+                fill = lambda region: run(out=meta.schema.view(region).values)
+                return self._new_object(meta.class_name, meta.schema, placement.tier, fill)
             return self._place_result(run(), meta, placement)
 
     @staticmethod

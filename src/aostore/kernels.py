@@ -87,10 +87,8 @@ class MatrixDescriptor:
 # -- generators -------------------------------------------------------------
 
 
-def gen_f_array(
-    seed: int, n: int, d1: float = F_D1, d2: float = F_D2, block_elems: int = 1 << 17
-) -> list[FloatArray]:
-    """Blocked F-distributed sample via a ratio of seeded chi-square draws."""
+def gen_f_array(seed: int, n: int, block_elems: int = 1 << 17) -> list[FloatArray]:
+    """Blocked F(F_D1, F_D2) sample via a ratio of seeded chi-square draws."""
     if n <= 0 or block_elems <= 0:
         raise InvalidRequestError("n and block_elems must be positive")
     rng = np.random.default_rng(seed)
@@ -98,8 +96,8 @@ def gen_f_array(
     remaining = n
     while remaining > 0:
         size = min(block_elems, remaining)
-        num = rng.chisquare(d1, size) / d1
-        den = rng.chisquare(d2, size) / d2
+        num = rng.chisquare(F_D1, size) / F_D1
+        den = rng.chisquare(F_D2, size) / F_D2
         blocks.append(FloatArray(num / den))
         remaining -= size
     return blocks

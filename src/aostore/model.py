@@ -8,9 +8,9 @@ Payload wire encoding (little-endian, shared by the RPC protocol):
     Histogram    tag=4 | bins u64           | bins    u64
     Centroids    tag=5 | rows u64, dims u64 | rows*dims f64 (row major)
 
-Memory tiers hold only the raw data section; the engine keeps (variant, shape)
-per object, so tier byte counters account exactly ``8 * element_count`` per
-payload.
+Memory tiers hold only the raw data section; the engine keeps the rest, a
+:class:`Schema`, per object, so tier byte counters account exactly
+``8 * element_count`` per payload.
 """
 
 from __future__ import annotations
@@ -106,8 +106,10 @@ class MethodDescriptor:
 
 
 class Schema(NamedTuple):
-    """A payload less its data: the variant tag and the shape fields, which
-    the engine keeps per object while a tier holds the data section."""
+    """A payload less its data: the variant tag and the shape fields. The
+    engine keeps one per object while a tier holds the data section, and
+    every payload over a raw data section, in a tier region or a frame, is
+    built by :meth:`view`."""
 
     tag: int
     shape: tuple[int, ...]
@@ -115,7 +117,24 @@ class Schema(NamedTuple):
     @property
     def nbytes(self) -> int:
         """The length of the data section."""
-        return data_length(_variant(self.tag), self.shape)
+        return 8 * math.prod(_variant(self.tag).array_shape(self.shape))
+
+    def view(self, region: bytes | memoryview, copy: bool = False) -> BlockPayload:
+        """The payload whose data section is ``region``. Its array aliases
+        ``region``, copying nothing: changes to the region show through it
+        and, on a writable region, writing the array writes the region; it is
+        unaligned when the region does not start at an address that is a
+        multiple of 8. With ``copy``, the array is a fresh, aligned copy of
+        the region instead, which the caller owns."""
+        expected = self.nbytes
+        if len(region) != expected:
+            raise PayloadError(
+                f"length mismatch: variant tag {self.tag} with shape {self.shape} expects "
+                f"{expected} data bytes, got {len(region)}"
+            )
+        variant = _VARIANTS[self.tag]
+        values = np.frombuffer(region, variant.dtype).reshape(variant.array_shape(self.shape))
+        return variant(values.copy() if copy else values)
 
 
 class BlockPayload:
@@ -266,11 +285,6 @@ def _variant(tag: int, where: str = "") -> type[BlockPayload]:
         raise PayloadError(f"unknown variant tag 0x{tag:02x}{where}") from None
 
 
-def data_length(variant: type[BlockPayload], shape: tuple[int, ...]) -> int:
-    """The length of the data section of a ``variant`` payload of ``shape``."""
-    return 8 * math.prod(variant.array_shape(shape))
-
-
 def header_length(tag: int) -> int:
     """The length of the header (tag and shape fields) of an encoded payload
     of variant ``tag``; 1 for an unknown tag, which :func:`decode_header` rejects."""
@@ -298,32 +312,22 @@ def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:
 def encoded_length(data: bytes | memoryview) -> int:
     """Length of the encoded payload at the start of ``data``, read from its
     tag and shape; ``data`` may continue past it."""
-    variant, shape, offset = decode_header(data)
-    return offset + data_length(variant, shape)
+    schema, offset = decode_header(data)
+    return offset + schema.nbytes
 
 
 def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
-    """Inverse of :func:`encode_payload`. The payload's array is a fresh,
-    aligned copy of the data section, which the caller owns. With
-    ``copy=False`` it is a view of ``data`` instead, copying nothing: it sees
-    later changes to ``data``, and it is unaligned when the data section
-    does not start at an address that is a multiple of 8."""
-    variant, shape, offset = decode_header(data)
-    expected = data_length(variant, shape)
-    got = len(data) - offset
-    if got != expected:
-        raise PayloadError(
-            f"length mismatch: variant tag {data[0]} with shape {shape} expects "
-            f"{expected} data bytes at offset {offset}, got {got}"
-        )
-    array_shape = variant.array_shape(shape)
-    values = np.frombuffer(data, variant.dtype, offset=offset).reshape(array_shape)
-    return variant(values.copy() if copy else values)
+    """Inverse of :func:`encode_payload`: the payload over the data section
+    of ``data`` (see :meth:`Schema.view`). By default its array is a fresh,
+    aligned copy, which the caller owns; with ``copy=False`` it is a view of
+    ``data``."""
+    schema, offset = decode_header(data)
+    return schema.view(memoryview(data)[offset:], copy)
 
 
-def decode_header(data: bytes | memoryview) -> tuple[type[BlockPayload], tuple[int, ...], int]:
-    """The variant, shape fields and header length of the encoded payload at
-    the start of ``data``, which need hold only its header."""
+def decode_header(data: bytes | memoryview) -> tuple[Schema, int]:
+    """The schema and header length of the encoded payload at the start of
+    ``data``, which need hold only its header."""
     if len(data) < 1:
         raise PayloadError("truncated payload: missing variant tag at offset 0")
     variant = _variant(data[0], " at offset 0")
@@ -332,25 +336,4 @@ def decode_header(data: bytes | memoryview) -> tuple[type[BlockPayload], tuple[i
         raise PayloadError(
             f"truncated payload: need {need} header bytes at offset 1, have {len(data)}"
         )
-    return variant, struct.unpack_from(f"<{variant.shape_count}Q", data, 1), need
-
-
-def region_reader(tag: int, shape: tuple[int, ...]):
-    """The function ``region -> payload`` for one (variant, shape), with the
-    class, dtype and array shape resolved once. The payload reads the tier
-    region holding the raw data section without a copy: its array aliases
-    ``region``, so changes to the region show through it and, on a writable
-    region, writing the array writes the region."""
-    variant = _variant(tag)
-    expected = data_length(variant, shape)
-    array_shape = variant.array_shape(shape)
-
-    def read(region: memoryview) -> BlockPayload:
-        if len(region) != expected:
-            raise PayloadError(
-                f"length mismatch: region holds {len(region)} bytes, variant needs {expected}"
-            )
-        return variant(np.frombuffer(region, dtype=variant.dtype).reshape(array_shape))
-
-    return read
-
+    return Schema(variant.tag, struct.unpack_from(f"<{variant.shape_count}Q", data, 1)), need

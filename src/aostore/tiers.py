@@ -20,9 +20,11 @@ Arena file format, version 2 (little-endian):
 
 Region offsets are relative to the start of the data region. Payload regions
 are multiples of 8 bytes long, so each starts 8-byte aligned and numpy sees
-aligned arrays over it; a version-1 file (22-byte header) is refused. An
-arena file's directory is rewritten on flush/close. Timing is never simulated
-by sleeping: a handle keeps only integer traffic counters per medium.
+aligned arrays over it; a version-1 file (22-byte header) is refused, and so
+is a file whose directory does not start right after the data region or
+whose entries overlap. An arena file's directory is rewritten on
+flush/close. Timing is never simulated by sleeping: a handle keeps only
+integer traffic counters per medium.
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ class _Arena:
                 raise ArenaError(f"arena {self.path}: bad magic {magic!r}")
             if version != ARENA_VERSION:
                 raise ArenaError(f"arena {self.path}: unsupported version {version}")
+            if dir_offset != _DATA_START + capacity:
+                # the directory would be rewritten over, and the file cut inside, the data
+                raise ArenaError(
+                    f"arena {self.path}: directory offset {dir_offset} is not the end "
+                    f"{_DATA_START + capacity} of the data region"
+                )
             self.capacity = capacity
             self.dir_offset = dir_offset
             self.entries = self._read_directory()
@@ -228,6 +236,11 @@ class _Arena:
                     f"exceeds capacity {self.capacity}"
                 )
             entries[ObjectId(raw_id)] = (offset, length)
+        end = 0
+        for offset, length in sorted(e for e in entries.values() if e[1]):
+            if offset < end:
+                raise ArenaError(f"arena {self.path}: directory entries overlap at {offset}")
+            end = offset + length
         return entries
 
     def _write_directory(self, entries: dict[ObjectId, tuple[int, int]]) -> None:

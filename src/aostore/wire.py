@@ -97,8 +97,6 @@ from .model import (
     ClassDescriptor,
     MethodDescriptor,
     ObjectId,
-    Schema,
-    data_length,
     decode_header,
     decode_payload,
     encode_payload,
@@ -345,10 +343,10 @@ class _Upload:
         encode_payload(value, out)
 
     def take(self, buf: memoryview, pos: int):
-        variant, shape, offset = decode_header(buf[pos:])
+        schema, offset = decode_header(buf[pos:])
         start = pos + offset
-        end = start + data_length(variant, shape)
-        return (Schema(variant.tag, shape), buf[start:end]), end
+        end = start + schema.nbytes
+        return (schema, buf[start:end]), end
 
 
 class _Code:
@@ -946,9 +944,13 @@ class TcpServer:
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0):
         self.core = ServerCore(engine)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(16)
+        except OSError:
+            self._listener.close()
+            raise
         self.host, self.port = self._listener.getsockname()
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []  # live connection threads

@@ -13,11 +13,12 @@ from aostore.model import (
     ObjectId,
     ObjectIdFactory,
     PointsBlock,
+    Schema,
     Submatrix,
+    decode_header,
     decode_payload,
     encode_payload,
     encoded_size,
-    region_reader,
 )
 
 
@@ -93,7 +94,11 @@ class TestCodec:
 
     @given(payloads)
     def test_round_trip(self, payload):
-        assert decode_payload(encode_payload(payload)) == payload
+        encoded = encode_payload(payload)
+        assert decode_payload(encoded) == payload
+        schema = payload.schema()
+        assert decode_header(encoded) == (schema, 1 + 8 * len(payload.shape_fields()))
+        assert schema.view(payload.data_view()) == payload
 
     @given(payloads)
     def test_size_law(self, payload):
@@ -135,19 +140,19 @@ class TestZeroCopyView:
     def test_view_aliases_buffer(self):
         payload = FloatArray([1.0, 2.0, 3.0])
         buf = bytearray(payload.data_view())
-        view = region_reader(payload.tag, payload.shape_fields())(memoryview(buf))
+        view = Schema(payload.tag, payload.shape_fields()).view(memoryview(buf))
         buf[0:8] = np.float64(9.5).tobytes()
         assert view.values[0] == 9.5
 
     def test_writable_view_writes_through(self):
         buf = bytearray(np.zeros(4).tobytes())
-        view = region_reader(1, (4,))(memoryview(buf))
+        view = Schema(1, (4,)).view(memoryview(buf))
         view.values[2] = 7.0
         assert np.frombuffer(buf, dtype="<f8")[2] == 7.0
 
     def test_region_length_checked(self):
         with pytest.raises(PayloadError, match="length mismatch"):
-            region_reader(3, (3,))(memoryview(bytearray(32)))
+            Schema(3, (3,)).view(memoryview(bytearray(32)))
 
 
 class TestDecodeOwnership:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aostore.errors import ArenaError, CapacityError, NotFoundError, InvalidRequestError
-from aostore.model import ObjectIdFactory, Submatrix, TAG_SUBMATRIX, region_reader
+from aostore.model import ObjectIdFactory, Schema, Submatrix, TAG_SUBMATRIX
 from aostore.bench import CostModel, modeled_time_ns
 from aostore.tiers import ArenaConfig, DramTier, TierKind, open_tier
 
@@ -164,6 +164,35 @@ class TestNvmDirect:
         with pytest.raises(ArenaError, match="capacity"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1024))
 
+    def test_directory_offset_inside_data_rejected(self, tmp_path):
+        # a directory at byte 256 reads as empty, and a flush would write it
+        # over the data region and cut the file there
+        path = tmp_path / "diroff.arena"
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        tier.store(oid(), b"\x01" * 64)
+        tier.close()
+        with path.open("r+b") as fh:
+            fh.seek(14)  # dir_offset, after magic, version and capacity
+            fh.write(struct.pack("<Q", 256))
+        before = path.read_bytes()
+        with pytest.raises(ArenaError, match="directory offset 256"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        assert path.read_bytes() == before
+
+    def test_overlapping_directory_entries_rejected(self, tmp_path):
+        path = tmp_path / "overlap.arena"
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        tier.store(oid(), bytes(64))  # at offset 0
+        tier.store(oid(), bytes(64))  # at offset 64
+        tier.close()
+        with path.open("r+b") as fh:
+            fh.seek(64 + 4096 + 4 + 32 + 16)  # the second entry's offset
+            fh.write(struct.pack("<Q", 32))
+        before = path.read_bytes()
+        with pytest.raises(ArenaError, match="overlap"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        assert path.read_bytes() == before
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize(
         "kind", [TierKind.NVM_DIRECT, TierKind.MEMORY_MODE], ids=lambda k: k.name.lower()
@@ -230,7 +259,7 @@ class TestArenaPath:
         for k in (3, 8, 96):
             key = oid()
             tier.store(key, Submatrix(np.ones((k, k))).data_view())
-            payload = region_reader(TAG_SUBMATRIX, (k,))(tier.read_view(key))
+            payload = Schema(TAG_SUBMATRIX, (k,)).view(tier.read_view(key))
             assert payload.values.flags.aligned
             del payload
 

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import collections
 import functools
+import gc
 import os
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -51,7 +53,6 @@ from aostore.model import (
     ObjectIdFactory,
     PointsBlock,
     Submatrix,
-    region_reader,
 )
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
 from aostore.wire import (
@@ -262,6 +263,18 @@ class TestTcpTransport:
             session.close()
         engine.close()
 
+    def test_failed_bind_closes_the_listener(self, arena_dir):
+        engine, _ = _loopback(arena_dir)
+        with socket.socket() as holder, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            with pytest.raises(OSError):
+                TcpServer(engine, port=holder.getsockname()[1])
+            gc.collect()
+        engine.close()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_concurrent_clients_disjoint_invokes(self, arena_dir):
         engine, _ = _loopback(arena_dir)
         server = TcpServer(engine)
@@ -324,7 +337,7 @@ class _ScriptedEngine:
         """Records the payload that ``fill`` writes into a region of its size."""
         region = memoryview(bytearray(schema.nbytes))
         fill(region)
-        payload = region_reader(schema.tag, schema.shape)(region)
+        payload = schema.view(region)
         return self._answer("make_persistent", class_name, payload, tier)
 
     def get_object(self, oid, read=None):
