@@ -3,11 +3,15 @@
 
     PYTHONPATH=src python scripts/invoke_layers.py
 
-Two invokes on the same NVM-direct objects: a 96x96 in-place FMA whose two
-arguments are stored objects named by reference, and a mutating routine that
-takes the same arguments and leaves its target as it is, so that all but its
-73,728-byte write back is the fixed cost of such an invoke. Each is timed at
-five layers, from the inside out:
+Three invokes. Two on the same NVM-direct objects: a 96x96 in-place FMA
+whose two arguments are stored objects named by reference, and a mutating
+routine that takes the same arguments and leaves its target as it is, so that
+all but its 73,728-byte write back is the fixed cost of such an invoke. The
+third is the k-means ``accumulate`` of the kmeans-spill benchmark: a DRAM
+accumulator of 20 x 501 values takes the partial of a 256 x 500 block held in
+Memory Mode, whose cache is too small to keep it, so that every read misses,
+with the 20 centroids in DRAM; the block and the centroids are named by
+reference. Each is timed at five layers, from the inside out:
 
     kernel          the routine's function on the payload arrays
     Engine.invoke   the engine call, with claims, tier views and charges
@@ -16,22 +20,29 @@ five layers, from the inside out:
     tcp             Session.invoke over TCP to a server thread of this process
 
 A figure is the best of 3 rounds of 2,000 calls, per call; the difference
-between two layers is what the outer one adds.
+between two layers is what the outer one adds. The last line is the kernel's
+share of the invoke over TCP.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 from pathlib import Path
+
+# one BLAS thread, as the benchmark runs, read by OpenBLAS when numpy loads
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np
 
 from aostore.client import Session
 from aostore.engine import ByRef, Engine, ResultPlacement, Routine, RoutineCatalog
-from aostore.kernels import MATRIX_CLASS, build_catalog, fma_values
-from aostore.kernels import kernel_classes, kernel_methods
-from aostore.model import MethodDescriptor, ObjectId, SEM_NONE, SEM_SUBMATRIX, Submatrix
+from aostore.kernels import MATRIX_CLASS, POINTS_CLASS, KMeansSpec, build_catalog, fma_values
+from aostore.kernels import gen_points, initial_centroids, kernel_classes, kernel_methods
+from aostore.model import MethodDescriptor, ObjectId, PointsBlock, Submatrix
+from aostore.model import SEM_NONE, SEM_SUBMATRIX
 from aostore.tiers import ArenaConfig, TierKind, copy_of, open_tier
 from aostore.wire import MESSAGES, MSG_INVOKE, Frame, ServerCore, TcpServer
 from aostore.wire import encode_body, encode_frame
@@ -56,8 +67,7 @@ def noop(target, args):
     return target.values
 
 
-def persist(engine: Engine, class_name: str, payload) -> ObjectId:
-    tier = TierKind.NVM_DIRECT
+def persist(engine: Engine, class_name: str, payload, tier=TierKind.NVM_DIRECT) -> ObjectId:
     return engine.make_persistent(class_name, payload.schema(), tier, copy_of(payload.data_view()))
 
 
@@ -65,8 +75,12 @@ def main() -> None:
     kernels = build_catalog()
     catalog = RoutineCatalog([*map(kernels.get, kernels.keys()), Routine("noop", noop, True)])
     with tempfile.TemporaryDirectory() as arenas:
-        config = ArenaConfig(path=Path(arenas) / "nvm.arena", capacity_bytes=1 << 24)
-        engine = Engine({TierKind.NVM_DIRECT: open_tier(TierKind.NVM_DIRECT, config)}, catalog)
+        tiers = {
+            TierKind.DRAM: ArenaConfig(capacity_bytes=1 << 24),
+            TierKind.NVM_DIRECT: ArenaConfig(Path(arenas) / "nvm.arena", 1 << 24),
+            TierKind.MEMORY_MODE: ArenaConfig(Path(arenas) / "mm.arena", 1 << 24, 1 << 19),
+        }
+        engine = Engine({kind: open_tier(kind, config) for kind, config in tiers.items()}, catalog)
         for desc in kernel_classes():
             engine.register_class(desc)
         for desc in kernel_methods():
@@ -79,9 +93,19 @@ def main() -> None:
                      for v in (np.zeros((96, 96)), rng.random((96, 96)), rng.random((96, 96))))
         accv, av, bv = map(engine.get_object, (acc, a, b))
         args = [ByRef(a), ByRef(b)]
-        cases = {
-            "fma 96x96": (lambda: fma_values(accv.values, av.values, bv.values), "fma"),
-            "no-op": (lambda: noop(accv, [av, bv]), "noop"),
+
+        spec = KMeansSpec()
+        blocks = gen_points(5, 512, spec.dims, 256)
+        points = persist(engine, POINTS_CLASS, blocks[1], TierKind.MEMORY_MODE)
+        cents, sums = (persist(engine, POINTS_CLASS, p, TierKind.DRAM) for p in (
+            initial_centroids(blocks, spec.centers), PointsBlock(np.zeros(spec.partial_shape))))
+        sumsv, pointsv, centsv = map(engine.get_object, (sums, points, cents))
+        accumulate = kernels.get("kmeans.accumulate").fn
+        cases = {  # name: (kernel call, target, method, args)
+            "fma 96x96": (lambda: fma_values(accv.values, av.values, bv.values), acc, "fma", args),
+            "no-op": (lambda: noop(accv, [av, bv]), acc, "noop", args),
+            "accumulate": (lambda: accumulate(sumsv, [pointsv, centsv]), sums, "accumulate",
+                           [ByRef(points), ByRef(cents)]),
         }
 
         core = ServerCore(engine)
@@ -91,15 +115,15 @@ def main() -> None:
         request = MESSAGES[MSG_INVOKE].request
         rows = {}
         try:
-            for name, (kernel, method) in cases.items():
-                body = encode_body(request, (acc, method, ResultPlacement.value(), args))
+            for name, (kernel, target, method, margs) in cases.items():
+                body = encode_body(request, (target, method, ResultPlacement.value(), margs))
                 frame = b"".join(encode_frame(Frame(MSG_INVOKE, 1, body)))
                 rows[name] = [best_us(f) for f in (
                     kernel,
-                    lambda: engine.invoke(acc, method, args),
+                    lambda: engine.invoke(target, method, margs),
                     lambda: core.handle_frame_bytes(frame),
-                    lambda: loopback.invoke(acc, method, args),
-                    lambda: tcp.invoke(acc, method, args),
+                    lambda: loopback.invoke(target, method, margs),
+                    lambda: tcp.invoke(target, method, margs),
                 )]
         finally:
             loopback.close()
@@ -107,10 +131,11 @@ def main() -> None:
             server.stop()
             engine.close()
 
-    print(f"in-process us per call, best of {ROUNDS} x {CALLS:,} calls, NVM-direct tier")
+    print(f"in-process us per call, best of {ROUNDS} x {CALLS:,} calls")
     print(f"{'layer':<16}" + "".join(f"{name:>12}" for name in rows))
     for i, layer in enumerate(LAYERS):
         print(f"{layer:<16}" + "".join(f"{row[i]:>12.1f}" for row in rows.values()))
+    print(f"{'kernel / tcp':<16}" + "".join(f"{row[0] / row[-1]:>12.0%}" for row in rows.values()))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,12 @@ k-means       -- Lloyd iterations, 20 centers. A block's partial is the
                  (centers, dims + 1) array the store keeps: each center's
                  sums, accumulated in row order, then its count.
                  ``accumulate`` adds it onto a stored accumulator; the active
-                 run names its centroids, kept in a DRAM object, by reference
+                 run names its centroids, kept in a DRAM object, by reference.
+                 A point goes to the center the expanded squared distance
+                 ``|p|^2 - 2 p.c + |c|^2`` picks; the kernel ranks centers
+                 without the ``|p|^2`` term and keeps that ranking where a
+                 rounding-error bound proves it the same, else it evaluates
+                 the full expression for the block (see ``kmeans_partial``)
 matrix add    -- elementwise sum of k x k submatrix blocks, bit exact
 matrix mul    -- blocked multiply-accumulate, one BLAS product per block:
                  active, in-place and passive executions call the same
@@ -192,7 +197,42 @@ def merge_histograms(histograms: list[Histogram]) -> Histogram:
 def kmeans_partial(block: PointsBlock, centroids: Centroids) -> np.ndarray:
     """Assign each point to the nearest centroid (squared Euclidean distance,
     ties to the lowest index) and accumulate per-center sums in row order into
-    the packed partial: per center its sums, then its count (exact below 2**53)."""
+    the packed partial: per center its sums, then its count (exact below 2**53).
+
+    "Nearest" is what the reference expression ``fl(fl(pn - 2g) + cn)``
+    picks, with ``pn = np.sum(p*p)``, ``g = p @ c.T`` and ``cn = np.sum(c*c)``
+    (``tests/oracles.py::kmeans_partial_oracle``). A row's norm ``pn`` is the
+    same for every center and matters only where rounding could change the
+    order, so the centers are ranked by ``e = fl(cn - 2g)``, its products
+    summed in any order. A row keeps its argmin of ``e`` when the gap between
+    its two smallest ``e`` is strictly greater than the bound below, which
+    proves that the reference picks the same center and no tie. If any row
+    is not proven, :func:`_exact_assign` assigns the whole block.
+
+    The bound. Let P, G_j and C_j be the exact ``|p|**2``, ``p.c_j`` and
+    ``|c_j|**2``, n = dims, u = 2**-53 and gamma_k = k u / (1 - k u). A sum
+    of n products in any order (pairwise, blocked as a GEMM does, with or
+    without FMA) errs by at most gamma_n times the sum of the products'
+    magnitudes (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3), and ``2 sum |p_i c_i| <= 2 |p||c| <= P + C`` (Cauchy-Schwarz).
+    With the one or two roundings that follow,
+
+        |reference_j - (P - 2 G_j + C_j)| <= gamma_{n+2} (2P + 2C_j)
+        |e_j - (C_j - 2 G_j)|             <= gamma_{n+2} (P + 2C_j),
+
+    so ``reference_j - P`` is within gamma_{n+2} (3P + 4C_j) of ``e_j``, and
+    ``e_k - e_j > 8 gamma_{n+2} (P + max C)`` makes reference_k greater than
+    reference_j. The kernel's bound is ``16 (n + 2) u (pn' + max cn') +
+    2**-1000``, from the fast path's own ``pn' = vecdot(p, p)`` and
+    ``cn' = vecdot(c, c)``: the factor 2 over 8 covers gamma's denominator
+    and the rounding of pn', cn' and the bound (for any n below 2**50), and
+    the absolute term covers products that underflow, by at most 2**-1075
+    each (for any n below 2**68). The factor 16 is applied first, so a
+    finite bound leaves every ``pn``, ``2g``, ``cn`` and every sum of them
+    below overflow, and every ``e`` finite; an infinity in the input makes a
+    norm, and with it the bound, infinite, so no row with a non-finite value
+    is proven.
+    """
     pts = block.values
     cents = centroids.values
     if pts.shape[1] != cents.shape[1]:
@@ -201,13 +241,24 @@ def kmeans_partial(block: PointsBlock, centroids: Centroids) -> np.ndarray:
         )
     # A squared norm is NaN exactly when its row holds a NaN: NaN squared is
     # NaN, and a sum of non-negative terms and +inf never is. So the norms the
-    # distances need anyway stand in for a separate pass looking for NaN.
-    pt_norms = np.sum(pts * pts, axis=1, keepdims=True)
-    cent_norms = np.sum(cents * cents, axis=1)
+    # bound needs anyway stand in for a separate pass looking for NaN.
+    pt_norms = np.vecdot(pts, pts)
+    cent_norms = np.vecdot(cents, cents)
     if np.isnan(pt_norms).any() or np.isnan(cent_norms).any():
         raise InvalidRequestError("k-means input contains NaN")
-    d2 = pt_norms - 2.0 * (pts @ cents.T) + cent_norms
-    assign = np.argmin(d2, axis=1)
+    e = cents @ pts.T  # (centers, rows): e[j, i] = cn_j - 2 g_ij
+    e *= -2.0
+    e += cent_norms[:, None]
+    assign = e.argmin(axis=0)
+    rows = np.arange(len(assign))
+    nearest = e.min(axis=0)
+    e[assign, rows] = np.inf
+    gap = e.min(axis=0) - nearest
+    bound = (pt_norms + cent_norms.max()) * 16.0
+    bound *= (pts.shape[1] + 2) * 2.0**-53
+    bound += 2.0**-1000
+    if not (gap > bound).all():
+        assign = _exact_assign(pts, cents)
     k, dims = cents.shape
     counts = np.bincount(assign, minlength=k)
     order = np.argsort(assign, kind="stable")
@@ -228,6 +279,18 @@ def kmeans_partial(block: PointsBlock, centroids: Centroids) -> np.ndarray:
         start = end
     partial[:, dims] = counts
     return partial
+
+
+def _exact_assign(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Each row's nearest center by the reference expression itself, the same
+    operations in the same order, so the same argmin bit for bit: the path
+    for a block that :func:`kmeans_partial` cannot prove."""
+    d2 = (
+        np.sum(pts * pts, axis=1, keepdims=True)
+        - 2.0 * (pts @ cents.T)
+        + np.sum(cents * cents, axis=1)
+    )
+    return np.argmin(d2, axis=1)
 
 
 def kmeans_reduce(partials: list[np.ndarray], previous: Centroids) -> Centroids:

@@ -309,20 +309,18 @@ def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:
     return None
 
 
-def encoded_length(data: bytes | memoryview) -> int:
-    """Length of the encoded payload at the start of ``data``, read from its
-    tag and shape; ``data`` may continue past it."""
-    schema, offset = decode_header(data)
-    return offset + schema.nbytes
-
-
-def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
+def decode_payload(
+    data: bytes | memoryview, copy: bool = True, whole: bool = True
+) -> BlockPayload:
     """Inverse of :func:`encode_payload`: the payload over the data section
     of ``data`` (see :meth:`Schema.view`). By default its array is a fresh,
     aligned copy, which the caller owns; with ``copy=False`` it is a view of
-    ``data``."""
+    ``data``. ``data`` holds the payload and nothing more, unless ``whole``
+    is false: then the payload is the one at its start, and ``data`` may
+    continue past it."""
     schema, offset = decode_header(data)
-    return schema.view(memoryview(data)[offset:], copy)
+    end = None if whole else offset + schema.nbytes
+    return schema.view(memoryview(data)[offset:end], copy)
 
 
 def decode_header(data: bytes | memoryview) -> tuple[Schema, int]:

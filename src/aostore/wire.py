@@ -100,7 +100,7 @@ from .model import (
     decode_header,
     decode_payload,
     encode_payload,
-    encoded_length,
+    encoded_size,
     header_length,
 )
 from .tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
@@ -309,15 +309,15 @@ class _ObjectId:
 class _Payload:
     """The payload codec of ``aostore.model``, looked up at each call; an
     encoded payload carries its own length. The data section goes out as a
-    view of the array.
+    view of the array, and the header is read once on the way back.
 
     In a request (a by-value INVOKE argument) it is read back as a view of
-    the frame: the routine reads it, then the server drops it. In a reply it
-    is read back as a view too when the frame is memory of its own (an array,
-    see ``_recv_frame``), which the caller then owns; that view is aligned,
-    since every reply ends with its payload and such a frame ends 64-byte
-    aligned. From any other frame (the reused buffer, the loopback's bytes)
-    it is read back as a copy."""
+    the frame: the routine reads it, then the server drops it. In a reply,
+    whose last field it is, it runs to the end of the frame, and it is read
+    back as a view too when the frame is memory of its own (an array, see
+    ``_recv_frame``), which the caller then owns; that view is aligned,
+    since such a frame ends 64-byte aligned. From any other frame (the
+    reused buffer, the loopback's bytes) it is read back as a copy."""
 
     def __init__(self, reply: bool):
         self._reply = reply
@@ -326,10 +326,10 @@ class _Payload:
         encode_payload(value, out)
 
     def take(self, buf: memoryview, pos: int):
-        end = pos + encoded_length(buf[pos:])
-        if not self._reply:
-            return decode_payload(buf[pos:end], False), end
-        return decode_payload(buf[pos:end], not isinstance(buf.obj, np.ndarray)), end
+        if self._reply:
+            return decode_payload(buf[pos:], not isinstance(buf.obj, np.ndarray)), len(buf)
+        value = decode_payload(buf[pos:], False, whole=False)
+        return value, pos + encoded_size(value)
 
 
 class _Upload:

@@ -4,7 +4,10 @@ Everything here deliberately avoids the code paths under test: scalar loops,
 bisect-based binning, naive distance evaluation, and a pure-Python triple-loop
 matrix product. The one exception is :func:`kmeans_partial_oracle`, a former
 implementation kept as the reference that the k-means partial sums must match
-bit for bit.
+bit for bit. Its expanded expression, ``np.sum(p*p) - 2 p @ c.T + np.sum(c*c)``
+evaluated in that order, is the reference that the kernel's assignment is
+certified against: the kernel ranks centers without the row norm and proves,
+row by row, that this expression picks the same center, or evaluates it.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ def lloyd_oracle(points: np.ndarray, centers: int, iterations: int) -> np.ndarra
 def kmeans_partial_oracle(points: np.ndarray, centroids: np.ndarray):
     """(sums, counts) of one k-means block, one weighted bincount per dimension.
 
-    The assignment is the kernel's own (expanded squared distances, ties to the
-    lowest index); bincount then adds each center's coordinates one point at a
-    time in row order, starting from 0.0.
+    The assignment is the argmin of the expanded squared distances, ties to the
+    lowest index, which the kernel certifies its own against; bincount then
+    adds each center's coordinates one point at a time in row order, starting
+    from 0.0.
     """
     d2 = (
         np.sum(points * points, axis=1, keepdims=True)

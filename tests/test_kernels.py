@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aostore import kernels
 from aostore.errors import InvalidRequestError, ShapeMismatchError
 from aostore.kernels import (
     MatrixDescriptor,
@@ -141,6 +142,36 @@ class TestKMeans:
         cents = Centroids(np.array([[0.0], [2.0]]))
         p = kmeans_partial(PointsBlock(np.array([[1.0]])), cents)
         assert p[:, -1].tolist() == [1, 0]
+
+    def test_a_row_whose_own_norm_absorbs_the_gap_gets_the_reference_center(self):
+        # |p|**2 = 1e16 swallows the 1e-8 between the two centers' distances,
+        # so the reference sees a tie and picks center 0, while cn - 2g alone
+        # ranks center 1 first: only the bound sends this row to the exact path
+        pts = np.array([[1e8, 0.0]])
+        cents = np.array([[0.0, 1e-4], [0.0, 0.0]])
+        assert np.argmin(np.sum(cents * cents, axis=1) - 2.0 * (pts @ cents.T)[0]) == 1
+        p = kmeans_partial(PointsBlock(pts), Centroids(cents))
+        sums, counts = kmeans_partial_oracle(pts, cents)
+        assert p[:, -1].tolist() == counts.tolist() == [1, 0]
+        assert np.array_equal(p[:, :-1], sums)
+
+    def test_exact_path_runs_only_for_rows_the_bound_cannot_prove(self, monkeypatch):
+        calls = []
+
+        def counted(pts, cents, _fn=kernels._exact_assign):
+            calls.append(pts.shape)
+            return _fn(pts, cents)
+
+        monkeypatch.setattr(kernels, "_exact_assign", counted)
+        blocks = gen_points(5, 512, 500, 256)
+        cents = initial_centroids(blocks, 20)
+        for block in blocks:
+            kmeans_partial(block, cents)
+        assert calls == []
+        kmeans_partial(PointsBlock(np.array([[1e8, 0.0]])), Centroids([[0.0, 1e-4], [0.0, 0.0]]))
+        assert calls == [(1, 2)]
+        kmeans_partial(PointsBlock(np.array([[1.0]])), Centroids([[0.0], [2.0]]))  # exact tie
+        assert calls == [(1, 2), (1, 1)]
 
     def test_dims_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -349,4 +380,6 @@ def test_nan_in_any_input_is_rejected_and_infinities_are_not(
                 kmeans_partial(PointsBlock(pts), Centroids(cents))
         else:
             got = kmeans_partial(PointsBlock(pts), Centroids(cents))
-            assert int(got[:, -1].sum()) == rows
+            sums, counts = kmeans_partial_oracle(pts, cents)
+            assert np.array_equal(got[:, -1], counts)
+            assert np.array_equal(got[:, :-1], sums, equal_nan=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aostore import wire
+from aostore import model, wire
 from aostore.apps import ensure_kernel_registration
 from aostore.client import Session
 from aostore.engine import (
@@ -742,6 +742,21 @@ class TestCodecLookup:
         assert calls == {
             "encode_frame": 6, "encode_payload": 4, "decode_header": 1, "decode_payload": 3
         }
+
+    def test_each_decoded_payload_reads_its_header_once(self, session, monkeypatch):
+        """A reply's payload runs to the end of its frame, and a by-value
+        argument ends where its decoded payload does, so neither header is
+        read a second time to find where the payload ends."""
+        reads = []
+        read = model.decode_header
+        monkeypatch.setattr(model, "decode_header", lambda data: reads.append(1) or read(data))
+        ensure_kernel_registration(session)
+        oid = session.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 2))), TierKind.DRAM)
+        reads.clear()
+        assert session.get(oid) == PointsBlock(np.ones((4, 2)))
+        assert len(reads) == 1
+        session.invoke(oid, "partial", [ByValue(Centroids(np.zeros((2, 2))))])
+        assert len(reads) == 3  # the argument, then the result
 
 
 # -- partial I/O and buffer ownership -----------------------------------------------
