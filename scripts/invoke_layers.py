@@ -19,9 +19,10 @@ reference. Each is timed at five layers, from the inside out:
     loopback        Session.invoke over the in-process transport
     tcp             Session.invoke over TCP to a server thread of this process
 
-A figure is the best of 3 rounds of 2,000 calls, per call; the difference
-between two layers is what the outer one adds. The last line is the kernel's
-share of the invoke over TCP.
+A figure is the best of 30 rounds of 200 calls, per call: short rounds, so
+that the best of them misses the host's bursts of other work even for the
+half-millisecond accumulate. The difference between two layers is what the
+outer one adds. The last line is the kernel's share of the invoke over TCP.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from aostore.tiers import ArenaConfig, TierKind, copy_of, open_tier
 from aostore.wire import MESSAGES, MSG_INVOKE, Frame, ServerCore, TcpServer
 from aostore.wire import encode_body, encode_frame
 
-CALLS, ROUNDS = 2000, 3
+CALLS, ROUNDS = 200, 30
 LAYERS = ("kernel", "Engine.invoke", "handle_frame", "loopback", "tcp")
 
 
