@@ -465,9 +465,10 @@ def load_plan(path: str | Path) -> list[BenchmarkConfig]:
 
 
 def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
-    """Run a configuration matrix serially; per-row failures are recorded and
-    the sweep continues. Returns a summary with passive/active traffic ratios
-    per application where both modes completed."""
+    """Run a configuration matrix serially; per-row failures, a report that
+    fails ``verify_report_metrics`` among them, are recorded and the sweep
+    continues. Returns a summary with passive/active traffic ratios per
+    application where both modes completed."""
     client_bound: dict[tuple, dict[str, int]] = {}
     failures = 0
     with Path(out_csv).open("w", newline="") as fh:
@@ -477,11 +478,12 @@ def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
             fh.flush()  # an interrupted sweep keeps the rows it finished
             try:
                 report = run_benchmark(config)
+                verify_report_metrics(report)
                 key = (config.app, config.tier, config.objects, config.dataset)
                 client_bound.setdefault(key, {})[config.mode] = report["wire_client"][
                     "bytes_received"
                 ]
-            except (ConfigError, StoreError, OSError) as exc:
+            except (ConfigError, StoreError, OSError, AssertionError) as exc:
                 failures += 1
                 report = {"config": asdict(config), "status": "error", "error": str(exc)}
             writer.writerow(_csv_row(report))

@@ -22,17 +22,18 @@ for the data bytes that come in with its header, and a reply's when the
 socket takes it whole. A client sends a frame with ``sendmsg`` over a few
 parts: the head and the small fields joined, each large payload's data
 section a view of its array. Each end receives with ``recv_into``: a small
-frame into one reused buffer of ``GATHER_LIMIT`` bytes, and a large one into
-fresh memory, placed so that the frame ends on a 64-byte boundary, whose
-pages are committed only as the frame's bytes arrive. Only a large persist
-is received otherwise: its prefix into the reused buffer, its data section
-into the tier region. A reply ends with its payload, whose data section is
-a multiple of 8 bytes, so that section of a large reply starts aligned
-(64-byte aligned when its length is a multiple of 64) and is decoded as a
-view. The copies left, per operation:
+frame into its connection's receive buffer of ``GATHER_LIMIT`` bytes, made
+once and the only memory a connection keeps between requests, and a large
+one into fresh memory, placed so that the frame ends on a 64-byte boundary,
+whose pages are committed only as the frame's bytes arrive. Only a large
+persist is received otherwise: its prefix into the receive buffer, its
+data section into the tier region. A reply ends with its payload, whose
+data section is a multiple of 8 bytes, so that section of a large reply
+starts aligned (64-byte aligned when its length is a multiple of 64) and is
+decoded as a view. The copies left, per operation:
 
 - persist: the client sends the payload's own array. The server receives a
-  large frame into its reused buffer only up to the end of the payload's
+  large frame into its receive buffer only up to the end of the payload's
   header, with what else came in the same reads, at most ``GATHER_LIMIT``
   bytes. The engine then reserves the object's region, the data bytes that
   came with the prefix are copied in, and the rest are received from the
@@ -41,11 +42,10 @@ view. The copies left, per operation:
   region filled from the frame.
 - get: while ``Engine.get_object`` holds the shared claim, the server sends
   the reply with one non-blocking ``sendmsg`` whose data part is the tier
-  region itself. Only what the socket did not take is copied, into the
-  connection's reused send buffer, and sent once the claim is released. The
-  client decodes the payload as a view of the memory it received the frame
-  into (no copy).
-- invoke by value: the argument is received whole, into the reused buffer
+  region itself. Only what the socket did not take is copied, into fresh
+  memory, and sent once the claim is released. The client decodes the
+  payload as a view of the memory it received the frame into (no copy).
+- invoke by value: the argument is received whole, into the receive buffer
   or, in a large frame, into fresh memory, and the routine sees it as a
   read-only view of that memory, copied first only if it is unaligned. A
   by-value result is sent from the routine's array as a get's reply is from
@@ -70,7 +70,7 @@ on.
 
 Ownership: a value returned to a client caller owns its memory. A value the
 server decodes from a request may alias the memory the frame was received
-into, the reused buffer that the next request overwrites or a large frame's
+into, the receive buffer that the next request overwrites or a large frame's
 own array; it is used only until its reply is sent, and a persist's data
 section is copied or received into the tier region. The loopback transport
 joins each request's parts into one bytes object, and each reply's parts
@@ -135,33 +135,6 @@ class Frame(NamedTuple):
     msg_type: int
     request_id: int
     body: bytes  # or a list of bytes-like parts, as encode_body returns
-
-
-class FrameBuffer:
-    """A reusable byte buffer: a connection's receive buffer, of
-    ``GATHER_LIMIT`` bytes (see ``_recv_frame``), or a server's send buffer.
-
-    It grows to the largest size asked of it and never shrinks until
-    ``release``. Growing replaces the array, bytes dropped, so a view handed
-    out earlier stays valid, over the old bytes."""
-
-    __slots__ = ("_whole",)
-
-    def __init__(self):
-        self._whole = memoryview(bytearray())
-
-    @property
-    def capacity(self) -> int:
-        return len(self._whole)
-
-    def view(self, size: int) -> memoryview:
-        """A writable view of the first ``size`` bytes."""
-        if size > len(self._whole):
-            self._whole = memoryview(bytearray(size))
-        return self._whole[:size]
-
-    def release(self) -> None:
-        self._whole = memoryview(bytearray())
 
 
 def encode_frame(frame: Frame):
@@ -317,7 +290,7 @@ class _Payload:
     back as a view too when the frame is memory of its own (an array, see
     ``_recv_frame``), which the caller then owns; that view is aligned,
     since such a frame ends 64-byte aligned. From any other frame (the
-    reused buffer, the loopback's bytes) it is read back as a copy."""
+    receive buffer, the loopback's bytes) it is read back as a copy."""
 
     def __init__(self, reply: bool):
         self._reply = reply
@@ -796,27 +769,28 @@ class TcpConnection(Connection):
         super().__init__()
         self._sock = socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._received = FrameBuffer()  # small replies only
+        self._received = memoryview(bytearray(GATHER_LIMIT))  # small replies only
 
     def _roundtrip(self, raw: list) -> memoryview:
         _send_parts(self._sock, raw)
         return _recv_frame(self._sock, self._received, own_large=True)
 
     def close(self) -> None:
-        self._received.release()
+        self._received = None
         try:
             self._sock.close()
         except OSError:
             pass
 
 
-def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) -> memoryview:
+def _recv_frame(sock: socket.socket, prefix: memoryview, own_large: bool = False) -> memoryview:
     """One frame, returned as a view of the memory it was received into;
     FrameError when the peer closes first or claims an oversize frame (before
     any memory is set aside for it), after which the stream cannot be
     resynchronized.
 
-    A frame below ``GATHER_LIMIT`` bytes is received whole into ``buf``. Of a
+    ``prefix`` is the connection's receive buffer, of ``GATHER_LIMIT`` bytes.
+    A frame below ``GATHER_LIMIT`` bytes is received whole into it. Of a
     larger MAKE_PERSISTENT frame only a prefix is: up to the end of its
     payload's header, and with it whatever else the same reads bring, up to
     ``GATHER_LIMIT`` bytes in all. The rest stays on the socket, for
@@ -828,8 +802,8 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
     ends on a 64-byte boundary. Its pages are committed only as bytes arrive,
     so a peer that announces a large frame and stalls costs memory only for
     what it has sent. With ``own_large``, as a client receives replies, a
-    large frame goes there straight after its length field."""
-    prefix = buf.view(GATHER_LIMIT)
+    large frame goes there straight after its length field. Every receive
+    after a frame's first bytes goes through ``_recv_some``."""
     head = prefix[: _LEN.size]
     while True:
         try:
@@ -850,10 +824,7 @@ def _recv_frame(sock: socket.socket, buf: FrameBuffer, own_large: bool = False) 
         return frame
     need = 0 if own_large else _upload_header_end(head)
     while got < need <= GATHER_LIMIT:
-        n = sock.recv_into(prefix[got:])
-        if not n:
-            raise FrameError(f"connection closed mid-frame: {size - got} bytes missing")
-        got += n
+        got += _recv_some(sock, prefix[got:])
         need = _upload_header_end(prefix[:got])
     if got >= need > 0:
         return prefix[:got]
@@ -881,37 +852,38 @@ def _upload_header_end(prefix) -> int:
     return tag_at + header_length(prefix[tag_at])
 
 
-def _recv_into(sock: socket.socket, view: memoryview) -> None:
-    if not view:
-        return  # a socket with a timeout would wait for data even to read nothing
+def _recv_some(sock: socket.socket, view: memoryview) -> int:
+    """Receive into ``view``, which must not be empty, at least one byte of a
+    frame that has begun; the number received. FrameError when the peer
+    closes first."""
     n = sock.recv_into(view)
-    while n < len(view):
-        if not n:
-            raise FrameError(f"connection closed mid-frame: {len(view)} bytes missing")
-        view = view[n:]
-        n = sock.recv_into(view)
+    if not n:
+        raise FrameError("connection closed mid-frame")
+    return n
 
 
-def _send_now(sock: socket.socket, spill: FrameBuffer, parts: list) -> memoryview:
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    # an empty view is never received into: a socket with a timeout would wait
+    # for data even to read nothing
+    while view:
+        view = view[_recv_some(sock, view) :]
+
+
+def _send_now(sock: socket.socket, parts: list) -> bytes:
     """Send what the socket takes of ``parts`` at once, with one non-blocking
     ``sendmsg`` (``sock`` must have no timeout, or Python would wait on it);
-    copy the rest into ``spill`` and return a view of it, which may be empty.
+    return the rest as one fresh copy, empty when the socket took everything.
     An error sends nothing and keeps every byte, so the send of the rest
     reports it."""
     try:
         sent = sock.sendmsg(parts, (), socket.MSG_DONTWAIT)
     except OSError:  # the socket is full (EAGAIN), or broken
         sent = 0
-    rest = spill.view(sum(map(len, parts)) - sent)
-    pos = 0
-    for part in parts:
-        if sent >= len(part):
-            sent -= len(part)
-            continue
-        piece = memoryview(part)[sent:]
-        rest[pos : pos + len(piece)] = piece
-        pos, sent = pos + len(piece), 0
-    return rest
+    for i, part in enumerate(parts):
+        if sent < len(part):
+            return b"".join((memoryview(part)[sent:], *parts[i + 1 :]))
+        sent -= len(part)
+    return b""
 
 
 def _send_parts(sock: socket.socket, parts: list) -> None:
@@ -935,7 +907,10 @@ def _send_parts(sock: socket.socket, parts: list) -> None:
 
 class TcpServer:
     """Threaded TCP front-end over a ServerCore; one thread per connection,
-    per-connection requests processed strictly in order. A connection whose
+    per-connection requests processed strictly in order. A connection keeps
+    only its ``GATHER_LIMIT``-byte receive buffer between requests: the part
+    of a large reply that the socket does not take at once is copied into
+    fresh memory, sent, and dropped. A connection whose
     send, or receive of a frame that has begun to arrive, makes no progress
     for ``SOCKET_TIMEOUT_S`` is dropped; one may idle between requests
     without limit. ``stop`` closes the
@@ -976,8 +951,8 @@ class TcpServer:
             t.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        received, spill = FrameBuffer(), FrameBuffer()
-        send = functools.partial(_send_now, conn, spill)
+        received = memoryview(bytearray(GATHER_LIMIT))
+        send = functools.partial(_send_now, conn)
         recv = functools.partial(_recv_into, conn)
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -993,8 +968,6 @@ class TcpServer:
         except (OSError, FrameError):
             pass  # peer closed or stalled, or sent a frame the stream cannot recover from
         finally:
-            received.release()
-            spill.release()
             with self._lock:
                 self._conns.discard(conn)
             try:

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import ast
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import aostore
-from aostore import bench
+from aostore import bench, cli
 from aostore.bench import (
     BenchmarkConfig,
     CSV_COLUMNS,
@@ -266,6 +269,26 @@ def test_desk_counters_byte_identical(tmp_path):
     assert out.read_bytes() == (REPO / "desk_counters.json").read_bytes()
 
 
+def test_invoke_layers_runs(tmp_path):
+    """scripts/invoke_layers.py, cut to one round of one call, prints a row of
+    three figures per layer and the kernel's share of the invoke over TCP.
+    The figures are printed to 0.1 us, so the no-op kernel may read 0.0, but
+    a TCP round trip is never that short. It runs in a process of its own,
+    as it sets the BLAS thread count before numpy loads."""
+    code = ("import runpy, sys; g = runpy.run_path(sys.argv[1]); "
+            "g['main'].__globals__.update(CALLS=1, ROUNDS=1); g['main'](); print(g['LAYERS'])")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "TMPDIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO / "scripts" / "invoke_layers.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *lines, layers = proc.stdout.splitlines()
+    rows = {name: figures for name, *figures in (line.rsplit(maxsplit=3) for line in lines[2:])}
+    assert list(rows) == [*ast.literal_eval(layers), "kernel / tcp"]
+    for layer, figures in rows.items():
+        assert len(figures) == 3 and all(float(x.rstrip("%")) >= 0 for x in figures), layer
+    assert all(float(x) > 0 for x in rows["tcp"])
+
+
 def test_quick_start_demo_runs(tmp_path):
     """README's Quick start: the demo exits 0 and the stub's local and remote
     means agree. Its arena directory goes under ``tmp_path``."""
@@ -334,6 +357,36 @@ class TestSweep:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["error", "ok"]
+
+    def test_a_report_that_fails_its_check_is_an_error_row(self, tmp_path, monkeypatch, capsys):
+        """A run whose report has a metric one ulp off its exact recomputation
+        is written as an error row and counted among the failures; the sweep
+        goes on, and ``bench sweep`` then exits 1."""
+        real_run = bench.run_benchmark
+        runs = []
+
+        def run(config):
+            report = real_run(config)
+            if not runs:
+                metrics = report["metrics"]
+                metrics["reuse_factor"] = math.nextafter(metrics["reuse_factor"], math.inf)
+            runs.append(config.mode)
+            return report
+
+        monkeypatch.setattr(bench, "run_benchmark", run)
+        base = {"app": "histogram", "result": "value", "objects": "big"}
+        configs = [tiny_config(tmp_path, mode=mode, **base) for mode in ("active", "passive")]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([asdict(config) for config in configs]))
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert runs == ["active", "passive"]
+        assert [r["status"] for r in rows] == ["error", "ok"]
+        assert rows[0]["error"].startswith("reuse_factor: ")
+        assert (summary["failures"], summary["passive_over_active"]) == (1, {})
 
     def test_plan_loader_merges_base(self, tmp_path):
         plan = tmp_path / "plan.json"

@@ -348,6 +348,43 @@ def test_partial_sums_bit_identical_to_bincount_reference(rows, dims, centers, f
     assert np.array_equal(got[:, :-1].view(np.uint64), sums.view(np.uint64))
 
 
+@st.composite
+def near_a_bisector(draw):
+    """(points, centers): a few points of norm 1e4 to 1e8, each put on the
+    bisector of two drawn centers and moved off it by less than the rounding
+    of its squared norm, among points of norm about 1. The two centers'
+    distances to such a point then differ by less than the reference
+    expression can resolve once it adds the norm, while ``cn - 2g`` alone
+    still ranks them: only the bound sends the point to the exact path."""
+    dims = draw(st.integers(2, 12))
+    centers = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cents = rng.normal(size=(centers, dims))
+    rows = [rng.normal(size=(draw(st.integers(0, 20)), dims))]
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.lists(st.integers(0, centers - 1), min_size=2, max_size=2, unique=True))
+        d = cents[b] - cents[a]
+        across = rng.normal(size=dims)
+        across -= (across @ d) / (d @ d) * d  # along the bisector
+        norm = 10.0 ** draw(st.floats(4, 8))
+        p = (cents[a] + cents[b]) / 2 + across * (norm / np.linalg.norm(across))
+        # moving p by s along d changes the difference of the two squared
+        # distances by 2 s |d|; keep that below one ulp of |p|**2
+        s = draw(st.floats(-1, 1)) * np.spacing(p @ p) / (2 * np.linalg.norm(d))
+        rows.append([p + s * d / np.linalg.norm(d)])
+    pts = np.vstack(rows)
+    return pts[rng.permutation(len(pts))], cents
+
+
+@given(near_a_bisector())
+def test_rows_near_a_bisector_get_the_reference_center(block):
+    pts, cents = block
+    got = kmeans_partial(PointsBlock(pts), Centroids(cents))
+    sums, counts = kmeans_partial_oracle(pts, cents)
+    assert np.array_equal(got[:, -1], counts)
+    assert np.array_equal(got[:, :-1].view(np.uint64), sums.view(np.uint64))
+
+
 @given(
     rows=st.integers(1, 40),
     dims=st.integers(1, 12),
