@@ -39,7 +39,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from aostore.client import Session
-from aostore.engine import ByRef, Engine, ResultPlacement, Routine, RoutineCatalog
+from aostore.engine import Engine, ResultPlacement, Routine, RoutineCatalog
 from aostore.kernels import MATRIX_CLASS, POINTS_CLASS, KMeansSpec, build_catalog, fma_values
 from aostore.kernels import gen_points, initial_centroids, kernel_classes, kernel_methods
 from aostore.model import MethodDescriptor, ObjectId, PointsBlock, Submatrix
@@ -93,7 +93,7 @@ def main() -> None:
         acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v))
                      for v in (np.zeros((96, 96)), rng.random((96, 96)), rng.random((96, 96))))
         accv, av, bv = map(engine.get_object, (acc, a, b))
-        args = [ByRef(a), ByRef(b)]
+        args = [a, b]
 
         spec = KMeansSpec()
         blocks = gen_points(5, 512, spec.dims, 256)
@@ -106,7 +106,7 @@ def main() -> None:
             "fma 96x96": (lambda: fma_values(accv.values, av.values, bv.values), acc, "fma", args),
             "no-op": (lambda: noop(accv, [av, bv]), acc, "noop", args),
             "accumulate": (lambda: accumulate(sumsv, [pointsv, centsv]), sums, "accumulate",
-                           [ByRef(points), ByRef(cents)]),
+                           [points, cents]),
         }
 
         core = ServerCore(engine)

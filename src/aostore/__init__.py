@@ -6,7 +6,7 @@ client-side for comparison. Instrumented byte counters on the wire and in the
 tiers make data-movement behaviour measurable and deterministic.
 """
 
-from .engine import ByRef, ByValue, Engine, ResultPlacement, RoutineCatalog
+from .engine import Engine, ResultPlacement, RoutineCatalog
 from .client import Session, Stub
 from .model import (
     BlockPayload,
@@ -30,8 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArenaConfig",
     "BlockPayload",
-    "ByRef",
-    "ByValue",
     "Centroids",
     "ClassDescriptor",
     "Engine",

@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .client import Session
-from .engine import ByRef, Engine, ResultPlacement
+from .engine import Engine, ResultPlacement
 from .errors import DuplicateError, InvalidRequestError
 from .kernels import (
     HIST_CLASS,
@@ -243,8 +243,8 @@ class _KMeans(_Run):
         for _ in range(spec.iterations):
             acc = self.session.make_persistent(POINTS_CLASS, zeros, TierKind.DRAM)
             for oid in ids:
-                self.invoke(acc, "accumulate", [ByRef(oid), ByRef(cid)])
-            new_cid = self.invoke(acc, "finish", [ByRef(cid)], ResultPlacement.volatile())
+                self.invoke(acc, "accumulate", [oid, cid])
+            new_cid = self.invoke(acc, "finish", [cid], ResultPlacement.volatile())
             self.session.delete(acc)
             self.session.delete(cid)
             cid = new_cid
@@ -308,7 +308,7 @@ class _MatAdd(_Matrix):
         values, stored = {}, {}
         for rc in self.cells:
             if self.active:
-                got = self.invoke(a[rc], "add", [ByRef(b[rc])], self.placement)
+                got = self.invoke(a[rc], "add", [b[rc]], self.placement)
                 (stored if isinstance(got, ObjectId) else values)[rc] = got
                 continue
             values[rc] = self.client(
@@ -350,7 +350,7 @@ class _MatMul(_Matrix):
             rc: self.session.make_persistent(MATRIX_CLASS, zeros, acc_tier) for rc in self.cells
         }
         for rc, a_id, b_id in steps:
-            self.invoke(accs[rc], "fma", [ByRef(a_id), ByRef(b_id)])
+            self.invoke(accs[rc], "fma", [a_id, b_id])
         if self.result == RESULT_STORE:
             stored, placement = {}, ResultPlacement.store_in(self.tier)
             for rc in self.cells:

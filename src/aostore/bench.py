@@ -129,6 +129,12 @@ class BenchmarkConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.dram_capacity_bytes <= 0:
+            raise ConfigError("dram_capacity_bytes must be positive")
+        if self.mm_cache_bytes < 0:
+            raise ConfigError("mm_cache_bytes must be non-negative (0 derives it from the dataset)")
+        if not isinstance(self.arena_path, str):
+            raise ConfigError(f"arena_path must be a string, got {self.arena_path!r}")
         sizes = profile_sizes(self)
         if self.tier == "dram" and sizes["dataset_bytes"] > self.dram_capacity_bytes:
             raise ConfigError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import ByRef, ByValue, ResultPlacement, RoutineCatalog
+from .engine import ResultPlacement, RoutineCatalog
 from .errors import InvalidRequestError, NotFoundError
 from .model import (
     BlockPayload,
@@ -77,9 +77,12 @@ class Session:
         self,
         oid: ObjectId,
         method_name: str,
-        args: list[ByValue | ByRef] = (),
+        args: list[BlockPayload | ObjectId] = (),
         placement: ResultPlacement = ResultPlacement.value(),
     ):
+        """Invoke ``method_name`` on the stored object ``oid``. An argument is
+        an :class:`ObjectId`, naming a stored object by reference, or a
+        payload, sent by value; any other raises FrameError before a send."""
         return self._conn.call(wire.MSG_INVOKE, oid, method_name, placement, args)[0]
 
     def delete(self, oid: ObjectId) -> None:
@@ -145,7 +148,7 @@ class Stub:
     def call(
         self,
         method_name: str,
-        args: list[ByValue | ByRef] = (),
+        args: list[BlockPayload | ObjectId] = (),
         placement: ResultPlacement = ResultPlacement.value(),
     ):
         desc = self._session.method_descriptor(self.class_name, method_name)
@@ -156,12 +159,9 @@ class Stub:
         if self._session.catalog is None:
             raise InvalidRequestError("session has no local catalog for local stub calls")
         routine = self._session.catalog.get(desc.routine_key)
-        resolved = []
-        for arg in args:
-            if isinstance(arg, ByRef):
-                raise InvalidRequestError("local stub calls cannot take object references")
-            resolved.append(arg.payload)
-        out = routine.fn(self._payload, resolved)
+        if any(isinstance(arg, ObjectId) for arg in args):
+            raise InvalidRequestError("local stub calls cannot take object references")
+        out = routine.fn(self._payload, list(args))
         if routine.mutates:
             self._payload = type(self._payload)(out)
             return None

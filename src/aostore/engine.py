@@ -79,16 +79,6 @@ class ResultPlacement:
 
 
 @dataclass(frozen=True)
-class ByValue:
-    payload: BlockPayload
-
-
-@dataclass(frozen=True)
-class ByRef:
-    object_id: ObjectId
-
-
-@dataclass(frozen=True)
 class Routine:
     """A catalog entry: ``fn(target, args)`` returns its result payload, or
     None for no result; a routine that ``mutates`` returns the target's new
@@ -404,10 +394,13 @@ class Engine:
         self,
         oid: ObjectId,
         method_name: str,
-        args: "list[ByValue | ByRef]" = (),
+        args: "list[BlockPayload | ObjectId]" = (),
         placement: ResultPlacement = ResultPlacement.value(),
     ):
         """Execute a registered method against the tier-resident payload.
+
+        An argument is an :class:`ObjectId`, naming a stored object by
+        reference, or a payload, passed by value.
 
         Returns the result payload when ``placement.tier`` is None, else the
         ObjectId of the result stored in that tier; None for a routine that
@@ -427,12 +420,12 @@ class Engine:
                 raise ShapeMismatchError(
                     f"method {method_name!r} expects {len(desc.arg_schema)} args, got {len(args)}"
                 )
-            if routine.mutates and any(isinstance(a, ByRef) and a.object_id == oid for a in args):
+            if routine.mutates and any(isinstance(a, ObjectId) and a == oid for a in args):
                 raise InvalidRequestError(
                     "argument aliases the mutation target; pass distinct objects"
                 )
             # per argument: the referenced object's meta, or None for a value
-            arg_metas = [self._meta(a.object_id) if isinstance(a, ByRef) else None for a in args]
+            arg_metas = [self._meta(a) if isinstance(a, ObjectId) else None for a in args]
             claims = [(meta, routine.mutates)] + [(m, False) for m in arg_metas if m is not None]
             self._claim(claims)
 
@@ -441,10 +434,10 @@ class Engine:
             resolved: list[BlockPayload] = []
             for arg, arg_meta, schema in zip(args, arg_metas, desc.arg_schema):
                 if arg_meta is None:
-                    self._check_schema(arg.payload, schema, method_name)
-                    resolved.append(_by_value(arg.payload))
+                    self._check_schema(arg, schema, method_name)
+                    resolved.append(_by_value(arg))
                 else:
-                    view = self._payload_view(arg_meta, arg.object_id)
+                    view = self._payload_view(arg_meta, arg)
                     self._check_schema(view, schema, method_name)
                     resolved.append(view)
                     op.reads.append(arg_meta)

@@ -90,7 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ByRef, ByValue, Engine, ResultPlacement
+from .engine import Engine, ResultPlacement
 from .errors import FrameError, StoreError, UnknownMsgTypeError, error_for_code
 from .model import (
     BlockPayload,
@@ -379,17 +379,6 @@ class _Record(_Fields):
         return self._cls(*values), pos
 
 
-class _Wrapper(_Record):
-    """A one-field dataclass carried as that field; shorter paths for INVOKE args."""
-
-    def put(self, out: list, value) -> None:
-        self.fields[0].put(out, getattr(value, self._names[0]))
-
-    def take(self, buf: memoryview, pos: int):
-        value, pos = self.fields[0].take(buf, pos)
-        return self._cls(value), pos
-
-
 class _List:
     """A count, then that many items; an item of several fields is a tuple."""
 
@@ -486,8 +475,7 @@ TIER = _Code("tier", _TIER_CODES)
 TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
 CLASS = _Record(ClassDescriptor, STR16, _List(U16, STR16, STR16), _List(U16, STR16))
 METHOD = _Record(MethodDescriptor, STR16, STR16, STR16, _List(U8, STR16), STR16, BOOL)
-ARG = _Union("INVOKE arg", {1: (ByValue, _Wrapper(ByValue, PAYLOAD_VIEW)),
-                            2: (ByRef, _Wrapper(ByRef, OBJECT_ID))})
+ARG = _Union("INVOKE arg", {1: (BlockPayload, PAYLOAD_VIEW), 2: (ObjectId, OBJECT_ID)})
 RESULT = _Union("INVOKE result", {0: (type(None), None), 1: (BlockPayload, PAYLOAD),
                                   2: (ObjectId, OBJECT_ID)})
 MEDIUM = _Code("medium", {MEDIA_DRAM: 1, MEDIA_NVM: 2})
@@ -647,8 +635,12 @@ class ServerCore:
             if rest.broken:
                 raise
             rest.drain()
-            err = exc if isinstance(exc, StoreError) else StoreError(f"internal: {exc}")
-            body = encode_body(MESSAGES[MSG_ERROR].reply, (err.code, str(err)))
+            # no local names the error past this block: its traceback holds this
+            # frame, and the engine's frames, with the views they read, would
+            # then live on in a reference cycle until the garbage collector ran
+            known = isinstance(exc, StoreError)
+            error = (exc.code, str(exc)) if known else (StoreError.code, f"internal: {exc}")
+            body = encode_body(MESSAGES[MSG_ERROR].reply, error)
             return self._reply(size, request_type, MSG_ERROR, request_id, body, send)
 
     def _reply(self, received: int, request_type, reply_type: int, request_id: int, body, send):

@@ -375,7 +375,7 @@ def _persist_frame(payload) -> int:
 
 
 def _invoke_frame(method: str, refs: int) -> int:
-    # target id, method name, placement kind, u8 arg count, (tag, id) per ByRef
+    # target id, method name, placement kind, u8 arg count, (tag, id) per by-reference argument
     return FRAME_OVERHEAD + 16 + _str16(method) + 1 + 1 + refs * (1 + 16)
 
 

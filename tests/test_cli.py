@@ -30,6 +30,17 @@ def test_invalid_config_exits_2_before_any_work(tmp_path, capsys):
     assert not arenas.exists()
 
 
+@pytest.mark.parametrize("options", [
+    pytest.param(["--tier", "nvm", "--dram-capacity", "0"], id="dram-capacity-zero"),
+    pytest.param(["--tier", "mm", "--objects", "small", "--mm-cache", "-5"], id="mm-cache-negative"),
+])
+def test_bad_capacity_exits_2_before_any_work(tmp_path, capsys, options):
+    arenas = tmp_path / "arenas"
+    assert main(["run", "--app", "histogram", *options, "--arena", str(arenas)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not arenas.exists()
+
+
 def test_arena_path_that_is_a_file_exits_1(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
@@ -71,6 +82,9 @@ def test_sweep_records_an_invalid_row_and_runs_the_rest(tmp_path):
     pytest.param({"tier": "mm", "mm_cache_bytes": "big"}, id="mm-cache-str"),
     pytest.param({"tier": "mm", "mm_cache_bytes": True}, id="mm-cache-bool"),
     pytest.param({"dram_capacity_bytes": "1e9"}, id="dram-capacity-str"),
+    pytest.param({"tier": "nvm", "dram_capacity_bytes": 0}, id="dram-capacity-zero"),
+    pytest.param({"tier": "mm", "mm_cache_bytes": -1}, id="mm-cache-negative"),
+    pytest.param({"arena_path": 5}, id="arena-path-int"),
 ])
 def test_sweep_records_a_mistyped_row_and_runs_the_rest(tmp_path, entry):
     plan = tmp_path / "plan.json"

@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aostore.client import Stub
-from aostore.engine import ByValue
-from aostore.errors import InvalidRequestError, NotFoundError, ShapeMismatchError
-from aostore.kernels import HIST_CLASS, POINTS_CLASS
-from aostore.model import Centroids, FloatArray, ObjectIdFactory, PointsBlock
+from aostore.client import Session, Stub
+from aostore.errors import FrameError, InvalidRequestError, NotFoundError, ShapeMismatchError
+from aostore.kernels import HIST_CLASS, MATRIX_CLASS, POINTS_CLASS
+from aostore.model import Centroids, FloatArray, ObjectIdFactory, PointsBlock, Submatrix
 from aostore.tiers import TierKind
 from aostore.apps import ensure_kernel_registration
+from aostore.wire import ServerCore, TcpServer
 
 
 @pytest.fixture
@@ -64,18 +64,51 @@ class TestStubLifecycle:
         stub = Stub(ready, POINTS_CLASS, PointsBlock(np.zeros((4, 3))))
         stub.persist(TierKind.DRAM)
         with pytest.raises(ShapeMismatchError):
-            stub.call("partial", [ByValue(FloatArray([1.0]))])
+            stub.call("partial", [FloatArray([1.0])])
 
     def test_transparency_on_kernel_methods(self, ready):
         rng = np.random.default_rng(4)
         block = PointsBlock(rng.random((32, 8)))
         cents = Centroids(rng.random((3, 8)))
         local_stub = Stub(ready, POINTS_CLASS, block)
-        local = local_stub.call("partial", [ByValue(cents)])
+        local = local_stub.call("partial", [cents])
         remote_stub = Stub(ready, POINTS_CLASS, block)
         remote_stub.persist(TierKind.MEMORY_MODE)
-        remote = remote_stub.call("partial", [ByValue(cents)])
+        remote = remote_stub.call("partial", [cents])
         assert local == remote  # bit-exact: same routine either side
+
+
+@pytest.fixture(params=["loopback", "tcp"])
+def either(request, engine):
+    """A session with the kernels registered, over loopback or over TCP."""
+    server = TcpServer(engine) if request.param == "tcp" else None
+    session = (Session.connect_tcp(server.host, server.port) if server
+               else Session.connect_loopback(ServerCore(engine)))
+    ensure_kernel_registration(session)
+    yield session
+    session.close()
+    if server:
+        server.stop()
+
+
+class TestInvokeArguments:
+    """An argument is an ObjectId, passed by reference, or a payload, by value."""
+
+    @pytest.mark.parametrize("arg", [bytes(16), 16, np.ones((2, 2))], ids=["bytes", "int", "array"])
+    def test_another_type_is_refused_before_a_send(self, either, arg):
+        oid = either.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        before = either.counters()
+        with pytest.raises(FrameError, match="INVOKE arg cannot carry"):
+            either.invoke(oid, "add", [arg])
+        assert either.counters() == before
+        assert either.invoke(oid, "add", [oid]) == Submatrix(np.full((2, 2), 2.0))
+
+    def test_a_local_stub_refuses_an_object_id(self, ready):
+        oid = ready.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        stub = Stub(ready, MATRIX_CLASS, Submatrix(np.ones((2, 2))))
+        with pytest.raises(InvalidRequestError, match="object references"):
+            stub.call("add", [oid])
+        assert stub.call("add", [Submatrix(np.ones((2, 2)))]) == Submatrix(np.full((2, 2), 2.0))
 
 
 class TestPassivePath:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aostore import engine as engine_module
-from aostore.engine import ByRef, ByValue, Engine, ResultPlacement, Routine, RoutineCatalog
+from aostore.engine import Engine, ResultPlacement, Routine, RoutineCatalog
 from aostore.errors import (
     CapacityError,
     DuplicateError,
@@ -179,7 +179,7 @@ class TestInvoke:
         engine.register_method(BLOCK_MEAN)
         oid = persist(engine, "Block", FloatArray([1.0]), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError, match="args"):
-            engine.invoke(oid, "mean", [ByValue(FloatArray([1.0]))])
+            engine.invoke(oid, "mean", [FloatArray([1.0])])
 
     def test_arg_schema_checked(self, engine):
         from aostore.kernels import kernel_classes, kernel_methods
@@ -190,7 +190,7 @@ class TestInvoke:
             engine.register_method(m)
         oid = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError, match="expects"):
-            engine.invoke(oid, "add", [ByValue(FloatArray([1.0]))])
+            engine.invoke(oid, "add", [FloatArray([1.0])])
 
     def test_result_placements(self, engine):
         from aostore.kernels import kernel_classes, kernel_methods
@@ -202,15 +202,15 @@ class TestInvoke:
         a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.NVM_DIRECT)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((4, 4))), TierKind.NVM_DIRECT)
 
-        by_value = engine.invoke(a, "add", [ByRef(b)])
+        by_value = engine.invoke(a, "add", [b])
         assert isinstance(by_value, Submatrix)
 
-        vol_id = engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile())
+        vol_id = engine.invoke(a, "add", [b], ResultPlacement.volatile())
         assert engine.object_tier(vol_id) == TierKind.DRAM
 
         nvm_written_before = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
         stored_id = engine.invoke(
-            a, "add", [ByRef(b)], ResultPlacement.store_in(TierKind.NVM_DIRECT)
+            a, "add", [b], ResultPlacement.store_in(TierKind.NVM_DIRECT)
         )
         assert engine.object_tier(stored_id) == TierKind.NVM_DIRECT
         nvm_written_after = engine.tier(TierKind.NVM_DIRECT).media_counters()[MEDIA_NVM].bytes_written
@@ -228,9 +228,9 @@ class TestInvoke:
         a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.eye(4)), TierKind.DRAM)
         with pytest.raises(InvalidRequestError, match="return-by-value"):
-            engine.invoke(a, "add", [ByRef(b)])
+            engine.invoke(a, "add", [b])
         # stored placements have no such ceiling
-        engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile())
+        engine.invoke(a, "add", [b], ResultPlacement.volatile())
         engine.close()
 
 
@@ -250,7 +250,7 @@ class TestFmaInPlace:
         a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(3)), TierKind.NVM_DIRECT)
         m = np.arange(9.0).reshape(3, 3)
         b = persist(engine, MATRIX_CLASS, Submatrix(m), TierKind.NVM_DIRECT)
-        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+        engine.invoke(acc, "fma", [a, b])
         assert np.array_equal(engine.get_object(acc).values, m)
 
     def test_zero_annihilator(self, engine):
@@ -259,7 +259,7 @@ class TestFmaInPlace:
         acc = persist(engine, MATRIX_CLASS, Submatrix(c0), TierKind.DRAM)
         z = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
-        engine.invoke(acc, "fma", [ByRef(z), ByRef(b)])
+        engine.invoke(acc, "fma", [z, b])
         assert np.array_equal(engine.get_object(acc).values, c0)
 
     def test_random_k8_matches_triple_loop(self, engine):
@@ -269,7 +269,7 @@ class TestFmaInPlace:
         acc = persist(engine, MATRIX_CLASS, Submatrix(c_v), TierKind.NVM_DIRECT)
         a = persist(engine, MATRIX_CLASS, Submatrix(a_v), TierKind.NVM_DIRECT)
         b = persist(engine, MATRIX_CLASS, Submatrix(b_v), TierKind.NVM_DIRECT)
-        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+        engine.invoke(acc, "fma", [a, b])
         expected = c_v + matmul_oracle(a_v, b_v)
         got = engine.get_object(acc).values
         assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)) < 1e-12
@@ -279,7 +279,7 @@ class TestFmaInPlace:
         acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(InvalidRequestError, match="distinct"):
-            engine.invoke(acc, "fma", [ByRef(acc), ByRef(b)])
+            engine.invoke(acc, "fma", [acc, b])
 
     def test_shape_mismatch_rejected(self, engine):
         _register_matrix(engine)
@@ -287,14 +287,14 @@ class TestFmaInPlace:
         a = persist(engine, MATRIX_CLASS, Submatrix(np.ones((3, 3))), TierKind.DRAM)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
         with pytest.raises(ShapeMismatchError):
-            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            engine.invoke(acc, "fma", [a, b])
 
     def test_inputs_read_counts_increment(self, engine):
         _register_matrix(engine)
         acc = persist(engine, MATRIX_CLASS, Submatrix(np.zeros((2, 2))), TierKind.DRAM)
         a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.DRAM)
-        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+        engine.invoke(acc, "fma", [a, b])
         counts = engine.read_counts()
         assert counts[a] == 1 and counts[b] == 1
         assert counts[acc] == 0  # mutation target is written, not counted as a read
@@ -305,7 +305,7 @@ class TestFmaInPlace:
         a = persist(engine, MATRIX_CLASS, Submatrix(np.eye(2)), TierKind.NVM_DIRECT)
         b = persist(engine, MATRIX_CLASS, Submatrix(np.full((2, 2), 2.0)), TierKind.NVM_DIRECT)
         view = engine.tier(TierKind.NVM_DIRECT).read_view(acc)
-        engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+        engine.invoke(acc, "fma", [a, b])
         assert np.frombuffer(bytes(view), dtype="<f8")[0] == 2.0
 
 
@@ -328,7 +328,7 @@ class TestStoredResultInPlace:
         k = 64
         n = k * k * 8
         a, b, a_v, b_v = self._inputs(engine, kind, k)
-        args, expected = ([ByRef(b)], a_v + b_v) if method == "add" else ([], a_v)
+        args, expected = ([b], a_v + b_v) if method == "add" else ([], a_v)
         before = engine.op_totals()["invoke"]
         stored = engine.invoke(a, method, args, ResultPlacement.store_in(kind))
         moved = engine.op_totals()["invoke"].since(before)
@@ -352,7 +352,7 @@ class TestStoredResultInPlace:
     def test_result_is_written_once(self, engine, method):
         k = 512  # a 2 MiB block
         a, b, _, _ = self._inputs(engine, TierKind.NVM_DIRECT, k)
-        args = [ByRef(b)] if method == "add" else []
+        args = [b] if method == "add" else []
         placement = ResultPlacement.store_in(TierKind.NVM_DIRECT)
         # a result computed apart and then copied in would peak at 2 MiB here
         assert peak_traced_bytes(lambda: engine.invoke(a, method, args, placement)) < 512 * 1024
@@ -373,7 +373,7 @@ class TestStoredResultInPlace:
             a = persist(engine, MATRIX_CLASS, block, TierKind.DRAM)
             mine = []
             for j in range(100):
-                mine.append(engine.invoke(a, "add", [ByRef(b)], ResultPlacement.volatile()))
+                mine.append(engine.invoke(a, "add", [b], ResultPlacement.volatile()))
                 if j % 2:
                     engine.delete_object(mine.pop(0))
             kept[i] = mine
@@ -411,7 +411,7 @@ class TestStoredResultInPlace:
 
         used, ids, written = tier.used_bytes, sorted(tier.ids()), writes()
         before = engine.op_totals()["invoke"]
-        small = ByValue(Submatrix(np.ones((k // 2, k // 2))))
+        small = Submatrix(np.ones((k // 2, k // 2)))
         with pytest.raises(ShapeMismatchError, match="side mismatch"):
             engine.invoke(a, "add", [small], ResultPlacement.store_in(kind))
         failed = engine.op_totals()["invoke"].since(before)
@@ -422,10 +422,10 @@ class TestStoredResultInPlace:
         hits = int(kind == TierKind.MEMORY_MODE)
         assert failed.tier_deltas == {(kind, medium): (n, 0, hits, 0, 1, 0)}
         # the region reserved for the failed result went back to the allocator
-        stored = engine.invoke(a, "add", [ByRef(b)], ResultPlacement.store_in(kind))
+        stored = engine.invoke(a, "add", [b], ResultPlacement.store_in(kind))
         assert engine.get_object(stored).values.tobytes() == (a_v + b_v).tobytes()
         with pytest.raises(CapacityError):
-            engine.invoke(a, "add", [ByRef(b)], ResultPlacement.store_in(kind))
+            engine.invoke(a, "add", [b], ResultPlacement.store_in(kind))
         engine.close()
 
 
@@ -438,7 +438,7 @@ class TestRecords:
             for _ in range(6)
         ]
         for i in range(5):
-            engine.invoke(ids[i], "add", [ByRef(ids[i + 1])], ResultPlacement.volatile())
+            engine.invoke(ids[i], "add", [ids[i + 1]], ResultPlacement.volatile())
         engine.get_object(ids[0])
         engine.delete_object(ids[5])
         engine.flush()
@@ -462,7 +462,7 @@ class TestRecords:
         before = engine.op_totals()["invoke"]
         # the centroids argument is checked after the target was read
         with pytest.raises(ShapeMismatchError):
-            engine.invoke(oid, "partial", [ByValue(FloatArray([1.0]))])
+            engine.invoke(oid, "partial", [FloatArray([1.0])])
         after_tier = astuple(dram.media_counters()[MEDIA_DRAM])
         moved = tuple(a - b for a, b in zip(after_tier, before_tier))
         assert moved == (96, 0, 0, 0, 1, 0)
@@ -526,7 +526,7 @@ class TestConcurrency:
             inputs.append((a, b))
 
         def worker(pair):
-            engine.invoke(acc, "fma", [ByRef(pair[0]), ByRef(pair[1])])
+            engine.invoke(acc, "fma", [pair[0], pair[1]])
 
         threads = [threading.Thread(target=worker, args=(p,)) for p in inputs]
         for t in threads:
@@ -596,7 +596,7 @@ class TestConcurrency:
 
         getter = threading.Thread(target=engine.get_object, args=(acc, read), daemon=True)
         writer = threading.Thread(
-            target=engine.invoke, args=(acc, "fma", [ByRef(a), ByRef(b)]), daemon=True
+            target=engine.invoke, args=(acc, "fma", [a, b]), daemon=True
         )
         getter.start()
         assert reading.wait(30)
@@ -626,7 +626,7 @@ class TestConcurrency:
 
         def worker(target, other):
             for _ in range(200):
-                engine.invoke(target, "fma", [ByRef(other), ByRef(c)])
+                engine.invoke(target, "fma", [other, c])
 
         threads = [
             threading.Thread(target=worker, args=(x, y), daemon=True),
@@ -659,9 +659,9 @@ class TestConcurrency:
                                                 mutates_target=True))
         x, y = (persist(engine, MATRIX_CLASS, Submatrix(np.full((2, 2), v)), TierKind.DRAM)
                 for v in (1.0, 2.0))
-        first = threading.Thread(target=engine.invoke, args=(x, "hold_add", [ByRef(y)]),
+        first = threading.Thread(target=engine.invoke, args=(x, "hold_add", [y]),
                                  daemon=True)
-        second = threading.Thread(target=engine.invoke, args=(y, "hold_add", [ByRef(x)]),
+        second = threading.Thread(target=engine.invoke, args=(y, "hold_add", [x]),
                                   daemon=True)
         first.start()
         deadline = time.monotonic() + 30
@@ -771,7 +771,7 @@ class TestPayloadViews:
         other = persist(engine, MATRIX_CLASS, Submatrix(np.ones((8, 8))), kind)
         # both views are built and in use before the old object goes
         assert engine.get_object(old) == Submatrix(old_values)
-        engine.invoke(other, "add", [ByRef(old)])
+        engine.invoke(other, "add", [old])
         where = engine.get_object(old, lambda view: view.values.ctypes.data)
         engine.delete_object(old)
 
@@ -784,7 +784,7 @@ class TestPayloadViews:
         assert described.tolist() == [FloatArray.tag, 64, *new_values]
         # as an argument it has the new schema: a submatrix is expected
         with pytest.raises(ShapeMismatchError, match="f64_array"):
-            engine.invoke(other, "add", [ByRef(new)])
+            engine.invoke(other, "add", [new])
         engine.close()
 
     @pytest.mark.parametrize("kind", list(TierKind))
@@ -798,10 +798,10 @@ class TestPayloadViews:
         ones = persist(engine, MATRIX_CLASS, Submatrix(np.ones((6, 6))), kind)
         expected = c_v
         for _ in range(4):
-            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            engine.invoke(acc, "fma", [a, b])
             expected = fma_values(expected, a_v, b_v)
             assert np.array_equal(engine.get_object(acc).values, expected)
-            by_ref = engine.invoke(ones, "add", [ByRef(acc)])
+            by_ref = engine.invoke(ones, "add", [acc])
             assert np.array_equal(by_ref.values, expected + 1.0)
 
     def test_close_after_serving_every_tier(self, arena_dir):
@@ -812,8 +812,8 @@ class TestPayloadViews:
         for kind in TierKind:
             acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v), kind)
                          for v in rng.random((3, 4, 4)))
-            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
-            engine.invoke(a, "add", [ByRef(b)])
+            engine.invoke(acc, "fma", [a, b])
+            engine.invoke(a, "add", [b])
             engine.get_object(acc)
             engine.get_object(b, lambda view: view.values.sum())
             kept[kind] = {oid: engine.get_object(oid) for oid in (acc, a, b)}
@@ -839,13 +839,13 @@ class TestPayloadViews:
 
         def writer():
             for _ in range(50):
-                engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+                engine.invoke(acc, "fma", [a, b])
 
         def reader():
             for _ in range(50):
                 # every FMA adds 1 to each element, so a whole update is uniform
                 seen = engine.get_object(acc).values
-                by_ref = engine.invoke(ones, "add", [ByRef(acc)]).values
+                by_ref = engine.invoke(ones, "add", [acc]).values
                 torn.extend(v for v in (seen, by_ref - 1.0) if np.ptp(v) != 0)
 
         interval = sys.getswitchinterval()
@@ -879,7 +879,7 @@ class TestRepeatedReadCharges:
         assert size == 73_728
         for _ in range(3):
             before = engine.op_totals()["invoke"]
-            engine.invoke(acc, "fma", [ByRef(a), ByRef(b)])
+            engine.invoke(acc, "fma", [a, b])
             delta = engine.op_totals()["invoke"].since(before)
             assert delta.count == 1
             assert delta.tier_deltas == {
@@ -901,7 +901,7 @@ class TestRepeatedReadCharges:
         deltas = []
         for i in range(5):
             before = engine.op_totals()["invoke"]
-            engine.invoke(acc, "accumulate", [ByRef(blocks[i % 2]), ByRef(cents)])
+            engine.invoke(acc, "accumulate", [blocks[i % 2], cents])
             deltas.append(engine.op_totals()["invoke"].since(before).tier_deltas)
         # bytes read, bytes written, hits, misses, read ops, write ops
         dram, nvm = (mm, MEDIA_DRAM), (mm, MEDIA_NVM)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import mmap
 import os
 import random
+import shutil
 import struct
 from dataclasses import astuple
 
@@ -227,6 +228,28 @@ class TestNvmDirect:
             tier.store(oid(), bytes(8))
         assert [bytes(tier.read_view(k)) for k in (x, new, z)] == [b"x" * 64, b"n" * 64, b"z" * 64]
         tier.close()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_a_crash_after_reuse_never_serves_one_object_as_another(self, tmp_path):
+        """A copy of the arena file taken without a flush, as a crash leaves
+        it, lists X with X's bytes or not at all. Today a freed region is
+        reused before the next flush, so Y, stored after X is freed, lands in
+        the region the flushed directory still gives X, and the copy serves
+        Y's bytes under X's id."""
+        path, crashed = tmp_path / "c.arena", tmp_path / "crashed.arena"
+        x, y = oid(), oid()
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        tier.store(x, b"X" * 64)
+        tier.flush()
+        tier.free(x)
+        tier.store(y, b"Y" * 64)
+        shutil.copyfile(path, crashed)
+        tier.close()
+        reopened = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=crashed, capacity_bytes=4096))
+        try:
+            assert x not in reopened.ids() or bytes(reopened.read_view(x)) == b"X" * 64
+        finally:
+            reopened.close()
 
     def test_flush_is_idempotent(self, nvm):
         nvm.store(oid(), bytes(64))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from aostore.engine import ByRef, Engine, ResultPlacement
+from aostore.engine import Engine, ResultPlacement
 from aostore.kernels import MATRIX_CLASS, build_catalog, kernel_classes, kernel_methods
 from aostore.model import ObjectIdFactory, Submatrix
 from aostore.tiers import ArenaConfig, DramTier, TierKind
@@ -53,6 +53,6 @@ def test_traced_catalog_computes_stored_results_in_place(monkeypatch, arena_dir)
         for v in (1.0, 2.0)
     )
     placement = ResultPlacement.store_in(TierKind.NVM_DIRECT)
-    assert peak_traced_bytes(lambda: engine.invoke(a, "add", [ByRef(b)], placement)) < 512 * 1024
+    assert peak_traced_bytes(lambda: engine.invoke(a, "add", [b], placement)) < 512 * 1024
     assert "kernels.mat.add" in [span[spans.NAME] for span in tracer.spans]
     engine.close()

@@ -6,6 +6,7 @@ import gc
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -18,14 +19,7 @@ from hypothesis import given, strategies as st
 from aostore import model, wire
 from aostore.apps import ensure_kernel_registration
 from aostore.client import Session
-from aostore.engine import (
-    ByRef,
-    ByValue,
-    Engine,
-    ResultPlacement,
-    Routine,
-    RoutineCatalog,
-)
+from aostore.engine import Engine, ResultPlacement, Routine, RoutineCatalog
 from aostore.errors import (
     ERR_CAPACITY,
     ERR_INVALID,
@@ -36,6 +30,7 @@ from aostore.errors import (
     NotFoundError,
     StoreError,
     UnknownMsgTypeError,
+    UnknownNameError,
 )
 from aostore.kernels import (
     MATRIX_CLASS,
@@ -130,6 +125,24 @@ def _loopback(arena_dir, seed=5, tiers=None):
 
 
 class TestServerCore:
+    def test_a_failed_request_keeps_no_view_alive(self, arena_dir):
+        """An error reply keeps nothing of the failed call, so a view its
+        frames held goes when the reply is made, and an NVM tier then closes
+        without waiting for the garbage collector."""
+        engine, core = _loopback(arena_dir)
+        session = Session.connect_loopback(core)
+        oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((4, 4))),
+                                      TierKind.NVM_DIRECT)
+        session.get(oid)  # the engine keeps the object's view from here on
+        gc.disable()
+        try:
+            with pytest.raises(UnknownNameError):
+                session.invoke(oid, "no_such_method")
+            session.delete(oid)
+            engine.close()
+        finally:
+            gc.enable()
+
     def test_unknown_msg_type_gets_error_code_1(self, arena_dir):
         _, core = _loopback(arena_dir)
         raw = encode_frame(Frame(MSG_GET, 3, bytes(16)))
@@ -289,7 +302,7 @@ class TestTcpTransport:
 
         def worker(idx, pair):
             s = Session.connect_tcp(server.host, server.port)
-            results[idx] = s.invoke(pair[0], "add", [ByRef(pair[1])])
+            results[idx] = s.invoke(pair[0], "add", [pair[1]])
             s.close()
 
         threads = [threading.Thread(target=worker, args=(i, p)) for i, p in enumerate(pairs)]
@@ -406,14 +419,14 @@ def _golden_script(engine, session):
     session.invoke(
         OID_A,
         "fma",
-        [ByValue(Submatrix([[0.5]])), ByRef(OID_B)],
+        [Submatrix([[0.5]]), OID_B],
         ResultPlacement.store_in(TierKind.MEMORY_MODE),
     )
     engine.reply = Histogram([3, 0, 2**64 - 1])
     session.invoke(OID_B, "histogram")
     engine.reply = OID_B
     session.invoke(
-        OID_A, "partial", [ByValue(Centroids(np.zeros((1, 2))))], ResultPlacement.volatile()
+        OID_A, "partial", [Centroids(np.zeros((1, 2)))], ResultPlacement.volatile()
     )
     engine.reply = None
     session.delete(OID_B)
@@ -547,10 +560,29 @@ class TestMessageFormat:
         tags = tuple(f"t{i}" for i in range(256))
         with pytest.raises(FrameError):
             session.register_method(MethodDescriptor("C", "m", "k", tags))
-        args = [ByRef(OID_A)] * 256
+        args = [OID_A] * 256
         with pytest.raises(FrameError):
             session.invoke(OID_A, "m", args)
         session.stats()  # nothing half-sent: the connection still works
+
+
+    def test_a_by_reference_argument_decodes_in_3_python_calls(self):
+        """Each further ObjectId argument of an INVOKE costs ``decode_body``
+        3 Python calls: the list's item, the union's arm and the id field."""
+        layout = wire.MESSAGES[MSG_INVOKE].request
+
+        def calls(refs: int) -> int:
+            values = (OID_A, "m", ResultPlacement.value(), [OID_B] * refs)
+            body = b"".join(wire.encode_body(layout, values))
+            count = collections.Counter()
+            sys.setprofile(lambda frame, event, arg: count.update((event,)))
+            try:
+                assert wire.decode_body(layout, body)[3] == (OID_B,) * refs
+            finally:
+                sys.setprofile(None)
+            return count["call"]
+
+        assert calls(17) - calls(1) == 3 * 16
 
 
 class TestPlacementBytes:
@@ -633,7 +665,7 @@ _placements = st.one_of(
     st.just(ResultPlacement.volatile()),
     _tiers.map(ResultPlacement.store_in),
 )
-_args = st.lists(st.one_of(_payloads.map(ByValue), _oids.map(ByRef)), max_size=4)
+_args = st.lists(st.one_of(_payloads, _oids), max_size=4)
 _counters = st.tuples(*[st.integers(0, 2**64 - 1)] * 6).map(lambda raw: TierCounters(*raw))
 _stats_tiers = st.dictionaries(
     _tiers, st.dictionaries(st.sampled_from([MEDIA_DRAM, MEDIA_NVM]), _counters), max_size=3
@@ -735,7 +767,7 @@ class TestCodecLookup:
         calls.clear()
         oid = session.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 2))), TierKind.DRAM)
         session.get(oid)
-        session.invoke(oid, "partial", [ByValue(Centroids(np.zeros((2, 2))))])
+        session.invoke(oid, "partial", [Centroids(np.zeros((2, 2)))])
         # three requests and three replies carrying four payloads: the
         # persisted block, of which the server reads the header only, the
         # GET reply, the argument and the result
@@ -755,7 +787,7 @@ class TestCodecLookup:
         reads.clear()
         assert session.get(oid) == PointsBlock(np.ones((4, 2)))
         assert len(reads) == 1
-        session.invoke(oid, "partial", [ByValue(Centroids(np.zeros((2, 2))))])
+        session.invoke(oid, "partial", [Centroids(np.zeros((2, 2)))])
         assert len(reads) == 3  # the argument, then the result
 
 
@@ -979,7 +1011,7 @@ class TestBufferOwnership:
             for x in (1.0, 2.0)
         )
         before = session.counters().bytes_received
-        total = session.invoke(a, "add", [ByRef(b)])
+        total = session.invoke(a, "add", [b])
         assert session.counters().bytes_received - before >= wire.GATHER_LIMIT
         sent.append(Submatrix(np.full((64, 64), 3.0)))
         got.append(total)
@@ -1004,12 +1036,12 @@ class TestBufferOwnership:
         for name in names:
             session.register_method(MethodDescriptor("Probe", name, "test.probe", ("", "")))
         block = Submatrix(np.ones((4, 4)))
-        small = ByValue(Centroids(np.ones((3, 5))))
-        large = ByValue(Centroids(np.ones((64, 33))))
-        assert large.payload.values.nbytes > wire.GATHER_LIMIT  # received into fresh memory
+        small = Centroids(np.ones((3, 5)))
+        large = Centroids(np.ones((64, 33)))
+        assert large.values.nbytes > wire.GATHER_LIMIT  # received into fresh memory
         for tier in TierKind:
             target = session.make_persistent("Probe", block, tier)
-            ref = ByRef(session.make_persistent("Probe", block, tier))
+            ref = session.make_persistent("Probe", block, tier)
             for name in names:
                 for args in ([ref, small], [ref, large], [large, ref]):
                     session.invoke(target, name, args)
@@ -1043,8 +1075,8 @@ class TestBufferOwnership:
         large = Centroids(np.ones((64, 33)))
         assert large.values.nbytes > wire.GATHER_LIMIT  # received into fresh memory over TCP
         for name in names:
-            client.invoke(target, name, [ByValue(mine)])
-            client.invoke(target, name, [ByValue(large)])
+            client.invoke(target, name, [mine])
+            client.invoke(target, name, [large])
         if server:
             client.close()
             server.stop()
@@ -1072,7 +1104,7 @@ class TestBufferOwnership:
             persisted = session.counters()
             session.get(oid)
             got = session.counters()
-            total = session.invoke(oid, "add", [ByValue(block)], ResultPlacement.volatile())
+            total = session.invoke(oid, "add", [block], ResultPlacement.volatile())
             invoked = session.counters()
             session.stats()
             session.delete(total)
