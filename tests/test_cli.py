@@ -32,7 +32,8 @@ def test_invalid_config_exits_2_before_any_work(tmp_path, capsys):
 
 @pytest.mark.parametrize("options", [
     pytest.param(["--tier", "nvm", "--dram-capacity", "0"], id="dram-capacity-zero"),
-    pytest.param(["--tier", "mm", "--objects", "small", "--mm-cache", "-5"], id="mm-cache-negative"),
+    pytest.param(["--tier", "mm", "--objects", "small", "--mm-cache", "-5"],
+                 id="mm-cache-negative"),
 ])
 def test_bad_capacity_exits_2_before_any_work(tmp_path, capsys, options):
     arenas = tmp_path / "arenas"

@@ -185,10 +185,12 @@ class LoopbackTcpLockstep(RuleBasedStateMachine):
             self.store(got, expected, tier)
 
     @precondition(lambda self: self.model)
-    @rule(data=st.data(), by_value=st.tuples(st.booleans(), st.booleans()), seeds=st.tuples(_seeds, _seeds))
+    @rule(data=st.data(), by_value=st.tuples(st.booleans(), st.booleans()),
+          seeds=st.tuples(_seeds, _seeds))
     def fma(self, data, by_value, seeds):
-        """``fma`` in place, each argument by reference when another object of
-        the target's side lives, else or when drawn so, by value."""
+        """``fma`` in place. Each argument is drawn by value or by reference;
+        one drawn by reference goes by value when no other object of the
+        target's side lives."""
         target = self.pick(data)
         acc = self.model[target]
         side = len(acc.values)
@@ -277,9 +279,8 @@ class LoopbackTcpLockstep(RuleBasedStateMachine):
                 r, w, r_ops, w_ops = self.io[kind]
                 assert handle.media_counters() == {medium: TierCounters(r, w, 0, 0, r_ops, w_ops)}
             for oid, obj in self.model.items():
-                region = engine.tier(obj.tier).read_view(oid)
-                assert np.array_equal(np.frombuffer(region, np.float64), obj.values.ravel())
-                del region
+                region = np.frombuffer(engine.tier(obj.tier).read_view(oid), np.float64)
+                assert np.array_equal(region, obj.values.ravel())
         for oid in self.model:
             self.read(oid)  # the read back just made, on each store
 
