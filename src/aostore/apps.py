@@ -87,6 +87,9 @@ class AppRunResult:
     input_ids: list[ObjectId] = dc_field(default_factory=list)
     output_ids: list[ObjectId] = dc_field(default_factory=list)
     phases: dict[str, int] = dc_field(default_factory=dict)
+    # the tier traffic of the run's invokes alone, as ``OpTotals.tier_deltas``
+    # (raw counts per (TierKind, medium)); empty without an engine
+    method_traffic: dict = dc_field(default_factory=dict)
 
 
 def ensure_kernel_registration(session: Session) -> None:
@@ -177,10 +180,13 @@ class _Run:
 
         dataset_bytes = sum(sizes)
         method_input, method_ns = self.reuse * dataset_bytes, self.passive_ns
+        method_traffic: dict = {}
         if self.engine is not None:
             counts = self.engine.read_counts()
             method_input = sum(counts.get(oid, 0) * size for oid, size in zip(ids, sizes))
-            method_ns += self.engine.op_totals()["invoke"].since(start).method_ns
+            invokes = self.engine.op_totals()["invoke"].since(start)
+            method_ns += invokes.method_ns
+            method_traffic = invokes.tier_deltas
         return AppRunResult(
             app=self.app,
             mode=self.mode,
@@ -195,6 +201,7 @@ class _Run:
             input_ids=ids,
             output_ids=output_ids,
             phases=self.phases,
+            method_traffic=method_traffic,
         )
 
 

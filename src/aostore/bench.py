@@ -288,7 +288,9 @@ def _tier_layout(config: BenchmarkConfig) -> dict[TierKind, object]:
 
 
 def run_benchmark(config: BenchmarkConfig) -> dict:
-    """Run one configuration; its report, ready for ``json.dumps``."""
+    """Run one configuration; its report, ready for ``json.dumps``. Every
+    report is checked with :func:`verify_report_metrics` before it is
+    returned, so one that fails raises AssertionError instead."""
     config.validate()
     cost = CostModel()
     sizes = profile_sizes(config)
@@ -305,7 +307,6 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         else:
             session = Session.connect_loopback(ServerCore(engine), catalog)
 
-        invoke_start = engine.op_totals()["invoke"]
         run = apps.run_app(
             config.app,
             config.mode,
@@ -321,8 +322,6 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
 
         counts = engine.read_counts()
         histogram = Counter(counts[oid] for oid in run.input_ids)
-        # tier traffic caused by method invocations alone
-        method_deltas = engine.op_totals()["invoke"].since(invoke_start).tier_deltas
         client = session.counters()
         server_stats = session.stats()
 
@@ -348,7 +347,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
 
         report_config = {k: v for k, v in asdict(config).items() if k != "arena_path"}
         report_config["cost_model"] = {k: _fraction_str(v) for k, v in asdict(cost).items()}
-        return {
+        report = {
             "config": report_config,
             "status": "ok",
             "error": "",
@@ -358,7 +357,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
             "tiers": _traffic_section(media, cost),
             "read_count_histogram": {str(k): v for k, v in sorted(histogram.items())},
             "method_traffic": _traffic_section(
-                {key: TierCounters(*vals) for key, vals in method_deltas.items()}, cost
+                {key: TierCounters(*vals) for key, vals in run.method_traffic.items()}, cost
             ),
             "raw": raw,
             "metrics": {
@@ -367,6 +366,8 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
                 "modeled_time_ns_total_exact": _fraction_str(total_model),
             },
         }
+        verify_report_metrics(report)
+        return report
     finally:
         if session is not None:
             session.close()
@@ -472,8 +473,8 @@ def load_plan(path: str | Path) -> list[BenchmarkConfig]:
 
 def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
     """Run a configuration matrix serially; per-row failures, a report that
-    fails ``verify_report_metrics`` among them, are recorded and the sweep
-    continues. Returns a summary with passive/active traffic ratios per
+    fails its check in ``run_benchmark`` among them, are recorded and the
+    sweep continues. Returns a summary with passive/active traffic ratios per
     application where both modes completed."""
     client_bound: dict[tuple, dict[str, int]] = {}
     failures = 0
@@ -484,7 +485,6 @@ def sweep(configs: list[BenchmarkConfig], out_csv: str | Path) -> dict:
             fh.flush()  # an interrupted sweep keeps the rows it finished
             try:
                 report = run_benchmark(config)
-                verify_report_metrics(report)
                 key = (config.app, config.tier, config.objects, config.dataset)
                 client_bound.setdefault(key, {})[config.mode] = report["wire_client"][
                     "bytes_received"

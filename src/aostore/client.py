@@ -8,7 +8,7 @@ only and performs no client-side caching, so every fetch hits the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import ResultPlacement, RoutineCatalog
 from .errors import InvalidRequestError, NotFoundError
@@ -26,13 +26,10 @@ from . import wire
 
 
 @dataclass
-class SessionCounters:
-    """Client-side view of traffic; ``gets``, ``puts`` and ``invokes`` are
+class SessionCounters(wire.WireCounters):
+    """A connection's wire counters, with ``gets``, ``puts`` and ``invokes``:
     the GET, MAKE_PERSISTENT and INVOKE requests sent, failed ones too."""
 
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    per_type: dict[int, int] = field(default_factory=dict)
     gets: int = 0
     puts: int = 0
     invokes: int = 0

@@ -309,18 +309,13 @@ def encode_payload(p: BlockPayload, out: list | None = None) -> bytes | None:
     return None
 
 
-def decode_payload(
-    data: bytes | memoryview, copy: bool = True, whole: bool = True
-) -> BlockPayload:
+def decode_payload(data: bytes | memoryview, copy: bool = True) -> BlockPayload:
     """Inverse of :func:`encode_payload`: the payload over the data section
-    of ``data`` (see :meth:`Schema.view`). By default its array is a fresh,
-    aligned copy, which the caller owns; with ``copy=False`` it is a view of
-    ``data``. ``data`` holds the payload and nothing more, unless ``whole``
-    is false: then the payload is the one at its start, and ``data`` may
-    continue past it."""
+    of ``data``, which holds the payload and nothing more (see
+    :meth:`Schema.view`). By default its array is a fresh, aligned copy,
+    which the caller owns; with ``copy=False`` it is a view of ``data``."""
     schema, offset = decode_header(data)
-    end = None if whole else offset + schema.nbytes
-    return schema.view(memoryview(data)[offset:end], copy)
+    return schema.view(memoryview(data)[offset:], copy)
 
 
 def decode_header(data: bytes | memoryview) -> tuple[Schema, int]:

@@ -203,6 +203,8 @@ class _Arena:
                 )
             self.capacity = capacity
             self.dir_offset = dir_offset
+            # a file cut short anywhere before its directory's count is refused
+            # there, so the data region mapped below is all in the file
             self.entries = self._read_directory()
             high_water = max((off + length for off, length in self.entries.values()), default=0)
             if requested_capacity < high_water:
@@ -210,8 +212,6 @@ class _Arena:
                     f"arena {self.path}: configured capacity {requested_capacity} smaller "
                     f"than existing directory extent {high_water}"
                 )
-            if os.fstat(self._fd).st_size < _DATA_START + capacity:
-                os.ftruncate(self._fd, _DATA_START + capacity)
             self.mm = mmap.mmap(self._fd, _DATA_START + capacity)
         except BaseException:
             os.close(self._fd)

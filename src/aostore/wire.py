@@ -100,7 +100,6 @@ from .model import (
     decode_header,
     decode_payload,
     encode_payload,
-    encoded_size,
     header_length,
 )
 from .tiers import MEDIA_DRAM, MEDIA_NVM, TierCounters, TierKind
@@ -280,46 +279,44 @@ class _ObjectId:
 
 
 class _Payload:
-    """The payload codec of ``aostore.model``, looked up at each call; an
-    encoded payload carries its own length. The data section goes out as a
-    view of the array, and the header is read once on the way back.
-
-    In a request (a by-value INVOKE argument) it is read back as a view of
-    the frame: the routine reads it, then the server drops it. In a reply,
-    whose last field it is, it runs to the end of the frame, and it is read
-    back as a view too when the frame is memory of its own (an array, see
+    """A reply's payload, through the codec of ``aostore.model``, looked up
+    at each call. The data section goes out as a view of the array. The
+    payload is the reply's last field and runs to the end of the frame, so
+    its header is read once, by ``decode_payload``. It is read back as a
+    view when the frame is memory of its own (an array, see
     ``_recv_frame``), which the caller then owns; that view is aligned,
     since such a frame ends 64-byte aligned. From any other frame (the
     receive buffer, the loopback's bytes) it is read back as a copy."""
-
-    def __init__(self, reply: bool):
-        self._reply = reply
 
     def put(self, out: list, value: BlockPayload) -> None:
         encode_payload(value, out)
 
     def take(self, buf: memoryview, pos: int):
-        if self._reply:
-            return decode_payload(buf[pos:], not isinstance(buf.obj, np.ndarray)), len(buf)
-        value = decode_payload(buf[pos:], False, whole=False)
-        return value, pos + encoded_size(value)
+        return decode_payload(buf[pos:], not isinstance(buf.obj, np.ndarray)), len(buf)
 
 
-class _Upload:
-    """A persisted payload as the server takes it: its :class:`Schema`, and a
-    view of its data section in the frame. When the server has received only
-    a prefix of the frame (see ``ServerCore.handle_frame_bytes``), the view
-    holds only the data bytes that came with the prefix, maybe none. A client
-    sends it as a payload, the data section a view of the array."""
-
-    def put(self, out: list, value: BlockPayload) -> None:
-        encode_payload(value, out)
+class _Upload(_Payload):
+    """A payload in a request, sent as a reply's is and read back as its
+    :class:`Schema` and a view of its data section in the frame, which ends
+    where that section does. This is how the server takes a persisted
+    payload: when it has received only a prefix of the frame (see
+    ``ServerCore.handle_frame_bytes``), the view holds only the data bytes
+    that came with the prefix, maybe none."""
 
     def take(self, buf: memoryview, pos: int):
         schema, offset = decode_header(buf[pos:])
         start = pos + offset
         end = start + schema.nbytes
         return (schema, buf[start:end]), end
+
+
+class _ByValueArg(_Upload):
+    """A by-value INVOKE argument: the payload over its data section in the
+    frame, a view that the routine reads before the server drops it."""
+
+    def take(self, buf: memoryview, pos: int):
+        (schema, section), end = super().take(buf, pos)
+        return schema.view(section), end
 
 
 class _Code:
@@ -467,15 +464,14 @@ U8, U16, U64 = _Int("B"), _Int("H"), _Int("Q")
 BOOL = _Code("bool", {False: 0, True: 1})
 STR16 = _Str16()
 OBJECT_ID = _ObjectId()
-PAYLOAD = _Payload(reply=True)  # in replies: the client keeps what it decodes
-PAYLOAD_VIEW = _Payload(reply=False)  # by-value INVOKE arguments, read by the routine, then dropped
+PAYLOAD = _Payload()  # in replies: the client keeps what it decodes
 UPLOAD = _Upload()
 _TIER_CODES = {t: t.value for t in TierKind}
 TIER = _Code("tier", _TIER_CODES)
 TIER_OR_ALL = _Code("tier", {None: 0xFF, **_TIER_CODES})  # 0xFF: every tier
 CLASS = _Record(ClassDescriptor, STR16, _List(U16, STR16, STR16), _List(U16, STR16))
 METHOD = _Record(MethodDescriptor, STR16, STR16, STR16, _List(U8, STR16), STR16, BOOL)
-ARG = _Union("INVOKE arg", {1: (BlockPayload, PAYLOAD_VIEW), 2: (ObjectId, OBJECT_ID)})
+ARG = _Union("INVOKE arg", {1: (BlockPayload, _ByValueArg()), 2: (ObjectId, OBJECT_ID)})
 RESULT = _Union("INVOKE result", {0: (type(None), None), 1: (BlockPayload, PAYLOAD),
                                   2: (ObjectId, OBJECT_ID)})
 MEDIUM = _Code("medium", {MEDIA_DRAM: 1, MEDIA_NVM: 2})

@@ -360,20 +360,21 @@ class TestSweep:
 
     def test_a_report_that_fails_its_check_is_an_error_row(self, tmp_path, monkeypatch, capsys):
         """A run whose report has a metric one ulp off its exact recomputation
-        is written as an error row and counted among the failures; the sweep
-        goes on, and ``bench sweep`` then exits 1."""
-        real_run = bench.run_benchmark
+        fails the check in ``run_benchmark``, is written as an error row and
+        counted among the failures; the sweep goes on, and ``bench sweep``
+        then exits 1."""
+        real_compute = bench.compute_metrics
         runs = []
 
-        def run(config):
-            report = real_run(config)
+        def compute(**raw):
+            metrics = real_compute(**raw)
             if not runs:
-                metrics = report["metrics"]
-                metrics["reuse_factor"] = math.nextafter(metrics["reuse_factor"], math.inf)
-            runs.append(config.mode)
-            return report
+                reuse = metrics["reuse_factor"]
+                metrics["reuse_factor"] = reuse + Fraction(math.ulp(float(reuse)))
+            runs.append(raw["total_ns"])
+            return metrics
 
-        monkeypatch.setattr(bench, "run_benchmark", run)
+        monkeypatch.setattr(bench, "compute_metrics", compute)
         base = {"app": "histogram", "result": "value", "objects": "big"}
         configs = [tiny_config(tmp_path, mode=mode, **base) for mode in ("active", "passive")]
         plan = tmp_path / "plan.json"
@@ -383,7 +384,8 @@ class TestSweep:
         summary = json.loads(capsys.readouterr().out)
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
-        assert runs == ["active", "passive"]
+        # each run computes its metrics for its report and again in its check
+        assert len(runs) == 4
         assert [r["status"] for r in rows] == ["error", "ok"]
         assert rows[0]["error"].startswith("reuse_factor: ")
         assert (summary["failures"], summary["passive_over_active"]) == (1, {})

@@ -769,10 +769,11 @@ class TestCodecLookup:
         session.get(oid)
         session.invoke(oid, "partial", [Centroids(np.zeros((2, 2)))])
         # three requests and three replies carrying four payloads: the
-        # persisted block, of which the server reads the header only, the
-        # GET reply, the argument and the result
+        # persisted block and the by-value argument, of which the server reads
+        # the header and then takes a view of the data section, and the GET
+        # reply and the result, which the client decodes whole
         assert calls == {
-            "encode_frame": 6, "encode_payload": 4, "decode_header": 1, "decode_payload": 3
+            "encode_frame": 6, "encode_payload": 4, "decode_header": 2, "decode_payload": 2
         }
 
     def test_each_decoded_payload_reads_its_header_once(self, session, monkeypatch):
@@ -781,7 +782,8 @@ class TestCodecLookup:
         read a second time to find where the payload ends."""
         reads = []
         read = model.decode_header
-        monkeypatch.setattr(model, "decode_header", lambda data: reads.append(1) or read(data))
+        for module in (model, wire):  # decode_payload reads it in model, the server in wire
+            monkeypatch.setattr(module, "decode_header", lambda data: reads.append(1) or read(data))
         ensure_kernel_registration(session)
         oid = session.make_persistent(POINTS_CLASS, PointsBlock(np.ones((4, 2))), TierKind.DRAM)
         reads.clear()
