@@ -170,6 +170,18 @@ class TestMatMulDriver:
         for oid in result.output_ids:
             assert engine.object_tier(oid) == TierKind.NVM_DIRECT
 
+    def test_a_passive_run_that_stores_its_result_matches_the_active_one(self, engine, session):
+        desc = MatrixDescriptor(24, 8)  # grid 3
+        active, passive = (
+            run_app("matmul", mode, session, seed=17, tier=TierKind.NVM_DIRECT,
+                    profile={"matrix": desc}, result="store", engine=engine)
+            for mode in ("active", "passive")
+        )
+        assert passive.output_digest == active.output_digest
+        assert len(passive.output_ids) == len(active.output_ids) == 9
+        for oid in passive.output_ids:
+            assert engine.object_tier(oid) == TierKind.NVM_DIRECT
+
     def test_passive_reuse_matches_grid_too(self, engine, session):
         desc = MatrixDescriptor(24, 8)  # grid 3
         result = run_app("matmul", "passive", session, seed=14, tier=TierKind.DRAM,

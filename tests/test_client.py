@@ -60,6 +60,37 @@ class TestStubLifecycle:
         assert received < 4096  # 140 u64 bins + framing
         assert received < 8 * n / 10
 
+    def test_object_id_before_persist_and_payload_after_are_refused(self, ready):
+        stub = Stub(ready, HIST_CLASS, FloatArray([1.0]))
+        with pytest.raises(InvalidRequestError, match="persist it first"):
+            stub.object_id
+        stub.persist(TierKind.DRAM)
+        with pytest.raises(InvalidRequestError, match="stub is remote"):
+            stub.payload
+
+    def test_local_fma_updates_the_payload_and_sends_nothing(self, ready):
+        rng = np.random.default_rng(8)
+        acc, a, b = (rng.integers(-3, 4, (4, 4)).astype(np.float64) for _ in range(3))
+        stub = Stub(ready, MATRIX_CLASS, Submatrix(acc))
+        before = ready.counters()
+        assert stub.call("fma", [Submatrix(a), Submatrix(b)]) is None
+        assert ready.counters() == before
+        assert type(stub.payload) is Submatrix
+        assert np.array_equal(stub.payload.values, acc + a @ b)
+
+    def test_remote_fma_returns_none_and_updates_the_stored_object(self, ready):
+        rng = np.random.default_rng(9)
+        acc, a, b = (rng.integers(-3, 4, (4, 4)).astype(np.float64) for _ in range(3))
+        stub = Stub(ready, MATRIX_CLASS, Submatrix(acc))
+        stub.persist(TierKind.NVM_DIRECT)
+        ids = [ready.make_persistent(MATRIX_CLASS, Submatrix(v), TierKind.DRAM) for v in (a, b)]
+        assert stub.call("fma", ids) is None
+        assert np.array_equal(ready.get(stub.object_id).values, acc + a @ b)
+
+    def test_an_unknown_method_has_no_descriptor(self, ready):
+        with pytest.raises(NotFoundError, match="no_such"):
+            ready.method_descriptor(MATRIX_CLASS, "no_such")
+
     def test_remote_error_surfaces_typed(self, ready):
         stub = Stub(ready, POINTS_CLASS, PointsBlock(np.zeros((4, 3))))
         stub.persist(TierKind.DRAM)

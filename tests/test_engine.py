@@ -74,6 +74,16 @@ class TestRegistration:
         with pytest.raises(DuplicateError):
             engine.register_method(BLOCK_MEAN)
 
+    @pytest.mark.parametrize("mutates", [False, True])
+    def test_mutates_target_must_match_the_routine(self, engine, mutates):
+        """``stat.mean`` does not mutate and ``mat.fma`` does; a descriptor
+        that says otherwise is refused and leaves nothing registered."""
+        engine.register_class(BLOCK)
+        key = "mat.fma" if mutates else "stat.mean"
+        with pytest.raises(InvalidRequestError, match=f"mutates_target={not mutates}"):
+            engine.register_method(MethodDescriptor("Block", "m", key, (), "", not mutates))
+        engine.register_method(MethodDescriptor("Block", "m", key, (), "", mutates))
+
     def test_method_for_unknown_class_rejected(self, engine):
         with pytest.raises(UnknownNameError, match="class"):
             engine.register_method(BLOCK_MEAN)
@@ -700,6 +710,24 @@ class TestRecovery:
         # schema was not persisted: typed access requires re-registration
         with pytest.raises((InvalidRequestError, UnknownNameError)):
             engine2.get_object(oid)
+        engine2.close()
+
+    def test_invoke_on_a_recovered_object_is_refused(self, tmp_path):
+        """Its class was not persisted (ROADMAP item 1), so registering the
+        class and method again does not make it invocable."""
+        path = tmp_path / "persist.arena"
+        tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
+        engine = Engine({TierKind.NVM_DIRECT: tier}, build_catalog())
+        engine.register_class(BLOCK)
+        oid = persist(engine, "Block", FloatArray([1.0, 2.0]), TierKind.NVM_DIRECT)
+        engine.close()
+
+        tier2 = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=1 << 16))
+        engine2 = Engine({TierKind.NVM_DIRECT: tier2}, build_catalog())
+        engine2.register_class(BLOCK)
+        engine2.register_method(BLOCK_MEAN)
+        with pytest.raises(UnknownNameError, match="no registered class"):
+            engine2.invoke(oid, "mean")
         engine2.close()
 
     def test_new_objects_never_take_a_recovered_id(self, tmp_path):

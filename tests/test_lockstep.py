@@ -13,6 +13,7 @@ gives the values the stores must hold.
 
 from __future__ import annotations
 
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -30,13 +31,22 @@ from hypothesis.stateful import (
 from aostore.apps import ensure_kernel_registration
 from aostore.client import Session
 from aostore.engine import Engine, ResultPlacement
-from aostore.errors import InvalidRequestError, NotFoundError, StoreError, UnknownNameError
+from aostore.errors import (
+    CapacityError,
+    InvalidRequestError,
+    NotFoundError,
+    StoreError,
+    UnknownNameError,
+)
 from aostore.kernels import MATRIX_CLASS, build_catalog
 from aostore.model import ObjectIdFactory, Submatrix
 from aostore.tiers import MEDIA_DRAM, MEDIA_NVM, ArenaConfig, TierCounters, TierKind, open_tier
 from aostore.wire import ServerCore, TcpServer
 
 TIERS = {TierKind.DRAM: MEDIA_DRAM, TierKind.NVM_DIRECT: MEDIA_NVM}
+# bytes per tier: room for the 41 largest blocks that the at most 41 steps of a
+# program can store, and small enough that the block of the no-room rule is cheap
+CAPACITY = 1 << 20
 # 45x45 is the largest block whose persist frame is below GATHER_LIMIT, 46x46 the smallest above
 SIDES = (8, 45, 46)
 EXACT = 2.0**53  # below it a float64 holds every integer
@@ -62,10 +72,10 @@ class LoopbackTcpLockstep(RuleBasedStateMachine):
         self.server = None
         for name in ("loopback", "tcp"):
             tiers = {
-                TierKind.DRAM: open_tier(TierKind.DRAM, ArenaConfig(capacity_bytes=1 << 22)),
+                TierKind.DRAM: open_tier(TierKind.DRAM, ArenaConfig(capacity_bytes=CAPACITY)),
                 TierKind.NVM_DIRECT: open_tier(
                     TierKind.NVM_DIRECT,
-                    ArenaConfig(path=self.dir / f"{name}.arena", capacity_bytes=1 << 22),
+                    ArenaConfig(path=self.dir / f"{name}.arena", capacity_bytes=CAPACITY),
                 ),
             }
             engine = Engine(tiers, build_catalog(), ObjectIdFactory(7))
@@ -227,6 +237,11 @@ class LoopbackTcpLockstep(RuleBasedStateMachine):
         del self.model[oid]
         self.deleted.append(oid)
 
+    @rule(tier=st.sampled_from([None, *TIERS]))
+    def flush(self, tier):
+        """A flush of one tier or of all moves no object and no counter."""
+        assert self.both(lambda s: s.flush(tier)) is None
+
     # -- requests that fail before any read ----------------------------------------
 
     @precondition(lambda self: self.model)
@@ -264,6 +279,17 @@ class LoopbackTcpLockstep(RuleBasedStateMachine):
         payload = Submatrix(np.zeros((side, side)))
         error = self.both(lambda s: s.make_persistent("NoSuchClass", payload, tier))
         assert isinstance(error, UnknownNameError)
+
+    @rule(tier=_tiers)
+    def no_room(self, tier):
+        """The smallest block larger than the tier's free space, by the
+        model's count: a frame far above GATHER_LIMIT, so a TCP server
+        refuses it with only its prefix in hand, and drops the rest."""
+        free = CAPACITY - sum(obj.values.nbytes for obj in self.model.values() if obj.tier == tier)
+        side = math.isqrt(free // 8) + 1
+        payload = Submatrix(np.zeros((side, side)))
+        error = self.both(lambda s: s.make_persistent(MATRIX_CLASS, payload, tier))
+        assert isinstance(error, CapacityError)
 
     # -- invariants ------------------------------------------------------------------
 

@@ -94,6 +94,17 @@ class TestDram:
         assert modeled_time_ns(c, "dram", CostModel()) == 0
 
 
+def _arena_of_one_object(path) -> int:
+    """Write a closed NVM arena of 4,096 data bytes holding one 8-byte
+    object, 4,196 bytes in all: the 64-byte header, the data region, and a
+    directory of a u32 count and one 32-byte entry. Returns its capacity."""
+    tier = open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+    tier.store(oid(), bytes(8))
+    tier.close()
+    assert path.stat().st_size == 64 + 4096 + 4 + 32
+    return 4096
+
+
 class TestNvmDirect:
     def test_round_trip_and_counters(self, nvm):
         key = oid()
@@ -193,6 +204,33 @@ class TestNvmDirect:
         with pytest.raises(ArenaError, match="overlap"):
             open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
         assert path.read_bytes() == before
+
+    def test_a_file_shorter_than_its_header_is_refused(self, tmp_path):
+        path = tmp_path / "short.arena"
+        path.write_bytes(b"AOSA" + bytes(6))
+        with pytest.raises(ArenaError, match="truncated header"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+
+    @pytest.mark.parametrize("size", [164, 4160, 4162])
+    def test_a_file_cut_before_its_directory_count_is_refused(self, tmp_path, size):
+        """Cut inside the data region, at its end, or inside the count: the
+        directory cannot be read, so the file is refused before it is mapped
+        or written."""
+        path = tmp_path / "cut.arena"
+        _arena_of_one_object(path)
+        os.truncate(path, size)
+        with pytest.raises(ArenaError, match="truncated directory header"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=4096))
+        assert path.stat().st_size == size
+
+    def test_a_directory_entry_past_the_capacity_is_refused(self, tmp_path):
+        path = tmp_path / "past.arena"
+        capacity = _arena_of_one_object(path)
+        with path.open("r+b") as fh:
+            fh.seek(64 + capacity + 4 + 16)  # the entry's offset, after the count and the id
+            fh.write(struct.pack("<Q", capacity))
+        with pytest.raises(ArenaError, match="exceeds capacity 4096"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(path=path, capacity_bytes=capacity))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize(
@@ -303,6 +341,31 @@ class TestArenaPath:
         tier.store(oid(), bytes(256))  # fits the freed hole
         tier.close()
 
+
+class TestRefusedConfigs:
+    def test_nvm_direct_needs_a_path(self):
+        with pytest.raises(InvalidRequestError, match="requires an arena path"):
+            open_tier(TierKind.NVM_DIRECT, ArenaConfig(capacity_bytes=4096))
+
+    @pytest.mark.parametrize("cache", [1 << 16, 1 << 17])
+    def test_memory_mode_needs_a_cache_below_its_capacity(self, tmp_path, cache):
+        config = ArenaConfig(tmp_path / "m.arena", 1 << 16, cache_capacity_bytes=cache)
+        with pytest.raises(InvalidRequestError, match="cache_capacity_bytes < capacity_bytes"):
+            open_tier(TierKind.MEMORY_MODE, config)
+
+    def test_an_unknown_tier_kind_is_refused(self):
+        with pytest.raises(InvalidRequestError, match="unknown tier kind 4"):
+            open_tier(4, ArenaConfig(capacity_bytes=4096))
+
+    def test_placing_a_stored_id_again_is_refused_and_changes_nothing(self, nvm):
+        key = oid()
+        nvm.store(key, b"original")
+        counters = nvm.media_counters()
+        with pytest.raises(InvalidRequestError, match="already stored"):
+            nvm.place(key, 16, lambda region: region.__setitem__(slice(None), bytes(16)))
+        assert nvm.media_counters() == counters
+        assert nvm.used_bytes == 8
+        assert bytes(nvm.read_view(key)) == b"original"
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("kind", list(TierKind), ids=lambda k: k.name.lower())

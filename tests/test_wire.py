@@ -193,6 +193,115 @@ class TestServerCore:
         engine.close()
 
 
+def _error_of(reply_bytes) -> tuple[int, str]:
+    """The code and message of an ERROR reply frame."""
+    reply, _ = decode_frame(bytes(reply_bytes))
+    assert reply.msg_type == MSG_ERROR | REPLY_BIT
+    return wire.decode_body(wire.MESSAGES[MSG_ERROR].reply, reply.body)
+
+
+def _request(msg_type: int, *values, request_id: int = 1) -> bytes:
+    body = wire.encode_body(wire.MESSAGES[msg_type].request, values)
+    return b"".join(encode_frame(Frame(msg_type, request_id, body)))
+
+
+def _invoke_with_arg_tag(oid, tag: int) -> bytes:
+    """An INVOKE frame of ``add`` on ``oid`` whose one argument, by reference
+    to ``oid``, has its arm tag set to ``tag``."""
+    raw = bytearray(_request(MSG_INVOKE, oid, "add", ResultPlacement.value(), [oid]))
+    raw[-17] = tag  # the arm tag, then the 16 id bytes that end the frame
+    return bytes(raw)
+
+
+class _CraftedReply(wire.Connection):
+    """A connection that answers every request with ``reply``."""
+
+    def __init__(self, reply: bytes):
+        super().__init__()
+        self.reply = reply
+
+    def _roundtrip(self, raw):
+        return self.reply
+
+
+class TestRefusedFrames:
+    """Frames and values that the store refuses, and where it refuses them."""
+
+    def test_a_frame_length_below_the_head_is_refused_as_malformed(self, arena_dir):
+        _, core = _loopback(arena_dir)
+        code, message = _error_of(core.handle_frame_bytes(struct.pack("<I", 5) + bytes(5)))
+        assert code == ERR_MALFORMED
+        assert "below minimum 9" in message
+
+    def test_a_frame_with_a_trailing_byte_is_refused(self, arena_dir):
+        _, core = _loopback(arena_dir)
+        code, message = _error_of(core.handle_frame_bytes(_request(MSG_STATS) + b"\x00"))
+        assert code == ERR_MALFORMED
+        assert "disagrees" in message
+
+    def test_a_class_name_beyond_str16_fails_before_any_send(self, session):
+        server = session._conn._core
+        before, server_before = session.counters(), server.wire_counters()
+        with pytest.raises(FrameError, match="str16"):
+            session.register_class(ClassDescriptor("x" * 70_000))
+        assert session.counters() == before
+        assert server.wire_counters() == server_before
+
+    def test_a_flush_of_no_tier_fails_before_any_send(self, session):
+        before = session.counters()
+        with pytest.raises(FrameError, match="no tier code"):
+            session.flush(5)
+        assert session.counters() == before
+
+    def test_a_flush_of_an_unknown_tier_code_gets_an_error_reply(self, arena_dir):
+        _, core = _loopback(arena_dir)
+        raw = encode_frame(Frame(wire.MSG_FLUSH, 1, b"\x09"))
+        code, message = _error_of(core.handle_frame_bytes(raw))
+        assert code == ERR_MALFORMED
+        assert "unknown tier code 9" in message
+
+    def test_an_unknown_argument_tag_gets_an_error_reply_and_tcp_serves_on(self, tcp):
+        server, session = tcp
+        ensure_kernel_registration(session)
+        oid = session.make_persistent(MATRIX_CLASS, Submatrix(np.ones((2, 2))), TierKind.DRAM)
+        with socket.create_connection((server.host, server.port)) as sock:
+            reply = _exchange(sock, _invoke_with_arg_tag(oid, 9))
+            assert reply.msg_type == MSG_ERROR | REPLY_BIT
+            code, message = wire.decode_body(wire.MESSAGES[MSG_ERROR].reply, reply.body)
+            assert code == ERR_MALFORMED
+            assert "unknown INVOKE arg tag 9" in message
+            again = _exchange(sock, _request(MSG_STATS, request_id=2))
+        assert (again.msg_type, again.request_id) == (MSG_STATS | REPLY_BIT, 2)
+
+    def test_a_reply_to_another_request_is_refused(self):
+        conn = _CraftedReply(encode_frame(Frame(MSG_STATS | REPLY_BIT, 2, b"")))
+        with pytest.raises(FrameError, match="reply for request 2, expected 1"):
+            conn.call(MSG_STATS)
+
+    def test_a_reply_of_another_type_is_refused(self):
+        conn = _CraftedReply(encode_frame(Frame(MSG_GET | REPLY_BIT, 1, b"")))
+        with pytest.raises(FrameError, match="does not match request type"):
+            conn.call(MSG_STATS)
+
+    def test_a_full_send_buffer_leaves_the_whole_frame_as_one_copy(self):
+        a, b = socket.socketpair()
+        try:
+            a.setblocking(False)
+            try:
+                while True:
+                    a.send(bytes(1 << 16))
+            except BlockingIOError:
+                pass
+            a.setblocking(True)
+            parts = [b"head", np.arange(8, dtype=np.uint8).data]
+            rest = wire._send_now(a, parts)
+            assert type(rest) is bytes
+            assert rest == b"head" + bytes(range(8))
+        finally:
+            a.close()
+            b.close()
+
+
 def session_tier():
     from aostore.tiers import TierKind
 
