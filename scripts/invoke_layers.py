@@ -72,43 +72,49 @@ def persist(engine: Engine, class_name: str, payload, tier=TierKind.NVM_DIRECT) 
     return engine.make_persistent(class_name, payload.schema(), tier, copy_of(payload.data_view()))
 
 
-def main() -> None:
+def open_store(arenas) -> tuple[Engine, dict]:
+    """An engine over DRAM, NVM-direct and Memory-Mode tiers with their arenas
+    in the directory ``arenas``, holding the objects of the three invokes;
+    and the invokes by name, each as (kernel call, target, method, args)."""
     kernels = build_catalog()
     catalog = RoutineCatalog([*map(kernels.get, kernels.keys()), Routine("noop", noop, True)])
+    tiers = {
+        TierKind.DRAM: ArenaConfig(capacity_bytes=1 << 24),
+        TierKind.NVM_DIRECT: ArenaConfig(Path(arenas) / "nvm.arena", 1 << 24),
+        TierKind.MEMORY_MODE: ArenaConfig(Path(arenas) / "mm.arena", 1 << 24, 1 << 19),
+    }
+    engine = Engine({kind: open_tier(kind, config) for kind, config in tiers.items()}, catalog)
+    for desc in kernel_classes():
+        engine.register_class(desc)
+    for desc in kernel_methods():
+        engine.register_method(desc)
+    engine.register_method(MethodDescriptor(
+        MATRIX_CLASS, "noop", "noop", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True))
+
+    rng = np.random.default_rng(7)
+    acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v))
+                 for v in (np.zeros((96, 96)), rng.random((96, 96)), rng.random((96, 96))))
+    accv, av, bv = map(engine.get_object, (acc, a, b))
+    args = [a, b]
+
+    spec = KMeansSpec()
+    blocks = gen_points(5, 512, spec.dims, 256)
+    points = persist(engine, POINTS_CLASS, blocks[1], TierKind.MEMORY_MODE)
+    cents, sums = (persist(engine, POINTS_CLASS, p, TierKind.DRAM) for p in (
+        initial_centroids(blocks, spec.centers), PointsBlock(np.zeros(spec.partial_shape))))
+    sumsv, pointsv, centsv = map(engine.get_object, (sums, points, cents))
+    accumulate = kernels.get("kmeans.accumulate").fn
+    return engine, {
+        "fma 96x96": (lambda: fma_values(accv.values, av.values, bv.values), acc, "fma", args),
+        "no-op": (lambda: noop(accv, [av, bv]), acc, "noop", args),
+        "accumulate": (lambda: accumulate(sumsv, [pointsv, centsv]), sums, "accumulate",
+                       [points, cents]),
+    }
+
+
+def main() -> None:
     with tempfile.TemporaryDirectory() as arenas:
-        tiers = {
-            TierKind.DRAM: ArenaConfig(capacity_bytes=1 << 24),
-            TierKind.NVM_DIRECT: ArenaConfig(Path(arenas) / "nvm.arena", 1 << 24),
-            TierKind.MEMORY_MODE: ArenaConfig(Path(arenas) / "mm.arena", 1 << 24, 1 << 19),
-        }
-        engine = Engine({kind: open_tier(kind, config) for kind, config in tiers.items()}, catalog)
-        for desc in kernel_classes():
-            engine.register_class(desc)
-        for desc in kernel_methods():
-            engine.register_method(desc)
-        engine.register_method(MethodDescriptor(
-            MATRIX_CLASS, "noop", "noop", (SEM_SUBMATRIX, SEM_SUBMATRIX), SEM_NONE, True))
-
-        rng = np.random.default_rng(7)
-        acc, a, b = (persist(engine, MATRIX_CLASS, Submatrix(v))
-                     for v in (np.zeros((96, 96)), rng.random((96, 96)), rng.random((96, 96))))
-        accv, av, bv = map(engine.get_object, (acc, a, b))
-        args = [a, b]
-
-        spec = KMeansSpec()
-        blocks = gen_points(5, 512, spec.dims, 256)
-        points = persist(engine, POINTS_CLASS, blocks[1], TierKind.MEMORY_MODE)
-        cents, sums = (persist(engine, POINTS_CLASS, p, TierKind.DRAM) for p in (
-            initial_centroids(blocks, spec.centers), PointsBlock(np.zeros(spec.partial_shape))))
-        sumsv, pointsv, centsv = map(engine.get_object, (sums, points, cents))
-        accumulate = kernels.get("kmeans.accumulate").fn
-        cases = {  # name: (kernel call, target, method, args)
-            "fma 96x96": (lambda: fma_values(accv.values, av.values, bv.values), acc, "fma", args),
-            "no-op": (lambda: noop(accv, [av, bv]), acc, "noop", args),
-            "accumulate": (lambda: accumulate(sumsv, [pointsv, centsv]), sums, "accumulate",
-                           [points, cents]),
-        }
-
+        engine, cases = open_store(arenas)
         core = ServerCore(engine)
         server = TcpServer(engine)
         loopback = Session.connect_loopback(core)

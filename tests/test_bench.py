@@ -12,6 +12,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aostore
@@ -267,6 +268,23 @@ def test_desk_counters_byte_identical(tmp_path):
     subprocess.run([sys.executable, str(REPO / "scripts" / "desk_counters.py"), str(out)],
                    env=env, check=True, capture_output=True, timeout=600)
     assert out.read_bytes() == (REPO / "desk_counters.json").read_bytes()
+
+
+def test_work_counters_byte_identical(tmp_path):
+    """The Python, C and socket calls per call of each operation at each
+    layer match the committed work_counters.json byte for byte. Other
+    interpreter or numpy versions make other calls, so the test then skips."""
+    committed = REPO / "work_counters.json"
+    doc = json.loads(committed.read_text())
+    here = {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__}
+    made = {key: doc[key] for key in here}
+    if made != here:
+        pytest.skip(f"work_counters.json was made with {made}; this is {here}")
+    out = tmp_path / "work_counters.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "TMPDIR": str(tmp_path)}
+    subprocess.run([sys.executable, str(REPO / "scripts" / "work_counters.py"), str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert out.read_bytes() == committed.read_bytes()
 
 
 def test_invoke_layers_runs(tmp_path):
