@@ -397,10 +397,12 @@ def run_app(
     ``kmeans_spec`` (k-means); ``matrix``, a :class:`MatrixDescriptor`
     (matrix apps). ``result`` and ``assemble`` apply to the matrix apps only.
 
-    With ``engine``, method input bytes come from its per-object read counts
-    and method time adds its invoke method time over the run (the difference
-    of two :meth:`Engine.op_totals` snapshots); without it, method input is
-    the reuse factor times the dataset and method time is client-side only."""
+    With ``engine``, method input bytes come from its per-object read counts,
+    and its invoke totals over the run (the difference of two
+    :meth:`Engine.op_totals` snapshots) add their method time to the method
+    time and give ``method_traffic``; without it, method input is the reuse
+    factor times the dataset, method time is client-side only and
+    ``method_traffic`` is empty."""
     if mode not in (MODE_ACTIVE, MODE_PASSIVE):
         raise InvalidRequestError(f"unknown mode {mode!r}")
     if app not in _APPS:
